@@ -20,7 +20,6 @@ from .etf import (
     gram_closed_form,
     gram_from_frame,
     synthesize_frame,
-    three_way_agreement,
     three_way_sampled,
     verify_etf,
     verify_frame,
@@ -72,7 +71,6 @@ __all__ = [
     "krein_parameters",
     "srg_scheme",
     "synthesize_frame",
-    "three_way_agreement",
     "three_way_sampled",
     "verify_etf",
     "verify_frame",

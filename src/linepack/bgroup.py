@@ -5,24 +5,19 @@ second coordinate by a bilinear 2-cocycle B:
 
     (u, v) * (x, y) = (u + x, v + y + B(u, x))
 
-The shipped cocycle is B(a, b) = a b^2, which makes the product the
+The cocycle here is B(a, b) = a b^2, which makes the product the
 Suzuki 2-group of order 2^(2n).  Its structure is driven entirely by the
 antisymmetrized map Bhat(u, x) = B(u, x) + B(x, u): the center is
 (ker of u -> Bhat(u, .)) x F, the commutator subgroup is {0} x span(Bhat),
 and the conjugacy class of (u, v) is {u} x (v + range of Bhat(u, .)).
 For the Suzuki cocycle the range of Bhat(u, .) is the hyperplane attached
 to u^3, so noncentral classes have size 2^(n-1).
-
-A custom bilinear cocycle may be supplied for experimentation, but only
-the default is exercised by the rest of the package; the cube-scaling
-automorphisms in particular exist only for the Suzuki cocycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -52,21 +47,15 @@ class GroupContext:
     is computed.
     """
 
-    def __init__(self, field: FieldContext, bilinear: Callable[[int, int], int] | None = None):
+    def __init__(self, field: FieldContext):
         self.field = field
         self.order = field.order ** 2
-        self._default_cocycle = bilinear is None
-        if bilinear is None:
-            bilinear = lambda u, x: field.mul(u, field.square(x))
-        self._B = bilinear
+        self._B = lambda u, x: field.mul(u, field.square(x))
         self.identity: Element = (0, 0)
 
     # ------------------------------------------------------------------
     # group law
     # ------------------------------------------------------------------
-
-    def cocycle(self, u: int, x: int) -> int:
-        return self._B(u, x)
 
     def cocycle_hat(self, u: int, x: int) -> int:
         """Antisymmetrized cocycle, the commutator map on first coordinates."""
@@ -189,31 +178,12 @@ class GroupContext:
         """(x, y) -> (gamma x, gamma^3 y); an automorphism for the Suzuki cocycle."""
         if gamma == 0:
             raise ZeroDivisionError("scaling automorphism requires gamma != 0")
-        if not self._default_cocycle:
-            raise ValueError("scaling automorphisms require the default cocycle")
         f = self.field
         return (f.mul(gamma, g[0]), f.mul(f.cube(gamma), g[1]))
 
     # ------------------------------------------------------------------
-    # vectorized index machinery (default cocycle only)
+    # vectorized index machinery
     # ------------------------------------------------------------------
-
-    def _require_default(self) -> None:
-        if not self._default_cocycle:
-            raise ValueError("vectorized paths require the default cocycle")
-
-    @cached_property
-    def element_xy_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(self.order, dtype=np.int64)
-        return idx >> self.field.n, idx & (self.field.order - 1)
-
-    @cached_property
-    def inverse_index_array(self) -> np.ndarray:
-        """Element index -> index of the inverse element."""
-        self._require_default()
-        f = self.field
-        xs, ys = self.element_xy_arrays
-        return (xs << f.n) | (ys ^ f.cube_table[xs])
 
     def inverse_product_index_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Index of inv(g) * h on the grid rows x cols of element indices.
@@ -222,7 +192,6 @@ class GroupContext:
         depends: the (g, h) entry of any matrix in the adjacency algebra
         is a function of the class of inv(g) * h.
         """
-        self._require_default()
         f = self.field
         n, mask = f.n, f.order - 1
         gx, gy = rows >> n, rows & mask

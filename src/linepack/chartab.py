@@ -130,9 +130,6 @@ class Character:
             return f"lin[{self.parameter}]"
         return f"nl{'+' if self.sign > 0 else '-'}[{self.parameter}]"
 
-    def value_on_class(self, class_index: int) -> GaussianScaled:
-        return self.values[class_index]
-
 
 def linear_characters(group: GroupContext) -> list[Character]:
     """(x, y) -> (-1)^tr(cx) for every field element c, ascending."""
@@ -159,31 +156,30 @@ def _nonlinear_value(group: GroupContext, gamma: int, sign: int, g: Element) -> 
     return GaussianScaled.make(0, sign * (1 - 2 * parity), field.k)
 
 
-def nonlinear_characters(group: GroupContext, rep: RepContext | None = None,
-                         cross_check: bool = True) -> tuple[list[Character], list[Character]]:
+def nonlinear_characters(group: GroupContext, rep: RepContext | None = None
+                         ) -> tuple[list[Character], list[Character]]:
     """The conjugate pair of degree-2^k characters for each nonzero gamma.
 
     Returns (plus_family, minus_family), each ordered by gamma ascending.
-    When cross-checking, the "+" values must match the traces of the
-    twisted monomial representations on every class representative.
+    The "+" values must match the traces of the twisted monomial
+    representations on every class representative.
     """
     field = group.field
     classes = group.conjugacy_classes
-    if cross_check and rep is None:
+    if rep is None:
         rep = RepContext(group)
     plus: list[Character] = []
     minus: list[Character] = []
     for gamma in field.nonzero_elements():
         vp = tuple(_nonlinear_value(group, gamma, +1, cls.representative) for cls in classes)
         vm = tuple(v.conjugate() for v in vp)
-        if cross_check:
-            for cls, val in zip(classes, vp):
-                tr_re, tr_im = rep.rep_twisted(gamma, cls.representative).trace()
-                if (tr_re, tr_im) != val.as_gaussian_int():
-                    raise AssertionError(
-                        f"character value disagrees with representation trace at "
-                        f"gamma={gamma}, class rep {cls.representative}"
-                    )
+        for cls, val in zip(classes, vp):
+            tr_re, tr_im = rep.rep_twisted(gamma, cls.representative).trace()
+            if (tr_re, tr_im) != val.as_gaussian_int():
+                raise AssertionError(
+                    f"character value disagrees with representation trace at "
+                    f"gamma={gamma}, class rep {cls.representative}"
+                )
         plus.append(Character("nonlinear", gamma, +1, 1 << field.k, vp))
         minus.append(Character("nonlinear", gamma, -1, 1 << field.k, vm))
     return plus, minus
@@ -292,11 +288,10 @@ class CharacterTable:
         }
 
 
-def build_character_table(group: GroupContext, rep: RepContext | None = None,
-                          cross_check: bool = True) -> CharacterTable:
+def build_character_table(group: GroupContext, rep: RepContext | None = None) -> CharacterTable:
     """Assemble and verify the full table: linear block, then "+", then "-"."""
     lin = linear_characters(group)
-    plus, minus = nonlinear_characters(group, rep, cross_check=cross_check)
+    plus, minus = nonlinear_characters(group, rep)
     chars = tuple(lin + plus + minus)
     d_set = tuple(range(len(lin), len(lin) + len(plus)))
     table = CharacterTable(group, group.conjugacy_classes, chars, d_set)

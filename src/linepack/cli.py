@@ -77,12 +77,18 @@ def _check_build_n(n: int) -> None:
         raise UsageError("n must satisfy 3 <= n <= 9")
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise UsageError("--samples must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
     _check_build_n(args.n)
+    _check_samples(args.samples)
     t0 = time.monotonic()
     out = Path(args.out or os.environ.get("LINEPACK_OUT", f"linepack_n{args.n}"))
     out.mkdir(parents=True, exist_ok=True)
@@ -95,7 +101,7 @@ def cmd_build(args) -> int:
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame, threads=args.threads)
         cert = etf.verify_frame(frame, threads=args.threads, gram=gram)
-        etf.write_frame_file(out / "frame.mat", frame)
+        etf.write_frame_file(out / "frame.mat", frame.rows, [frame])
         outputs.append("frame.mat")
         etf.write_gram_file(out / "gram.mat", gram)
         outputs.append("gram.mat")
@@ -109,7 +115,8 @@ def cmd_build(args) -> int:
         print(f"n={args.n}: full Gram verification skipped; "
               "writing the frame and a sampled closed-form cross-check",
               file=sys.stderr)
-        etf.write_frame_file_streaming(out / "frame.mat", group, rep)
+        etf.write_frame_file(out / "frame.mat", m, etf.frame_blocks(
+            group, rep, np.arange(num_vectors, dtype=np.int64)))
         outputs.append("frame.mat")
         report = etf.three_way_sampled(group, table, rep,
                                        min_entries=args.samples,
@@ -159,7 +166,12 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_from_file(args) -> int:
-    mat = etf.read_matrix_file(args.infile)
+    try:
+        mat = etf.read_matrix_file(args.infile)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.infile}: {exc.strerror}") from exc
+    if isinstance(mat, scheme.GaussianRationalMatrix) and mat.shape[0] != mat.shape[1]:
+        raise UsageError(f"a Gram matrix must be square, got {mat.shape[0]}x{mat.shape[1]}")
     cert = etf.verify_etf(mat, threads=args.threads)
     print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
     if cert.verdict != "OPTIMAL":
@@ -172,6 +184,7 @@ def _verify_from_file(args) -> int:
 
 def _verify_from_n(args) -> int:
     _check_build_n(args.n)
+    _check_samples(args.samples)
     mode = args.mode or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
     _, group, rep, table = _contexts(args.n)
     if mode == "full":
@@ -183,10 +196,8 @@ def _verify_from_n(args) -> int:
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame, threads=args.threads)
         cert = etf.verify_frame(frame, threads=args.threads, gram=gram)
-        mismatches = {
-            "frame_vs_character": etf.first_mismatch(gram, etf.gram_character(group, table)),
-            "frame_vs_closedForm": etf.first_mismatch(gram, etf.gram_closed_form(group)),
-        }
+        mismatches = etf._route_mismatches(gram, etf.gram_character(group, table),
+                                           etf.gram_closed_form(group))
         agree = all(v is None for v in mismatches.values())
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))
@@ -346,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="synthesize, certify, and export a frame")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--out", help="output directory (default $LINEPACK_OUT or ./linepack_n<N>)")
-    b.add_argument("--format", choices=["v1"], default="v1",
-                   help="matrix file format version")
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--samples", type=int, default=100_000)
     b.add_argument("--float-export", action="store_true")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from concurrent.futures import ThreadPoolExecutor
@@ -47,13 +48,13 @@ __all__ = [
     "EtfCertificate",
     "FrameMatrix",
     "closed_form_entry",
+    "frame_blocks",
     "frame_dimensions",
     "gram_character",
     "gram_closed_form",
     "gram_from_frame",
     "read_matrix_file",
     "synthesize_frame",
-    "three_way_agreement",
     "three_way_sampled",
     "verify_etf",
     "verify_frame",
@@ -90,33 +91,36 @@ def frame_dimensions(n: int) -> tuple[int, int]:
     return (1 << (n - 1)) * ((1 << n) - 1), 1 << (2 * n)
 
 
-def _synthesize_columns(group: GroupContext, rep: RepContext,
-                        col_indices: np.ndarray) -> FrameMatrix:
+def frame_blocks(group: GroupContext, rep: RepContext,
+                 cols: np.ndarray) -> Iterator[FrameMatrix]:
+    """The frame's rows on the given columns, one 4^k-row block per gamma, ascending.
+
+    Block gamma of column (x, y) is pi(gamma^-1 x, 0), flattened, times
+    (-1)^tr(gamma^-3 y): the twisted representation at that element.
+    """
     f = group.field
-    n, k = f.n, f.k
-    dim = 1 << k
-    block = dim * dim
-    m = block * (f.order - 1)
-    ncols = len(col_indices)
-    re = np.zeros((m, ncols), dtype=np.int64)
-    im = np.zeros((m, ncols), dtype=np.int64)
-    xs = col_indices >> n
-    ys = col_indices & (f.order - 1)
-    for bi, gamma in enumerate(f.nonzero_elements()):
+    xs, ys = cols >> f.n, cols & (f.order - 1)
+    stack_re, stack_im = rep.dense_x0
+    for gamma in f.nonzero_elements():
         ginv = f.inv(gamma)
         ginv3 = f.inv(f.cube(gamma))
         signs = 1 - 2 * f.trace_table[f.mul_table[ginv3, ys]].astype(np.int64)
-        rows = slice(bi * block, (bi + 1) * block)
-        flat_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for ci, x in enumerate(xs):
-            x = int(x)
-            if x not in flat_cache:
-                dre, dim_ = rep._rep_x0[f.mul(ginv, x)].dense()
-                flat_cache[x] = (dre.ravel(), dim_.ravel())
-            fre, fim = flat_cache[x]
-            re[rows, ci] = fre * signs[ci]
-            im[rows, ci] = fim * signs[ci]
-    return FrameMatrix(re, im, k - 2 * n)
+        images = f.mul_table[ginv, xs]
+        yield FrameMatrix(stack_re[images].T * signs, stack_im[images].T * signs,
+                          f.k - 2 * f.n)
+
+
+def _synthesize_columns(group: GroupContext, rep: RepContext,
+                        cols: np.ndarray) -> FrameMatrix:
+    # column-major: the int64 Gram product frame^T frame then reads both
+    # operands along contiguous memory
+    m, _ = frame_dimensions(group.field.n)
+    re = np.empty((m, len(cols)), dtype=np.int64, order="F")
+    im = np.empty_like(re)
+    for i, block in enumerate(frame_blocks(group, rep, cols)):
+        rows = slice(i * block.rows, (i + 1) * block.rows)
+        re[rows], im[rows] = block.re, block.im
+    return FrameMatrix(re, im, block.log2_scale_sq)
 
 
 def synthesize_frame(group: GroupContext, rep: RepContext | None = None) -> FrameMatrix:
@@ -348,23 +352,13 @@ def first_mismatch(a: GaussianRationalMatrix, b: GaussianRationalMatrix):
     return None if len(bad) == 0 else (int(bad[0][0]), int(bad[0][1]))
 
 
-def three_way_agreement(group: GroupContext, table: CharacterTable,
-                        rep: RepContext | None = None, threads: int = 1) -> dict:
-    """Full entrywise comparison of the three Gram routes."""
-    if rep is None:
-        rep = RepContext(group)
-    g_frame = gram_from_frame(synthesize_frame(group, rep), threads)
-    g_char = gram_character(group, table)
-    g_closed = gram_closed_form(group)
-    mismatches = {
-        "frame_vs_character": first_mismatch(g_frame, g_char),
-        "frame_vs_closedForm": first_mismatch(g_frame, g_closed),
-        "character_vs_closedForm": first_mismatch(g_char, g_closed),
-    }
+def _route_mismatches(frame: GaussianRationalMatrix, character: GaussianRationalMatrix,
+                      closed: GaussianRationalMatrix) -> dict:
+    """First mismatching entry of each pair of Gram routes, None where they agree."""
     return {
-        "entries": group.order ** 2,
-        "agree": all(v is None for v in mismatches.values()),
-        "mismatches": mismatches,
+        "frame_vs_character": first_mismatch(frame, character),
+        "frame_vs_closedForm": first_mismatch(frame, closed),
+        "character_vs_closedForm": first_mismatch(character, closed),
     }
 
 
@@ -381,7 +375,8 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     The frame route builds only the sampled columns (honest monomial
     matrices); the character and closed-form routes are evaluated on the
     same index grid.  Also checks the diagonal / off-diagonal modulus
-    pattern on every sampled entry.
+    pattern on every sampled entry.  With min_entries >= N^2 every column
+    is sampled, whatever the seed, and the comparison covers the full Gram.
     """
     if rep is None:
         rep = RepContext(group)
@@ -392,11 +387,7 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     g_frame = gram_from_frame(_synthesize_columns(group, rep, sel), threads)
     g_char = gram_character(group, table, sel, sel)
     g_closed = gram_closed_form(group, sel, sel)
-    mismatches = {
-        "frame_vs_character": first_mismatch(g_frame, g_char),
-        "frame_vs_closedForm": first_mismatch(g_frame, g_closed),
-        "character_vs_closedForm": first_mismatch(g_char, g_closed),
-    }
+    mismatches = _route_mismatches(g_frame, g_char, g_closed)
 
     m, num = frame_dimensions(group.field.n)
     _, welch_par = welch_bound_sq(m, num)
@@ -425,15 +416,21 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 _HEADER = "LINEPACK-MATRIX v1"
 
 
-def write_frame_file(path, frame: FrameMatrix) -> None:
-    """Scaled Gaussian-integer matrix: entries `re;im`, scale 2^(num/den)."""
+def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
+    """Scaled Gaussian-integer matrix: entries `re;im`, scale 2^(num/den).
+
+    `blocks` are the consecutive row blocks of one matrix with `rows` rows
+    in all; each is written as it arrives, so a frame too large to hold in
+    memory can be streamed from `frame_blocks`.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_HEADER} rows={frame.rows} cols={frame.cols} "
-                 f"scale_log2_num={frame.log2_scale_sq} scale_log2_den=2\n")
-        for r in range(frame.rows):
-            row_re, row_im = frame.re[r], frame.im[r]
-            fh.write(" ".join(f"{row_re[c]};{row_im[c]}" for c in range(frame.cols)))
-            fh.write("\n")
+        for i, block in enumerate(blocks):
+            if i == 0:
+                fh.write(f"{_HEADER} rows={rows} cols={block.cols} "
+                         f"scale_log2_num={block.log2_scale_sq} scale_log2_den=2\n")
+            for row_re, row_im in zip(block.re, block.im):
+                fh.write(" ".join(f"{a};{b}" for a, b in zip(row_re.tolist(), row_im.tolist())))
+                fh.write("\n")
 
 
 def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
@@ -453,46 +450,6 @@ def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
             fh.write("\n")
 
 
-def iter_frame_row_blocks(group: GroupContext, rep: RepContext):
-    """Yield the frame's row blocks (one per gamma) without materializing it.
-
-    Each block is a (2^(2k), N) pair of int64 arrays; memory stays
-    bounded for degrees whose full frame would not fit.
-    """
-    f = group.field
-    n, k = f.n, f.k
-    dim = 1 << k
-    block = dim * dim
-    q = f.order
-    ys = np.arange(q, dtype=np.int64)
-    for gamma in f.nonzero_elements():
-        ginv = f.inv(gamma)
-        ginv3 = f.inv(f.cube(gamma))
-        signs = 1 - 2 * f.trace_table[f.mul_table[ginv3, ys]].astype(np.int64)
-        re = np.empty((block, q * q), dtype=np.int64)
-        im = np.empty((block, q * q), dtype=np.int64)
-        for x in range(q):
-            dre, dim_ = rep._rep_x0[f.mul(ginv, x)].dense()
-            cols = slice(x * q, (x + 1) * q)
-            re[:, cols] = dre.reshape(block, 1) * signs[None, :]
-            im[:, cols] = dim_.reshape(block, 1) * signs[None, :]
-        yield re, im
-
-
-def write_frame_file_streaming(path, group: GroupContext, rep: RepContext) -> None:
-    """Row-block streaming variant of write_frame_file; identical bytes."""
-    f = group.field
-    m, num = frame_dimensions(f.n)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_HEADER} rows={m} cols={num} "
-                 f"scale_log2_num={f.k - 2 * f.n} scale_log2_den=2\n")
-        for re, im in iter_frame_row_blocks(group, rep):
-            for r in range(re.shape[0]):
-                row_re, row_im = re[r], im[r]
-                fh.write(" ".join(f"{row_re[c]};{row_im[c]}" for c in range(num)))
-                fh.write("\n")
-
-
 class MatrixParseError(ValueError):
     pass
 
@@ -500,16 +457,21 @@ class MatrixParseError(ValueError):
 def read_matrix_file(path):
     """Parse a v1 matrix file; returns a FrameMatrix or GaussianRationalMatrix."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if header[:2] != _HEADER.split():
-            raise MatrixParseError("missing LINEPACK-MATRIX v1 header")
         try:
-            fields = dict(tok.split("=", 1) for tok in header[2:])
-            rows, cols = int(fields["rows"]), int(fields["cols"])
-            snum, sden = int(fields["scale_log2_num"]), int(fields["scale_log2_den"])
-        except (KeyError, ValueError) as exc:
-            raise MatrixParseError(f"malformed header: {exc}") from exc
-        body = fh.read().split("\n")
+            header = fh.readline().split()
+            body = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(f"not an ASCII matrix file: {exc}") from exc
+    if header[:2] != _HEADER.split():
+        raise MatrixParseError("missing LINEPACK-MATRIX v1 header")
+    try:
+        fields = dict(tok.split("=", 1) for tok in header[2:])
+        rows, cols = int(fields["rows"]), int(fields["cols"])
+        snum, sden = int(fields["scale_log2_num"]), int(fields["scale_log2_den"])
+    except (KeyError, ValueError) as exc:
+        raise MatrixParseError(f"malformed header: {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise MatrixParseError(f"need positive rows and cols, got {rows}x{cols}")
     lines = [ln for ln in body if ln]
     if len(lines) != rows:
         raise MatrixParseError(f"expected {rows} rows, found {len(lines)}")
@@ -525,10 +487,13 @@ def read_matrix_file(path):
                 for c, tok in enumerate(toks):
                     a, b = tok.split(";")
                     re[r, c], im[r, c] = int(a), int(b)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise MatrixParseError(f"bad entry in row {r}: {exc}") from exc
         if sden not in (1, 2):
             raise MatrixParseError("unsupported scale denominator")
+        if snum > 0:
+            # certification needs the inverse squared scale as an integer power of two
+            raise MatrixParseError("frame scale_log2_num must not be positive")
         return FrameMatrix(re, im, snum * 2 // sden)
     dens: set[int] = set()
     entries = []
@@ -553,9 +518,13 @@ def read_matrix_file(path):
     den = 1
     for d in dens:
         den = den * d // math.gcd(den, d)
-    for r in range(rows):
-        for c in range(cols):
-            fr, fi = entries[r][c]
-            re[r, c] = fr.numerator * (den // fr.denominator)
-            im[r, c] = fi.numerator * (den // fi.denominator)
+    try:
+        for r in range(rows):
+            for c in range(cols):
+                fr, fi = entries[r][c]
+                re[r, c] = fr.numerator * (den // fr.denominator)
+                im[r, c] = fi.numerator * (den // fi.denominator)
+    except OverflowError as exc:
+        raise MatrixParseError(f"entries over the common denominator {den} "
+                               "exceed int64") from exc
     return GaussianRationalMatrix(re, im, den)

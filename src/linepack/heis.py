@@ -212,6 +212,13 @@ class RepContext:
             out.append(mat)
         return out
 
+    @cached_property
+    def dense_x0(self) -> tuple[np.ndarray, np.ndarray]:
+        """(re, im) int64 stacks of shape (q, 4^k): row x is pi(x, 0) flattened row-major."""
+        dense = [mat.dense() for mat in self._rep_x0]
+        return (np.stack([re.ravel() for re, _ in dense]),
+                np.stack([im.ravel() for _, im in dense]))
+
     def rep(self, g: Element) -> MonomialMatrix:
         """pi(x, y) = pi(x, 0) (-1)^tr(y)."""
         return self._rep_x0[g[0]].times_i_power(2 * self.field.trace(g[1]))
@@ -221,8 +228,3 @@ class RepContext:
         ginv = self.field.inv(gamma)
         return self.rep(self.group.scaling_automorphism(ginv, g))
 
-    def twisted_evaluators(self):
-        """One representation evaluator per nonzero gamma, ascending."""
-        def make(gamma):
-            return lambda g: self.rep_twisted(gamma, g)
-        return [make(gamma) for gamma in self.field.nonzero_elements()]

@@ -134,12 +134,6 @@ class GaussianRationalMatrix:
     def conjugate(self) -> "GaussianRationalMatrix":
         return GaussianRationalMatrix(self.re, -self.im, self.den)
 
-    def transpose(self) -> "GaussianRationalMatrix":
-        return GaussianRationalMatrix(self.re.T, self.im.T, self.den)
-
-    def ctranspose(self) -> "GaussianRationalMatrix":
-        return GaussianRationalMatrix(self.re.T, -self.im.T, self.den)
-
     def _aligned(self, other: "GaussianRationalMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         den = self.den * other.den // math.gcd(self.den, other.den)
         sa, sb = den // self.den, den // other.den
@@ -167,9 +161,6 @@ class GaussianRationalMatrix:
 
     def is_idempotent(self) -> bool:
         return (self @ self) == self
-
-    def is_real(self) -> bool:
-        return not self.im.any()
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""

@@ -20,7 +20,6 @@ from linepack import (
     hyperdiff_check,
     krein_parameters,
     srg_scheme,
-    three_way_agreement,
     three_way_sampled,
     verify_gram,
     welch_bound_sq,
@@ -74,9 +73,10 @@ def test_criterion_2_three_way_gram_agreement(group3, table3, rep3,
                                               group5, table5, rep5,
                                               group7, table7, rep7, capsys):
     with capsys.disabled():
-        r3 = three_way_agreement(group3, table3, rep3)
+        # min_entries = N^2 samples every column: the full Gram, whatever the seed
+        r3 = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2)
         t5 = time.monotonic()
-        r5 = three_way_agreement(group5, table5, rep5)
+        r5 = three_way_sampled(group5, table5, rep5, min_entries=1024 ** 2)
         e5 = time.monotonic() - t5
         t7 = time.monotonic()
         r7 = three_way_sampled(group7, table7, rep7, min_entries=100_000, seed=1)

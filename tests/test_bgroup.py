@@ -2,9 +2,6 @@ import random
 
 import pytest
 
-from linepack.bgroup import GroupContext
-from linepack.gf2n import FieldContext
-
 
 def brute_force_classes(group):
     """Conjugacy classes by direct orbit computation (oracle)."""
@@ -166,12 +163,3 @@ def test_scaling_automorphism_permutes_classes_n3(group3):
             assert image in class_sets
         assert frozenset(group3.scaling_automorphism(gamma, g) for g in central) == central
 
-
-def test_custom_cocycle_rejects_vectorized_paths():
-    field = FieldContext(3)
-    group = GroupContext(field, bilinear=lambda u, x: field.mul(u, x))
-    assert group.mul((1, 0), (1, 0)) == (0, 1)
-    with pytest.raises(ValueError):
-        group.scaling_automorphism(1, (1, 0))
-    with pytest.raises(ValueError):
-        _ = group.inverse_index_array

@@ -142,7 +142,7 @@ def test_values_constant_on_classes_member_level(table3, group3):
 def test_rep_trace_cross_check_has_teeth(group3, rep3):
     # the "-" values are NOT the twisted traces, so the construction-time
     # cross-check would reject a sign mix-up
-    plus, minus = nonlinear_characters(group3, rep3, cross_check=True)
+    plus, minus = nonlinear_characters(group3, rep3)
     mismatches = 0
     for pch, mch in zip(plus, minus):
         for ci, cls in enumerate(group3.conjugacy_classes):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,20 @@ def built_n3(tmp_path_factory):
     return out
 
 
+# sha256 of the `build --n 3` content files; a change to the synthesizer or
+# the writers that alters a byte shows here
+BUILD_N3_SHA256 = {
+    "frame.mat": "946bd21ae29e1c3ba4f067c7f41f5567a673a0d24611e264eab534a504cf7519",
+    "gram.mat": "5994e2ea0fd2d94a689566f9885ea05337ac55148076f7827c325575781666c1",
+    "certificate.json": "07ec02d9e5f77b309e4a9312c3f0f53d2a53ab108acc724fb30cfff7aafce8ea",
+}
+
+
+def test_build_n3_content_hashes_pinned(built_n3):
+    for name, digest in BUILD_N3_SHA256.items():
+        assert hashlib.sha256((built_n3 / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_verify_full_by_degree(capsys):
     code, stdout, _ = run(capsys, "verify", "--n", "3", "--mode", "full")
     assert code == 0
@@ -155,6 +170,38 @@ def test_verify_parse_failure(tmp_path, capsys):
     bad.write_text("hello\n")
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 2
+
+
+_HEAD = "LINEPACK-MATRIX v1 rows={} cols={} scale_log2_num={} scale_log2_den={}\n"
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    _HEAD.format(0, 1, 0, 1),
+    _HEAD.format(1, 2, 0, 1) + "1/2;0/1 0/1;0/1\n",
+    _HEAD.format(1, 1, 2, 2) + "1;0\n",
+    _HEAD.format(1, 1, -2, 2) + "9223372036854775808;0\n",
+    _HEAD.format(1, 3, 0, 1) + "1/4611686018427387904;0/1 1/3;0/1 1/5;0/1\n",
+    b"\xff\xfe\n",
+], ids=["missing-file", "zero-rows", "non-square-gram", "positive-frame-scale",
+        "frame-entry-beyond-int64", "gram-denominator-beyond-int64", "not-ascii"])
+def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "input.mat"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert "linepack: " in err
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_samples_below_one_is_usage_error(tmp_path, capsys, command):
+    extra = ["--out", str(tmp_path)] if command == "build" else ["--mode", "sample"]
+    code, _, err = run(capsys, command, "--n", "3", "--samples", "0", *extra)
+    assert code == 2
+    assert "--samples" in err
 
 
 def test_verify_requires_exactly_one_source(built_n3, capsys):

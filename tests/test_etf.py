@@ -8,6 +8,7 @@ from linepack.chartab import GaussianScaled
 from linepack.etf import (
     FrameMatrix,
     closed_form_entry,
+    frame_blocks,
     frame_dimensions,
     gram_character,
     gram_closed_form,
@@ -15,7 +16,6 @@ from linepack.etf import (
     parseval_defect,
     read_matrix_file,
     synthesize_frame,
-    three_way_agreement,
     three_way_sampled,
     verify_etf,
     verify_frame,
@@ -140,9 +140,9 @@ def test_sign_bridge_identity(field3, field5):
 # ---------------------------------------------------------------------------
 
 def test_three_way_full_n3(group3, table3, rep3):
-    report = three_way_agreement(group3, table3, rep3)
-    assert report["agree"]
-    assert report["entries"] == 4096
+    report = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2, seed=5)
+    assert report["agree"] and report["pattern_ok"]
+    assert report["entries"] == 4096 and report["columns"] == 64
     assert all(v is None for v in report["mismatches"].values())
 
 
@@ -257,12 +257,14 @@ def test_threads_do_not_change_results(group3, rep3):
 def test_frame_file_roundtrip(tmp_path, group3, rep3):
     frame = synthesize_frame(group3, rep3)
     path = tmp_path / "frame.mat"
-    write_frame_file(path, frame)
+    write_frame_file(path, frame.rows, [frame])
     back = read_matrix_file(path)
     assert isinstance(back, FrameMatrix)
     assert back.log2_scale_sq == frame.log2_scale_sq
     assert np.array_equal(back.re, frame.re) and np.array_equal(back.im, frame.im)
-    write_frame_file(tmp_path / "frame2.mat", frame)
+    # streaming one block per gamma writes the same bytes as the whole frame
+    cols = np.arange(group3.order, dtype=np.int64)
+    write_frame_file(tmp_path / "frame2.mat", frame.rows, frame_blocks(group3, rep3, cols))
     assert (tmp_path / "frame.mat").read_bytes() == (tmp_path / "frame2.mat").read_bytes()
 
 
@@ -275,15 +277,6 @@ def test_gram_file_roundtrip(tmp_path, group3, table3):
     assert back == gram
     first_line = path.read_text().splitlines()[1].split(" ")[0]
     assert first_line == "7/16;0/1"
-
-
-def test_streamed_frame_file_matches_dense(tmp_path, group3, rep3):
-    from linepack.etf import write_frame_file_streaming
-    dense_path = tmp_path / "a.mat"
-    stream_path = tmp_path / "b.mat"
-    write_frame_file(dense_path, synthesize_frame(group3, rep3))
-    write_frame_file_streaming(stream_path, group3, rep3)
-    assert dense_path.read_bytes() == stream_path.read_bytes()
 
 
 def test_parse_errors(tmp_path):

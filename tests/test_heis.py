@@ -183,13 +183,11 @@ def test_twisted_family(group3, rep3, table3):
     # gamma = 1 is the untwisted representation
     for g in group3.elements():
         assert rep3.rep_twisted(1, g) == rep3.rep(g)
-    evaluators = rep3.twisted_evaluators()
-    assert len(evaluators) == group3.field.order - 1
     # traces reproduce the "+" family on every class
-    for gamma, ev in zip(group3.field.nonzero_elements(), evaluators):
+    for gamma in group3.field.nonzero_elements():
         idx = table3.character_index("nonlinear", gamma, +1)
         for ci, cls in enumerate(group3.conjugacy_classes):
-            assert ev(cls.representative).trace() == \
+            assert rep3.rep_twisted(gamma, cls.representative).trace() == \
                 table3.characters[idx].values[ci].as_gaussian_int()
 
 
