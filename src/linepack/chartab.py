@@ -18,7 +18,9 @@ family are cross-checked against traces of the monomial representation
 during construction.
 
 All values are Gaussian integers scaled by powers of two and every
-computation in this module is exact; no floating point appears anywhere.
+computation in this module is exact.  The orthogonality products reach
+floating point only through `exact.exact_matmul`, whose checked bound
+proves each result an exact integer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .bgroup import ConjugacyClass, Element, GroupContext
+from .exact import exact_matmul
 from .heis import RepContext
 
 __all__ = [
@@ -240,14 +243,14 @@ class CharacterTable:
         re, im = self.value_arrays
         w = np.array(self.class_sizes, dtype=np.int64)
         # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta
-        gram_re = (re * w) @ re.T + (im * w) @ im.T
-        gram_im = (im * w) @ re.T - (re * w) @ im.T
+        gram_re = exact_matmul(re * w, re.T) + exact_matmul(im * w, im.T)
+        gram_im = exact_matmul(im * w, re.T) - exact_matmul(re * w, im.T)
         if not (np.array_equal(gram_re, order * np.eye(nchar, dtype=np.int64))
                 and not gram_im.any()):
             raise AssertionError("row orthogonality fails")
         # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta
-        col_re = re.T @ re + im.T @ im
-        col_im = re.T @ im - im.T @ re
+        col_re = exact_matmul(re.T, re) + exact_matmul(im.T, im)
+        col_im = exact_matmul(re.T, im) - exact_matmul(im.T, re)
         expect = np.diag(order // w)
         if not (np.array_equal(col_re, expect) and not col_im.any()):
             raise AssertionError("column orthogonality fails")

@@ -13,9 +13,13 @@ srg      build the 2-class scheme of a strongly regular graph and
          certify the ETF cut out by its designated idempotent
 
 Exit codes: 0 success / verified, 1 mathematical violation, 2 usage or
-parse error.  Content files contain no timestamps and identical
-invocations produce byte-identical files; wall time and other
-environment-dependent metadata live only in the manifest.
+parse error, 3 internal error (any other exception, such as an int64
+bound that `exact.check_bound` refuses); a crash never exits 1.
+
+`--threads` caps the threads of numpy's OpenBLAS for the run.  Content
+files contain no timestamps and identical invocations produce
+byte-identical files; wall time and other environment-dependent
+metadata live only in the manifest.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import bgroup, chartab, etf, gf2n, heis, scheme, search
+from . import bgroup, chartab, etf, exact, gf2n, heis, scheme, search
 
 DEFAULT_SEED = 1
 _FULL_BUILD_MAX_N = 5
@@ -99,8 +104,8 @@ def cmd_build(args) -> int:
 
     if args.n <= _FULL_BUILD_MAX_N:
         frame = etf.synthesize_frame(group, rep)
-        gram = etf.gram_from_frame(frame, threads=args.threads)
-        cert = etf.verify_frame(frame, threads=args.threads, gram=gram)
+        gram = etf.gram_from_frame(frame)
+        cert = etf.verify_frame(frame, gram=gram)
         etf.write_frame_file(out / "frame.mat", frame.rows, [frame])
         outputs.append("frame.mat")
         etf.write_gram_file(out / "gram.mat", gram)
@@ -119,8 +124,7 @@ def cmd_build(args) -> int:
             group, rep, np.arange(num_vectors, dtype=np.int64)))
         outputs.append("frame.mat")
         report = etf.three_way_sampled(group, table, rep,
-                                       min_entries=args.samples,
-                                       seed=args.seed, threads=args.threads)
+                                       min_entries=args.samples, seed=args.seed)
         ok = report["agree"] and report["pattern_ok"]
         sample_info = report
         cert_dict = {
@@ -172,7 +176,7 @@ def _verify_from_file(args) -> int:
         raise UsageError(f"cannot read {args.infile}: {exc.strerror}") from exc
     if isinstance(mat, scheme.GaussianRationalMatrix) and mat.shape[0] != mat.shape[1]:
         raise UsageError(f"a Gram matrix must be square, got {mat.shape[0]}x{mat.shape[1]}")
-    cert = etf.verify_etf(mat, threads=args.threads)
+    cert = etf.verify_etf(mat)
     print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
     if cert.verdict != "OPTIMAL":
         where = cert.cross_checks.get("parsevalDefect") \
@@ -194,8 +198,8 @@ def _verify_from_n(args) -> int:
                 f"{group.order}x{group.order} Gram matrix; pass --force-full "
                 "if you really have the memory")
         frame = etf.synthesize_frame(group, rep)
-        gram = etf.gram_from_frame(frame, threads=args.threads)
-        cert = etf.verify_frame(frame, threads=args.threads, gram=gram)
+        gram = etf.gram_from_frame(frame)
+        cert = etf.verify_frame(frame, gram=gram)
         mismatches = etf._route_mismatches(gram, etf.gram_character(group, table),
                                            etf.gram_closed_form(group))
         agree = all(v is None for v in mismatches.values())
@@ -207,7 +211,7 @@ def _verify_from_n(args) -> int:
             raise VerificationFailure(cert.failure or "certification failed")
         return 0
     report = etf.three_way_sampled(group, table, rep, min_entries=args.samples,
-                                   seed=args.seed, threads=args.threads)
+                                   seed=args.seed)
     print(json.dumps({k: v for k, v in report.items() if k != "mismatches"},
                      indent=2, sort_keys=True))
     if not (report["agree"] and report["pattern_ok"]):
@@ -296,8 +300,7 @@ def cmd_gram(args) -> int:
         elif meth == "character":
             mats[meth] = etf.gram_character(group, table)
         else:
-            mats[meth] = etf.gram_from_frame(etf.synthesize_frame(group, rep),
-                                             threads=args.threads)
+            mats[meth] = etf.gram_from_frame(etf.synthesize_frame(group, rep))
     names = sorted(mats)
     first = mats[names[0]]
     for other in names[1:]:
@@ -352,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism (results are identical)")
+                        help="cap on OpenBLAS threads (results are identical)")
 
     b = sub.add_parser("build", help="synthesize, certify, and export a frame")
     b.add_argument("--n", type=int, required=True)
@@ -405,18 +408,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit_error(kind: str, message: str, as_json: bool) -> None:
+def _emit_error(kind: str, message: str, as_json: bool, **extra) -> None:
     if as_json:
-        print(json.dumps({"error": {"type": kind, "message": message}},
+        print(json.dumps({"error": {"type": kind, "message": message, **extra}},
                          sort_keys=True), file=sys.stderr)
     else:
+        for text in extra.values():
+            print(text, end="", file=sys.stderr)
         print(f"linepack: {kind}: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise UsageError("--threads must be at least 1")
+        with exact.blas_threads(threads):
+            return args.func(args)
     except UsageError as exc:
         _emit_error("usage", str(exc), args.json_errors)
         return 2
@@ -426,6 +435,11 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         _emit_error("violation", str(exc), args.json_errors)
         return 1
+    except Exception as exc:
+        # last resort: exit 1 claims a mathematical violation, so a crash must not use it
+        _emit_error("internal", f"{type(exc).__name__}: {exc}", args.json_errors,
+                    traceback=traceback.format_exc())
+        return 3
 
 
 if __name__ == "__main__":

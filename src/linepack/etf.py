@@ -11,7 +11,9 @@ quantity is squared, hence rational.
 The Gram matrix of the frame is computed three independent ways:
 
 * frame route: conjugate-transpose product of the synthesized matrix,
-  in pure int64 arithmetic;
+  exact in int64, with each product run on float BLAS only where the
+  checked bound of `exact.exact_matmul` proves the result an exact
+  integer;
 * character route: (1/N) sum over the hyperdifference family of
   degree-weighted character values at inv(g) h, read from the exact
   character table;
@@ -31,15 +33,16 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable, GaussianScaled
+from .exact import check_bound, exact_matmul, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix
@@ -112,10 +115,8 @@ def frame_blocks(group: GroupContext, rep: RepContext,
 
 def _synthesize_columns(group: GroupContext, rep: RepContext,
                         cols: np.ndarray) -> FrameMatrix:
-    # column-major: the int64 Gram product frame^T frame then reads both
-    # operands along contiguous memory
     m, _ = frame_dimensions(group.field.n)
-    re = np.empty((m, len(cols)), dtype=np.int64, order="F")
+    re = np.empty((m, len(cols)), dtype=np.int64)
     im = np.empty_like(re)
     for i, block in enumerate(frame_blocks(group, rep, cols)):
         rows = slice(i * block.rows, (i + 1) * block.rows)
@@ -131,25 +132,13 @@ def synthesize_frame(group: GroupContext, rep: RepContext | None = None) -> Fram
     return _synthesize_columns(group, rep, cols)
 
 
-def _blocked_matmul(a: np.ndarray, b: np.ndarray, threads: int) -> np.ndarray:
-    if threads <= 1 or b.shape[1] < 2 * threads:
-        return a @ b
-    blocks = np.array_split(np.arange(b.shape[1]), threads)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(idx, pool.submit(np.matmul, a, b[:, idx])) for idx in blocks]
-        for idx, fut in futures:
-            out[:, idx] = fut.result()
-    return out
-
-
-def parseval_defect(frame: FrameMatrix, threads: int = 1) -> tuple[int, int] | None:
+def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
     """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else a bad index."""
     scale_inv = 1 << -frame.log2_scale_sq
-    re = _blocked_matmul(frame.re, frame.re.T, threads) \
-        + _blocked_matmul(frame.im, frame.im.T, threads)
-    im = _blocked_matmul(frame.im, frame.re.T, threads) \
-        - _blocked_matmul(frame.re, frame.im.T, threads)
+    re = exact_matmul(frame.re, frame.re.T)
+    re += exact_matmul(frame.im, frame.im.T)
+    im = exact_matmul(frame.im, frame.re.T)
+    im -= exact_matmul(frame.re, frame.im.T)
     target = scale_inv * np.eye(frame.rows, dtype=np.int64)
     bad = np.argwhere((re != target) | (im != 0))
     if len(bad):
@@ -157,12 +146,12 @@ def parseval_defect(frame: FrameMatrix, threads: int = 1) -> tuple[int, int] | N
     return None
 
 
-def gram_from_frame(frame: FrameMatrix, threads: int = 1) -> GaussianRationalMatrix:
+def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
     """frame^H frame as an exact Gaussian rational matrix."""
-    re = _blocked_matmul(frame.re.T, frame.re, threads) \
-        + _blocked_matmul(frame.im.T, frame.im, threads)
-    im = _blocked_matmul(frame.re.T, frame.im, threads) \
-        - _blocked_matmul(frame.im.T, frame.re, threads)
+    re = exact_matmul(frame.re.T, frame.re)
+    re += exact_matmul(frame.im.T, frame.im)
+    im = exact_matmul(frame.re.T, frame.im)
+    im -= exact_matmul(frame.im.T, frame.re)
     return GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq).canonical()
 
 
@@ -300,17 +289,17 @@ def _certify_gram(gram: GaussianRationalMatrix, m: int, parseval: bool,
     )
 
 
-def verify_frame(frame: FrameMatrix, threads: int = 1,
+def verify_frame(frame: FrameMatrix,
                  gram: GaussianRationalMatrix | None = None) -> EtfCertificate:
     """Exact certification of a synthesized frame.
 
     A precomputed frame^H frame may be passed to avoid repeating the
     large product when the caller also exports it.
     """
-    defect = parseval_defect(frame, threads)
+    defect = parseval_defect(frame)
     cross = {"parsevalDefect": None if defect is None else list(defect)}
     if gram is None:
-        gram = gram_from_frame(frame, threads)
+        gram = gram_from_frame(frame)
     return _certify_gram(gram, frame.rows, defect is None, "frame", cross)
 
 
@@ -330,9 +319,9 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
     return _certify_gram(gram, m, projection, method, cross)
 
 
-def verify_etf(obj, threads: int = 1) -> EtfCertificate:
+def verify_etf(obj) -> EtfCertificate:
     if isinstance(obj, FrameMatrix):
-        return verify_frame(obj, threads)
+        return verify_frame(obj)
     if isinstance(obj, GaussianRationalMatrix):
         return verify_gram(obj)
     raise TypeError(f"cannot certify {type(obj).__name__}")
@@ -347,6 +336,8 @@ def first_mismatch(a: GaussianRationalMatrix, b: GaussianRationalMatrix):
     if ac.den == bc.den:
         bad = np.argwhere((ac.re != bc.re) | (ac.im != bc.im))
     else:
+        check_bound(max(max_abs(ac.re, ac.im) * bc.den, max_abs(bc.re, bc.im) * ac.den),
+                    "first_mismatch")
         bad = np.argwhere(
             (ac.re * bc.den != bc.re * ac.den) | (ac.im * bc.den != bc.im * ac.den))
     return None if len(bad) == 0 else (int(bad[0][0]), int(bad[0][1]))
@@ -369,7 +360,7 @@ def _isqrt_ceil(x: int) -> int:
 
 def three_way_sampled(group: GroupContext, table: CharacterTable,
                       rep: RepContext | None = None, min_entries: int = 100_000,
-                      seed: int = 1, threads: int = 1) -> dict:
+                      seed: int = 1) -> dict:
     """Sampled comparison: a random block of columns, all pairs among them.
 
     The frame route builds only the sampled columns (honest monomial
@@ -384,7 +375,7 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     ncols = min(group.order, _isqrt_ceil(min_entries))
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
 
-    g_frame = gram_from_frame(_synthesize_columns(group, rep, sel), threads)
+    g_frame = gram_from_frame(_synthesize_columns(group, rep, sel))
     g_char = gram_character(group, table, sel, sel)
     g_closed = gram_closed_form(group, sel, sel)
     mismatches = _route_mismatches(g_frame, g_char, g_closed)
@@ -454,6 +445,55 @@ class MatrixParseError(ValueError):
     pass
 
 
+# every integer in a matrix file; the magnitude must also stay below 2^63
+_INT = r"[+-]?\d+"
+_ENTRY = {False: ("a;b", f"{_INT};{_INT}"), True: ("p/q;r/s", f"{_INT}/{_INT};{_INT}/{_INT}")}
+_TO_SPACES = str.maketrans("/;", "  ")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _parse_rows(lines: list[str], cols: int, rational: bool) -> np.ndarray:
+    """The integers of each row in file order, one int64 array row per line.
+
+    Each line must be exactly `cols` entries of the one grammar; a value
+    whose magnitude reaches 2^63 is a parse error, so negation never wraps.
+    """
+    form, entry = _ENTRY[rational]
+    row_pattern = re.compile(f"{entry}(?: {entry}){{{cols - 1}}}")
+    ints = np.empty((len(lines), cols * (4 if rational else 2)), dtype=np.int64)
+    for r, ln in enumerate(lines):
+        if not row_pattern.fullmatch(ln):
+            found = len(ln.split(" "))
+            if found != cols:
+                raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
+            raise MatrixParseError(f"bad entry in row {r}: entries are integers {form}")
+        try:
+            ints[r] = np.array(ln.translate(_TO_SPACES).split(" "), dtype=np.int64)
+        except OverflowError as exc:
+            raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
+    if (ints == -_INT64_MAX - 1).any():
+        raise MatrixParseError("entry magnitude 2**63 is beyond int64")
+    return ints
+
+
+def _over_common_denominator(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fractions nums/dens as integers over the lcm of their reduced denominators."""
+    if not dens.all():
+        raise MatrixParseError("zero denominator")
+    nums = np.where(dens < 0, -nums, nums)
+    dens = np.abs(dens)
+    g = np.gcd(nums, dens)
+    nums //= g
+    dens //= g
+    den = math.lcm(*np.unique(dens).tolist())
+    if den > _INT64_MAX:
+        raise MatrixParseError(f"common denominator {den} exceeds int64")
+    factor = den // dens
+    if (np.abs(nums) > _INT64_MAX // factor).any():
+        raise MatrixParseError(f"entries over the common denominator {den} exceed int64")
+    return nums * factor, den
+
+
 def read_matrix_file(path):
     """Parse a v1 matrix file; returns a FrameMatrix or GaussianRationalMatrix."""
     with open(path, "r", encoding="ascii") as fh:
@@ -476,55 +516,17 @@ def read_matrix_file(path):
     if len(lines) != rows:
         raise MatrixParseError(f"expected {rows} rows, found {len(lines)}")
     rational = "/" in lines[0].split(" ", 1)[0]
-    re = np.zeros((rows, cols), dtype=np.int64)
-    im = np.zeros((rows, cols), dtype=np.int64)
+    ints = _parse_rows(lines, cols, rational)
+    del lines, body  # release the text before the array arithmetic
     if not rational:
-        for r, ln in enumerate(lines):
-            toks = ln.split(" ")
-            if len(toks) != cols:
-                raise MatrixParseError(f"row {r} has {len(toks)} entries, expected {cols}")
-            try:
-                for c, tok in enumerate(toks):
-                    a, b = tok.split(";")
-                    re[r, c], im[r, c] = int(a), int(b)
-            except (ValueError, OverflowError) as exc:
-                raise MatrixParseError(f"bad entry in row {r}: {exc}") from exc
         if sden not in (1, 2):
             raise MatrixParseError("unsupported scale denominator")
         if snum > 0:
             # certification needs the inverse squared scale as an integer power of two
             raise MatrixParseError("frame scale_log2_num must not be positive")
-        return FrameMatrix(re, im, snum * 2 // sden)
-    dens: set[int] = set()
-    entries = []
-    for r, ln in enumerate(lines):
-        toks = ln.split(" ")
-        if len(toks) != cols:
-            raise MatrixParseError(f"row {r} has {len(toks)} entries, expected {cols}")
-        row = []
-        try:
-            for tok in toks:
-                a, b = tok.split(";")
-                rp, rq = a.split("/")
-                ip, iq = b.split("/")
-                fr = Fraction(int(rp), int(rq))
-                fi = Fraction(int(ip), int(iq))
-                dens.add(fr.denominator)
-                dens.add(fi.denominator)
-                row.append((fr, fi))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MatrixParseError(f"bad entry in row {r}: {exc}") from exc
-        entries.append(row)
-    den = 1
-    for d in dens:
-        den = den * d // math.gcd(den, d)
-    try:
-        for r in range(rows):
-            for c in range(cols):
-                fr, fi = entries[r][c]
-                re[r, c] = fr.numerator * (den // fr.denominator)
-                im[r, c] = fi.numerator * (den // fi.denominator)
-    except OverflowError as exc:
-        raise MatrixParseError(f"entries over the common denominator {den} "
-                               "exceed int64") from exc
-    return GaussianRationalMatrix(re, im, den)
+        return FrameMatrix(np.ascontiguousarray(ints[:, 0::2]),
+                           np.ascontiguousarray(ints[:, 1::2]), snum * 2 // sden)
+    # entries interleave re and im: p/q;r/s puts numerators at even positions
+    scaled, den = _over_common_denominator(ints[:, 0::2], ints[:, 1::2])
+    return GaussianRationalMatrix(np.ascontiguousarray(scaled[:, 0::2]),
+                                  np.ascontiguousarray(scaled[:, 1::2]), den)

@@ -5,7 +5,10 @@ entry names the relation containing the pair) together with exact
 primitive idempotents.  Matrices are dense Gaussian rationals stored as
 a pair of int64 numpy arrays over a single positive denominator, which
 keeps every product, Hadamard product, and comparison in exact integer
-arithmetic; per-entry reduced fractions are derived on demand.
+arithmetic; per-entry reduced fractions are derived on demand.  Every
+matrix product, of idempotents and of adjacency matrices alike, goes
+through `exact.exact_matmul`, and every elementwise int64 product is
+bounded by `exact.check_bound` first, so nothing wraps silently.
 
 Two constructions are provided:
 
@@ -36,6 +39,7 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
+from .exact import check_bound, exact_matmul, max_abs
 
 __all__ = [
     "GaussianRationalMatrix",
@@ -48,9 +52,6 @@ __all__ = [
     "lattice_graph_adjacency",
     "srg_scheme",
 ]
-
-_INT64_GUARD = 1 << 62
-
 
 class GaussianRationalMatrix:
     """Dense exact matrix (re + i im) / den with int64 numpy parts."""
@@ -83,11 +84,7 @@ class GaussianRationalMatrix:
         return self.re.shape
 
     def max_abs(self) -> int:
-        hi = 0
-        for a in (self.re, self.im):
-            if a.size:
-                hi = max(hi, int(np.abs(a).max()))
-        return hi
+        return max_abs(self.re, self.im)
 
     def canonical(self) -> "GaussianRationalMatrix":
         """Divide out the gcd of all entries and the denominator."""
@@ -115,18 +112,15 @@ class GaussianRationalMatrix:
 
     # -- exact algebra ----------------------------------------------------
 
-    def _guard(self, other: "GaussianRationalMatrix") -> None:
-        bound = 2 * self.max_abs() * other.max_abs() * self.shape[1]
-        if bound >= _INT64_GUARD:
-            raise OverflowError("int64 product bound exceeded; refuse to proceed")
-
     def __matmul__(self, other: "GaussianRationalMatrix") -> "GaussianRationalMatrix":
-        self._guard(other)
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
+        re = exact_matmul(self.re, other.re)
+        re -= exact_matmul(self.im, other.im)
+        im = exact_matmul(self.re, other.im)
+        im += exact_matmul(self.im, other.re)
         return GaussianRationalMatrix(re, im, self.den * other.den)
 
     def hadamard(self, other: "GaussianRationalMatrix") -> "GaussianRationalMatrix":
+        check_bound(self.max_abs() * other.max_abs(), "hadamard")
         re = self.re * other.re - self.im * other.im
         im = self.re * other.im + self.im * other.re
         return GaussianRationalMatrix(re, im, self.den * other.den)
@@ -134,10 +128,15 @@ class GaussianRationalMatrix:
     def conjugate(self) -> "GaussianRationalMatrix":
         return GaussianRationalMatrix(self.re, -self.im, self.den)
 
+    def _rescaled(self, den: int) -> tuple[np.ndarray, np.ndarray]:
+        """(re, im) over `den`, a multiple of self.den."""
+        s = den // self.den
+        check_bound(self.max_abs() * s, "rescale to a common denominator")
+        return self.re * s, self.im * s
+
     def _aligned(self, other: "GaussianRationalMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        den = self.den * other.den // math.gcd(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return self.re * sa, self.im * sa, other.re * sb, other.im * sb, den
+        den = math.lcm(self.den, other.den)
+        return (*self._rescaled(den), *other._rescaled(den), den)
 
     def __add__(self, other: "GaussianRationalMatrix") -> "GaussianRationalMatrix":
         ar, ai, br, bi, den = self._aligned(other)
@@ -148,6 +147,7 @@ class GaussianRationalMatrix:
         return GaussianRationalMatrix(ar - br, ai - bi, den)
 
     def scale(self, num: int, den: int = 1) -> "GaussianRationalMatrix":
+        check_bound(self.max_abs() * abs(num), "scale")
         if num < 0:
             num, self_re, self_im = -num, -self.re, -self.im
         else:
@@ -164,6 +164,7 @@ class GaussianRationalMatrix:
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""
+        check_bound(self.max_abs() ** 2, "abs_sq_int")
         return self.re * self.re + self.im * self.im, self.den * self.den
 
 
@@ -218,8 +219,8 @@ class SchemeDescriptor:
         first_pair = [np.argwhere(rel == k)[0] for k in range(d1)]
         for i in range(d1):
             for j in range(i, d1):
-                prod = adj[i] @ adj[j]
-                if not np.array_equal(prod, adj[j] @ adj[i]):
+                prod = exact_matmul(adj[i], adj[j])
+                if not np.array_equal(prod, exact_matmul(adj[j], adj[i])):
                     raise AssertionError("(A5) adjacency algebra is not commutative")
                 for k in range(d1):
                     g, h = first_pair[k]
@@ -268,22 +269,20 @@ class SchemeDescriptor:
             return self._krein
         n, d1 = self.size, self.class_count
         idems = [self.idempotent(j) for j in range(d1)]
-        den = 1
-        for e in idems:
-            den = den * e.den // math.gcd(den, e.den)
-        idems = [GaussianRationalMatrix(e.re * (den // e.den), e.im * (den // e.den), den)
-                 for e in idems]
-        flat_re = np.stack([e.re.ravel() for e in idems])
-        flat_im = np.stack([e.im.ravel() for e in idems])
-        flat_re_t = np.stack([e.re.T.ravel() for e in idems])
-        flat_im_t = np.stack([e.im.T.ravel() for e in idems])
+        den = math.lcm(*(e.den for e in idems))
+        parts = [e._rescaled(den) for e in idems]
+        flat_re = np.stack([re.ravel() for re, _ in parts])
+        flat_im = np.stack([im.ravel() for _, im in parts])
+        flat_re_t = np.stack([re.T.ravel() for re, _ in parts])
+        flat_im_t = np.stack([im.T.ravel() for _, im in parts])
+        check_bound(max_abs(flat_re, flat_im) ** 2, "Krein Hadamard products")
         q: list[list[list[Fraction]]] = [[[Fraction(0)] * d1 for _ in range(d1)] for _ in range(d1)]
         for i in range(d1):
             for j in range(d1):
                 had_re = flat_re[i] * flat_re[j] - flat_im[i] * flat_im[j]
                 had_im = flat_re[i] * flat_im[j] + flat_im[i] * flat_re[j]
-                tr_re = flat_re_t @ had_re - flat_im_t @ had_im
-                tr_im = flat_re_t @ had_im + flat_im_t @ had_re
+                tr_re = exact_matmul(flat_re_t, had_re) - exact_matmul(flat_im_t, had_im)
+                tr_im = exact_matmul(flat_re_t, had_im) + exact_matmul(flat_im_t, had_re)
                 if tr_im.any():
                     raise AssertionError("Krein parameter came out non-real")
                 for k in range(d1):
@@ -462,7 +461,7 @@ def srg_scheme(v: int, k: int, lam: int, mu: int,
         raise ValueError("adjacency matrix is not a simple graph on v vertices")
     jmat = np.ones((v, v), dtype=np.int64)
     imat = np.eye(v, dtype=np.int64)
-    if not np.array_equal(a @ a, k * imat + lam * a + mu * (jmat - imat - a)):
+    if not np.array_equal(exact_matmul(a, a), k * imat + lam * a + mu * (jmat - imat - a)):
         raise ValueError("adjacency matrix does not satisfy the SRG identity "
                          f"for parameters {(v, k, lam, mu)}")
 

@@ -183,8 +183,14 @@ _HEAD = "LINEPACK-MATRIX v1 rows={} cols={} scale_log2_num={} scale_log2_den={}\
     _HEAD.format(1, 1, -2, 2) + "9223372036854775808;0\n",
     _HEAD.format(1, 3, 0, 1) + "1/4611686018427387904;0/1 1/3;0/1 1/5;0/1\n",
     b"\xff\xfe\n",
+    _HEAD.format(1, 1, 0, 1) + "1/0;0/1\n",
+    _HEAD.format(1, 1, -2, 2) + "1_0;0\n",
+    _HEAD.format(1, 1, -2, 2) + "-9223372036854775808;0\n",
+    _HEAD.format(1, 2, -2, 2) + "1;0  0;0\n",
 ], ids=["missing-file", "zero-rows", "non-square-gram", "positive-frame-scale",
-        "frame-entry-beyond-int64", "gram-denominator-beyond-int64", "not-ascii"])
+        "frame-entry-beyond-int64", "gram-denominator-beyond-int64", "not-ascii",
+        "zero-denominator", "underscore-digits", "frame-entry-int64-min",
+        "double-space"])
 def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "input.mat"
     if isinstance(content, str):
@@ -202,6 +208,40 @@ def test_samples_below_one_is_usage_error(tmp_path, capsys, command):
     code, _, err = run(capsys, command, "--n", "3", "--samples", "0", *extra)
     assert code == 2
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, json_errors):
+    from linepack import etf
+
+    def broken(frame):
+        raise OverflowError("simulated int64 bound")
+
+    monkeypatch.setattr(etf, "gram_from_frame", broken)
+    flags = ["--json-errors"] if json_errors else []
+    code, _, err = run(capsys, *flags, "build", "--n", "3", "--out", str(tmp_path))
+    assert code == 3
+    if json_errors:
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "internal"
+        assert "OverflowError: simulated int64 bound" in payload["message"]
+    else:
+        assert "linepack: internal: OverflowError" in err
+
+
+def test_gram_beyond_the_int64_bound_is_exit_3(tmp_path, capsys):
+    # parses, but G @ G has a 2^124 bound the kernel refuses to compute
+    path = tmp_path / "huge.mat"
+    path.write_text(_HEAD.format(1, 1, 0, 1) + "4611686018427387904/1;0/1\n")
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert "OverflowError" in err
+
+
+def test_threads_below_one_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "build", "--n", "3", "--out", str(tmp_path), "--threads", "0")
+    assert code == 2
+    assert "--threads" in err
 
 
 def test_verify_requires_exactly_one_source(built_n3, capsys):

@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linepack.chartab import GaussianScaled
 from linepack.etf import (
     FrameMatrix,
     closed_form_entry,
+    first_mismatch,
     frame_blocks,
     frame_dimensions,
     gram_character,
@@ -25,6 +29,7 @@ from linepack.etf import (
     write_gram_file,
     MatrixParseError,
 )
+from linepack.exact import blas_threads
 from linepack.scheme import GaussianRationalMatrix
 
 
@@ -242,12 +247,27 @@ def test_srg_gram_certifies(scheme3):
     assert cert.off_diag_modulus_sq == Fraction(1, 64)
 
 
+def test_first_mismatch_refuses_to_wrap():
+    big = GaussianRationalMatrix(np.array([[1 << 40]]), None, 3)
+    other = GaussianRationalMatrix(np.array([[1]]), None, 1 << 30)
+    with pytest.raises(OverflowError):
+        first_mismatch(big, other)
+    assert first_mismatch(GaussianRationalMatrix(np.array([[1]]), None, 2),
+                          GaussianRationalMatrix(np.array([[2]]), None, 3)) == (0, 0)
+
+
 def test_threads_do_not_change_results(group3, rep3):
+    # the BLAS thread count cannot change the kernel's products: each equals
+    # the arbitrary-precision product of the n = 3 frame on dtype=object
     frame = synthesize_frame(group3, rep3)
-    g1 = gram_from_frame(frame, threads=1)
-    g2 = gram_from_frame(frame, threads=3)
-    assert g1 == g2
-    assert np.array_equal(g1.re, g2.re) and np.array_equal(g1.im, g2.im)
+    re, im = frame.re.astype(object), frame.im.astype(object)
+    want = GaussianRationalMatrix(
+        (np.dot(re.T, re) + np.dot(im.T, im)).astype(np.int64),
+        (np.dot(re.T, im) - np.dot(im.T, re)).astype(np.int64),
+        1 << -frame.log2_scale_sq)
+    for threads in (1, 2):
+        with blas_threads(threads):
+            assert gram_from_frame(frame) == want
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +308,32 @@ def test_parse_errors(tmp_path):
     short.write_text("LINEPACK-MATRIX v1 rows=2 cols=2 scale_log2_num=0 scale_log2_den=1\n1;0 0;0\n")
     with pytest.raises(MatrixParseError):
         read_matrix_file(short)
+
+
+_fractions = st.tuples(st.integers(-10 ** 15, 10 ** 15), st.integers(-60, 60).filter(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
+def test_gram_parser_matches_fraction_reference(tmp_path_factory, data, rows, cols):
+    # unreduced fractions and negative denominators, which the writer never emits
+    entries = data.draw(st.lists(st.tuples(_fractions, _fractions),
+                                 min_size=rows * cols, max_size=rows * cols))
+    path = tmp_path_factory.mktemp("parse") / "g.mat"
+    lines = [" ".join(f"{p}/{q};{r}/{s}" for (p, q), (r, s) in entries[i * cols:(i + 1) * cols])
+             for i in range(rows)]
+    path.write_text(f"LINEPACK-MATRIX v1 rows={rows} cols={cols} scale_log2_num=0 "
+                    "scale_log2_den=1\n" + "\n".join(lines) + "\n")
+    values = [(Fraction(p, q), Fraction(r, s)) for (p, q), (r, s) in entries]
+    den = math.lcm(*(v.denominator for pair in values for v in pair))
+    if max(den, *(abs(v) * den for pair in values for v in pair)) >= 1 << 63:
+        with pytest.raises(MatrixParseError, match="int64"):
+            read_matrix_file(path)
+        return
+    got = read_matrix_file(path)
+    assert got.den == den
+    assert got.re.ravel().tolist() == [int(a * den) for a, _ in values]
+    assert got.im.ravel().tolist() == [int(b * den) for _, b in values]
 
 
 def test_float_export_rounds(group3, rep3):

@@ -63,6 +63,22 @@ def test_add_sub_and_equality_across_denominators():
     assert a.canonical().den == 2
 
 
+_BIG = GaussianRationalMatrix(np.array([[1 << 32]]))
+
+
+@pytest.mark.parametrize("site", [
+    lambda: _BIG.hadamard(_BIG),
+    lambda: _BIG.abs_sq_int(),
+    lambda: _BIG + GaussianRationalMatrix(np.array([[1]]), None, 1 << 31),
+    lambda: _BIG.scale(1 << 31),
+    lambda: _BIG @ _BIG.scale(1 << 29),
+], ids=["hadamard", "abs_sq_int", "aligned", "scale", "matmul"])
+def test_int64_products_refuse_to_wrap(site):
+    # each of these used to wrap silently; (2^32)^2 became 0
+    with pytest.raises(OverflowError):
+        site()
+
+
 def test_hermitian_and_idempotent_predicates():
     herm = GaussianRationalMatrix(np.array([[2, 1], [1, 0]]),
                                   np.array([[0, 3], [-3, 0]]), 2)
