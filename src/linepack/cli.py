@@ -190,13 +190,11 @@ def _verify_from_n(args) -> int:
     _check_build_n(args.n)
     _check_samples(args.samples)
     mode = args.mode or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
+    if mode == "full" and args.n > _FULL_BUILD_MAX_N:
+        raise UsageError(f"full verification materializes the Gram matrix for n <= "
+                         f"{_FULL_BUILD_MAX_N} only; use --mode sample at n={args.n}")
     _, group, rep, table = _contexts(args.n)
     if mode == "full":
-        if args.n > _FULL_BUILD_MAX_N and not args.force_full:
-            raise UsageError(
-                f"full verification at n={args.n} materializes a "
-                f"{group.order}x{group.order} Gram matrix; pass --force-full "
-                "if you really have the memory")
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
         cert = etf.verify_frame(frame, gram=gram)
@@ -372,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mode", choices=["full", "sample"])
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--force-full", action="store_true")
     common(v)
     v.set_defaults(func=cmd_verify)
 

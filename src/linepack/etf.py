@@ -407,6 +407,14 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 _HEADER = "LINEPACK-MATRIX v1"
 
 
+def _write_rows(fh, entry: str, cols: int, rows: Iterable[tuple[np.ndarray, ...]]) -> None:
+    """One line per row: `cols` space-separated entries, entry j being `entry`
+    formatted with column j of each of the row's integer arrays."""
+    line = " ".join([entry] * cols) + "\n"
+    for parts in rows:
+        fh.write(line % tuple(np.stack(parts, axis=1).ravel().tolist()))
+
+
 def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
     """Scaled Gaussian-integer matrix: entries `re;im`, scale 2^(num/den).
 
@@ -419,26 +427,22 @@ def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
             if i == 0:
                 fh.write(f"{_HEADER} rows={rows} cols={block.cols} "
                          f"scale_log2_num={block.log2_scale_sq} scale_log2_den=2\n")
-            for row_re, row_im in zip(block.re, block.im):
-                fh.write(" ".join(f"{a};{b}" for a, b in zip(row_re.tolist(), row_im.tolist())))
-                fh.write("\n")
+            _write_rows(fh, "%d;%d", block.cols, zip(block.re, block.im))
 
 
 def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
     """Exact rational matrix: entries `p/q;r/s`, each fraction reduced."""
     g = gram.canonical()
     rows, cols = g.shape
+
+    def reduced_rows():
+        for re, im in zip(g.re, g.im):
+            gr, gi = np.gcd(re, g.den), np.gcd(im, g.den)
+            yield re // gr, g.den // gr, im // gi, g.den // gi
+
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n")
-        for r in range(rows):
-            parts = []
-            for c in range(cols):
-                re, im = int(g.re[r, c]), int(g.im[r, c])
-                gr = math.gcd(abs(re), g.den)
-                gi = math.gcd(abs(im), g.den)
-                parts.append(f"{re // gr}/{g.den // gr};{im // gi}/{g.den // gi}")
-            fh.write(" ".join(parts))
-            fh.write("\n")
+        _write_rows(fh, "%d/%d;%d/%d", cols, reduced_rows())
 
 
 class MatrixParseError(ValueError):

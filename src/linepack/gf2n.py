@@ -3,8 +3,13 @@
 Field elements are plain ints: bit j is the coefficient of x^j in the
 polynomial basis, so addition is XOR and the additive/multiplicative
 identities are the ints 0 and 1.  A FieldContext fixes the extension
-degree n and an irreducible modulus, precomputes the trace table, and
-provides the structure maps used by the group and frame layers:
+degree n and an irreducible modulus.  At construction it finds the least
+generator g of the multiplicative group, the least int >= 2 of order
+2^n - 1 (x itself need not be one: under x^9 + x + 1 it has order 73),
+and tabulates its powers and their logarithms.  Every product, square,
+cube, inverse and Frobenius power is a lookup in this log/antilog pair,
+and so is every numpy table below.  The context provides the structure
+maps used by the group and frame layers:
 
 * the absolute trace onto GF(2), whose kernel is the hyperplane of
   trace-zero elements;
@@ -18,13 +23,14 @@ provides the structure maps used by the group and frame layers:
 * deterministic symplectic bases of the trace-zero subspace under the
   alternating trace form, plus a self-dual normal basis cross-check.
 
-Everything is exact integer arithmetic; numpy lookup tables are built
-lazily for the vectorized matrix paths.
+Everything is exact integer arithmetic; the numpy lookup tables for the
+vectorized matrix paths are derived lazily from the log/antilog pair.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 
@@ -32,32 +38,23 @@ __all__ = [
     "FieldContext",
     "is_irreducible",
     "least_irreducible",
-    "poly_degree",
 ]
 
-# Largest degree for which dense numpy lookup tables are built.  The
-# multiplication table is 2^n x 2^n, so this caps it at 4 MiB.
+# Largest degree for which the dense 2^n x 2^n int64 multiplication table
+# is built (8 MiB at the cap).
 _TABLE_DEGREE_CAP = 10
 
 
-def poly_degree(p: int) -> int:
-    """Degree of a polynomial over GF(2) encoded as a bit vector (deg 0 = -1)."""
-    return p.bit_length() - 1
-
-
 def _poly_rem(a: int, m: int) -> int:
-    """Remainder of a modulo m, both polynomials over GF(2)."""
-    dm = poly_degree(m)
-    da = poly_degree(a)
-    while a and da >= dm:
-        a ^= m << (da - dm)
-        da = poly_degree(a)
+    """Remainder of a modulo m, both polynomials over GF(2) as bit vectors."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
     return a
 
 
 def is_irreducible(modulus: int, n: int) -> bool:
     """Trial-divide a degree-n polynomial by every polynomial of degree <= n/2."""
-    if poly_degree(modulus) != n:
+    if modulus.bit_length() != n + 1:
         return False
     for d in range(1, n // 2 + 1):
         for p in range(1 << d, 1 << (d + 1)):
@@ -92,16 +89,12 @@ class FieldContext:
         self.k = (n - 1) // 2
         self.modulus = modulus
         self.order = 1 << n
-        self._trace = self._build_trace_table()
-        if self._trace[1] != 1:
+        self._exp, self._log = self._build_log_tables()
+        if self.trace_table[1] != 1:
             raise AssertionError("tr(1) must be 1 for odd n")
 
-    # ------------------------------------------------------------------
-    # core arithmetic
-    # ------------------------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        """Product ab, shift-and-XOR with per-step reduction."""
+    def _shift_xor_mul(self, a: int, b: int) -> int:
+        """Product ab, shift-and-XOR with per-step reduction; builds the tables only."""
         r = 0
         while b:
             if b & 1:
@@ -112,27 +105,46 @@ class FieldContext:
                 a ^= self.modulus
         return r
 
+    def _build_log_tables(self) -> tuple[list[int], list[int]]:
+        """Antilog table g^i, i < 2(2^n - 1), and log table of the least generator g."""
+        for g in range(2, self.order):
+            exp = [1]
+            for _ in range(self.order - 2):
+                exp.append(self._shift_xor_mul(exp[-1], g))
+            if sorted(exp) == list(range(1, self.order)):
+                break
+        else:
+            raise AssertionError("no exp table hits each nonzero element exactly once")
+        log = [0] * self.order
+        for i, a in enumerate(exp):
+            log[a] = i
+        return exp * 2, log
+
+    # ------------------------------------------------------------------
+    # core arithmetic
+    # ------------------------------------------------------------------
+
+    def mul(self, a: int, b: int) -> int:
+        """Product ab = g^(log a + log b) from the log/antilog tables, g the least generator."""
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
     def square(self, a: int) -> int:
         return self.mul(a, a)
 
     def cube(self, a: int) -> int:
-        return self.mul(self.mul(a, a), a)
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0 by square-and-multiply."""
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self._exp[3 * self._log[a] % (self.order - 1)] if a else 0
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via a^(2^n - 2); branch-free on nonzero input."""
+        """Inverse g^(2^n - 1 - log a) from the log/antilog tables, g the least generator."""
         if a == 0:
             raise ZeroDivisionError("division by zero in GF(2^n)")
-        return self.pow(a, self.order - 2)
+        return self._exp[self.order - 1 - self._log[a]]
+
+    def _frobenius_orbit(self, a: int) -> list[int]:
+        """a^(2^j) for j < n, read from the log/antilog tables."""
+        if a == 0:
+            return [0] * self.n
+        return [self._exp[(self._log[a] << j) % (self.order - 1)] for j in range(self.n)]
 
     def elements(self) -> range:
         return range(self.order)
@@ -144,22 +156,9 @@ class FieldContext:
     # trace and the Artin-Schreier pair
     # ------------------------------------------------------------------
 
-    def _build_trace_table(self) -> np.ndarray:
-        table = np.zeros(self.order, dtype=np.uint8)
-        for a in range(self.order):
-            t = 0
-            p = a
-            for _ in range(self.n):
-                t ^= p
-                p = self.mul(p, p)
-            if t not in (0, 1):
-                raise AssertionError("trace landed outside GF(2)")
-            table[a] = t
-        return table
-
     def trace(self, a: int) -> int:
         """Absolute trace tr(a) = a + a^2 + ... + a^(2^(n-1)), in {0, 1}."""
-        return int(self._trace[a])
+        return int(self.trace_table[a])
 
     def artin_schreier(self, a: int) -> int:
         """The Artin-Schreier map a -> a^2 + a; image is the trace-zero subspace."""
@@ -172,17 +171,11 @@ class FieldContext:
         a + tr(a), so the two maps restrict to mutually inverse
         bijections of the trace-zero subspace.
         """
-        acc = 0
-        p = a
-        for j in range(self.n):
-            if j % 2 == 0:
-                acc ^= p
-            p = self.mul(p, p)
-        return acc
+        return reduce(xor, self._frobenius_orbit(a)[0::2])
 
     def trace_zero(self) -> list[int]:
         """The 2^(n-1) elements of trace zero, ascending."""
-        return [a for a in range(self.order) if self._trace[a] == 0]
+        return [a for a in range(self.order) if self.trace_table[a] == 0]
 
     # ------------------------------------------------------------------
     # hyperplanes
@@ -278,9 +271,7 @@ class FieldContext:
         would therefore indicate an implementation bug.
         """
         for z in range(1, self.order):
-            powers = [z]
-            for _ in range(self.n - 1):
-                powers.append(self.square(powers[-1]))
+            powers = self._frobenius_orbit(z)
             ok = True
             for i in range(self.n):
                 for j in range(i, self.n):
@@ -296,9 +287,7 @@ class FieldContext:
 
     def symplectic_from_normal_basis(self, z: int) -> tuple[list[int], list[int]]:
         """Symplectic basis derived from a self-dual normal basis generator."""
-        powers = [z]
-        for _ in range(self.n - 1):
-            powers.append(self.square(powers[-1]))
+        powers = self._frobenius_orbit(z)
         xs = [powers[2 * s] ^ powers[2 * s + 1] for s in range(self.k)]
         ys = []
         for t in range(self.k):
@@ -313,41 +302,46 @@ class FieldContext:
     # lookup tables for vectorized paths
     # ------------------------------------------------------------------
 
-    def _check_table_degree(self) -> None:
-        if self.n > _TABLE_DEGREE_CAP:
-            raise ValueError(f"lookup tables are capped at n <= {_TABLE_DEGREE_CAP}")
+    def _power_table(self, e: int) -> np.ndarray:
+        """a^e for every a, with 0^e = 0 (also for e < 0, as a sentinel)."""
+        t = np.asarray(self._exp)[e * np.asarray(self._log) % (self.order - 1)]
+        t[0] = 0
+        return t
 
     @cached_property
     def trace_table(self) -> np.ndarray:
-        return self._trace.copy()
+        """tr(a) for every a, from n rounds of squaring the whole field at once."""
+        table = np.zeros(self.order, dtype=np.int64)
+        p = np.arange(self.order)
+        for _ in range(self.n):
+            table ^= p
+            p = self.square_table[p]
+        if table.max() > 1:
+            raise AssertionError("trace landed outside GF(2)")
+        return table.astype(np.uint8)
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        self._check_table_degree()
-        t = np.zeros((self.order, self.order), dtype=np.int64)
-        for a in range(self.order):
-            for b in range(a, self.order):
-                t[a, b] = t[b, a] = self.mul(a, b)
+        if self.n > _TABLE_DEGREE_CAP:
+            raise ValueError(f"the multiplication table is capped at n <= {_TABLE_DEGREE_CAP}")
+        log = np.asarray(self._log)
+        t = np.asarray(self._exp)[log[:, None] + log[None, :]]
+        t[0, :] = 0
+        t[:, 0] = 0
         return t
 
     @cached_property
     def square_table(self) -> np.ndarray:
-        self._check_table_degree()
-        return np.array([self.square(a) for a in range(self.order)], dtype=np.int64)
+        return self._power_table(2)
 
     @cached_property
     def cube_table(self) -> np.ndarray:
-        self._check_table_degree()
-        return np.array([self.cube(a) for a in range(self.order)], dtype=np.int64)
+        return self._power_table(3)
 
     @cached_property
     def inverse_cube_table(self) -> np.ndarray:
         """inv(a^3) for a != 0; index 0 is a 0 sentinel and must not be used."""
-        self._check_table_degree()
-        t = np.zeros(self.order, dtype=np.int64)
-        for a in range(1, self.order):
-            t[a] = self.inv(self.cube(a))
-        return t
+        return self._power_table(-3)
 
     def __repr__(self) -> str:
         return f"FieldContext(n={self.n}, modulus={self.modulus:#b})"

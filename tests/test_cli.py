@@ -130,6 +130,18 @@ def test_verify_sample_by_degree(capsys):
     assert payload["agree"] and payload["pattern_ok"]
 
 
+def test_verify_full_beyond_n5_is_usage_error(capsys, monkeypatch):
+    from linepack import cli
+
+    def no_contexts(n):
+        raise AssertionError("contexts built before the usage check")
+
+    monkeypatch.setattr(cli, "_contexts", no_contexts)
+    code, _, err = run(capsys, "verify", "--n", "7", "--mode", "full")
+    assert code == 2
+    assert "--mode sample" in err
+
+
 def test_verify_frame_file(built_n3, capsys):
     code, stdout, _ = run(capsys, "verify", "--in", str(built_n3 / "frame.mat"))
     assert code == 0

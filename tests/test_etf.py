@@ -336,6 +336,32 @@ def test_gram_parser_matches_fraction_reference(tmp_path_factory, data, rows, co
     assert got.im.ravel().tolist() == [int(b * den) for _, b in values]
 
 
+_gram_entries = st.one_of(st.just(0), st.integers(-2 ** 40, 2 ** 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       den=st.one_of(st.just(1), st.integers(2, 2 ** 40)))
+def test_gram_writer_matches_fraction_reference(tmp_path_factory, data, rows, cols, den):
+    parts = [np.array(data.draw(st.lists(_gram_entries, min_size=rows * cols,
+                                         max_size=rows * cols)),
+                      dtype=np.int64).reshape(rows, cols) for _ in range(2)]
+    gram = GaussianRationalMatrix(*parts, den)
+    path = tmp_path_factory.mktemp("write") / "g.mat"
+    write_gram_file(path, gram)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert len(lines) == rows + 1
+    assert lines[0] == (f"LINEPACK-MATRIX v1 rows={rows} cols={cols} "
+                        "scale_log2_num=0 scale_log2_den=1")
+    for i, line in enumerate(lines[1:]):
+        want = []
+        for j in range(cols):
+            a, b = (Fraction(int(p[i, j]), den) for p in parts)
+            want.append(f"{a.numerator}/{a.denominator};{b.numerator}/{b.denominator}")
+        assert line.split(" ") == want
+    assert read_matrix_file(path) == gram
+
+
 def test_float_export_rounds(group3, rep3):
     frame = synthesize_frame(group3, rep3)
     dense = frame.to_complex()

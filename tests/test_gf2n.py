@@ -134,6 +134,37 @@ def test_cube_map_bijective_on_nonzero():
         assert len(cubes) == ctx.order - 1
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_lookup_tables_match_oracle_exhaustive(n):
+    # the frame, character and closed-form Gram routes all read these tables
+    ctx = FieldContext(n)
+    elements = range(ctx.order)
+    assert ctx.mul_table.tolist() == [[mul_oracle(ctx, a, b) for b in elements]
+                                      for a in elements]
+    assert ctx.square_table.tolist() == [mul_oracle(ctx, a, a) for a in elements]
+    cubes = [mul_oracle(ctx, mul_oracle(ctx, a, a), a) for a in elements]
+    assert ctx.cube_table.tolist() == cubes
+    inverse_cubes = ctx.inverse_cube_table.tolist()
+    assert inverse_cubes[0] == 0
+    for a in ctx.nonzero_elements():
+        assert mul_oracle(ctx, inverse_cubes[a], cubes[a]) == 1
+    assert ctx.trace_table.tolist() == [trace_oracle(ctx, a) for a in elements]
+
+
+def test_inverse_and_mul_match_oracle_n9():
+    # x does not generate the multiplicative group under the default modulus
+    # x^9 + x + 1, so tables built on powers of x would miss elements here
+    ctx = FieldContext(9)
+    assert ctx.modulus == 0b1000000011
+    for a in ctx.nonzero_elements():
+        assert mul_oracle(ctx, ctx.inv(a), a) == 1
+    rng = random.Random(99)
+    for _ in range(2000):
+        a = rng.randrange(ctx.order)
+        b = rng.randrange(ctx.order)
+        assert ctx.mul(a, b) == mul_oracle(ctx, a, b)
+
+
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 ``perfbench/traced.py`` replaces the attributes listed in its ``WRAPPED``
 table through ``owner.__dict__[attr]``; a rename or a move to another class
-or module makes ``--trace 1`` fail with ``KeyError``.
+or module makes ``--trace 1`` fail with ``KeyError``.  It knows two kinds of
+attribute: a plain function, which it replaces, and a
+``functools.cached_property``, whose ``func`` it wraps.
 """
 
+import functools
 import importlib.util
+import inspect
 from pathlib import Path
 
 import linepack.cli  # binds `linepack` with every submodule loaded, as traced.py does
@@ -13,21 +17,25 @@ import linepack.cli  # binds `linepack` with every submodule loaded, as traced.p
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
 
-def _wrapped():
+def _wrapped_attributes():
+    """(dotted name, the owner's ``__dict__`` entry or None) for each WRAPPED row."""
     spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
-
-
-def test_every_traced_attribute_resolves():
-    wrapped = _wrapped()
-    assert wrapped
-    missing = []
-    for module_name, class_name, attr, _, _ in wrapped:
+    assert module.WRAPPED
+    for module_name, class_name, attr, _, _ in module.WRAPPED:
         owner = getattr(linepack, module_name)
         if class_name is not None:
             owner = getattr(owner, class_name)
-        if attr not in owner.__dict__:
-            missing.append(f"{module_name}.{class_name or ''}.{attr}")
+        yield f"{module_name}.{class_name or ''}.{attr}", owner.__dict__.get(attr)
+
+
+def test_every_traced_attribute_resolves():
+    missing = [name for name, value in _wrapped_attributes() if value is None]
     assert not missing, missing
+
+
+def test_every_traced_attribute_is_a_kind_the_tracer_wraps():
+    wrong = [f"{name}: {type(value).__name__}" for name, value in _wrapped_attributes()
+             if not (inspect.isfunction(value) or isinstance(value, functools.cached_property))]
+    assert not wrong, wrong
