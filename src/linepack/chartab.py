@@ -13,14 +13,20 @@ characters of degree 2^k, k = (n-1)/2, and nothing else:
 
 The "+" family is pinned as the orbit of the Heisenberg-model character
 under the cube-scaling automorphisms and forms the hyperdifference set;
-the "-" family consists of its complex conjugates.  Values in the "+"
-family are cross-checked against traces of the monomial representation
-during construction.
+the "-" family consists of its complex conjugates.
 
-All values are Gaussian integers scaled by powers of two and every
-computation in this module is exact.  The orthogonality products reach
-floating point only through `exact.exact_matmul`, whose checked bound
-proves each result an exact integer.
+The table is stored as two int64 arrays (re, im) of shape characters x
+classes, built by whole-table gathers over the field's lookup tables.
+During construction the "+" block is compared, in one whole-table
+comparison, with the traces of the monomial representation: the traces
+of the q images pi(x, 0), gathered at gamma^-1 x and signed by
+(-1)^tr(gamma^-3 y), so the check does not rest on the character formula.
+
+All values are Gaussian integers, given singly as `GaussianScaled`
+(re + i im) 2^log2, and every computation in this module is exact.  The
+orthogonality products reach floating point only through
+`exact.exact_matmul`, whose checked bound proves each result an exact
+integer.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bgroup import ConjugacyClass, Element, GroupContext
+from .bgroup import ConjugacyClass, GroupContext
 from .exact import exact_matmul
 from .heis import RepContext
 
@@ -117,15 +123,21 @@ def _pow2_fraction(e: int) -> Fraction:
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
-    """Exact class function; `values` aligns with the group's class list."""
+    """Exact class function: one int64 row of Gaussian integers, in class order."""
 
     kind: str           # "linear" | "nonlinear"
     parameter: int      # c for linear, gamma for nonlinear
     sign: int           # 0 for linear, +1 / -1 for the conjugate pair
     degree: int
-    values: tuple[GaussianScaled, ...]
+    re: np.ndarray
+    im: np.ndarray
+
+    @cached_property
+    def values(self) -> tuple[GaussianScaled, ...]:
+        """The row as `GaussianScaled` values, made on first read."""
+        return tuple(GaussianScaled.make(r, i) for r, i in zip(self.re.tolist(), self.im.tolist()))
 
     @property
     def label(self) -> str:
@@ -134,29 +146,47 @@ class Character:
         return f"nl{'+' if self.sign > 0 else '-'}[{self.parameter}]"
 
 
+def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every class representative, in class order."""
+    reps = np.array([c.representative for c in group.conjugacy_classes], dtype=np.int64)
+    return reps[:, 0], reps[:, 1]
+
+
+def _signs(field, scalars: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(-1)^tr(s y) on the grid scalars x ys."""
+    return 1 - 2 * field.trace_table[field.mul_table[scalars[:, None], ys]].astype(np.int64)
+
+
 def linear_characters(group: GroupContext) -> list[Character]:
     """(x, y) -> (-1)^tr(cx) for every field element c, ascending."""
     field = group.field
-    classes = group.conjugacy_classes
-    out = []
-    for c in range(field.order):
-        vals = tuple(
-            GaussianScaled.make(1 - 2 * field.trace(field.mul(c, cls.representative[0])))
-            for cls in classes
-        )
-        out.append(Character("linear", c, 0, 1, vals))
-    return out
+    x_cls, _ = _representatives(group)
+    re = _signs(field, np.arange(field.order), x_cls)
+    im = np.zeros_like(re)
+    return [Character("linear", c, 0, 1, re[c], im[c]) for c in range(field.order)]
 
 
-def _nonlinear_value(group: GroupContext, gamma: int, sign: int, g: Element) -> GaussianScaled:
+def _check_rep_traces(group: GroupContext, rep: RepContext,
+                      re: np.ndarray, im: np.ndarray) -> None:
+    """Raise unless (re, im)[gamma - 1, class] is the trace of pi_gamma on its representative.
+
+    The traces come from the representation alone: pi_gamma(x, y) is
+    pi(gamma^-1 x, 0) (-1)^tr(gamma^-3 y), so the q traces of the
+    monomial images pi(x, 0) are gathered at gamma^-1 x and signed.
+    """
     field = group.field
-    x, y = g
-    if x not in (0, gamma):
-        return GaussianScaled.ZERO
-    parity = field.hyperplane_quotient(gamma, y)
-    if x == 0:
-        return GaussianScaled.make(1 - 2 * parity, 0, field.k)
-    return GaussianScaled.make(0, sign * (1 - 2 * parity), field.k)
+    x_cls, y_cls = _representatives(group)
+    traces = np.array([rep.rep((x, 0)).trace() for x in field.elements()], dtype=np.int64)
+    ginv = np.array([field.inv(g) for g in field.nonzero_elements()], dtype=np.int64)
+    at = field.mul_table[ginv[:, None], x_cls]
+    sign = _signs(field, field.cube_table[ginv], y_cls)
+    bad = (traces[at, 0] * sign != re) | (traces[at, 1] * sign != im)
+    if bad.any():
+        row, ci = np.argwhere(bad)[0]
+        raise AssertionError(
+            f"character value disagrees with representation trace at "
+            f"gamma={row + 1}, class rep {group.conjugacy_classes[ci].representative}"
+        )
 
 
 def nonlinear_characters(group: GroupContext, rep: RepContext | None = None
@@ -164,36 +194,35 @@ def nonlinear_characters(group: GroupContext, rep: RepContext | None = None
     """The conjugate pair of degree-2^k characters for each nonzero gamma.
 
     Returns (plus_family, minus_family), each ordered by gamma ascending.
-    The "+" values must match the traces of the twisted monomial
-    representations on every class representative.
+    The "+" rows are the three-case formula on the (q - 1) x classes grid
+    and must equal the traces of the twisted monomial representations on
+    every class representative; the "-" rows are their conjugates.
     """
     field = group.field
-    classes = group.conjugacy_classes
     if rep is None:
         rep = RepContext(group)
-    plus: list[Character] = []
-    minus: list[Character] = []
-    for gamma in field.nonzero_elements():
-        vp = tuple(_nonlinear_value(group, gamma, +1, cls.representative) for cls in classes)
-        vm = tuple(v.conjugate() for v in vp)
-        for cls, val in zip(classes, vp):
-            tr_re, tr_im = rep.rep_twisted(gamma, cls.representative).trace()
-            if (tr_re, tr_im) != val.as_gaussian_int():
-                raise AssertionError(
-                    f"character value disagrees with representation trace at "
-                    f"gamma={gamma}, class rep {cls.representative}"
-                )
-        plus.append(Character("nonlinear", gamma, +1, 1 << field.k, vp))
-        minus.append(Character("nonlinear", gamma, -1, 1 << field.k, vm))
+    x_cls, y_cls = _representatives(group)
+    gammas = np.arange(1, field.order)
+    scaled = _signs(field, field.inverse_cube_table[gammas], y_cls) << field.k
+    re = np.where(x_cls == 0, scaled, 0)
+    im = np.where(x_cls == gammas[:, None], scaled, 0)
+    _check_rep_traces(group, rep, re, im)
+    conj_im = -im
+    degree = 1 << field.k
+    plus = [Character("nonlinear", g, +1, degree, re[g - 1], im[g - 1])
+            for g in field.nonzero_elements()]
+    minus = [Character("nonlinear", g, -1, degree, re[g - 1], conj_im[g - 1])
+             for g in field.nonzero_elements()]
     return plus, minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     group: GroupContext
     classes: tuple[ConjugacyClass, ...]
     characters: tuple[Character, ...]
     d_set: tuple[int, ...]      # indices of the "+" family, gamma ascending
+    value_arrays: tuple[np.ndarray, np.ndarray]  # (re, im) int64, characters x classes; exact
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
@@ -202,17 +231,6 @@ class CharacterTable:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(ch.degree for ch in self.characters)
-
-    @cached_property
-    def value_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) int64 arrays of shape (characters, classes); exact."""
-        nchar, ncls = len(self.characters), len(self.classes)
-        re = np.zeros((nchar, ncls), dtype=np.int64)
-        im = np.zeros((nchar, ncls), dtype=np.int64)
-        for i, ch in enumerate(self.characters):
-            for j, v in enumerate(ch.values):
-                re[i, j], im[i, j] = v.as_gaussian_int()
-        return re, im
 
     @cached_property
     def conjugate_index(self) -> tuple[int, ...]:
@@ -260,14 +278,11 @@ class CharacterTable:
 
     def d_set_sum(self, class_index: int, weighted: bool = False) -> GaussianScaled:
         """Sum of the hyperdifference-family values on one class."""
-        total = GaussianScaled.ZERO
-        for j in self.d_set:
-            ch = self.characters[j]
-            v = ch.values[class_index]
-            if weighted:
-                v = v * GaussianScaled.make(ch.degree)
-            total = total + v
-        return total
+        re, im = self.value_arrays
+        rows = list(self.d_set)
+        w = np.array(self.degrees)[rows] if weighted else 1
+        return GaussianScaled.make(int((w * re[rows, class_index]).sum()),
+                                   int((w * im[rows, class_index]).sum()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,6 +312,7 @@ def build_character_table(group: GroupContext, rep: RepContext | None = None) ->
     plus, minus = nonlinear_characters(group, rep)
     chars = tuple(lin + plus + minus)
     d_set = tuple(range(len(lin), len(lin) + len(plus)))
-    table = CharacterTable(group, group.conjugacy_classes, chars, d_set)
+    arrays = (np.stack([ch.re for ch in chars]), np.stack([ch.im for ch in chars]))
+    table = CharacterTable(group, group.conjugacy_classes, chars, d_set, arrays)
     table.verify()
     return table

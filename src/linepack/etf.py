@@ -159,11 +159,11 @@ def gram_character(group: GroupContext, table: CharacterTable,
                    rows: np.ndarray | None = None,
                    cols: np.ndarray | None = None) -> GaussianRationalMatrix:
     """Gram entries (1/N) sum_{chi in D} d_chi chi(inv(g) h) via table lookup."""
-    ncls = len(table.classes)
-    vals_re = np.zeros(ncls, dtype=np.int64)
-    vals_im = np.zeros(ncls, dtype=np.int64)
-    for ci in range(ncls):
-        vals_re[ci], vals_im[ci] = table.d_set_sum(ci, weighted=True).as_gaussian_int()
+    # |sum| <= (q - 1) 4^k < 2^(2n), far inside int64 for every supported n
+    re, im = table.value_arrays
+    d_set = list(table.d_set)
+    deg = np.array(table.degrees)[d_set, None]
+    vals_re, vals_im = (deg * re[d_set]).sum(axis=0), (deg * im[d_set]).sum(axis=0)
     if rows is None:
         w = group.inverse_product_index_matrix
     else:
@@ -463,13 +463,15 @@ def _parse_rows(lines: list[str], cols: int, rational: bool) -> np.ndarray:
     whose magnitude reaches 2^63 is a parse error, so negation never wraps.
     """
     form, entry = _ENTRY[rational]
+    for r, ln in enumerate(lines):
+        found = ln.count(" ") + 1
+        if found != cols:
+            raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
+    # cols is now bounded by the file's line length, so it may size the pattern and the array
     row_pattern = re.compile(f"{entry}(?: {entry}){{{cols - 1}}}")
     ints = np.empty((len(lines), cols * (4 if rational else 2)), dtype=np.int64)
     for r, ln in enumerate(lines):
         if not row_pattern.fullmatch(ln):
-            found = len(ln.split(" "))
-            if found != cols:
-                raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
             raise MatrixParseError(f"bad entry in row {r}: entries are integers {form}")
         try:
             ints[r] = np.array(ln.translate(_TO_SPACES).split(" "), dtype=np.int64)
@@ -528,8 +530,11 @@ def read_matrix_file(path):
         if snum > 0:
             # certification needs the inverse squared scale as an integer power of two
             raise MatrixParseError("frame scale_log2_num must not be positive")
+        log2_scale_sq = snum * 2 // sden
+        if -log2_scale_sq >= 63:
+            raise MatrixParseError("frame inverse squared scale 2**-log2_scale_sq is beyond int64")
         return FrameMatrix(np.ascontiguousarray(ints[:, 0::2]),
-                           np.ascontiguousarray(ints[:, 1::2]), snum * 2 // sden)
+                           np.ascontiguousarray(ints[:, 1::2]), log2_scale_sq)
     # entries interleave re and im: p/q;r/s puts numerators at even positions
     scaled, den = _over_common_denominator(ints[:, 0::2], ints[:, 1::2])
     return GaussianRationalMatrix(np.ascontiguousarray(scaled[:, 0::2]),

@@ -224,7 +224,11 @@ class RepContext:
         return self._rep_x0[g[0]].times_i_power(2 * self.field.trace(g[1]))
 
     def rep_twisted(self, gamma: int, g: Element) -> MonomialMatrix:
-        """Member gamma of the hyperdifference family: pi after inverse scaling."""
+        """Member gamma of the hyperdifference family: pi after inverse scaling.
+
+        The per-element oracle for the table's rep-trace cross-check, which
+        gathers the same traces for every (gamma, class) pair at once.
+        """
         ginv = self.field.inv(gamma)
         return self.rep(self.group.scaling_automorphism(ginv, g))
 

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from linepack.bgroup import GroupContext
 from linepack.chartab import (
-    CharacterTable,
     GaussianScaled,
+    build_character_table,
     linear_characters,
     nonlinear_characters,
 )
+from linepack.gf2n import FieldContext
+from linepack.heis import RepContext
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +103,25 @@ def test_linear_characters_pairwise_orthogonal(group3):
 # nonlinear characters
 # ---------------------------------------------------------------------------
 
-def test_nonlinear_values_n3(table3, group3):
-    k = group3.field.k
-    for gamma in group3.field.nonzero_elements():
-        idx = table3.character_index("nonlinear", gamma, +1)
-        assert value_at(group3, table3, idx, (0, 0)) == GaussianScaled.make(1 << k)
-        for g in group3.elements():
-            if g[0] not in (0, gamma):
-                assert value_at(group3, table3, idx, g).is_zero()
-    idx1 = table3.character_index("nonlinear", 1, +1)
-    assert value_at(group3, table3, idx1, (1, 0)) == GaussianScaled.make(0, 2)
+@pytest.mark.parametrize("table_name", ["table3", "table5"])
+def test_nonlinear_values_n3(table_name, request):
+    # the stored "+" arrays at every member of every class, against the
+    # per-element three-case formula
+    table = request.getfixturevalue(table_name)
+    group = table.group
+    field = group.field
+    k = field.k
+    re, im = table.value_arrays
+    for gamma in field.nonzero_elements():
+        idx = table.character_index("nonlinear", gamma, +1)
+        for g in group.elements():
+            x, y = g
+            ci = int(group.class_of_element[group.index(g)])
+            sign = (1 - 2 * field.hyperplane_quotient(gamma, y)) << k
+            want = (sign if x == 0 else 0, sign if x == gamma else 0)
+            assert (re[idx, ci], im[idx, ci]) == want
+    idx1 = table.character_index("nonlinear", 1, +1)
+    assert value_at(group, table, idx1, (1, 0)) == GaussianScaled.make(0, 1, k)
 
 
 def test_minus_family_is_conjugate(table3):
@@ -153,6 +165,15 @@ def test_rep_trace_cross_check_has_teeth(group3, rep3):
     assert mismatches > 0
 
 
+def test_rep_trace_cross_check_rejects_a_corrupted_image(group3):
+    # pi(1, 0) = i I has a nonzero trace, gathered on every class (gamma, y);
+    # flipping its sign must make the whole-table comparison raise
+    rep = RepContext(group3)
+    rep._rep_x0[1] = rep._rep_x0[1].times_i_power(2)
+    with pytest.raises(AssertionError, match="representation trace"):
+        build_character_table(group3, rep)
+
+
 # ---------------------------------------------------------------------------
 # assembled table
 # ---------------------------------------------------------------------------
@@ -172,17 +193,24 @@ def test_table_census_n5(table5):
     assert len(table5.d_set) == 31
 
 
+def test_table_census_n9():
+    # the whole build at n = 9, rep-trace cross-check and verify() included
+    group = GroupContext(FieldContext(9))
+    table = build_character_table(group, RepContext(group))
+    assert len(table.characters) == 1534
+    assert len(table.d_set) == 511
+    assert table.value_arrays[0].shape == (1534, 1534)
+
+
 def test_orthogonality_is_verified(table3, table5):
     table3.verify()
     table5.verify()
 
 
-def test_verify_detects_broken_value(table3, group3):
-    chars = list(table3.characters)
-    bad_vals = list(chars[3].values)
-    bad_vals[1] = -bad_vals[1]
-    chars[3] = replace(chars[3], values=tuple(bad_vals))
-    broken = CharacterTable(group3, table3.classes, tuple(chars), table3.d_set)
+def test_verify_detects_broken_value(table3):
+    re, im = (a.copy() for a in table3.value_arrays)
+    re[3, 1] = -re[3, 1]
+    broken = replace(table3, value_arrays=(re, im))
     with pytest.raises(AssertionError):
         broken.verify()
 

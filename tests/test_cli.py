@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linepack.cli import main
 
@@ -114,6 +116,21 @@ def test_build_n3_content_hashes_pinned(built_n3):
         assert hashlib.sha256((built_n3 / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the `chartab --n N` stdout, as printed by the per-value table
+# that the array-backed one replaced
+CHARTAB_SHA256 = {
+    3: "78f75e063f01a32650837d3a4d4ae2484b7c104285835aef5a9243d89d5d7ec9",
+    5: "1d6acd6ef36930d6759ec52d77035388cd2b201368d01a7de1db4577d2b8a00d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CHARTAB_SHA256))
+def test_chartab_json_pinned(capsys, n):
+    code, stdout, _ = run(capsys, "chartab", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == CHARTAB_SHA256[n]
+
+
 def test_verify_full_by_degree(capsys):
     code, stdout, _ = run(capsys, "verify", "--n", "3", "--mode", "full")
     assert code == 0
@@ -212,6 +229,50 @@ def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 2
     assert "linepack: " in err
+
+
+_HEADER_FIELDS = ["rows", "cols", "scale_log2_num", "scale_log2_den"]
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2 ** 31), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2 ** 31), st.integers(0, 2 ** 31)),
+    st.tuples(st.just("extra"), st.integers(0, 2 ** 31),
+              st.sampled_from(["0", "1;0", "1/2;0/1", "1/0;0/1", ";", "/", "-", "x"])),
+    st.tuples(st.just("header"), st.sampled_from(_HEADER_FIELDS),
+              st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str), st.integers(-70, 70).map(str),
+                        st.sampled_from(["", "x", "1_0", None]))),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    """One byte flip, truncated line, extra token or header edit (None drops the field)."""
+    kind, at, arg = mutation
+    if kind == "flip":
+        at %= len(data)
+        return data[:at] + bytes([arg]) + data[at + 1:]
+    lines = data.split(b"\n")
+    if kind == "truncate":
+        line = lines[at % len(lines)]
+        lines[at % len(lines)] = line[:arg % (len(line) + 1)]
+    elif kind == "extra":
+        lines[at % len(lines)] += b" " + arg.encode()
+    else:
+        key = f"{at}=".encode()
+        lines[0] = b" ".join(t if not t.startswith(key) else key + arg.encode()
+                             for t in lines[0].split(b" ")
+                             if not (t.startswith(key) and arg is None))
+    return b"\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["frame.mat", "gram.mat"]),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_verify_mutated_matrix_file_is_never_a_crash(built_n3, name, mutations):
+    data = (built_n3 / name).read_bytes()
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    path = built_n3.parent / f"mutated-{name}"
+    path.write_bytes(data)
+    assert main(["verify", "--in", str(path)]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("command", ["verify", "build"])
