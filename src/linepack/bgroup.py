@@ -10,8 +10,10 @@ Suzuki 2-group of order 2^(2n).  Its structure is driven entirely by the
 antisymmetrized map Bhat(u, x) = B(u, x) + B(x, u): the center is
 (ker of u -> Bhat(u, .)) x F, the commutator subgroup is {0} x span(Bhat),
 and the conjugacy class of (u, v) is {u} x (v + range of Bhat(u, .)).
-For the Suzuki cocycle the range of Bhat(u, .) is the hyperplane attached
-to u^3, so noncentral classes have size 2^(n-1).
+For the Suzuki cocycle and u != 0 that range is the hyperplane
+ker tr(u^-3 .) attached to u, so noncentral classes have size 2^(n-1).
+Class indices put the q = 2^n central singletons (0, y) first, at y, then
+the two cosets over each x != 0: (x, y) has index q + 2(x - 1) + tr(x^-3 y).
 """
 
 from __future__ import annotations
@@ -97,36 +99,24 @@ class GroupContext:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Class partition in canonical order: central singletons first
-        (y ascending), then for each x ascending the two classes on the
-        cosets of the commutator range, ordered by least member."""
-        field = self.field
-        classes: list[ConjugacyClass] = []
-        for u in range(field.order):
-            rng = sorted({self.cocycle_hat(u, w) for w in range(field.order)})
-            rng_set = set(rng)
-            seen: set[int] = set()
-            for v in range(field.order):
-                if v in seen:
-                    continue
-                coset = sorted(v ^ r for r in rng_set)
-                seen.update(coset)
-                members = tuple((u, w) for w in coset)
-                classes.append(ConjugacyClass(members[0], members))
-        if sum(c.size for c in classes) != self.order:
-            raise AssertionError("class sizes do not sum to the group order")
-        return tuple(classes)
+        """Class partition in `class_of_element` order; members ascending,
+        the least one the representative."""
+        f = self.field
+        cls = self.class_of_element
+        idx = np.argsort(cls, kind="stable")
+        members = list(zip((idx >> f.n).tolist(), (idx & (f.order - 1)).tolist()))
+        ends = np.cumsum(np.bincount(cls)).tolist()
+        return tuple(ConjugacyClass(members[a], tuple(members[a:b]))
+                     for a, b in zip([0] + ends[:-1], ends))
 
     @cached_property
     def class_of_element(self) -> np.ndarray:
-        """Element index -> conjugacy class index."""
-        arr = np.full(self.order, -1, dtype=np.int32)
-        for ci, cls in enumerate(self.conjugacy_classes):
-            for g in cls.members:
-                arr[self.index(g)] = ci
-        if (arr < 0).any():
-            raise AssertionError("class partition is not a partition")
-        return arr
+        """Element index -> conjugacy class index, by the module's coset formula."""
+        f = self.field
+        idx = np.arange(self.order)
+        x, y = idx >> f.n, idx & (f.order - 1)
+        coset = f.trace_table[f.mul_table[f.inverse_cube_table[x], y]]
+        return np.where(x == 0, y, f.order + 2 * (x - 1) + coset).astype(np.int32)
 
     def class_sizes(self) -> list[int]:
         return [c.size for c in self.conjugacy_classes]

@@ -189,7 +189,7 @@ def _check_rep_traces(group: GroupContext, rep: RepContext,
         )
 
 
-def nonlinear_characters(group: GroupContext, rep: RepContext | None = None
+def nonlinear_characters(group: GroupContext, rep: RepContext
                          ) -> tuple[list[Character], list[Character]]:
     """The conjugate pair of degree-2^k characters for each nonzero gamma.
 
@@ -199,8 +199,6 @@ def nonlinear_characters(group: GroupContext, rep: RepContext | None = None
     every class representative; the "-" rows are their conjugates.
     """
     field = group.field
-    if rep is None:
-        rep = RepContext(group)
     x_cls, y_cls = _representatives(group)
     gammas = np.arange(1, field.order)
     scaled = _signs(field, field.inverse_cube_table[gammas], y_cls) << field.k
@@ -306,7 +304,7 @@ class CharacterTable:
         }
 
 
-def build_character_table(group: GroupContext, rep: RepContext | None = None) -> CharacterTable:
+def build_character_table(group: GroupContext, rep: RepContext) -> CharacterTable:
     """Assemble and verify the full table: linear block, then "+", then "-"."""
     lin = linear_characters(group)
     plus, minus = nonlinear_characters(group, rep)

@@ -124,10 +124,8 @@ def _synthesize_columns(group: GroupContext, rep: RepContext,
     return FrameMatrix(re, im, block.log2_scale_sq)
 
 
-def synthesize_frame(group: GroupContext, rep: RepContext | None = None) -> FrameMatrix:
+def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
     """The m x N frame, columns in canonical element order."""
-    if rep is None:
-        rep = RepContext(group)
     cols = np.arange(group.order, dtype=np.int64)
     return _synthesize_columns(group, rep, cols)
 
@@ -223,7 +221,7 @@ class EtfCertificate:
     num_vectors: int
     parseval: bool
     verdict: str                      # "OPTIMAL" | "NOT_ETF"
-    method: str                       # "frame" | "characterSum" | "closedForm" | "gram"
+    method: str                       # "frame" | "gram" | "srgIdempotent"
     diagonal_value: Fraction | None = None
     off_diag_modulus_sq: Fraction | None = None
     welch_sq_parseval: Fraction | None = None
@@ -359,7 +357,7 @@ def _isqrt_ceil(x: int) -> int:
 
 
 def three_way_sampled(group: GroupContext, table: CharacterTable,
-                      rep: RepContext | None = None, min_entries: int = 100_000,
+                      rep: RepContext, min_entries: int = 100_000,
                       seed: int = 1) -> dict:
     """Sampled comparison: a random block of columns, all pairs among them.
 
@@ -369,8 +367,6 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     pattern on every sampled entry.  With min_entries >= N^2 every column
     is sampled, whatever the seed, and the comparison covers the full Gram.
     """
-    if rep is None:
-        rep = RepContext(group)
     rng = random.Random(seed)
     ncols = min(group.order, _isqrt_ceil(min_entries))
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
@@ -456,48 +452,60 @@ _TO_SPACES = str.maketrans("/;", "  ")
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _parse_rows(lines: list[str], cols: int, rational: bool) -> np.ndarray:
-    """The integers of each row in file order, one int64 array row per line.
+def _parse_rows(lines: list[str], cols: int, rational: bool) -> Iterator[np.ndarray]:
+    """The integers of each row in file order, one int64 array per line, parsed lazily.
 
-    Each line must be exactly `cols` entries of the one grammar; a value
-    whose magnitude reaches 2^63 is a parse error, so negation never wraps.
+    Each line must be exactly `cols` entries of the one grammar (every count
+    is checked before this returns); a value whose magnitude reaches 2^63 is
+    a parse error, so negation never wraps.
     """
     form, entry = _ENTRY[rational]
     for r, ln in enumerate(lines):
         found = ln.count(" ") + 1
         if found != cols:
             raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
-    # cols is now bounded by the file's line length, so it may size the pattern and the array
+    # cols is now bounded by the file's line length, so it may size the pattern and the arrays
     row_pattern = re.compile(f"{entry}(?: {entry}){{{cols - 1}}}")
-    ints = np.empty((len(lines), cols * (4 if rational else 2)), dtype=np.int64)
-    for r, ln in enumerate(lines):
+
+    def parse(r: int, ln: str) -> np.ndarray:
         if not row_pattern.fullmatch(ln):
             raise MatrixParseError(f"bad entry in row {r}: entries are integers {form}")
         try:
-            ints[r] = np.array(ln.translate(_TO_SPACES).split(" "), dtype=np.int64)
+            ints = np.array(ln.translate(_TO_SPACES).split(" "), dtype=np.int64)
         except OverflowError as exc:
             raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
-    if (ints == -_INT64_MAX - 1).any():
-        raise MatrixParseError("entry magnitude 2**63 is beyond int64")
-    return ints
+        if (ints == -_INT64_MAX - 1).any():
+            raise MatrixParseError("entry magnitude 2**63 is beyond int64")
+        return ints
+
+    return (parse(r, ln) for r, ln in enumerate(lines))
 
 
-def _over_common_denominator(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fractions nums/dens as integers over the lcm of their reduced denominators."""
-    if not dens.all():
-        raise MatrixParseError("zero denominator")
-    nums = np.where(dens < 0, -nums, nums)
-    dens = np.abs(dens)
-    g = np.gcd(nums, dens)
-    nums //= g
-    dens //= g
-    den = math.lcm(*np.unique(dens).tolist())
-    if den > _INT64_MAX:
-        raise MatrixParseError(f"common denominator {den} exceeds int64")
-    factor = den // dens
-    if (np.abs(nums) > _INT64_MAX // factor).any():
-        raise MatrixParseError(f"entries over the common denominator {den} exceed int64")
-    return nums * factor, den
+def _over_common_denominator(rows: Iterator[np.ndarray], shape: tuple[int, int]
+                             ) -> tuple[np.ndarray, int]:
+    """Rows of interleaved fractions p q as integers over the lcm of the reduced q.
+
+    Each row is sign-normalised and reduced as it arrives, and scaled in a
+    second pass, so no temporary is larger than one row.
+    """
+    nums = np.empty(shape, dtype=np.int64)
+    dens = np.empty(shape, dtype=np.int64)
+    den = 1
+    for r, ints in enumerate(rows):
+        p, q = ints[0::2], ints[1::2]
+        if not q.all():
+            raise MatrixParseError("zero denominator")
+        g = np.gcd(p, q) * np.sign(q)  # the reduced denominator is positive
+        nums[r], dens[r] = p // g, q // g
+        den = math.lcm(den, *np.unique(dens[r]).tolist())
+        if den > _INT64_MAX:
+            raise MatrixParseError(f"common denominator {den} exceeds int64")
+    for num, row_den in zip(nums, dens):
+        factor = den // row_den
+        if (np.abs(num) > _INT64_MAX // factor).any():
+            raise MatrixParseError(f"entries over the common denominator {den} exceed int64")
+        num *= factor
+    return nums, den
 
 
 def read_matrix_file(path):
@@ -522,8 +530,8 @@ def read_matrix_file(path):
     if len(lines) != rows:
         raise MatrixParseError(f"expected {rows} rows, found {len(lines)}")
     rational = "/" in lines[0].split(" ", 1)[0]
-    ints = _parse_rows(lines, cols, rational)
-    del lines, body  # release the text before the array arithmetic
+    parsed = _parse_rows(lines, cols, rational)
+    del lines, body  # the text is freed once `parsed` yields its last row
     if not rational:
         if sden not in (1, 2):
             raise MatrixParseError("unsupported scale denominator")
@@ -533,9 +541,10 @@ def read_matrix_file(path):
         log2_scale_sq = snum * 2 // sden
         if -log2_scale_sq >= 63:
             raise MatrixParseError("frame inverse squared scale 2**-log2_scale_sq is beyond int64")
+        ints = np.fromiter(parsed, dtype=np.dtype((np.int64, 2 * cols)), count=rows)
         return FrameMatrix(np.ascontiguousarray(ints[:, 0::2]),
                            np.ascontiguousarray(ints[:, 1::2]), log2_scale_sq)
     # entries interleave re and im: p/q;r/s puts numerators at even positions
-    scaled, den = _over_common_denominator(ints[:, 0::2], ints[:, 1::2])
+    scaled, den = _over_common_denominator(parsed, (rows, 2 * cols))
     return GaussianRationalMatrix(np.ascontiguousarray(scaled[:, 0::2]),
                                   np.ascontiguousarray(scaled[:, 1::2]), den)

@@ -155,16 +155,13 @@ def _echelonize(basis: list[int]) -> list[tuple[int, int]]:
 class RepContext:
     """The distinguished degree-2^k representation of a Suzuki 2-group."""
 
-    def __init__(self, group: GroupContext, xs: list[int] | None = None,
-                 ys: list[int] | None = None):
+    def __init__(self, group: GroupContext):
         field = group.field
         self.group = group
         self.field = field
         self.k = field.k
         self.dim = 1 << self.k
-        if xs is None or ys is None:
-            xs, ys = field.symplectic_basis()
-        field.validate_symplectic_basis(xs, ys)
+        xs, ys = field.symplectic_basis()
         self.sympl_x = list(xs)
         self.sympl_y = list(ys)
         self.alphas = [field.artin_schreier_section(x) for x in xs]

@@ -50,6 +50,16 @@ def test_classes_match_brute_force_n3(group3):
     assert sorted(structural) == sorted(brute_force_classes(group3))
 
 
+@pytest.mark.parametrize("group_name", ["group3", "group5", "group7"])
+def test_commutator_range_is_the_hyperplane(request, group_name):
+    # the coset formula of class_of_element rests on this, for every u != 0
+    group = request.getfixturevalue(group_name)
+    field = group.field
+    for u in field.nonzero_elements():
+        rng = sorted({group.cocycle_hat(u, w) for w in field.elements()})
+        assert rng == field.hyperplane(u), u
+
+
 def test_class_census(group3, group5):
     for group in (group3, group5):
         q = group.field.order

@@ -216,10 +216,11 @@ _HEAD = "LINEPACK-MATRIX v1 rows={} cols={} scale_log2_num={} scale_log2_den={}\
     _HEAD.format(1, 1, -2, 2) + "1_0;0\n",
     _HEAD.format(1, 1, -2, 2) + "-9223372036854775808;0\n",
     _HEAD.format(1, 2, -2, 2) + "1;0  0;0\n",
+    _HEAD.format(1, 18769302, -2, 2) + "1;0\n",
 ], ids=["missing-file", "zero-rows", "non-square-gram", "positive-frame-scale",
         "frame-entry-beyond-int64", "gram-denominator-beyond-int64", "not-ascii",
         "zero-denominator", "underscore-digits", "frame-entry-int64-min",
-        "double-space"])
+        "double-space", "cols-beyond-the-row"])
 def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "input.mat"
     if isinstance(content, str):
@@ -419,3 +420,57 @@ def test_srg_conference_rejected(capsys):
                        "--lambda", "0", "--mu", "1")
     assert code == 2
     assert "conference" in err
+
+
+# ---------------------------------------------------------------------------
+# the argument space
+# ---------------------------------------------------------------------------
+
+# small values only: n in {5, 7, 9} would build large frames, and --threads
+# stays at most 4; "OUT" and "IN" are replaced by paths at run time
+_ARG_N = st.sampled_from(["-1", "0", "2", "3", "4", "10", "11"])
+_ARG_SMALL = st.integers(-1, 4).map(str)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _flags(*parts):
+    return st.tuples(*parts).map(lambda lists: [tok for part in lists for tok in part])
+
+
+_ARGV = st.one_of(
+    _flags(st.just(["build", "--out", "OUT"]), _optional("--n", _ARG_N),
+           _optional("--samples", _ARG_SMALL), _optional("--seed", _ARG_SMALL),
+           _optional("--threads", _ARG_SMALL), st.sampled_from([[], ["--float-export"]])),
+    _flags(st.just(["verify"]), _optional("--n", _ARG_N),
+           _optional("--in", st.sampled_from(["IN", "OUT/missing.mat"])),
+           _optional("--mode", st.sampled_from(["full", "sample", "bogus"])),
+           _optional("--samples", _ARG_SMALL), _optional("--threads", _ARG_SMALL)),
+    _flags(st.just(["search"]), _optional("--max-order", st.integers(-1, 80).map(str)),
+           st.sampled_from([[], ["--nonabelian-orders-only"]]),
+           st.sampled_from([[], ["--suzuki-filters"]]),
+           _optional("--out", st.just("OUT/tuples.csv"))),
+    _flags(st.just(["chartab"]), _optional("--n", _ARG_N),
+           _optional("--out", st.just("OUT/chartab.json"))),
+    _flags(st.just(["gram"]), _optional("--n", _ARG_N),
+           _optional("--method", st.sampled_from(["closed-form", "character,frame", "", "x"])),
+           _optional("--threads", _ARG_SMALL), _optional("--out", st.just("OUT/g.mat"))),
+    _flags(st.just(["srg"]), *(_optional(flag, st.integers(-2, 20).map(str))
+                              for flag in ("--v", "--k", "--lambda", "--mu")),
+           _optional("--out", st.just("OUT"))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_ARGV, json_errors=st.booleans())
+def test_cli_arguments_never_crash(built_n3, tmp_path_factory, argv, json_errors):
+    out = tmp_path_factory.mktemp("args")
+    paths = {"OUT": str(out), "IN": str(built_n3 / "frame.mat")}
+    argv = [paths.get(tok, tok).replace("OUT/", f"{out}/") for tok in argv]
+    try:
+        code = main((["--json-errors"] if json_errors else []) + argv)
+    except SystemExit as exc:  # argparse rejects before main's handlers
+        code = exc.code
+    assert code in (0, 1, 2), argv

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linepack import FieldContext, GroupContext, RepContext, build_character_table
 from linepack.chartab import GaussianScaled
 from linepack.etf import (
     FrameMatrix,
@@ -149,6 +150,17 @@ def test_three_way_full_n3(group3, table3, rep3):
     assert report["agree"] and report["pattern_ok"]
     assert report["entries"] == 4096 and report["columns"] == 64
     assert all(v is None for v in report["mismatches"].values())
+
+
+def test_three_way_detects_an_element_in_the_sibling_coset():
+    # a fresh group, so the session fixtures keep the true partition
+    group = GroupContext(FieldContext(3))
+    rep = RepContext(group)
+    table = build_character_table(group, rep)
+    g = group.index((1, 0))
+    group.class_of_element[g] ^= 1  # the other coset of the hyperplane over x = 1
+    report = three_way_sampled(group, table, rep, min_entries=64 ** 2)
+    assert report["agree"] is False
 
 
 def test_gram_properties_n3(group3, table3):
