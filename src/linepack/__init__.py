@@ -4,13 +4,14 @@ The package builds, over GF(2^n) with n odd, the 2^(2n)-vector frame in
 dimension 2^(n-1)(2^n - 1) whose Gram matrix has constant off-diagonal
 modulus meeting the Welch bound, and certifies that fact in exact
 integer/rational arithmetic.  Supporting layers expose the field, the
-group, its character table, the association-scheme machinery (primitive
+group, its character table (every value a Gaussian integer, held as int64
+real and imaginary parts), the association-scheme machinery (primitive
 idempotents, Krein parameters, hyperdifference sets), the Heisenberg
 monomial representations, and the integrality-driven parameter search.
 """
 
 from .bgroup import ConjugacyClass, GroupContext
-from .chartab import Character, CharacterTable, GaussianScaled, build_character_table
+from .chartab import Character, CharacterTable, build_character_table
 from .etf import (
     EtfCertificate,
     FrameMatrix,
@@ -50,7 +51,6 @@ __all__ = [
     "FieldContext",
     "FrameMatrix",
     "GaussianRationalMatrix",
-    "GaussianScaled",
     "GroupContext",
     "HyperdiffReport",
     "MonomialMatrix",

@@ -22,17 +22,16 @@ comparison, with the traces of the monomial representation: the traces
 of the q images pi(x, 0), gathered at gamma^-1 x and signed by
 (-1)^tr(gamma^-3 y), so the check does not rest on the character formula.
 
-All values are Gaussian integers, given singly as `GaussianScaled`
-(re + i im) 2^log2, and every computation in this module is exact.  The
-orthogonality products reach floating point only through
-`exact.exact_matmul`, whose checked bound proves each result an exact
-integer.
+All values are Gaussian integers, held only in those two arrays; the JSON
+export writes each one as (re + i im) 2^log2 with re, im not both even.
+Every computation in this module is exact.  The orthogonality products
+reach floating point only through `exact.exact_matmul`, whose checked
+bound proves each result an exact integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -44,83 +43,10 @@ from .heis import RepContext
 __all__ = [
     "Character",
     "CharacterTable",
-    "GaussianScaled",
     "build_character_table",
     "linear_characters",
     "nonlinear_characters",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianScaled:
-    """Exact value (re + i im) * 2^log2 with re, im not both even unless zero."""
-
-    re: int
-    im: int
-    log2: int
-
-    @staticmethod
-    def make(re: int, im: int = 0, log2: int = 0) -> "GaussianScaled":
-        if re == 0 and im == 0:
-            return GaussianScaled(0, 0, 0)
-        while re % 2 == 0 and im % 2 == 0:
-            re //= 2
-            im //= 2
-            log2 += 1
-        return GaussianScaled(re, im, log2)
-
-    def __add__(self, other: "GaussianScaled") -> "GaussianScaled":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        s = min(self.log2, other.log2)
-        return GaussianScaled.make(
-            (self.re << (self.log2 - s)) + (other.re << (other.log2 - s)),
-            (self.im << (self.log2 - s)) + (other.im << (other.log2 - s)),
-            s,
-        )
-
-    def __neg__(self) -> "GaussianScaled":
-        return GaussianScaled(-self.re, -self.im, self.log2) if not self.is_zero() else self
-
-    def __sub__(self, other: "GaussianScaled") -> "GaussianScaled":
-        return self + (-other)
-
-    def __mul__(self, other: "GaussianScaled") -> "GaussianScaled":
-        return GaussianScaled.make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.log2 + other.log2,
-        )
-
-    def conjugate(self) -> "GaussianScaled":
-        return GaussianScaled(self.re, -self.im, self.log2)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def abs_sq(self) -> Fraction:
-        mag = self.re * self.re + self.im * self.im
-        return Fraction(mag) * _pow2_fraction(2 * self.log2)
-
-    def as_fraction_pair(self) -> tuple[Fraction, Fraction]:
-        scale = _pow2_fraction(self.log2)
-        return Fraction(self.re) * scale, Fraction(self.im) * scale
-
-    def as_gaussian_int(self) -> tuple[int, int]:
-        """(re, im) as plain integers; requires a nonnegative scale."""
-        if self.log2 < 0:
-            raise ValueError(f"{self} is not a Gaussian integer")
-        return self.re << self.log2, self.im << self.log2
-
-
-GaussianScaled.ZERO = GaussianScaled(0, 0, 0)
-GaussianScaled.ONE = GaussianScaled(1, 0, 0)
-
-
-def _pow2_fraction(e: int) -> Fraction:
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +60,20 @@ class Character:
     re: np.ndarray
     im: np.ndarray
 
-    @cached_property
-    def values(self) -> tuple[GaussianScaled, ...]:
-        """The row as `GaussianScaled` values, made on first read."""
-        return tuple(GaussianScaled.make(r, i) for r, i in zip(self.re.tolist(), self.im.tolist()))
-
     @property
     def label(self) -> str:
         if self.kind == "linear":
             return f"lin[{self.parameter}]"
         return f"nl{'+' if self.sign > 0 else '-'}[{self.parameter}]"
+
+
+def _strip_pow2(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(re, im, log2) with (re + i im) 2^log2 equal to the input and re, im
+    not both even; a zero entry gives (0, 0, 0)."""
+    v = re | im
+    low = v & -v        # lowest set bit of re or im, whichever is lower
+    log2 = np.where(v != 0, np.frexp(low)[1] - 1, 0)
+    return re >> log2, im >> log2, log2
 
 
 def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
@@ -274,15 +204,15 @@ class CharacterTable:
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():
             raise AssertionError("identity-class column disagrees with the degrees")
 
-    def d_set_sum(self, class_index: int, weighted: bool = False) -> GaussianScaled:
-        """Sum of the hyperdifference-family values on one class."""
+    def d_set_sum(self, class_index: int, weighted: bool = False) -> tuple[int, int]:
+        """Sum (re, im) of the hyperdifference-family values on one class."""
         re, im = self.value_arrays
         rows = list(self.d_set)
         w = np.array(self.degrees)[rows] if weighted else 1
-        return GaussianScaled.make(int((w * re[rows, class_index]).sum()),
-                                   int((w * im[rows, class_index]).sum()))
+        return int((w * re[rows, class_index]).sum()), int((w * im[rows, class_index]).sum())
 
     def to_json_dict(self) -> dict:
+        re, im, log2 = (a.tolist() for a in _strip_pow2(*self.value_arrays))
         return {
             "order": self.group.order,
             "modulus": self.group.field.modulus,
@@ -295,10 +225,11 @@ class CharacterTable:
                     "label": ch.label,
                     "degree": ch.degree,
                     "values": [
-                        {"re": v.re, "im": v.im, "log2": v.log2} for v in ch.values
+                        {"re": r, "im": i, "log2": e}
+                        for r, i, e in zip(re[j], im[j], log2[j])
                     ],
                 }
-                for ch in self.characters
+                for j, ch in enumerate(self.characters)
             ],
             "d_set": [self.characters[j].label for j in self.d_set],
         }

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bgroup import GroupContext
-from .chartab import CharacterTable, GaussianScaled
+from .chartab import CharacterTable
 from .exact import check_bound, exact_matmul, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
@@ -191,19 +191,17 @@ def gram_closed_form(group: GroupContext,
     return GaussianRationalMatrix(re, im, f.order * 2)
 
 
-def closed_form_entry(field: FieldContext, g, h) -> GaussianScaled:
-    """Single Gram entry in O(1) field operations."""
+def closed_form_entry(field: FieldContext, g, h) -> tuple[int, int]:
+    """Single Gram entry in O(1) field operations, as the integer (re, im)
+    numerators over 2^(n+1), the denominator of `gram_closed_form`."""
     x, y = g
     a, b = h
-    scale = -(field.n + 1)
     w = x ^ a
     if w == 0:
-        if y == b:
-            return GaussianScaled.make(field.order - 1, 0, scale)
-        return GaussianScaled.make(-1, 0, scale)
+        return (field.order - 1, 0) if y == b else (-1, 0)
     z = y ^ b ^ field.cube(x) ^ field.mul(x, field.square(a))
     t = field.trace(field.mul(field.inv(field.cube(w)), z))
-    return GaussianScaled.make(0, 1 - 2 * t, scale)
+    return 0, 1 - 2 * t
 
 
 def welch_bound_sq(m: int, num_vectors: int) -> tuple[Fraction, Fraction]:
@@ -247,33 +245,41 @@ class EtfCertificate:
         }
 
 
+def _welch_pattern(gram: GaussianRationalMatrix, m: int,
+                   num_vectors: int) -> tuple[str | None, Fraction | None]:
+    """Check a Parseval Gram matrix, or a principal submatrix of one, for
+    the ETF pattern: constant diagonal m/N and constant off-diagonal
+    modulus at the Welch value.
+
+    Returns the first failure (None if the pattern holds) and the squared
+    off-diagonal modulus (None unless it is constant and there is one).
+    """
+    if gram.im.diagonal().any() or (gram.re.diagonal() != gram.re[0, 0]).any():
+        return "diagonal is not constant", None
+    if gram.entry(0, 0)[0] != Fraction(m, num_vectors):
+        return "diagonal disagrees with m/N", None
+    if m >= num_vectors:
+        return "degenerate: m = N leaves no off-diagonal angle", None
+    sq, den = gram.abs_sq_int()
+    off = sq[~np.eye(gram.shape[0], dtype=bool)]
+    if off.size and off.min() != off.max():
+        return "off-diagonal modulus is not constant", None
+    # before the empty off-diagonal passes: welch_bound_sq refuses m < 1
+    _, welch_par = welch_bound_sq(m, num_vectors)
+    if off.size == 0:
+        return None, None
+    off_sq = Fraction(int(off[0]), den)
+    if off_sq != welch_par:
+        return "off-diagonal modulus misses the Welch value", off_sq
+    return None, off_sq
+
+
 def _certify_gram(gram: GaussianRationalMatrix, m: int, parseval: bool,
                   method: str, cross_checks: dict) -> EtfCertificate:
     n = gram.shape[0]
-    fail = None
-    if not parseval:
-        fail = "parseval identity fails"
     diag = gram.entry(0, 0)
-    diag_ok = parseval and not gram.im.diagonal().any() \
-        and (gram.re.diagonal() == gram.re[0, 0]).all()
-    if fail is None and not diag_ok:
-        fail = "diagonal is not constant"
-    if fail is None and diag[0] != Fraction(m, n):
-        fail = "diagonal disagrees with m/N"
-    if fail is None and m >= n:
-        fail = "degenerate: m = N leaves no off-diagonal angle"
-    off_sq = None
-    welch_unit = welch_par = None
-    if fail is None:
-        sq, den = gram.abs_sq_int()
-        off = sq[~np.eye(n, dtype=bool)]
-        if off.min() != off.max():
-            fail = "off-diagonal modulus is not constant"
-        else:
-            off_sq = Fraction(int(off[0]), den)
-            welch_unit, welch_par = welch_bound_sq(m, n)
-            if off_sq != welch_par:
-                fail = "off-diagonal modulus misses the Welch value"
+    fail, off_sq = _welch_pattern(gram, m, n) if parseval else ("parseval identity fails", None)
+    welch_unit, welch_par = (None, None) if off_sq is None else welch_bound_sq(m, n)
     return EtfCertificate(
         m=m, num_vectors=n, parseval=parseval,
         verdict="OPTIMAL" if fail is None else "NOT_ETF",
@@ -377,21 +383,13 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     mismatches = _route_mismatches(g_frame, g_char, g_closed)
 
     m, num = frame_dimensions(group.field.n)
-    _, welch_par = welch_bound_sq(m, num)
-    sq, den = g_closed.abs_sq_int()
-    diag_mask = sel[:, None] == sel[None, :]
-    diag_ok = (g_closed.re[diag_mask] == g_closed.re[0, 0]).all() \
-        and not g_closed.im[diag_mask].any() \
-        and g_closed.entry(0, 0)[0] == Fraction(m, num)
-    off = sq[~diag_mask]
-    off_ok = bool(off.size == 0
-                  or (off.min() == off.max() and Fraction(int(off[0]), den) == welch_par))
+    pattern_fail, _ = _welch_pattern(g_closed, m, num)
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),
         "seed": seed,
         "agree": all(v is None for v in mismatches.values()),
-        "pattern_ok": bool(diag_ok and off_ok),
+        "pattern_ok": pattern_fail is None,
         "mismatches": mismatches,
     }
 

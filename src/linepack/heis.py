@@ -162,8 +162,6 @@ class RepContext:
         self.k = field.k
         self.dim = 1 << self.k
         xs, ys = field.symplectic_basis()
-        self.sympl_x = list(xs)
-        self.sympl_y = list(ys)
         self.alphas = [field.artin_schreier_section(x) for x in xs]
         self.betas = [field.artin_schreier_section(y) for y in ys]
         self.basis = self.alphas + self.betas + [1]

@@ -207,8 +207,9 @@ def character_sum_filter(tup: SearchTuple, table: CharacterTable) -> bool:
         return False
     sq_bound = Fraction(n - tup.m, n - 1)
     abs_bound_sq = Fraction(tup.k * (n - tup.m), n - 1)
+    rows_sq = [(ch.re * ch.re + ch.im * ch.im).tolist() for ch in deg_l]
     for ci in range(1, len(table.classes)):
-        mods_sq = [ch.values[ci].abs_sq() for ch in deg_l]
+        mods_sq = [Fraction(row[ci]) for row in rows_sq]
         if sum(mods_sq) < sq_bound:
             return False
         if not sum_sqrt_compare(mods_sq, abs_bound_sq):

@@ -2,11 +2,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linepack.bgroup import GroupContext
 from linepack.chartab import (
-    GaussianScaled,
+    _strip_pow2,
     build_character_table,
     linear_characters,
     nonlinear_characters,
@@ -16,37 +17,29 @@ from linepack.heis import RepContext
 
 
 # ---------------------------------------------------------------------------
-# GaussianScaled scalar type
+# power-of-two normal form of the JSON export
 # ---------------------------------------------------------------------------
 
-def test_gaussian_scaled_canonical_form():
-    assert GaussianScaled.make(4, 0) == GaussianScaled(1, 0, 2)
-    assert GaussianScaled.make(6, 2) == GaussianScaled(3, 1, 1)
-    assert GaussianScaled.make(0, 0, 7) == GaussianScaled(0, 0, 0)
-    assert GaussianScaled.make(3, 0, -4).as_fraction_pair() == (Fraction(3, 16), Fraction(0))
+def _halving_loop(re, im):
+    if re == 0 and im == 0:
+        return 0, 0, 0
+    log2 = 0
+    while re % 2 == 0 and im % 2 == 0:
+        re, im, log2 = re // 2, im // 2, log2 + 1
+    return re, im, log2
 
 
-def test_gaussian_scaled_arithmetic():
-    one = GaussianScaled.ONE
-    i = GaussianScaled.make(0, 1)
-    assert i * i == -one
-    assert (one + one) == GaussianScaled(1, 0, 1)
-    a = GaussianScaled.make(3, -2, -1)
-    b = GaussianScaled.make(-1, 5, 2)
-    ar, ai = a.as_fraction_pair()
-    br, bi = b.as_fraction_pair()
-    pr, pi = (a * b).as_fraction_pair()
-    assert pr == ar * br - ai * bi and pi == ar * bi + ai * br
-    sr, si = (a + b).as_fraction_pair()
-    assert sr == ar + br and si == ai + bi
-    assert a.conjugate().as_fraction_pair() == (ar, -ai)
-    assert a.abs_sq() == ar * ar + ai * ai
-
-
-def test_gaussian_scaled_int_export():
-    assert GaussianScaled.make(1, -1, 3).as_gaussian_int() == (8, -8)
-    with pytest.raises(ValueError):
-        GaussianScaled.make(1, 0, -2).as_gaussian_int()
+def test_strip_pow2_matches_halving_loop():
+    rng = random.Random(7)
+    pairs = [(0, 0), (4, 0), (6, 2), (-8, 8), (0, -2), (1, 0), (0, -1), (-3, 5),
+             (-(1 << 62), 0), (1 << 40, -(1 << 41))]
+    for _ in range(500):
+        shift = rng.randrange(40)
+        pairs.append((rng.randrange(-99, 100) << shift, rng.randrange(-99, 100) << shift))
+    re = np.array([p[0] for p in pairs], dtype=np.int64)
+    im = np.array([p[1] for p in pairs], dtype=np.int64)
+    got = zip(*(a.tolist() for a in _strip_pow2(re, im)))
+    assert list(got) == [_halving_loop(r, i) for r, i in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +47,16 @@ def test_gaussian_scaled_int_export():
 # ---------------------------------------------------------------------------
 
 def value_at(group, table, char_idx, g):
+    """chi(g) as a Gaussian-integer pair (re, im)."""
     ci = int(group.class_of_element[group.index(g)])
-    return table.characters[char_idx].values[ci]
+    ch = table.characters[char_idx]
+    return int(ch.re[ci]), int(ch.im[ci])
 
 
 def test_trivial_character(table3, group3):
-    for ci in range(len(table3.classes)):
-        assert table3.characters[0].values[ci] == GaussianScaled.ONE
-    assert table3.characters[0].label == "lin[0]"
+    ch = table3.characters[0]
+    assert ch.re.tolist() == [1] * len(table3.classes) and not ch.im.any()
+    assert ch.label == "lin[0]"
 
 
 def test_linear_characters_multiplicative(table3, group3):
@@ -72,9 +67,10 @@ def test_linear_characters_multiplicative(table3, group3):
         for _ in range(125):
             a = (rng.randrange(q), rng.randrange(q))
             b = (rng.randrange(q), rng.randrange(q))
+            ar, ai = value_at(group3, table3, idx, a)
+            br, bi = value_at(group3, table3, idx, b)
             lhs = value_at(group3, table3, idx, group3.mul(a, b))
-            rhs = value_at(group3, table3, idx, a) * value_at(group3, table3, idx, b)
-            assert lhs == rhs
+            assert lhs == (ar * br - ai * bi, ar * bi + ai * br)
 
 
 def test_linear_characters_trivial_on_commutator(group3):
@@ -83,20 +79,21 @@ def test_linear_characters_trivial_on_commutator(group3):
     for ch in lin:
         for g in comm:
             ci = int(group3.class_of_element[group3.index(g)])
-            assert ch.values[ci] == GaussianScaled.ONE
+            assert (ch.re[ci], ch.im[ci]) == (1, 0)
 
 
 def test_linear_characters_pairwise_orthogonal(group3):
     lin = linear_characters(group3)
     sizes = [c.size for c in group3.conjugacy_classes]
+    # sum over classes of |class| a conj(b), in Python ints
     for i, a in enumerate(lin):
         for j, b in enumerate(lin):
-            total = GaussianScaled.ZERO
-            for ci, w in enumerate(sizes):
-                term = a.values[ci] * b.values[ci].conjugate()
-                total = total + term * GaussianScaled.make(w)
-            want = GaussianScaled.make(group3.order) if i == j else GaussianScaled.ZERO
-            assert total == want
+            total_re = total_im = 0
+            for w, ar, ai, br, bi in zip(sizes, a.re.tolist(), a.im.tolist(),
+                                         b.re.tolist(), b.im.tolist()):
+                total_re += w * (ar * br + ai * bi)
+                total_im += w * (ai * br - ar * bi)
+            assert (total_re, total_im) == (group3.order if i == j else 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +118,16 @@ def test_nonlinear_values_n3(table_name, request):
             want = (sign if x == 0 else 0, sign if x == gamma else 0)
             assert (re[idx, ci], im[idx, ci]) == want
     idx1 = table.character_index("nonlinear", 1, +1)
-    assert value_at(group, table, idx1, (1, 0)) == GaussianScaled.make(0, 1, k)
+    assert value_at(group, table, idx1, (1, 0)) == (0, 1 << k)
 
 
 def test_minus_family_is_conjugate(table3):
     for gamma in table3.group.field.nonzero_elements():
         ip = table3.character_index("nonlinear", gamma, +1)
         im = table3.character_index("nonlinear", gamma, -1)
-        for vp, vm in zip(table3.characters[ip].values, table3.characters[im].values):
-            assert vm == vp.conjugate()
+        plus, minus = table3.characters[ip], table3.characters[im]
+        assert minus.re.tolist() == plus.re.tolist()
+        assert minus.im.tolist() == [-v for v in plus.im.tolist()]
 
 
 def test_values_constant_on_classes_member_level(table3, group3):
@@ -138,17 +136,15 @@ def test_values_constant_on_classes_member_level(table3, group3):
     k = field.k
     for gamma in field.nonzero_elements():
         idx = table3.character_index("nonlinear", gamma, +1)
+        ch = table3.characters[idx]
         for ci, cls in enumerate(group3.conjugacy_classes):
             for (x, y) in cls.members:
                 if x not in (0, gamma):
-                    want = GaussianScaled.ZERO
+                    want = (0, 0)
                 else:
-                    sign = 1 - 2 * field.hyperplane_quotient(gamma, y)
-                    if x == 0:
-                        want = GaussianScaled.make(sign, 0, k)
-                    else:
-                        want = GaussianScaled.make(0, sign, k)
-                assert table3.characters[idx].values[ci] == want
+                    sign = (1 - 2 * field.hyperplane_quotient(gamma, y)) << k
+                    want = (sign, 0) if x == 0 else (0, sign)
+                assert (ch.re[ci], ch.im[ci]) == want
 
 
 def test_rep_trace_cross_check_has_teeth(group3, rep3):
@@ -159,8 +155,8 @@ def test_rep_trace_cross_check_has_teeth(group3, rep3):
     for pch, mch in zip(plus, minus):
         for ci, cls in enumerate(group3.conjugacy_classes):
             tr = rep3.rep_twisted(pch.parameter, cls.representative).trace()
-            assert tr == pch.values[ci].as_gaussian_int()
-            if tr != mch.values[ci].as_gaussian_int():
+            assert tr == (pch.re[ci], pch.im[ci])
+            if tr != (mch.re[ci], mch.im[ci]):
                 mismatches += 1
     assert mismatches > 0
 
@@ -228,8 +224,7 @@ def test_central_column_sum_over_d_set(table3, table5):
         k = group.field.k
         for y in group.field.nonzero_elements():
             ci = int(group.class_of_element[group.index((0, y))])
-            total = table.d_set_sum(ci)
-            assert total == GaussianScaled.make(-1, 0, k)
+            assert table.d_set_sum(ci) == (-(1 << k), 0)
 
 
 def test_flat_d_set_sums(table3, table5):
@@ -242,15 +237,16 @@ def test_flat_d_set_sums(table3, table5):
         n = group.order
         weighted_expect = Fraction(m * (n - m), n - 1)
         for ci in range(1, len(table.classes)):
-            assert table.d_set_sum(ci).abs_sq() == Fraction(1 << (2 * k))
-            assert table.d_set_sum(ci, weighted=True).abs_sq() == weighted_expect
+            re, im = table.d_set_sum(ci)
+            assert re * re + im * im == 1 << (2 * k)
+            re, im = table.d_set_sum(ci, weighted=True)
+            assert re * re + im * im == weighted_expect
 
 
 def test_row_norms(table3):
     for ch in table3.characters:
-        total = Fraction(0)
-        for ci, w in enumerate(table3.class_sizes):
-            total += w * ch.values[ci].abs_sq()
+        total = sum(w * (re * re + im * im) for w, re, im in
+                    zip(table3.class_sizes, ch.re.tolist(), ch.im.tolist()))
         assert total == table3.group.order
 
 

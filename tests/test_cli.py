@@ -121,6 +121,7 @@ def test_build_n3_content_hashes_pinned(built_n3):
 CHARTAB_SHA256 = {
     3: "78f75e063f01a32650837d3a4d4ae2484b7c104285835aef5a9243d89d5d7ec9",
     5: "1d6acd6ef36930d6759ec52d77035388cd2b201368d01a7de1db4577d2b8a00d",
+    7: "b6633b043fbf69981b2d19c32cdba3d829d261dad5f3680e322246b27ad20042",
 }
 
 

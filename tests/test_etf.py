@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linepack import FieldContext, GroupContext, RepContext, build_character_table
-from linepack.chartab import GaussianScaled
 from linepack.etf import (
     FrameMatrix,
+    _certify_gram,
+    _welch_pattern,
     closed_form_entry,
     first_mismatch,
     frame_blocks,
@@ -91,13 +92,11 @@ def test_entries_are_unit_gaussian_integers(group5, rep5):
 # ---------------------------------------------------------------------------
 
 def test_closed_form_cases_n3(field3):
-    diag = closed_form_entry(field3, (1, 3), (1, 3))
-    assert diag.as_fraction_pair() == (Fraction(7, 16), Fraction(0))
-    same_x = closed_form_entry(field3, (1, 3), (1, 5))
-    assert same_x.as_fraction_pair() == (Fraction(-1, 16), Fraction(0))
+    # numerators over 2^(n+1) = 16
+    assert closed_form_entry(field3, (1, 3), (1, 3)) == (7, 0)
+    assert closed_form_entry(field3, (1, 3), (1, 5)) == (-1, 0)
     # first-coordinate difference 1 with trace argument 1
-    entry = closed_form_entry(field3, (0, 0), (1, 0))
-    assert entry == GaussianScaled.make(0, 1, -4)
+    assert closed_form_entry(field3, (0, 0), (1, 0)) == (0, 1)
 
 
 def test_closed_form_conjugate_variant(field3, field5):
@@ -121,8 +120,7 @@ def test_closed_form_conjugate_variant(field3, field5):
             t_mine = field.trace(field.mul(w3inv, arg_mine))
             t_other = field.trace(field.mul(w3inv, arg_other))
             assert t_mine ^ t_other == 1
-            variant = GaussianScaled.make(0, -(1 - 2 * t_other), -(field.n + 1))
-            assert closed_form_entry(field, g, h) == variant
+            assert closed_form_entry(field, g, h) == (0, -(1 - 2 * t_other))
 
 
 def test_sign_bridge_identity(field3, field5):
@@ -214,6 +212,40 @@ def test_identity_gram_is_degenerate():
     cert = verify_gram(GaussianRationalMatrix.identity(8))
     assert cert.verdict == "NOT_ETF"
     assert "degenerate" in cert.failure
+
+
+def _mercedes(tamper=None):
+    # Parseval ETF of 3 vectors in dimension 2: diagonal 2/3, off-diagonal -1/3
+    parts = {"re": 3 * np.eye(3, dtype=np.int64) - 1, "im": np.zeros((3, 3), dtype=np.int64)}
+    if tamper:
+        part, where, value = tamper
+        parts[part][where] = value
+    return GaussianRationalMatrix(parts["re"], parts["im"], 3)
+
+
+@pytest.mark.parametrize("tamper, m, failure, off_sq, welch", [
+    (None, 2, None, Fraction(1, 9), Fraction(1, 9)),
+    (("re", (1, 1), 1), 2, "diagonal is not constant", None, None),
+    (("im", (2, 2), 1), 2, "diagonal is not constant", None, None),
+    (None, 1, "diagonal disagrees with m/N", None, None),
+    (("re", (0, 1), 0), 2, "off-diagonal modulus is not constant", None, None),
+    (("re", ~np.eye(3, dtype=bool), 0), 2,
+     "off-diagonal modulus misses the Welch value", Fraction(0), Fraction(1, 9)),
+])
+def test_certify_gram_failures(tamper, m, failure, off_sq, welch):
+    cert = _certify_gram(_mercedes(tamper), m, True, "gram", {})
+    assert cert.failure == failure
+    assert cert.verdict == ("OPTIMAL" if failure is None else "NOT_ETF")
+    assert cert.off_diag_modulus_sq == off_sq and cert.welch_sq_parseval == welch
+    # the sampled check runs the same pattern test on a principal submatrix
+    assert _welch_pattern(_mercedes(tamper), m, 3)[0] == failure
+
+
+def test_welch_pattern_passes_without_an_off_diagonal():
+    # one sampled column: nothing to compare beyond the diagonal
+    assert _welch_pattern(GaussianRationalMatrix([[7]], None, 16), 28, 64) == (None, None)
+    assert _welch_pattern(GaussianRationalMatrix([[5]], None, 16), 28, 64)[0] \
+        == "diagonal disagrees with m/N"
 
 
 def test_non_projection_gram_rejected():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linepack.search import (
@@ -131,18 +132,11 @@ def test_character_filter_order_mismatch(table3):
         character_sum_filter(SearchTuple(256, 30, 2, 120), table3)
 
 
-class _StubValue:
-    def __init__(self, sq):
-        self._sq = Fraction(sq)
-
-    def abs_sq(self):
-        return self._sq
-
-
 class _StubChar:
-    def __init__(self, degree, sqs):
+    def __init__(self, degree, re):
         self.degree = degree
-        self.values = [_StubValue(s) for s in sqs]
+        self.re = np.array(re, dtype=np.int64)
+        self.im = np.zeros_like(self.re)
 
 
 class _StubTable:
@@ -156,7 +150,7 @@ class _StubTable:
 
 
 def test_character_filter_rejects_vanishing_column():
-    chars = [_StubChar(2, [4, 0, 4]) for _ in range(7)]
+    chars = [_StubChar(2, [2, 0, 2]) for _ in range(7)]
     table = _StubTable(64, chars, 3)
     assert not character_sum_filter(suzuki_tuple(), table)
 
