@@ -260,14 +260,15 @@ def _welch_pattern(gram: GaussianRationalMatrix, m: int,
         return "diagonal disagrees with m/N", None
     if m >= num_vectors:
         return "degenerate: m = N leaves no off-diagonal angle", None
+    if m < 1:
+        return "degenerate: m < 1 spans no line", None
     sq, den = gram.abs_sq_int()
     off = sq[~np.eye(gram.shape[0], dtype=bool)]
     if off.size and off.min() != off.max():
         return "off-diagonal modulus is not constant", None
-    # before the empty off-diagonal passes: welch_bound_sq refuses m < 1
-    _, welch_par = welch_bound_sq(m, num_vectors)
     if off.size == 0:
         return None, None
+    _, welch_par = welch_bound_sq(m, num_vectors)
     off_sq = Fraction(int(off[0]), den)
     if off_sq != welch_par:
         return "off-diagonal modulus misses the Welch value", off_sq
@@ -311,8 +312,9 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
     """Exact certification of an N x N Gram matrix claimed to be a projection."""
     if gram.shape[0] != gram.shape[1]:
         raise ValueError("gram matrix must be square")
-    defect = None if not gram.is_hermitian() else first_mismatch(gram @ gram, gram)
-    projection = gram.is_hermitian() and defect is None
+    hermitian = gram.is_hermitian()
+    defect = first_mismatch(gram @ gram, gram) if hermitian else None
+    projection = hermitian and defect is None
     cross = {"projectionDefect": None if defect is None else list(defect)}
     tr_re, tr_im = gram.trace()
     if tr_im != 0 or tr_re.denominator != 1:
@@ -399,14 +401,40 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 # ---------------------------------------------------------------------------
 
 _HEADER = "LINEPACK-MATRIX v1"
+_CHUNK_ENTRIES = 1 << 16  # per chunk of rows: caps the writer's temporaries and the reader's index
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _write_rows(fh, entry: str, cols: int, rows: Iterable[tuple[np.ndarray, ...]]) -> None:
-    """One line per row: `cols` space-separated entries, entry j being `entry`
-    formatted with column j of each of the row's integer arrays."""
-    line = " ".join([entry] * cols) + "\n"
-    for parts in rows:
-        fh.write(line % tuple(np.stack(parts, axis=1).ravel().tolist()))
+def _chunk_rows(cols: int) -> int:
+    """Rows per chunk: 64 at the 1024 columns of n = 5, never fewer than one."""
+    return max(1, _CHUNK_ENTRIES // cols)
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of `a`, and the index of each entry among them."""
+    ordered = np.sort(a, axis=None)
+    values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return values, np.searchsorted(values, a)
+
+
+def _write_rows(fh, entry: str, real: np.ndarray, imag: np.ndarray,
+                columns=lambda re_part, im_part: (re_part, im_part)) -> None:
+    """One line per row of space-separated entries, entry (i, j) being `entry`
+    formatted with the int64 columns(real, imag) at (i, j).
+
+    Each chunk of rows finds its distinct (real, imag) pairs, formats each
+    of them once, and builds every line from that table of tokens.
+    """
+    step = _chunk_rows(real.shape[1])
+    for start in range(0, len(real), step):
+        rows = slice(start, start + step)
+        re_vals, re_ids = _distinct(real[rows])
+        im_vals, im_ids = _distinct(imag[rows])
+        codes, ids = _distinct(re_ids * len(im_vals) + im_ids)
+        parts = columns(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
+        text = " ".join([entry] * len(codes)) % tuple(np.stack(parts, axis=1).ravel().tolist())
+        tokens = np.array(text.split(" "), dtype=object)
+        fh.write("".join([" ".join(tokens[row]) + "\n" for row in ids]))
 
 
 def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
@@ -421,89 +449,96 @@ def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
             if i == 0:
                 fh.write(f"{_HEADER} rows={rows} cols={block.cols} "
                          f"scale_log2_num={block.log2_scale_sq} scale_log2_den=2\n")
-            _write_rows(fh, "%d;%d", block.cols, zip(block.re, block.im))
+            _write_rows(fh, "%d;%d", block.re, block.im)
 
 
 def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
     """Exact rational matrix: entries `p/q;r/s`, each fraction reduced."""
     g = gram.canonical()
+    den = g.den
+    if den > _INT64_MAX:
+        # refused before the file is opened, since the reader would reject the file
+        raise OverflowError(f"Gram denominator {den} is beyond int64")
     rows, cols = g.shape
 
-    def reduced_rows():
-        for re, im in zip(g.re, g.im):
-            gr, gi = np.gcd(re, g.den), np.gcd(im, g.den)
-            yield re // gr, g.den // gr, im // gi, g.den // gi
+    def reduced(re_part: np.ndarray, im_part: np.ndarray) -> tuple[np.ndarray, ...]:
+        gr, gi = np.gcd(re_part, den), np.gcd(im_part, den)
+        return re_part // gr, den // gr, im_part // gi, den // gi
 
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n")
-        _write_rows(fh, "%d/%d;%d/%d", cols, reduced_rows())
+        _write_rows(fh, "%d/%d;%d/%d", g.re, g.im, reduced)
 
 
 class MatrixParseError(ValueError):
     pass
 
 
-# every integer in a matrix file; the magnitude must also stay below 2^63
-_INT = r"[+-]?\d+"
+# every integer in a matrix file has at most 19 digits, as 2^63 does, so conversion
+# never meets int()'s 4300-digit limit; the magnitude must also stay below 2^63
+_INT = r"[+-]?\d{1,19}"
 _ENTRY = {False: ("a;b", f"{_INT};{_INT}"), True: ("p/q;r/s", f"{_INT}/{_INT};{_INT}/{_INT}")}
 _TO_SPACES = str.maketrans("/;", "  ")
-_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _parse_rows(lines: list[str], cols: int, rational: bool) -> Iterator[np.ndarray]:
-    """The integers of each row in file order, one int64 array per line, parsed lazily.
+def _parse_rows(lines: list[str], cols: int, rational: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's index into a table of the distinct entries, and that table:
+    one int64 row per distinct token, its integers (a, b) or (p, q, r, s).
 
     Each line must be exactly `cols` entries of the one grammar (every count
-    is checked before this returns); a value whose magnitude reaches 2^63 is
-    a parse error, so negation never wraps.
+    is checked before `cols` sizes anything).  Only the tokens a row adds to
+    the table are matched and converted; a value whose magnitude reaches
+    2^63 is a parse error, so negation never wraps.
     """
-    form, entry = _ENTRY[rational]
     for r, ln in enumerate(lines):
         found = ln.count(" ") + 1
         if found != cols:
             raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
-    # cols is now bounded by the file's line length, so it may size the pattern and the arrays
-    row_pattern = re.compile(f"{entry}(?: {entry}){{{cols - 1}}}")
+    # cols is now bounded by the file's line length, so it may size the index array
+    form, entry = _ENTRY[rational]
+    entries = re.compile(f"{entry}(?: {entry})*")
+    index: dict[str, int] = {}
+    table: list[np.ndarray] = []
+    size, step = 0, _chunk_rows(cols)
+    ids = np.empty((len(lines), cols), dtype=np.intp)
+    for r, ln in enumerate(lines):
+        if r % step == 0:
+            index.clear()  # bounds the index when entries do not repeat
+        toks = ln.split(" ")
+        new = list(set(toks).difference(index))
+        if new:
+            text = " ".join(new)
+            if not entries.fullmatch(text):
+                raise MatrixParseError(f"bad entry in row {r}: entries are integers {form}"
+                                       " of at most 19 digits")
+            try:
+                ints = np.array(text.translate(_TO_SPACES).split(" "), dtype=np.int64)
+            except OverflowError as exc:
+                raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
+            if (ints == -_INT64_MAX - 1).any():
+                raise MatrixParseError("entry magnitude 2**63 is beyond int64")
+            index.update(zip(new, range(size, size + len(new))))
+            size += len(new)
+            table.append(ints)
+        ids[r] = np.fromiter(map(index.__getitem__, toks), dtype=np.intp, count=cols)
+    return ids, np.concatenate(table).reshape(size, -1)
 
-    def parse(r: int, ln: str) -> np.ndarray:
-        if not row_pattern.fullmatch(ln):
-            raise MatrixParseError(f"bad entry in row {r}: entries are integers {form}")
-        try:
-            ints = np.array(ln.translate(_TO_SPACES).split(" "), dtype=np.int64)
-        except OverflowError as exc:
-            raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
-        if (ints == -_INT64_MAX - 1).any():
-            raise MatrixParseError("entry magnitude 2**63 is beyond int64")
-        return ints
 
-    return (parse(r, ln) for r, ln in enumerate(lines))
-
-
-def _over_common_denominator(rows: Iterator[np.ndarray], shape: tuple[int, int]
-                             ) -> tuple[np.ndarray, int]:
-    """Rows of interleaved fractions p q as integers over the lcm of the reduced q.
-
-    Each row is sign-normalised and reduced as it arrives, and scaled in a
-    second pass, so no temporary is larger than one row.
-    """
-    nums = np.empty(shape, dtype=np.int64)
-    dens = np.empty(shape, dtype=np.int64)
-    den = 1
-    for r, ints in enumerate(rows):
-        p, q = ints[0::2], ints[1::2]
-        if not q.all():
-            raise MatrixParseError("zero denominator")
-        g = np.gcd(p, q) * np.sign(q)  # the reduced denominator is positive
-        nums[r], dens[r] = p // g, q // g
-        den = math.lcm(den, *np.unique(dens[r]).tolist())
-        if den > _INT64_MAX:
-            raise MatrixParseError(f"common denominator {den} exceeds int64")
-    for num, row_den in zip(nums, dens):
-        factor = den // row_den
-        if (np.abs(num) > _INT64_MAX // factor).any():
-            raise MatrixParseError(f"entries over the common denominator {den} exceed int64")
-        num *= factor
-    return nums, den
+def _over_common_denominator(fractions: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows p q r s of fractions p/q;r/s as integer (re, im) rows over the lcm
+    of the reduced denominators, each fraction reduced once."""
+    p, q = fractions[:, 0::2], fractions[:, 1::2]
+    if not q.all():
+        raise MatrixParseError("zero denominator")
+    g = np.gcd(p, q) * np.sign(q)  # the reduced denominator is positive
+    p, q = p // g, q // g
+    den = math.lcm(*np.unique(q).tolist())
+    if den > _INT64_MAX:
+        raise MatrixParseError(f"common denominator {den} exceeds int64")
+    factor = den // q
+    if (np.abs(p) > _INT64_MAX // factor).any():
+        raise MatrixParseError(f"entries over the common denominator {den} exceed int64")
+    return p * factor, den
 
 
 def read_matrix_file(path):
@@ -528,8 +563,6 @@ def read_matrix_file(path):
     if len(lines) != rows:
         raise MatrixParseError(f"expected {rows} rows, found {len(lines)}")
     rational = "/" in lines[0].split(" ", 1)[0]
-    parsed = _parse_rows(lines, cols, rational)
-    del lines, body  # the text is freed once `parsed` yields its last row
     if not rational:
         if sden not in (1, 2):
             raise MatrixParseError("unsupported scale denominator")
@@ -539,10 +572,9 @@ def read_matrix_file(path):
         log2_scale_sq = snum * 2 // sden
         if -log2_scale_sq >= 63:
             raise MatrixParseError("frame inverse squared scale 2**-log2_scale_sq is beyond int64")
-        ints = np.fromiter(parsed, dtype=np.dtype((np.int64, 2 * cols)), count=rows)
-        return FrameMatrix(np.ascontiguousarray(ints[:, 0::2]),
-                           np.ascontiguousarray(ints[:, 1::2]), log2_scale_sq)
-    # entries interleave re and im: p/q;r/s puts numerators at even positions
-    scaled, den = _over_common_denominator(parsed, (rows, 2 * cols))
-    return GaussianRationalMatrix(np.ascontiguousarray(scaled[:, 0::2]),
-                                  np.ascontiguousarray(scaled[:, 1::2]), den)
+    ids, table = _parse_rows(lines, cols, rational)
+    del lines, body  # free the text before the full-size gathers
+    if not rational:
+        return FrameMatrix(table[ids, 0], table[ids, 1], log2_scale_sq)
+    values, den = _over_common_denominator(table)
+    return GaussianRationalMatrix(values[ids, 0], values[ids, 1], den)

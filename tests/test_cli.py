@@ -218,10 +218,11 @@ _HEAD = "LINEPACK-MATRIX v1 rows={} cols={} scale_log2_num={} scale_log2_den={}\
     _HEAD.format(1, 1, -2, 2) + "-9223372036854775808;0\n",
     _HEAD.format(1, 2, -2, 2) + "1;0  0;0\n",
     _HEAD.format(1, 18769302, -2, 2) + "1;0\n",
+    _HEAD.format(1, 1, -2, 2) + "1" * 5000 + ";0\n",
 ], ids=["missing-file", "zero-rows", "non-square-gram", "positive-frame-scale",
         "frame-entry-beyond-int64", "gram-denominator-beyond-int64", "not-ascii",
         "zero-denominator", "underscore-digits", "frame-entry-int64-min",
-        "double-space", "cols-beyond-the-row"])
+        "double-space", "cols-beyond-the-row", "entry-with-5000-digits"])
 def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "input.mat"
     if isinstance(content, str):
@@ -231,6 +232,19 @@ def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 2
     assert "linepack: " in err
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_verify_all_zero_gram_is_not_etf(tmp_path, capsys, size):
+    # a Hermitian projection of trace 0: no lines, so no Welch bound to meet
+    row = " ".join(["0/1;0/1"] * size)
+    path = tmp_path / "zero.mat"
+    path.write_text(_HEAD.format(size, size, 0, 1) + f"{row}\n" * size)
+    code, stdout, err = run(capsys, "verify", "--in", str(path))
+    assert code == 1
+    cert = json.loads(stdout)
+    assert (cert["verdict"], cert["m"], cert["parseval"]) == ("NOT_ETF", 0, True)
+    assert "degenerate" in cert["failure"] and "linepack: violation" in err
 
 
 _HEADER_FIELDS = ["rows", "cols", "scale_log2_num", "scale_log2_den"]

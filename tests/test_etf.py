@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepack import FieldContext, GroupContext, RepContext, build_character_table
+from linepack import FieldContext, GroupContext, RepContext, build_character_table, etf
 from linepack.etf import (
     FrameMatrix,
     _certify_gram,
@@ -404,6 +404,57 @@ def test_gram_writer_matches_fraction_reference(tmp_path_factory, data, rows, co
             want.append(f"{a.numerator}/{a.denominator};{b.numerator}/{b.denominator}")
         assert line.split(" ") == want
     assert read_matrix_file(path) == gram
+
+
+def test_gram_writer_refuses_a_denominator_beyond_int64(tmp_path):
+    path = tmp_path / "g.mat"
+    for den in (2 ** 63, 2 ** 63 + 1):
+        with pytest.raises(OverflowError, match="int64"):
+            write_gram_file(path, GaussianRationalMatrix([[1, 0]], None, den))
+        assert not path.exists()
+    # 2^63 - 1 still fits, and the file reads back
+    gram = GaussianRationalMatrix([[1, -2]], [[0, 3]], 2 ** 63 - 1)
+    write_gram_file(path, gram)
+    assert read_matrix_file(path) == gram
+
+
+def test_codec_crosses_row_chunks_with_distinct_entries(tmp_path, monkeypatch):
+    # 130 rows in chunks of 64, 64 and 2 rows, as n = 5's 1024 columns get them,
+    # while the Fraction reference stays small; almost every entry is distinct
+    rng = np.random.default_rng(8)
+    rows, cols, den = 130, 7, 3 * 2 ** 40
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 64 * cols)
+    assert etf._chunk_rows(cols) == 64
+
+    def draw(bound):
+        a = rng.integers(-bound, bound, size=(rows, cols), dtype=np.int64)
+        a[rng.random((rows, cols)) < 0.1] = 0
+        return a
+
+    gram = GaussianRationalMatrix(draw(2 ** 45), draw(2 ** 45), den)
+    write_gram_file(tmp_path / "g.mat", gram)
+    lines = (tmp_path / "g.mat").read_text(encoding="ascii").splitlines()
+    assert len(lines) == rows + 1
+    for i, line in enumerate(lines[1:]):
+        want = []
+        for j in range(cols):
+            a, b = (Fraction(int(p[i, j]), den) for p in (gram.re, gram.im))
+            want.append(f"{a.numerator}/{a.denominator};{b.numerator}/{b.denominator}")
+        assert line == " ".join(want)
+    assert read_matrix_file(tmp_path / "g.mat") == gram
+
+    frame = FrameMatrix(draw(2 ** 62), draw(2 ** 62), -6)
+    write_frame_file(tmp_path / "f.mat", rows, [frame])
+    blocks = [FrameMatrix(frame.re[a:b], frame.im[a:b], -6) for a, b in ((0, 50), (50, rows))]
+    write_frame_file(tmp_path / "f2.mat", rows, blocks)
+    assert (tmp_path / "f.mat").read_bytes() == (tmp_path / "f2.mat").read_bytes()
+    lines = (tmp_path / "f.mat").read_text(encoding="ascii").splitlines()
+    assert len(lines) == rows + 1
+    for i, line in enumerate(lines[1:]):
+        assert line == " ".join("%d;%d" % (frame.re[i, j], frame.im[i, j]) for j in range(cols))
+    back = read_matrix_file(tmp_path / "f.mat")
+    assert back.log2_scale_sq == -6
+    assert np.array_equal(back.re, frame.re) and np.array_equal(back.im, frame.im)
 
 
 def test_float_export_rounds(group3, rep3):
