@@ -84,9 +84,6 @@ class GroupContext:
     def index(self, g: Element) -> int:
         return (g[0] << self.field.n) | g[1]
 
-    def element(self, idx: int) -> Element:
-        return (idx >> self.field.n, idx & (self.field.order - 1))
-
     def elements(self):
         q = self.field.order
         for x in range(q):
@@ -175,20 +172,20 @@ class GroupContext:
     # vectorized index machinery
     # ------------------------------------------------------------------
 
-    def inverse_product_index_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Index of inv(g) * h on the grid rows x cols of element indices.
+    def inverse_product_index_grid(self, cols: np.ndarray) -> np.ndarray:
+        """Index of inv(g) * h for g, h in the selection `cols` of element indices.
 
         This is the argument on which every group-scheme matrix entry
         depends: the (g, h) entry of any matrix in the adjacency algebra
-        is a function of the class of inv(g) * h.
+        is a function of the class of inv(g) * h, and every Gram route
+        but the frame's is a row over the group gathered here.
         """
         f = self.field
         n, mask = f.n, f.order - 1
-        gx, gy = rows >> n, rows & mask
-        hx, hy = cols >> n, cols & mask
-        wx = gx[:, None] ^ hx[None, :]
-        wy = (gy ^ f.cube_table[gx])[:, None] ^ hy[None, :]
-        wy ^= f.mul_table[gx[:, None], f.square_table[hx][None, :]]
+        x, y = cols >> n, cols & mask
+        wx = x[:, None] ^ x[None, :]
+        wy = (y ^ f.cube_table[x])[:, None] ^ y[None, :]
+        wy ^= f.mul_table[x[:, None], f.square_table[x][None, :]]
         return (wx << n) | wy
 
     @cached_property
@@ -197,7 +194,7 @@ class GroupContext:
         if self.order > 1 << 10:
             raise ValueError("full index matrix is too large; use inverse_product_index_grid")
         idx = np.arange(self.order, dtype=np.int64)
-        return self.inverse_product_index_grid(idx, idx)
+        return self.inverse_product_index_grid(idx)
 
     def __repr__(self) -> str:
         return f"GroupContext(order={self.order}, field={self.field!r})"

@@ -31,7 +31,7 @@ bound proves each result an exact integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -74,6 +74,18 @@ def _strip_pow2(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     low = v & -v        # lowest set bit of re or im, whichever is lower
     log2 = np.where(v != 0, np.frexp(low)[1] - 1, 0)
     return re >> log2, im >> log2, log2
+
+
+def _is_diagonal(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray, b_im: np.ndarray,
+                 diagonal) -> bool:
+    """Whether (a_re + i a_im)(b_re + i b_im)^H is the real matrix diag(diagonal)."""
+    part = exact_matmul(a_re, b_re.T)
+    part += exact_matmul(a_im, b_im.T)
+    part.flat[::len(part) + 1] -= diagonal  # all zero exactly when the real part matches
+    if part.any():
+        return False
+    del part  # freed before the imaginary part is formed
+    return np.array_equal(exact_matmul(a_im, b_re.T), exact_matmul(a_re, b_im.T))
 
 
 def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
@@ -189,16 +201,10 @@ class CharacterTable:
         re, im = self.value_arrays
         w = np.array(self.class_sizes, dtype=np.int64)
         # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta
-        gram_re = exact_matmul(re * w, re.T) + exact_matmul(im * w, im.T)
-        gram_im = exact_matmul(im * w, re.T) - exact_matmul(re * w, im.T)
-        if not (np.array_equal(gram_re, order * np.eye(nchar, dtype=np.int64))
-                and not gram_im.any()):
+        if not _is_diagonal(re * w, im * w, re, im, order):
             raise AssertionError("row orthogonality fails")
         # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta
-        col_re = exact_matmul(re.T, re) + exact_matmul(im.T, im)
-        col_im = exact_matmul(re.T, im) - exact_matmul(im.T, re)
-        expect = np.diag(order // w)
-        if not (np.array_equal(col_re, expect) and not col_im.any()):
+        if not _is_diagonal(re.T, im.T, re.T, im.T, order // w):
             raise AssertionError("column orthogonality fails")
         # degree column at the identity class
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():
@@ -239,9 +245,12 @@ def build_character_table(group: GroupContext, rep: RepContext) -> CharacterTabl
     """Assemble and verify the full table: linear block, then "+", then "-"."""
     lin = linear_characters(group)
     plus, minus = nonlinear_characters(group, rep)
-    chars = tuple(lin + plus + minus)
     d_set = tuple(range(len(lin), len(lin) + len(plus)))
+    chars = lin + plus + minus
+    del lin, plus, minus
     arrays = (np.stack([ch.re for ch in chars]), np.stack([ch.im for ch in chars]))
+    # each character's row a view of the table, so the family arrays are freed
+    chars = tuple(replace(ch, re=re, im=im) for ch, re, im in zip(chars, *arrays))
     table = CharacterTable(group, group.conjugacy_classes, chars, d_set, arrays)
     table.verify()
     return table

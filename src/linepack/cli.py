@@ -198,8 +198,10 @@ def _verify_from_n(args) -> int:
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
         cert = etf.verify_frame(frame, gram=gram)
-        mismatches = etf._route_mismatches(gram, etf.gram_character(group, table),
-                                           etf.gram_closed_form(group))
+        cols = np.arange(group.order, dtype=np.int64)
+        mismatches = etf._route_mismatches({
+            "frame": gram, "character": etf.gram_character(group, table, cols),
+            "closedForm": etf.gram_closed_form(group, cols)})
         agree = all(v is None for v in mismatches.values())
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))
@@ -291,26 +293,20 @@ def cmd_gram(args) -> int:
     if bad or not methods:
         raise UsageError(f"unknown gram methods {sorted(bad)}; choose from {sorted(known)}")
     _, group, rep, table = _contexts(args.n)
-    mats = {}
-    for meth in methods:
-        if meth == "closed-form":
-            mats[meth] = etf.gram_closed_form(group)
-        elif meth == "character":
-            mats[meth] = etf.gram_character(group, table)
-        else:
-            mats[meth] = etf.gram_from_frame(etf.synthesize_frame(group, rep))
-    names = sorted(mats)
-    first = mats[names[0]]
-    for other in names[1:]:
-        bad_at = etf.first_mismatch(first, mats[other])
+    cols = np.arange(group.order, dtype=np.int64)
+    routes = {"character": lambda: etf.gram_character(group, table, cols),
+              "closed-form": lambda: etf.gram_closed_form(group, cols),
+              "frame": lambda: etf.gram_from_frame(etf.synthesize_frame(group, rep))}
+    mats = {meth: routes[meth]() for meth in sorted(set(methods))}
+    for pair, bad_at in etf._route_mismatches(mats).items():
         if bad_at is not None:
-            print(f"DISAGREE ({names[0]} vs {other}) at entry {bad_at}")
+            print(f"DISAGREE ({pair.replace('_vs_', ' vs ')}) at entry {bad_at}")
             raise VerificationFailure("gram routes disagree")
     entries = group.order ** 2
-    print(f"AGREE ({entries} entries)" if len(names) > 1
+    print(f"AGREE ({entries} entries)" if len(mats) > 1
           else f"OK ({entries} entries)")
     if args.out:
-        etf.write_gram_file(args.out, first)
+        etf.write_gram_file(args.out, next(iter(mats.values())))
     return 0
 
 

@@ -25,27 +25,31 @@ The Gram matrix of the frame is computed three independent ways:
       -1 / 2^(n+1)                          w = 0, z != 0
       i (-1)^tr(w^-3 z) / 2^(n+1)           w != 0.
 
-All three agree entrywise; verification is exact, with a sampled mode
-for sizes whose full Gram would not fit in memory.
+The two table routes are rows over the group, one value per element,
+and each Gram block is its row gathered at inv(g) h on one selection of
+columns; full verification selects every column.  The frame route never
+reads that index.  All three agree entrywise; verification is exact,
+with a sampled mode for sizes whose full Gram would not fit in memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import check_bound, exact_matmul, max_abs
+from .exact import exact_matmul
 from .gf2n import FieldContext
 from .heis import RepContext
-from .scheme import GaussianRationalMatrix
+from .scheme import GaussianRationalMatrix, first_mismatch
 
 __all__ = [
     "EtfCertificate",
@@ -132,16 +136,12 @@ def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
 
 def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
     """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else a bad index."""
-    scale_inv = 1 << -frame.log2_scale_sq
     re = exact_matmul(frame.re, frame.re.T)
     re += exact_matmul(frame.im, frame.im.T)
     im = exact_matmul(frame.im, frame.re.T)
     im -= exact_matmul(frame.re, frame.im.T)
-    target = scale_inv * np.eye(frame.rows, dtype=np.int64)
-    bad = np.argwhere((re != target) | (im != 0))
-    if len(bad):
-        return int(bad[0][0]), int(bad[0][1])
-    return None
+    return first_mismatch(GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq),
+                          GaussianRationalMatrix.identity(frame.rows))
 
 
 def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
@@ -153,42 +153,34 @@ def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
     return GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq).canonical()
 
 
+def _gathered(group: GroupContext, row: GaussianRationalMatrix,
+              cols: np.ndarray) -> GaussianRationalMatrix:
+    """Entry (g, h) is row(inv(g) h), for g and h in the column selection `cols`."""
+    at = group.inverse_product_index_grid(cols)
+    return GaussianRationalMatrix(row.re[at], row.im[at], row.den)
+
+
 def gram_character(group: GroupContext, table: CharacterTable,
-                   rows: np.ndarray | None = None,
-                   cols: np.ndarray | None = None) -> GaussianRationalMatrix:
+                   cols: np.ndarray) -> GaussianRationalMatrix:
     """Gram entries (1/N) sum_{chi in D} d_chi chi(inv(g) h) via table lookup."""
     # |sum| <= (q - 1) 4^k < 2^(2n), far inside int64 for every supported n
     re, im = table.value_arrays
     d_set = list(table.d_set)
     deg = np.array(table.degrees)[d_set, None]
-    vals_re, vals_im = (deg * re[d_set]).sum(axis=0), (deg * im[d_set]).sum(axis=0)
-    if rows is None:
-        w = group.inverse_product_index_matrix
-    else:
-        w = group.inverse_product_index_grid(rows, cols)
-    cls = group.class_of_element[w]
-    return GaussianRationalMatrix(vals_re[cls], vals_im[cls], group.order).canonical()
+    cls = group.class_of_element
+    row = GaussianRationalMatrix((deg * re[d_set]).sum(axis=0)[cls],
+                                 (deg * im[d_set]).sum(axis=0)[cls], group.order)
+    return _gathered(group, row.canonical(), cols)
 
 
-def gram_closed_form(group: GroupContext,
-                     rows: np.ndarray | None = None,
-                     cols: np.ndarray | None = None) -> GaussianRationalMatrix:
+def gram_closed_form(group: GroupContext, cols: np.ndarray) -> GaussianRationalMatrix:
     """Gram entries straight from the three-case field formula, vectorized."""
     f = group.field
-    n, mask = f.n, f.order - 1
-    if rows is None:
-        rows = np.arange(group.order, dtype=np.int64)
-        cols = rows
-    gx, gy = rows >> n, rows & mask
-    hx, hy = cols >> n, cols & mask
-    wx = gx[:, None] ^ hx[None, :]
-    z = (gy ^ f.cube_table[gx])[:, None] ^ hy[None, :]
-    z ^= f.mul_table[gx[:, None], f.square_table[hx][None, :]]
-    noncentral = wx != 0
-    t = f.trace_table[f.mul_table[f.inverse_cube_table[wx], z]].astype(np.int64)
-    re = np.where(noncentral, 0, np.where(z == 0, f.order - 1, -1))
-    im = np.where(noncentral, 1 - 2 * t, 0)
-    return GaussianRationalMatrix(re, im, f.order * 2)
+    w, z = np.divmod(np.arange(group.order), f.order)
+    t = f.trace_table[f.mul_table[f.inverse_cube_table[w], z]].astype(np.int64)
+    re = np.where(w != 0, 0, np.where(z == 0, f.order - 1, -1))
+    im = np.where(w != 0, 1 - 2 * t, 0)
+    return _gathered(group, GaussianRationalMatrix(re, im, f.order * 2), cols)
 
 
 def closed_form_entry(field: FieldContext, g, h) -> tuple[int, int]:
@@ -309,20 +301,23 @@ def verify_frame(frame: FrameMatrix,
 
 
 def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertificate:
-    """Exact certification of an N x N Gram matrix claimed to be a projection."""
+    """Exact certification of an N x N Gram matrix claimed to be a projection;
+    projectionDefect is the first entry that fails the named check."""
     if gram.shape[0] != gram.shape[1]:
         raise ValueError("gram matrix must be square")
-    hermitian = gram.is_hermitian()
-    defect = first_mismatch(gram @ gram, gram) if hermitian else None
-    projection = hermitian and defect is None
-    cross = {"projectionDefect": None if defect is None else list(defect)}
     tr_re, tr_im = gram.trace()
-    if tr_im != 0 or tr_re.denominator != 1:
-        projection = False
-        m = 0
-    else:
-        m = int(tr_re)
-    return _certify_gram(gram, m, projection, method, cross)
+    integral = tr_im == 0 and tr_re.denominator == 1
+    failure = None
+    defect = first_mismatch(gram, GaussianRationalMatrix(gram.re.T, -gram.im.T, gram.den))
+    if defect is not None:
+        failure = "Gram matrix is not Hermitian"
+    elif (defect := first_mismatch(gram @ gram, gram)) is not None:
+        failure = "Gram matrix is not a projection"
+    elif not integral:
+        failure = "Gram trace is not an integer"
+    cross = {"projectionDefect": None if defect is None else list(defect)}
+    cert = _certify_gram(gram, int(tr_re) if integral else 0, failure is None, method, cross)
+    return cert if failure is None else replace(cert, failure=failure)
 
 
 def verify_etf(obj) -> EtfCertificate:
@@ -337,26 +332,10 @@ def verify_etf(obj) -> EtfCertificate:
 # route agreement
 # ---------------------------------------------------------------------------
 
-def first_mismatch(a: GaussianRationalMatrix, b: GaussianRationalMatrix):
-    ac, bc = a.canonical(), b.canonical()
-    if ac.den == bc.den:
-        bad = np.argwhere((ac.re != bc.re) | (ac.im != bc.im))
-    else:
-        check_bound(max(max_abs(ac.re, ac.im) * bc.den, max_abs(bc.re, bc.im) * ac.den),
-                    "first_mismatch")
-        bad = np.argwhere(
-            (ac.re * bc.den != bc.re * ac.den) | (ac.im * bc.den != bc.im * ac.den))
-    return None if len(bad) == 0 else (int(bad[0][0]), int(bad[0][1]))
-
-
-def _route_mismatches(frame: GaussianRationalMatrix, character: GaussianRationalMatrix,
-                      closed: GaussianRationalMatrix) -> dict:
-    """First mismatching entry of each pair of Gram routes, None where they agree."""
-    return {
-        "frame_vs_character": first_mismatch(frame, character),
-        "frame_vs_closedForm": first_mismatch(frame, closed),
-        "character_vs_closedForm": first_mismatch(character, closed),
-    }
+def _route_mismatches(routes: dict[str, GaussianRationalMatrix]) -> dict:
+    """First mismatching entry of each pair of named Gram routes, None where they agree."""
+    return {f"{a}_vs_{b}": first_mismatch(routes[a], routes[b])
+            for a, b in itertools.combinations(routes, 2)}
 
 
 def _isqrt_ceil(x: int) -> int:
@@ -379,13 +358,13 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     ncols = min(group.order, _isqrt_ceil(min_entries))
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
 
-    g_frame = gram_from_frame(_synthesize_columns(group, rep, sel))
-    g_char = gram_character(group, table, sel, sel)
-    g_closed = gram_closed_form(group, sel, sel)
-    mismatches = _route_mismatches(g_frame, g_char, g_closed)
+    routes = {"frame": gram_from_frame(_synthesize_columns(group, rep, sel)),
+              "character": gram_character(group, table, sel),
+              "closedForm": gram_closed_form(group, sel)}
+    mismatches = _route_mismatches(routes)
 
     m, num = frame_dimensions(group.field.n)
-    pattern_fail, _ = _welch_pattern(g_closed, m, num)
+    pattern_fail, _ = _welch_pattern(routes["closedForm"], m, num)
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),

@@ -98,9 +98,7 @@ class GaussianRationalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRationalMatrix):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return (a.den == b.den and np.array_equal(a.re, b.re)
-                and np.array_equal(a.im, b.im))
+        return self.shape == other.shape and first_mismatch(self, other) is None
 
     def entry(self, i: int, j: int) -> tuple[Fraction, Fraction]:
         return (Fraction(int(self.re[i, j]), self.den),
@@ -129,8 +127,10 @@ class GaussianRationalMatrix:
         return GaussianRationalMatrix(self.re, -self.im, self.den)
 
     def _rescaled(self, den: int) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) over `den`, a multiple of self.den."""
+        """(re, im) over `den`, a multiple of self.den; the arrays themselves at den."""
         s = den // self.den
+        if s == 1:
+            return self.re, self.im
         check_bound(self.max_abs() * s, "rescale to a common denominator")
         return self.re * s, self.im * s
 
@@ -166,6 +166,24 @@ class GaussianRationalMatrix:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""
         check_bound(self.max_abs() ** 2, "abs_sq_int")
         return self.re * self.re + self.im * self.im, self.den * self.den
+
+
+def first_mismatch(a: GaussianRationalMatrix,
+                   b: GaussianRationalMatrix) -> tuple[int, int] | None:
+    """The first entry, row-major, where two matrices of one shape differ, or None.
+
+    They are compared over the lcm of their denominators, 64 rows at a
+    time: neither is reduced first, one already at the lcm is read in
+    place, and a rescaled copy never exceeds 64 rows.
+    """
+    for start in range(0, a.shape[0], 64):
+        rows = slice(start, start + 64)
+        ar, ai, br, bi, _ = GaussianRationalMatrix(a.re[rows], a.im[rows], a.den)._aligned(
+            GaussianRationalMatrix(b.re[rows], b.im[rows], b.den))
+        bad = np.argwhere((ar != br) | (ai != bi))
+        if len(bad):
+            return start + int(bad[0][0]), int(bad[0][1])
+    return None
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 
@@ -173,3 +174,24 @@ def test_scaling_automorphism_permutes_classes_n3(group3):
             assert image in class_sets
         assert frozenset(group3.scaling_automorphism(gamma, g) for g in central) == central
 
+
+
+def _inverse_products(group, cols):
+    """inv(g) * h on the selection, one scalar group operation per pair (oracle)."""
+    elems = [(int(c) >> group.field.n, int(c) & (group.field.order - 1)) for c in cols]
+    return np.array([[group.index(group.mul(group.inv(g), h)) for h in elems]
+                     for g in elems])
+
+
+def test_inverse_product_index_grid_n3(group3):
+    cols = np.arange(group3.order)
+    assert np.array_equal(group3.inverse_product_index_grid(cols),
+                          _inverse_products(group3, cols))
+    assert np.array_equal(group3.inverse_product_index_matrix,
+                          _inverse_products(group3, cols))
+
+
+def test_inverse_product_index_grid_sampled_n5(group5):
+    cols = np.array(sorted(random.Random(9).sample(range(group5.order), 40)))
+    assert np.array_equal(group5.inverse_product_index_grid(cols),
+                          _inverse_products(group5, cols))

@@ -89,6 +89,21 @@ def test_build_n5(tmp_path, capsys):
     assert cert["offDiagModulusSquared"] == "1/4096"
     header = (out / "frame.mat").read_text().splitlines()[0]
     assert "rows=496" in header and "cols=1024" in header
+    for name, digest in BUILD_N5_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    code, stdout, _ = run(capsys, "verify", "--in", str(out / "gram.mat"))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == VERIFY_GRAM_N5_SHA256
+
+
+# sha256 of the `build --n 5` content files and of `verify --in gram.mat` stdout,
+# the same references the benchmark checks its n = 5 runs against
+BUILD_N5_SHA256 = {
+    "frame.mat": "975b80bb6ae7387987a2264cf40834fbbf30d851af34645a1f610e6cf31ef84a",
+    "gram.mat": "f9663feaa7f8650b87261210fb1567ef44a0457c6933629d800a90dbd60dca6c",
+    "certificate.json": "805750fcc79ae86bdbf97a18caa5b2ff3dcc4c1d41212a1e0fe2ff1504cea36a",
+}
+VERIFY_GRAM_N5_SHA256 = "912e7c9e4b6cdb2293405fbff58c9091057bbc3641fb1166137cc5fb814c432c"
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +208,23 @@ def test_verify_tampered_gram(built_n3, tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == 1
     assert "at entry" in err
+
+
+def test_verify_non_hermitian_gram_names_the_check_and_entry(built_n3, tmp_path, capsys):
+    # entry (0, 1) keeps its modulus and the trace stays 28; its mirror is left as it was
+    lines = (built_n3 / "gram.mat").read_text().splitlines()
+    tokens = lines[1].split(" ")
+    assert tokens[1] == "-1/16;0/1"
+    tokens[1] = "0/1;1/16"
+    lines[1] = " ".join(tokens)
+    bad = tmp_path / "non_hermitian.mat"
+    bad.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run(capsys, "verify", "--in", str(bad))
+    assert code == 1
+    cert = json.loads(stdout)
+    assert cert["failure"] == "Gram matrix is not Hermitian"
+    assert cert["crossChecks"]["projectionDefect"] == [0, 1]
+    assert "not Hermitian at entry (0, 1)" in err
 
 
 def test_verify_parse_failure(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_three_way_detects_an_element_in_the_sibling_coset():
 
 
 def test_gram_properties_n3(group3, table3):
-    gram = gram_character(group3, table3)
+    gram = gram_character(group3, table3, np.arange(64))
     assert gram.is_hermitian()
     assert gram.is_idempotent()
     assert gram.trace() == (Fraction(28), Fraction(0))
@@ -179,13 +179,13 @@ def test_three_way_sampled_n3(group3, table3, rep3):
 
 
 def test_sampled_grid_matches_full_gram_n3(group3, table3):
-    full = gram_closed_form(group3)
+    full = gram_closed_form(group3, np.arange(64))
     sel = np.array([0, 3, 17, 40, 63], dtype=np.int64)
-    block = gram_closed_form(group3, sel, sel)
+    block = gram_closed_form(group3, sel)
     for i, a in enumerate(sel):
         for j, b in enumerate(sel):
             assert block.entry(i, j) == full.entry(int(a), int(b))
-    block_c = gram_character(group3, table3, sel, sel)
+    block_c = gram_character(group3, table3, sel)
     for i in range(len(sel)):
         for j in range(len(sel)):
             assert block_c.entry(i, j) == block.entry(i, j)
@@ -252,7 +252,7 @@ def test_non_projection_gram_rejected():
     bad = GaussianRationalMatrix(np.eye(4, dtype=np.int64) * 2)
     cert = verify_gram(bad)
     assert cert.verdict == "NOT_ETF"
-    assert cert.failure == "parseval identity fails"
+    assert cert.failure == "Gram matrix is not a projection"
 
 
 def test_tampered_frame_detected(group3, rep3):
@@ -268,7 +268,7 @@ def test_tampered_frame_detected(group3, rep3):
 
 def test_wrong_modulus_gram_fails_welch(group3, table3):
     # zero out one off-diagonal pair: stays Hermitian but no longer flat
-    gram = gram_character(group3, table3)
+    gram = gram_character(group3, table3, np.arange(64))
     re, im = gram.re.copy(), gram.im.copy()
     re[0, 1] = im[0, 1] = re[1, 0] = im[1, 0] = 0
     cert = verify_gram(GaussianRationalMatrix(re, im, gram.den))
@@ -277,7 +277,7 @@ def test_wrong_modulus_gram_fails_welch(group3, table3):
 
 def test_verify_etf_dispatch(group3, rep3, table3):
     assert verify_etf(synthesize_frame(group3, rep3)).verdict == "OPTIMAL"
-    assert verify_etf(gram_character(group3, table3)).verdict == "OPTIMAL"
+    assert verify_etf(gram_character(group3, table3, np.arange(64))).verdict == "OPTIMAL"
     with pytest.raises(TypeError):
         verify_etf(np.eye(3))
 
@@ -289,6 +289,66 @@ def test_srg_gram_certifies(scheme3):
     assert cert.verdict == "OPTIMAL"
     assert cert.m == 6 and cert.num_vectors == 16
     assert cert.off_diag_modulus_sq == Fraction(1, 64)
+
+
+def test_closed_form_gram_equals_scalar_entry_n3(group3, field3):
+    gram = gram_closed_form(group3, np.arange(64))
+    elems = list(group3.elements())
+    for i, g in enumerate(elems):
+        for j, h in enumerate(elems):
+            re, im = closed_form_entry(field3, g, h)
+            assert gram.entry(i, j) == (Fraction(re, 16), Fraction(im, 16))
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two small Gaussian rational matrices of one shape with unreduced
+    denominators: b is a rescaled copy of a with a few entries nudged, or
+    unrelated to a."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ints = st.lists(st.integers(-40, 40), min_size=rows * cols, max_size=rows * cols)
+
+    def part():
+        return np.array(draw(ints), dtype=np.int64).reshape(rows, cols)
+
+    a = GaussianRationalMatrix(part(), part(), draw(st.integers(1, 48)))
+    if draw(st.booleans()):
+        return a, GaussianRationalMatrix(part(), part(), draw(st.integers(1, 48)))
+    scale = draw(st.integers(1, 12))
+    re, im = a.re * scale, a.im * scale
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from([re, im]))
+        target[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += \
+            draw(st.integers(-3, 3))
+    return a, GaussianRationalMatrix(re, im, a.den * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_pairs())
+def test_first_mismatch_is_the_row_major_fraction_scan(pair):
+    a, b = pair
+    rows, cols = a.shape
+    want = next(((i, j) for i in range(rows) for j in range(cols)
+                 if a.entry(i, j) != b.entry(i, j)), None)
+    assert first_mismatch(a, b) == want
+    assert first_mismatch(b, a) == want
+    assert (a == b) is (want is None)
+    # a one-row a broadcasts against the taller matrix, so only the shape check tells them apart
+    tall = GaussianRationalMatrix(np.vstack([a.re, a.re]), np.vstack([a.im, a.im]), a.den)
+    assert a != tall and tall != a
+
+
+def test_first_mismatch_crosses_row_chunks():
+    # 64 rows are compared at a time; the row index must count the rows before
+    rng = np.random.default_rng(3)
+    re, im = rng.integers(-9, 10, (150, 5)), rng.integers(-9, 10, (150, 5))
+    a = GaussianRationalMatrix(re, im, 6)
+    b = GaussianRationalMatrix(re * 4, im * 4, 24)
+    assert first_mismatch(a, b) is None and a == b
+    for row in (0, 63, 64, 100, 149):
+        nudged = b.im.copy()
+        nudged[row, 3] += 1
+        assert first_mismatch(a, GaussianRationalMatrix(b.re, nudged, 24)) == (row, 3)
 
 
 def test_first_mismatch_refuses_to_wrap():
@@ -333,7 +393,7 @@ def test_frame_file_roundtrip(tmp_path, group3, rep3):
 
 
 def test_gram_file_roundtrip(tmp_path, group3, table3):
-    gram = gram_character(group3, table3)
+    gram = gram_character(group3, table3, np.arange(64))
     path = tmp_path / "gram.mat"
     write_gram_file(path, gram)
     back = read_matrix_file(path)
