@@ -36,7 +36,6 @@ from .scheme import (
     gram_projector,
     group_scheme,
     hyperdiff_check,
-    krein_parameters,
     srg_scheme,
 )
 from .search import SearchTuple, enumerate_tuples
@@ -68,7 +67,6 @@ __all__ = [
     "group_scheme",
     "heisenberg_generators",
     "hyperdiff_check",
-    "krein_parameters",
     "srg_scheme",
     "synthesize_frame",
     "three_way_sampled",

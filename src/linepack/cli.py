@@ -13,8 +13,9 @@ srg      build the 2-class scheme of a strongly regular graph and
          certify the ETF cut out by its designated idempotent
 
 Exit codes: 0 success / verified, 1 mathematical violation, 2 usage or
-parse error, 3 internal error (any other exception, such as an int64
-bound that `exact.check_bound` refuses); a crash never exits 1.
+parse error or a path that cannot be read or written, 3 internal error
+(any other exception, such as an int64 bound that `exact.check_bound`
+refuses); a crash never exits 1.
 
 `--threads` caps the threads of numpy's OpenBLAS for the run.  Content
 files contain no timestamps and identical invocations produce
@@ -170,10 +171,7 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_from_file(args) -> int:
-    try:
-        mat = etf.read_matrix_file(args.infile)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.infile}: {exc.strerror}") from exc
+    mat = etf.read_matrix_file(args.infile)
     if isinstance(mat, scheme.GaussianRationalMatrix) and mat.shape[0] != mat.shape[1]:
         raise UsageError(f"a Gram matrix must be square, got {mat.shape[0]}x{mat.shape[1]}")
     cert = etf.verify_etf(mat)
@@ -198,10 +196,10 @@ def _verify_from_n(args) -> int:
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
         cert = etf.verify_frame(frame, gram=gram)
-        cols = np.arange(group.order, dtype=np.int64)
+        at = group.inverse_product_index_matrix
         mismatches = etf._route_mismatches({
-            "frame": gram, "character": etf.gram_character(group, table, cols),
-            "closedForm": etf.gram_closed_form(group, cols)})
+            "frame": gram, "character": etf.gram_character(group, table, at),
+            "closedForm": etf.gram_closed_form(group, at)})
         agree = all(v is None for v in mismatches.values())
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))
@@ -293,11 +291,13 @@ def cmd_gram(args) -> int:
     if bad or not methods:
         raise UsageError(f"unknown gram methods {sorted(bad)}; choose from {sorted(known)}")
     _, group, rep, table = _contexts(args.n)
-    cols = np.arange(group.order, dtype=np.int64)
-    routes = {"character": lambda: etf.gram_character(group, table, cols),
-              "closed-form": lambda: etf.gram_closed_form(group, cols),
+    at = group.inverse_product_index_matrix
+    routes = {"character": lambda: etf.gram_character(group, table, at),
+              "closed-form": lambda: etf.gram_closed_form(group, at),
               "frame": lambda: etf.gram_from_frame(etf.synthesize_frame(group, rep))}
-    mats = {meth: routes[meth]() for meth in sorted(set(methods))}
+    # the frame route runs first, before the index grid is cached on the group
+    built = {meth: routes[meth]() for meth in sorted(set(methods), key=lambda m: m != "frame")}
+    mats = {meth: built[meth] for meth in sorted(built)}
     for pair, bad_at in etf._route_mismatches(mats).items():
         if bad_at is not None:
             print(f"DISAGREE ({pair.replace('_vs_', ' vs ')}) at entry {bad_at}")
@@ -424,6 +424,11 @@ def main(argv=None) -> int:
         return 2
     except etf.MatrixParseError as exc:
         _emit_error("parse", str(exc), args.json_errors)
+        return 2
+    except OSError as exc:
+        # a path that cannot be read or written, such as --out naming a file or a missing directory
+        where = f"{exc.filename}: " if exc.filename else ""
+        _emit_error("usage", f"{where}{exc.strerror or exc}", args.json_errors)
         return 2
     except VerificationFailure as exc:
         _emit_error("violation", str(exc), args.json_errors)

@@ -153,15 +153,14 @@ def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
     return GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq).canonical()
 
 
-def _gathered(group: GroupContext, row: GaussianRationalMatrix,
-              cols: np.ndarray) -> GaussianRationalMatrix:
-    """Entry (g, h) is row(inv(g) h), for g and h in the column selection `cols`."""
-    at = group.inverse_product_index_grid(cols)
+def _gathered(row: GaussianRationalMatrix, at: np.ndarray) -> GaussianRationalMatrix:
+    """Entry (g, h) is row(inv(g) h), read at the index grid `at` of a column
+    selection (`GroupContext.inverse_product_index_grid`)."""
     return GaussianRationalMatrix(row.re[at], row.im[at], row.den)
 
 
 def gram_character(group: GroupContext, table: CharacterTable,
-                   cols: np.ndarray) -> GaussianRationalMatrix:
+                   at: np.ndarray) -> GaussianRationalMatrix:
     """Gram entries (1/N) sum_{chi in D} d_chi chi(inv(g) h) via table lookup."""
     # |sum| <= (q - 1) 4^k < 2^(2n), far inside int64 for every supported n
     re, im = table.value_arrays
@@ -170,17 +169,17 @@ def gram_character(group: GroupContext, table: CharacterTable,
     cls = group.class_of_element
     row = GaussianRationalMatrix((deg * re[d_set]).sum(axis=0)[cls],
                                  (deg * im[d_set]).sum(axis=0)[cls], group.order)
-    return _gathered(group, row.canonical(), cols)
+    return _gathered(row.canonical(), at)
 
 
-def gram_closed_form(group: GroupContext, cols: np.ndarray) -> GaussianRationalMatrix:
+def gram_closed_form(group: GroupContext, at: np.ndarray) -> GaussianRationalMatrix:
     """Gram entries straight from the three-case field formula, vectorized."""
     f = group.field
     w, z = np.divmod(np.arange(group.order), f.order)
     t = f.trace_table[f.mul_table[f.inverse_cube_table[w], z]].astype(np.int64)
     re = np.where(w != 0, 0, np.where(z == 0, f.order - 1, -1))
     im = np.where(w != 0, 1 - 2 * t, 0)
-    return _gathered(group, GaussianRationalMatrix(re, im, f.order * 2), cols)
+    return _gathered(GaussianRationalMatrix(re, im, f.order * 2), at)
 
 
 def closed_form_entry(field: FieldContext, g, h) -> tuple[int, int]:
@@ -357,10 +356,11 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     rng = random.Random(seed)
     ncols = min(group.order, _isqrt_ceil(min_entries))
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
-
-    routes = {"frame": gram_from_frame(_synthesize_columns(group, rep, sel)),
-              "character": gram_character(group, table, sel),
-              "closedForm": gram_closed_form(group, sel)}
+    routes = {"frame": gram_from_frame(_synthesize_columns(group, rep, sel))}
+    # one index grid for both table routes, built after the frame route's peak
+    at = group.inverse_product_index_grid(sel)
+    routes |= {"character": gram_character(group, table, at),
+               "closedForm": gram_closed_form(group, at)}
     mismatches = _route_mismatches(routes)
 
     m, num = frame_dimensions(group.field.n)

@@ -78,15 +78,6 @@ class MonomialMatrix:
     def times_i_power(self, e: int) -> "MonomialMatrix":
         return MonomialMatrix(self.perm, tuple((p + e) % 4 for p in self.iexp))
 
-    def inverse(self) -> "MonomialMatrix":
-        """Conjugate transpose, which is the inverse for unitary monomials."""
-        perm = [0] * self.size
-        iexp = [0] * self.size
-        for r, c in enumerate(self.perm):
-            perm[c] = r
-            iexp[c] = (-self.iexp[r]) % 4
-        return MonomialMatrix(tuple(perm), tuple(iexp))
-
     def trace(self) -> tuple[int, int]:
         """Trace as a Gaussian integer (re, im)."""
         re = im = 0

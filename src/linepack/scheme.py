@@ -20,6 +20,12 @@ Two constructions are provided:
   integer eigenvalues, with idempotents in closed form from the
   parameters (conference-graph parameter sets are rejected).
 
+Idempotents are built on demand from `idempotent_builder`, never held
+as a list: the group scheme at n = 5 has 94 of them, 1024 x 1024 each,
+about 1.5 GB together.  The Krein tensor q_ijk is computed over i <= j
+only and mirrored, since E_i o E_j and E_j o E_i are the same integer
+arrays; q_ijk = q_jik therefore holds by construction, not by a check.
+
 A subset D of idempotent indices is a hyperdifference set when the sum
 G_D of its idempotents has off-diagonal entries of constant modulus;
 G_D is then the Gram matrix of an equiangular tight frame.  The check
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -48,7 +55,6 @@ __all__ = [
     "gram_projector",
     "group_scheme",
     "hyperdiff_check",
-    "krein_parameters",
     "lattice_graph_adjacency",
     "srg_scheme",
 ]
@@ -72,10 +78,6 @@ class GaussianRationalMatrix:
     @staticmethod
     def identity(n: int, den: int = 1) -> "GaussianRationalMatrix":
         return GaussianRationalMatrix(den * np.eye(n, dtype=np.int64), None, den)
-
-    @staticmethod
-    def ones(n: int, den: int = 1) -> "GaussianRationalMatrix":
-        return GaussianRationalMatrix(np.ones((n, n), dtype=np.int64), None, den)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -117,15 +119,6 @@ class GaussianRationalMatrix:
         im += exact_matmul(self.im, other.re)
         return GaussianRationalMatrix(re, im, self.den * other.den)
 
-    def hadamard(self, other: "GaussianRationalMatrix") -> "GaussianRationalMatrix":
-        check_bound(self.max_abs() * other.max_abs(), "hadamard")
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return GaussianRationalMatrix(re, im, self.den * other.den)
-
-    def conjugate(self) -> "GaussianRationalMatrix":
-        return GaussianRationalMatrix(self.re, -self.im, self.den)
-
     def _rescaled(self, den: int) -> tuple[np.ndarray, np.ndarray]:
         """(re, im) over `den`, a multiple of self.den; the arrays themselves at den."""
         s = den // self.den
@@ -146,21 +139,10 @@ class GaussianRationalMatrix:
         ar, ai, br, bi, den = self._aligned(other)
         return GaussianRationalMatrix(ar - br, ai - bi, den)
 
-    def scale(self, num: int, den: int = 1) -> "GaussianRationalMatrix":
-        check_bound(self.max_abs() * abs(num), "scale")
-        if num < 0:
-            num, self_re, self_im = -num, -self.re, -self.im
-        else:
-            self_re, self_im = self.re, self.im
-        return GaussianRationalMatrix(self_re * num, self_im * num, self.den * den).canonical()
-
     # -- predicates -------------------------------------------------------
 
     def is_hermitian(self) -> bool:
         return np.array_equal(self.re, self.re.T) and np.array_equal(self.im, -self.im.T)
-
-    def is_idempotent(self) -> bool:
-        return (self @ self) == self
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""
@@ -203,7 +185,6 @@ class SchemeDescriptor:
     idempotent_builder: Callable[[int], GaussianRationalMatrix]
     kind: str
     meta: dict = field(default_factory=dict)
-    _krein: list | None = None
 
     @property
     def class_count(self) -> int:
@@ -258,10 +239,7 @@ class SchemeDescriptor:
         have trace equal to their recorded ranks."""
         n = self.size
         idems = [self.idempotent(j) for j in range(self.class_count)]
-        total = idems[0]
-        for e in idems[1:]:
-            total = total + e
-        if total != GaussianRationalMatrix.identity(n):
+        if gram_projector(self, range(self.class_count)) != GaussianRationalMatrix.identity(n):
             raise AssertionError("idempotents do not sum to the identity")
         for j, ej in enumerate(idems):
             if not ej.is_hermitian():
@@ -277,14 +255,15 @@ class SchemeDescriptor:
 
     # -- Krein parameters ---------------------------------------------------
 
+    @cached_property
     def krein(self) -> list[list[list[Fraction]]]:
-        """Krein tensor q[i][j][k], computed once by exact trace pairings.
+        """Krein tensor q[i][j][k] by exact trace pairings; raises on any q < 0.
 
         E_i o E_j = (1/n) sum_k q_ijk E_k, so q_ijk = n tr((E_i o E_j) E_k) / m_k.
+        Each unordered pair {i, j} is paired once and written to both
+        q[i][j] and q[j][i] (see the module docstring).
         Materializes all idempotents; meant for small schemes.
         """
-        if self._krein is not None:
-            return self._krein
         n, d1 = self.size, self.class_count
         idems = [self.idempotent(j) for j in range(d1)]
         den = math.lcm(*(e.den for e in idems))
@@ -296,7 +275,7 @@ class SchemeDescriptor:
         check_bound(max_abs(flat_re, flat_im) ** 2, "Krein Hadamard products")
         q: list[list[list[Fraction]]] = [[[Fraction(0)] * d1 for _ in range(d1)] for _ in range(d1)]
         for i in range(d1):
-            for j in range(d1):
+            for j in range(i, d1):
                 had_re = flat_re[i] * flat_re[j] - flat_im[i] * flat_im[j]
                 had_im = flat_re[i] * flat_im[j] + flat_im[i] * flat_re[j]
                 tr_re = exact_matmul(flat_re_t, had_re) - exact_matmul(flat_im_t, had_im)
@@ -309,18 +288,8 @@ class SchemeDescriptor:
                     if val < 0:
                         raise AssertionError(
                             f"Krein condition violated: q[{i}][{j}][{k}] = {val} < 0")
-                    q[i][j][k] = val
-        self._krein = q
+                    q[i][j][k] = q[j][i][k] = val
         return q
-
-    def krein_b(self, d_subset: tuple[int, ...]) -> list[Fraction]:
-        """b_k = sum over i, j in D of q_{i, dual(j)}^k."""
-        q = self.krein()
-        return [
-            sum((q[i][self.duality[j]][k] for i in d_subset for j in d_subset),
-                start=Fraction(0))
-            for k in range(self.class_count)
-        ]
 
     def summary_json(self) -> dict:
         return {
@@ -331,18 +300,6 @@ class SchemeDescriptor:
             "ranks": list(self.ranks),
             **{k: v for k, v in self.meta.items() if isinstance(v, (int, str, list))},
         }
-
-
-def krein_parameters(scheme: SchemeDescriptor) -> list[list[list[Fraction]]]:
-    """Exact Krein tensor; also checks nonnegativity and i/j symmetry."""
-    q = scheme.krein()
-    d1 = scheme.class_count
-    for i in range(d1):
-        for j in range(d1):
-            for k in range(d1):
-                if q[i][j][k] != q[j][i][k]:
-                    raise AssertionError("Krein tensor is not symmetric in its lower indices")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +368,11 @@ def hyperdiff_check(scheme: SchemeDescriptor, d_subset) -> HyperdiffReport:
     off = sq[~np.eye(n, dtype=bool)]
     flat = bool(off.min() == off.max())
 
-    b = tuple(scheme.krein_b(d_subset))
+    # b_k = sum over i, j in D of q_{i, dual(j)}^k
+    q = scheme.krein
+    b = tuple(sum((q[i][scheme.duality[j]][k] for i in d_subset for j in d_subset),
+                  start=Fraction(0))
+              for k in range(scheme.class_count))
     tail = b[1:]
     flat_krein = all(v == tail[0] for v in tail) if tail else True
     if flat != flat_krein:

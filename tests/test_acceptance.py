@@ -18,7 +18,6 @@ from linepack import (
     enumerate_tuples,
     gram_projector,
     hyperdiff_check,
-    krein_parameters,
     srg_scheme,
     three_way_sampled,
     verify_gram,
@@ -114,7 +113,7 @@ def test_criterion_4_scheme_axioms_and_krein(scheme3, table3, capsys):
     with capsys.disabled():
         scheme3.verify_axioms()        # (A1)-(A5), exact
         scheme3.verify_idempotents()   # idempotent, orthogonal, sum to I
-        krein_parameters(scheme3)      # raises if any q < 0 or asymmetric
+        scheme3.krein                  # raises if any q < 0
         rep = hyperdiff_check(scheme3, table3.d_set)
         ok = rep.is_hyperdifference
         ok &= all(b == 12 for b in rep.b[1:])

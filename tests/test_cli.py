@@ -266,6 +266,23 @@ def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     assert "linepack: " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "3", "--out", "FILE"],
+    ["srg", "--v", "16", "--k", "6", "--lambda", "2", "--mu", "2", "--out", "FILE"],
+    ["gram", "--n", "3", "--out", "MISSING/x"],
+    ["search", "--max-order", "10", "--out", "MISSING/x"],
+    ["chartab", "--n", "3", "--out", "MISSING/x"],
+], ids=["build", "srg", "gram", "search", "chartab"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    existing = tmp_path / "file"
+    existing.write_text("")
+    paths = {"FILE": str(existing), "MISSING/x": str(tmp_path / "missing" / "x")}
+    argv = [paths.get(tok, tok) for tok in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"linepack: usage: {argv[-1]}" in err
+
+
 @pytest.mark.parametrize("size", [1, 4])
 def test_verify_all_zero_gram_is_not_etf(tmp_path, capsys, size):
     # a Hermitian projection of trace 0: no lines, so no Welch bound to meet

@@ -162,9 +162,9 @@ def test_three_way_detects_an_element_in_the_sibling_coset():
 
 
 def test_gram_properties_n3(group3, table3):
-    gram = gram_character(group3, table3, np.arange(64))
+    gram = gram_character(group3, table3, group3.inverse_product_index_matrix)
     assert gram.is_hermitian()
-    assert gram.is_idempotent()
+    assert gram @ gram == gram
     assert gram.trace() == (Fraction(28), Fraction(0))
     e = group3.index((0, 0))
     f = group3.index((1, 0))
@@ -179,13 +179,14 @@ def test_three_way_sampled_n3(group3, table3, rep3):
 
 
 def test_sampled_grid_matches_full_gram_n3(group3, table3):
-    full = gram_closed_form(group3, np.arange(64))
+    full = gram_closed_form(group3, group3.inverse_product_index_matrix)
     sel = np.array([0, 3, 17, 40, 63], dtype=np.int64)
-    block = gram_closed_form(group3, sel)
+    at = group3.inverse_product_index_grid(sel)
+    block = gram_closed_form(group3, at)
     for i, a in enumerate(sel):
         for j, b in enumerate(sel):
             assert block.entry(i, j) == full.entry(int(a), int(b))
-    block_c = gram_character(group3, table3, sel)
+    block_c = gram_character(group3, table3, at)
     for i in range(len(sel)):
         for j in range(len(sel)):
             assert block_c.entry(i, j) == block.entry(i, j)
@@ -268,7 +269,7 @@ def test_tampered_frame_detected(group3, rep3):
 
 def test_wrong_modulus_gram_fails_welch(group3, table3):
     # zero out one off-diagonal pair: stays Hermitian but no longer flat
-    gram = gram_character(group3, table3, np.arange(64))
+    gram = gram_character(group3, table3, group3.inverse_product_index_matrix)
     re, im = gram.re.copy(), gram.im.copy()
     re[0, 1] = im[0, 1] = re[1, 0] = im[1, 0] = 0
     cert = verify_gram(GaussianRationalMatrix(re, im, gram.den))
@@ -277,7 +278,8 @@ def test_wrong_modulus_gram_fails_welch(group3, table3):
 
 def test_verify_etf_dispatch(group3, rep3, table3):
     assert verify_etf(synthesize_frame(group3, rep3)).verdict == "OPTIMAL"
-    assert verify_etf(gram_character(group3, table3, np.arange(64))).verdict == "OPTIMAL"
+    gram = gram_character(group3, table3, group3.inverse_product_index_matrix)
+    assert verify_etf(gram).verdict == "OPTIMAL"
     with pytest.raises(TypeError):
         verify_etf(np.eye(3))
 
@@ -292,7 +294,7 @@ def test_srg_gram_certifies(scheme3):
 
 
 def test_closed_form_gram_equals_scalar_entry_n3(group3, field3):
-    gram = gram_closed_form(group3, np.arange(64))
+    gram = gram_closed_form(group3, group3.inverse_product_index_matrix)
     elems = list(group3.elements())
     for i, g in enumerate(elems):
         for j, h in enumerate(elems):
@@ -393,7 +395,7 @@ def test_frame_file_roundtrip(tmp_path, group3, rep3):
 
 
 def test_gram_file_roundtrip(tmp_path, group3, table3):
-    gram = gram_character(group3, table3, np.arange(64))
+    gram = gram_character(group3, table3, group3.inverse_product_index_matrix)
     path = tmp_path / "gram.mat"
     write_gram_file(path, gram)
     back = read_matrix_file(path)

@@ -135,7 +135,7 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         "GaussianRationalMatrix.__matmul__": lambda: scheme.GaussianRationalMatrix(
             frame.re, frame.im) @ scheme.GaussianRationalMatrix(frame.re.T, -frame.im.T),
         "CharacterTable.verify": table3.verify,
-        "krein": lambda: scheme.group_scheme(group3, table3).krein(),
+        "krein": lambda: scheme.group_scheme(group3, table3).krein,
     }
     counts = {}
     for name, call in sites.items():
@@ -148,5 +148,5 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         "parseval_defect": 4,
         "GaussianRationalMatrix.__matmul__": 4,
         "CharacterTable.verify": 8,
-        "krein": 4 * d1 * d1,
+        "krein": 2 * d1 * (d1 + 1),
     }

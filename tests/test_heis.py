@@ -36,13 +36,11 @@ def test_monomial_product_matches_dense_matmul():
         assert np.array_equal(dense_complex(a @ b), dense_complex(a) @ dense_complex(b))
 
 
-def test_monomial_inverse_and_trace():
+def test_monomial_trace():
     rng = random.Random(41)
     for _ in range(100):
         size = rng.choice([2, 4])
         a = random_monomial(rng, size)
-        prod = a @ a.inverse()
-        assert prod == MonomialMatrix.identity(size)
         re, im = a.trace()
         assert complex(re, im) == pytest.approx(np.trace(dense_complex(a)))
 

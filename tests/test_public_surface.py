@@ -1,0 +1,89 @@
+"""Every public function, method and class in `linepack` has a caller in `src/`.
+
+A public name (no leading underscore) defined at module level, or as a
+method of a module-level class, must be read somewhere in
+`src/linepack` outside its own definition, as a bare name or as an
+attribute.  The exceptions are listed in `ALLOWED`, each with the test
+that calls it and the claim it serves; a name only a test calls is
+otherwise dead weight.
+
+The check matches names, not bindings, so it is a lower bound on the
+dead code, not a proof that none is left: a method whose name is also
+used for something else (a local variable `scale`, a numpy `.conjugate`)
+counts as called.
+"""
+
+import ast
+from pathlib import Path
+
+import linepack
+
+SRC = Path(linepack.__file__).parent
+
+# name -> the tests that call it, and the claim it is an oracle for
+ALLOWED = {
+    "FieldContext.artin_schreier": "test_gf2n: the map a -> a^2 + a, inverted by the section "
+                                   "the representation is built from",
+    "FieldContext.hyperplane": "test_gf2n, test_bgroup: the hyperplanes attached to u != 0, "
+                               "the ranges of the commutator map",
+    "FieldContext.self_dual_normal_basis": "test_gf2n: the self-dual normal basis the second "
+                                           "symplectic-basis construction starts from",
+    "FieldContext.symplectic_from_normal_basis": "test_gf2n: a second, independent symplectic "
+                                                 "basis of the trace-zero subspace",
+    "FieldContext.symplectic_pairing": "test_gf2n, test_heis, criterion 6: the form the "
+                                       "Heisenberg generators' basis is symplectic for",
+    "GroupContext.center": "test_bgroup: the center, against brute force at n = 3",
+    "GroupContext.commutator": "test_bgroup: the commutator subgroup, against brute force",
+    "GroupContext.conjugate": "test_bgroup: brute-force conjugacy classes, the oracle for the "
+                              "class formula",
+    "GroupContext.quotient_epimorphism": "test_bgroup: the quotient attached to gamma is a "
+                                         "homomorphic image",
+    "GroupContext.quotient_law": "test_bgroup: the group law that homomorphism is checked against",
+    "RepContext.rep_twisted": "test_heis, test_chartab: per-element oracle for the nonlinear "
+                              "character values the table gathers in bulk",
+    "CharacterTable.d_set_sum": "test_chartab, criterion 3: the flat D-sums that make the "
+                                "character-sum Gram an ETF",
+    "CharacterTable.character_index": "test_chartab, test_heis: a lookup of a character by "
+                                      "label, not an oracle",
+    "SchemeDescriptor.verify_axioms": "test_scheme, criterion 4: the scheme axioms (A1)-(A5)",
+    "SchemeDescriptor.verify_idempotents": "test_scheme, criterion 4: the primitive idempotents "
+                                           "are orthogonal, complete and of the recorded ranks",
+    "SearchTuple.as_row": "test_search, criterion 7: a lookup of a tuple's (n, k, l, m), "
+                          "not an oracle",
+    "closed_form_entry": "test_etf: scalar oracle for the vectorized closed-form Gram route",
+    "group_scheme": "test_scheme, criterion 4: the group scheme whose axioms, idempotents and "
+                    "Krein parameters the paper's construction rests on",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each public module-level def and class method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_has_a_caller_in_src():
+    uses = []  # (name, file, line)
+    defs = []  # (qualified name, file, first line, last line)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+        defs += [(name, path, node.lineno, node.end_lineno) for name, node in _definitions(tree)]
+
+    uncalled = set()
+    for name, path, first, last in defs:
+        short = name.rsplit(".", 1)[-1]
+        if not any(u == short and not (p == path and first <= line <= last)
+                   for u, p, line in uses):
+            uncalled.add(name)
+    assert uncalled - ALLOWED.keys() == set(), "public names no code in src/ calls"
+    assert ALLOWED.keys() - uncalled == set(), "allowlisted names that now have a caller"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from linepack.scheme import (
     GaussianRationalMatrix,
     gram_projector,
     hyperdiff_check,
-    krein_parameters,
     lattice_graph_adjacency,
     srg_scheme,
 )
@@ -67,12 +67,10 @@ _BIG = GaussianRationalMatrix(np.array([[1 << 32]]))
 
 
 @pytest.mark.parametrize("site", [
-    lambda: _BIG.hadamard(_BIG),
     lambda: _BIG.abs_sq_int(),
     lambda: _BIG + GaussianRationalMatrix(np.array([[1]]), None, 1 << 31),
-    lambda: _BIG.scale(1 << 31),
-    lambda: _BIG @ _BIG.scale(1 << 29),
-], ids=["hadamard", "abs_sq_int", "aligned", "scale", "matmul"])
+    lambda: _BIG @ GaussianRationalMatrix(np.array([[1 << 61]])),
+], ids=["abs_sq_int", "aligned", "matmul"])
 def test_int64_products_refuse_to_wrap(site):
     # each of these used to wrap silently; (2^32)^2 became 0
     with pytest.raises(OverflowError):
@@ -85,8 +83,9 @@ def test_hermitian_and_idempotent_predicates():
     assert herm.is_hermitian()
     assert not GaussianRationalMatrix(np.array([[0, 1], [0, 0]])).is_hermitian()
     proj = GaussianRationalMatrix(np.array([[1, 1], [1, 1]]), None, 2)
-    assert proj.is_idempotent()
-    assert not GaussianRationalMatrix(np.array([[2, 0], [0, 0]])).is_idempotent()
+    assert proj @ proj == proj
+    not_proj = GaussianRationalMatrix(np.array([[2, 0], [0, 0]]))
+    assert not_proj @ not_proj != not_proj
 
 
 def test_overflow_guard_fires():
@@ -117,7 +116,8 @@ def test_group_scheme_idempotents_n3(scheme3):
     scheme3.verify_idempotents()
     # trivial idempotent is J / order
     e0 = scheme3.idempotent(0)
-    assert e0 == GaussianRationalMatrix.ones(scheme3.size, scheme3.size)
+    n = scheme3.size
+    assert e0 == GaussianRationalMatrix(np.ones((n, n), dtype=np.int64), None, n)
     # ranks are the squared degrees
     assert scheme3.ranks[:8] == (1,) * 8
     assert set(scheme3.ranks[8:]) == {4}
@@ -139,14 +139,15 @@ def test_gram_projector_basics(scheme3, table3):
     with pytest.raises(ValueError):
         gram_projector(scheme3, ())
     gd = gram_projector(scheme3, table3.d_set)
-    assert gd.is_idempotent() and gd.is_hermitian()
+    assert gd @ gd == gd and gd.is_hermitian()
     assert gd.trace() == (Fraction(28), Fraction(0))
     assert gd.entry(0, 0) == (Fraction(28, 64), Fraction(0))
 
 
 def test_krein_parameters_n3(scheme3):
-    q = krein_parameters(scheme3)  # raises on negativity or asymmetry
+    q = scheme3.krein  # raises on negativity
     d1 = scheme3.class_count
+    assert all(q[i][j] == q[j][i] for i in range(d1) for j in range(d1))
     # mass identity from tracing the defining expansion:
     # sum_k q_ijk m_k = m_i m_j
     for i in range(d1):
@@ -157,22 +158,23 @@ def test_krein_parameters_n3(scheme3):
 
 def test_krein_matches_character_sum_formula(scheme3, table3, group3):
     # q_(eta,tau)^chi = (d_eta d_tau / d_chi) (1/|G|) sum_g eta tau conj(chi),
-    # and the inner sum is the (integer) multiplicity of chi in eta x tau
-    q = krein_parameters(scheme3)
+    # and the inner sum is the (integer) multiplicity of chi in eta x tau;
+    # every triple, so the mirrored half q[j][i] (i < j) is checked too
+    q = scheme3.krein
     re, im = table3.value_arrays
     w = np.array([c.size for c in group3.conjugacy_classes], dtype=np.int64)
-    rng = random.Random(51)
-    for _ in range(200):
-        e, t, c = (rng.randrange(len(table3.characters)) for _ in range(3))
-        prod_re = re[e] * re[t] - im[e] * im[t]
-        prod_im = re[e] * im[t] + im[e] * re[t]
-        s_re = int(((prod_re * re[c] + prod_im * im[c]) * w).sum())
-        s_im = int(((prod_im * re[c] - prod_re * im[c]) * w).sum())
-        assert s_im == 0
-        mult = Fraction(s_re, group3.order)
-        assert mult.denominator == 1 and mult >= 0
-        de, dt, dc = (table3.characters[x].degree for x in (e, t, c))
-        assert q[e][t][c] == Fraction(de * dt, dc) * mult
+    prod_re = re[:, None] * re[None, :] - im[:, None] * im[None, :]
+    prod_im = re[:, None] * im[None, :] + im[:, None] * re[None, :]
+    s_re = (np.einsum("etx,cx,x->etc", prod_re, re, w)
+            + np.einsum("etx,cx,x->etc", prod_im, im, w))
+    s_im = (np.einsum("etx,cx,x->etc", prod_im, re, w)
+            - np.einsum("etx,cx,x->etc", prod_re, im, w))
+    assert not s_im.any()
+    assert not (s_re % group3.order).any() and (s_re >= 0).all()
+    mult = s_re // group3.order
+    deg = table3.degrees
+    for e, t, c in itertools.product(range(len(deg)), repeat=3):
+        assert q[e][t][c] == Fraction(deg[e] * deg[t], deg[c]) * int(mult[e, t, c])
 
 
 def test_hyperdiff_suzuki_family(scheme3, table3):
@@ -190,13 +192,12 @@ def test_hyperdiff_matrix_identity(scheme3, table3):
     # entrywise squared Gram equals C1 E_0 + C2 I
     report = hyperdiff_check(scheme3, table3.d_set)
     gd = gram_projector(scheme3, table3.d_set)
-    lhs = gd.hadamard(gd.conjugate())
+    sq, sq_den = gd.abs_sq_int()
     n = scheme3.size
-    rhs = GaussianRationalMatrix.ones(n, n).scale(
-        report.c1.numerator, report.c1.denominator) + \
-        GaussianRationalMatrix.identity(n).scale(
-            report.c2.numerator, report.c2.denominator)
-    assert lhs == rhs
+    for g in range(n):
+        for h in range(n):
+            want = report.c1 / n + (report.c2 if g == h else 0)
+            assert Fraction(int(sq[g, h]), sq_den) == want
 
 
 def test_hyperdiff_trivial_and_negative_cases(scheme3, table3):
@@ -238,9 +239,10 @@ def test_srg_idempotent_matches_eigenprojector_oracle():
     # E_1 must equal the Lagrange projector (A - 6I)(A + 2I) / ((2-6)(2+2))
     desc, _ = srg_scheme(16, 6, 2, 2)
     a = GaussianRationalMatrix(lattice_graph_adjacency(4))
-    i16 = GaussianRationalMatrix.identity(16)
-    numer = (a - i16.scale(6)) @ (a + i16.scale(2))
-    oracle = numer.scale(-1, 16)
+    six_i = GaussianRationalMatrix(6 * np.eye(16, dtype=np.int64))
+    two_i = GaussianRationalMatrix(2 * np.eye(16, dtype=np.int64))
+    numer = (a - six_i) @ (a + two_i)
+    oracle = GaussianRationalMatrix(-numer.re, -numer.im, 16 * numer.den)
     assert desc.idempotent(1) == oracle
 
 
