@@ -45,8 +45,8 @@ class GroupContext:
 
     Elements are (x, y) int pairs; the canonical enumeration is x outer,
     y inner, both ascending, and every matrix in the package indexes its
-    rows and columns in this order.  Immutable once the class partition
-    is computed.
+    rows and columns in this order.  Immutable once the class index is
+    computed.
     """
 
     def __init__(self, field: FieldContext):
@@ -96,8 +96,8 @@ class GroupContext:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Class partition in `class_of_element` order; members ascending,
-        the least one the representative."""
+        """Brute-force oracle: the partition in `class_of_element` order,
+        members ascending, the least one the representative."""
         f = self.field
         cls = self.class_of_element
         idx = np.argsort(cls, kind="stable")
@@ -116,7 +116,7 @@ class GroupContext:
         return np.where(x == 0, y, f.order + 2 * (x - 1) + coset).astype(np.int32)
 
     def class_sizes(self) -> list[int]:
-        return [c.size for c in self.conjugacy_classes]
+        return np.bincount(self.class_of_element).tolist()
 
     # ------------------------------------------------------------------
     # center and commutator subgroup

@@ -15,15 +15,17 @@ The "+" family is pinned as the orbit of the Heisenberg-model character
 under the cube-scaling automorphisms and forms the hyperdifference set;
 the "-" family consists of its complex conjugates.
 
-The table is stored as two int64 arrays (re, im) of shape characters x
-classes, built by whole-table gathers over the field's lookup tables.
+The table's values live only in two int64 arrays (re, im) of shape
+characters x classes, built by whole-table gathers over the field's
+lookup tables; a `Character` labels one row.  Classes are read through
+`GroupContext.class_of_element` alone, so no tuple partition is built.
 During construction the "+" block is compared, in one whole-table
 comparison, with the traces of the monomial representation: the traces
 of the q images pi(x, 0), gathered at gamma^-1 x and signed by
 (-1)^tr(gamma^-3 y), so the check does not rest on the character formula.
 
-All values are Gaussian integers, held only in those two arrays; the JSON
-export writes each one as (re + i im) 2^log2 with re, im not both even.
+All values are Gaussian integers; the JSON export writes each one as
+(re + i im) 2^log2 with re, im not both even.
 Every computation in this module is exact.  The orthogonality products
 reach floating point only through `exact.exact_matmul`, whose checked
 bound proves each result an exact integer.
@@ -31,12 +33,12 @@ bound proves each result an exact integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bgroup import ConjugacyClass, GroupContext
+from .bgroup import GroupContext
 from .exact import exact_matmul
 from .heis import RepContext
 
@@ -49,16 +51,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Character:
-    """Exact class function: one int64 row of Gaussian integers, in class order."""
+    """Label of one table row; its values are that row of `CharacterTable.value_arrays`."""
 
     kind: str           # "linear" | "nonlinear"
     parameter: int      # c for linear, gamma for nonlinear
     sign: int           # 0 for linear, +1 / -1 for the conjugate pair
     degree: int
-    re: np.ndarray
-    im: np.ndarray
 
     @property
     def label(self) -> str:
@@ -89,9 +89,10 @@ def _is_diagonal(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray, b_im: np.
 
 
 def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of every class representative, in class order."""
-    reps = np.array([c.representative for c in group.conjugacy_classes], dtype=np.int64)
-    return reps[:, 0], reps[:, 1]
+    """x and y of every class representative, in class order: the first
+    occurrence of a class in `class_of_element`, hence its least member."""
+    first = np.unique(group.class_of_element, return_index=True)[1]
+    return first >> group.field.n, first & (group.field.order - 1)
 
 
 def _signs(field, scalars: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -99,17 +100,13 @@ def _signs(field, scalars: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return 1 - 2 * field.trace_table[field.mul_table[scalars[:, None], ys]].astype(np.int64)
 
 
-def linear_characters(group: GroupContext) -> list[Character]:
-    """(x, y) -> (-1)^tr(cx) for every field element c, ascending."""
-    field = group.field
-    x_cls, _ = _representatives(group)
-    re = _signs(field, np.arange(field.order), x_cls)
-    im = np.zeros_like(re)
-    return [Character("linear", c, 0, 1, re[c], im[c]) for c in range(field.order)]
+def linear_characters(group: GroupContext) -> np.ndarray:
+    """Rows (x, y) -> (-1)^tr(cx) on the classes, for every field element c ascending."""
+    return _signs(group.field, np.arange(group.field.order), _representatives(group)[0])
 
 
-def _check_rep_traces(group: GroupContext, rep: RepContext,
-                      re: np.ndarray, im: np.ndarray) -> None:
+def _check_rep_traces(group: GroupContext, rep: RepContext, x_cls: np.ndarray,
+                      y_cls: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
     """Raise unless (re, im)[gamma - 1, class] is the trace of pi_gamma on its representative.
 
     The traces come from the representation alone: pi_gamma(x, y) is
@@ -117,7 +114,6 @@ def _check_rep_traces(group: GroupContext, rep: RepContext,
     monomial images pi(x, 0) are gathered at gamma^-1 x and signed.
     """
     field = group.field
-    x_cls, y_cls = _representatives(group)
     traces = np.array([rep.rep((x, 0)).trace() for x in field.elements()], dtype=np.int64)
     ginv = np.array([field.inv(g) for g in field.nonzero_elements()], dtype=np.int64)
     at = field.mul_table[ginv[:, None], x_cls]
@@ -127,18 +123,17 @@ def _check_rep_traces(group: GroupContext, rep: RepContext,
         row, ci = np.argwhere(bad)[0]
         raise AssertionError(
             f"character value disagrees with representation trace at "
-            f"gamma={row + 1}, class rep {group.conjugacy_classes[ci].representative}"
+            f"gamma={row + 1}, class rep {(int(x_cls[ci]), int(y_cls[ci]))}"
         )
 
 
 def nonlinear_characters(group: GroupContext, rep: RepContext
-                         ) -> tuple[list[Character], list[Character]]:
-    """The conjugate pair of degree-2^k characters for each nonzero gamma.
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of the "+" degree-2^k character for each nonzero gamma, ascending.
 
-    Returns (plus_family, minus_family), each ordered by gamma ascending.
-    The "+" rows are the three-case formula on the (q - 1) x classes grid
-    and must equal the traces of the twisted monomial representations on
-    every class representative; the "-" rows are their conjugates.
+    The rows are the three-case formula on the (q - 1) x classes grid and
+    must equal the traces of the twisted monomial representations on
+    every class representative; the "-" family is their conjugate.
     """
     field = group.field
     x_cls, y_cls = _representatives(group)
@@ -146,27 +141,20 @@ def nonlinear_characters(group: GroupContext, rep: RepContext
     scaled = _signs(field, field.inverse_cube_table[gammas], y_cls) << field.k
     re = np.where(x_cls == 0, scaled, 0)
     im = np.where(x_cls == gammas[:, None], scaled, 0)
-    _check_rep_traces(group, rep, re, im)
-    conj_im = -im
-    degree = 1 << field.k
-    plus = [Character("nonlinear", g, +1, degree, re[g - 1], im[g - 1])
-            for g in field.nonzero_elements()]
-    minus = [Character("nonlinear", g, -1, degree, re[g - 1], conj_im[g - 1])
-             for g in field.nonzero_elements()]
-    return plus, minus
+    _check_rep_traces(group, rep, x_cls, y_cls, re, im)
+    return re, im
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
     group: GroupContext
-    classes: tuple[ConjugacyClass, ...]
     characters: tuple[Character, ...]
     d_set: tuple[int, ...]      # indices of the "+" family, gamma ascending
     value_arrays: tuple[np.ndarray, np.ndarray]  # (re, im) int64, characters x classes; exact
 
     @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.classes)
+    def class_sizes(self) -> np.ndarray:
+        return np.bincount(self.group.class_of_element)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -192,14 +180,14 @@ class CharacterTable:
 
     def verify(self) -> None:
         """Exact structural checks: square table, degree sum, orthogonality."""
-        nchar, ncls = len(self.characters), len(self.classes)
+        nchar, ncls = len(self.characters), len(self.class_sizes)
         if nchar != ncls:
             raise AssertionError(f"table is not square: {nchar} characters, {ncls} classes")
         order = self.group.order
         if sum(d * d for d in self.degrees) != order:
             raise AssertionError("squared degrees do not sum to the group order")
         re, im = self.value_arrays
-        w = np.array(self.class_sizes, dtype=np.int64)
+        w = self.class_sizes
         # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta
         if not _is_diagonal(re * w, im * w, re, im, order):
             raise AssertionError("row orthogonality fails")
@@ -219,12 +207,13 @@ class CharacterTable:
 
     def to_json_dict(self) -> dict:
         re, im, log2 = (a.tolist() for a in _strip_pow2(*self.value_arrays))
+        x_cls, y_cls = _representatives(self.group)
         return {
             "order": self.group.order,
             "modulus": self.group.field.modulus,
             "classes": [
-                {"representative": list(c.representative), "size": c.size}
-                for c in self.classes
+                {"representative": [x, y], "size": size}
+                for x, y, size in zip(x_cls.tolist(), y_cls.tolist(), self.class_sizes.tolist())
             ],
             "characters": [
                 {
@@ -244,13 +233,13 @@ class CharacterTable:
 def build_character_table(group: GroupContext, rep: RepContext) -> CharacterTable:
     """Assemble and verify the full table: linear block, then "+", then "-"."""
     lin = linear_characters(group)
-    plus, minus = nonlinear_characters(group, rep)
-    d_set = tuple(range(len(lin), len(lin) + len(plus)))
-    chars = lin + plus + minus
-    del lin, plus, minus
-    arrays = (np.stack([ch.re for ch in chars]), np.stack([ch.im for ch in chars]))
-    # each character's row a view of the table, so the family arrays are freed
-    chars = tuple(replace(ch, re=re, im=im) for ch, re, im in zip(chars, *arrays))
-    table = CharacterTable(group, group.conjugacy_classes, chars, d_set, arrays)
+    re, im = nonlinear_characters(group, rep)
+    arrays = (np.concatenate([lin, re, re]), np.concatenate([np.zeros_like(lin), im, im]))
+    del lin, re, im
+    q, degree = group.field.order, 1 << group.field.k
+    arrays[1][2 * q - 1:] *= -1     # the "-" rows, conjugate to the "+" rows
+    chars = tuple(Character("linear", c, 0, 1) for c in range(q)) + tuple(
+        Character("nonlinear", g, sign, degree) for sign in (+1, -1) for g in range(1, q))
+    table = CharacterTable(group, chars, tuple(range(q, 2 * q - 1)), arrays)
     table.verify()
     return table

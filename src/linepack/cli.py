@@ -95,6 +95,8 @@ def _check_samples(samples: int) -> None:
 def cmd_build(args) -> int:
     _check_build_n(args.n)
     _check_samples(args.samples)
+    if args.float_export and args.n > _FULL_BUILD_MAX_N:
+        raise UsageError(f"--float-export is written for n <= {_FULL_BUILD_MAX_N} only")
     t0 = time.monotonic()
     out = Path(args.out or os.environ.get("LINEPACK_OUT", f"linepack_n{args.n}"))
     out.mkdir(parents=True, exist_ok=True)
@@ -290,6 +292,8 @@ def cmd_gram(args) -> int:
     bad = set(methods) - known
     if bad or not methods:
         raise UsageError(f"unknown gram methods {sorted(bad)}; choose from {sorted(known)}")
+    if args.out:
+        open(args.out, "a").close()  # a missing directory or a directory path fails before the work
     _, group, rep, table = _contexts(args.n)
     at = group.inverse_product_index_matrix
     routes = {"character": lambda: etf.gram_character(group, table, at),
@@ -311,6 +315,9 @@ def cmd_gram(args) -> int:
 
 
 def cmd_srg(args) -> int:
+    if args.out:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
     try:
         desc, report = scheme.srg_scheme(args.v, args.k, args.lam, args.mu)
     except ValueError as exc:
@@ -326,8 +333,6 @@ def cmd_srg(args) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         etf.write_gram_file(outdir / "srg_gram.mat", gram)
         _write_json(outdir / "srg_certificate.json", payload)
     if cert.verdict != "OPTIMAL":

@@ -76,8 +76,8 @@ class GaussianRationalMatrix:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def identity(n: int, den: int = 1) -> "GaussianRationalMatrix":
-        return GaussianRationalMatrix(den * np.eye(n, dtype=np.int64), None, den)
+    def identity(n: int) -> "GaussianRationalMatrix":
+        return GaussianRationalMatrix(np.eye(n, dtype=np.int64))
 
     # -- bookkeeping ----------------------------------------------------
 

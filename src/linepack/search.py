@@ -202,14 +202,14 @@ def character_sum_filter(tup: SearchTuple, table: CharacterTable) -> bool:
     n = tup.n
     if table.group.order != n:
         raise ValueError(f"table is for a group of order {table.group.order}, tuple has n={n}")
-    deg_l = [ch for ch in table.characters if ch.degree == tup.l]
+    deg_l = [j for j, d in enumerate(table.degrees) if d == tup.l]
     if len(deg_l) < tup.k:
         return False
     sq_bound = Fraction(n - tup.m, n - 1)
     abs_bound_sq = Fraction(tup.k * (n - tup.m), n - 1)
-    rows_sq = [(ch.re * ch.re + ch.im * ch.im).tolist() for ch in deg_l]
-    for ci in range(1, len(table.classes)):
-        mods_sq = [Fraction(row[ci]) for row in rows_sq]
+    re, im = (a[deg_l] for a in table.value_arrays)
+    for column in (re * re + im * im).T.tolist()[1:]:
+        mods_sq = [Fraction(v) for v in column]
         if sum(mods_sq) < sq_bound:
             return False
         if not sum_sqrt_compare(mods_sq, abs_bound_sq):

@@ -49,14 +49,14 @@ def test_strip_pow2_matches_halving_loop():
 def value_at(group, table, char_idx, g):
     """chi(g) as a Gaussian-integer pair (re, im)."""
     ci = int(group.class_of_element[group.index(g)])
-    ch = table.characters[char_idx]
-    return int(ch.re[ci]), int(ch.im[ci])
+    re, im = table.value_arrays
+    return int(re[char_idx, ci]), int(im[char_idx, ci])
 
 
 def test_trivial_character(table3, group3):
-    ch = table3.characters[0]
-    assert ch.re.tolist() == [1] * len(table3.classes) and not ch.im.any()
-    assert ch.label == "lin[0]"
+    re, im = table3.value_arrays
+    assert re[0].tolist() == [1] * len(table3.class_sizes) and not im[0].any()
+    assert table3.characters[0].label == "lin[0]"
 
 
 def test_linear_characters_multiplicative(table3, group3):
@@ -75,25 +75,23 @@ def test_linear_characters_multiplicative(table3, group3):
 
 def test_linear_characters_trivial_on_commutator(group3):
     lin = linear_characters(group3)
+    assert lin.shape == (group3.field.order, len(group3.conjugacy_classes))
     comm = set(group3.commutator_subgroup)
-    for ch in lin:
+    for row in lin:
         for g in comm:
             ci = int(group3.class_of_element[group3.index(g)])
-            assert (ch.re[ci], ch.im[ci]) == (1, 0)
+            assert row[ci] == 1
 
 
 def test_linear_characters_pairwise_orthogonal(group3):
-    lin = linear_characters(group3)
+    # the linear values are the real signs (-1)^tr(cx)
+    lin = linear_characters(group3).tolist()
     sizes = [c.size for c in group3.conjugacy_classes]
     # sum over classes of |class| a conj(b), in Python ints
     for i, a in enumerate(lin):
         for j, b in enumerate(lin):
-            total_re = total_im = 0
-            for w, ar, ai, br, bi in zip(sizes, a.re.tolist(), a.im.tolist(),
-                                         b.re.tolist(), b.im.tolist()):
-                total_re += w * (ar * br + ai * bi)
-                total_im += w * (ai * br - ar * bi)
-            assert (total_re, total_im) == (group3.order if i == j else 0, 0)
+            total = sum(w * ar * br for w, ar, br in zip(sizes, a, b))
+            assert total == (group3.order if i == j else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +120,21 @@ def test_nonlinear_values_n3(table_name, request):
 
 
 def test_minus_family_is_conjugate(table3):
+    re, im = table3.value_arrays
     for gamma in table3.group.field.nonzero_elements():
-        ip = table3.character_index("nonlinear", gamma, +1)
-        im = table3.character_index("nonlinear", gamma, -1)
-        plus, minus = table3.characters[ip], table3.characters[im]
-        assert minus.re.tolist() == plus.re.tolist()
-        assert minus.im.tolist() == [-v for v in plus.im.tolist()]
+        plus = table3.character_index("nonlinear", gamma, +1)
+        minus = table3.character_index("nonlinear", gamma, -1)
+        assert re[minus].tolist() == re[plus].tolist()
+        assert im[minus].tolist() == [-v for v in im[plus].tolist()]
 
 
 def test_values_constant_on_classes_member_level(table3, group3):
     # recompute every nonlinear value directly at every member of every class
     field = group3.field
     k = field.k
+    re, im = table3.value_arrays
     for gamma in field.nonzero_elements():
         idx = table3.character_index("nonlinear", gamma, +1)
-        ch = table3.characters[idx]
         for ci, cls in enumerate(group3.conjugacy_classes):
             for (x, y) in cls.members:
                 if x not in (0, gamma):
@@ -144,19 +142,19 @@ def test_values_constant_on_classes_member_level(table3, group3):
                 else:
                     sign = (1 - 2 * field.hyperplane_quotient(gamma, y)) << k
                     want = (sign, 0) if x == 0 else (0, sign)
-                assert (ch.re[ci], ch.im[ci]) == want
+                assert (re[idx, ci], im[idx, ci]) == want
 
 
 def test_rep_trace_cross_check_has_teeth(group3, rep3):
     # the "-" values are NOT the twisted traces, so the construction-time
     # cross-check would reject a sign mix-up
-    plus, minus = nonlinear_characters(group3, rep3)
+    re, im = nonlinear_characters(group3, rep3)
     mismatches = 0
-    for pch, mch in zip(plus, minus):
+    for row, gamma in enumerate(group3.field.nonzero_elements()):
         for ci, cls in enumerate(group3.conjugacy_classes):
-            tr = rep3.rep_twisted(pch.parameter, cls.representative).trace()
-            assert tr == (pch.re[ci], pch.im[ci])
-            if tr != (mch.re[ci], mch.im[ci]):
+            tr = rep3.rep_twisted(gamma, cls.representative).trace()
+            assert tr == (re[row, ci], im[row, ci])
+            if tr != (re[row, ci], -im[row, ci]):
                 mismatches += 1
     assert mismatches > 0
 
@@ -198,6 +196,21 @@ def test_table_census_n9():
     assert table.value_arrays[0].shape == (1534, 1534)
 
 
+def test_product_path_builds_no_class_partition(monkeypatch):
+    # the tuple partition is the brute-force oracle only: building, exporting
+    # and sizing the classes read `class_of_element` alone
+    def refuse(self):
+        raise AssertionError("the tuple class partition was built")
+
+    monkeypatch.setattr(GroupContext, "conjugacy_classes", property(refuse))
+    group = GroupContext(FieldContext(5))
+    table = build_character_table(group, RepContext(group))
+    js = table.to_json_dict()
+    assert len(js["classes"]) == len(js["characters"]) == 94
+    assert js["classes"][0] == {"representative": [0, 0], "size": 1}
+    assert sum(group.class_sizes()) == group.order
+
+
 def test_orthogonality_is_verified(table3, table5):
     table3.verify()
     table5.verify()
@@ -236,7 +249,7 @@ def test_flat_d_set_sums(table3, table5):
         m = sum(table.characters[j].degree ** 2 for j in table.d_set)
         n = group.order
         weighted_expect = Fraction(m * (n - m), n - 1)
-        for ci in range(1, len(table.classes)):
+        for ci in range(1, len(table.class_sizes)):
             re, im = table.d_set_sum(ci)
             assert re * re + im * im == 1 << (2 * k)
             re, im = table.d_set_sum(ci, weighted=True)
@@ -244,9 +257,9 @@ def test_flat_d_set_sums(table3, table5):
 
 
 def test_row_norms(table3):
-    for ch in table3.characters:
-        total = sum(w * (re * re + im * im) for w, re, im in
-                    zip(table3.class_sizes, ch.re.tolist(), ch.im.tolist()))
+    sizes = table3.class_sizes.tolist()
+    for row_re, row_im in zip(*(a.tolist() for a in table3.value_arrays)):
+        total = sum(w * (re * re + im * im) for w, re, im in zip(sizes, row_re, row_im))
         assert total == table3.group.order
 
 

@@ -71,6 +71,21 @@ def test_build_float_export(tmp_path, capsys):
     assert (out / "frame_float.npy").exists()
 
 
+def test_build_float_export_beyond_n5_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the complex128 export of the n = 7 frame would be about 2 GB
+    from linepack import cli
+
+    def no_contexts(n):
+        raise AssertionError("contexts built before the usage check")
+
+    monkeypatch.setattr(cli, "_contexts", no_contexts)
+    out = tmp_path / "n7"
+    code, stdout, err = run(capsys, "build", "--n", "7", "--out", str(out), "--float-export")
+    assert (code, stdout) == (2, "")
+    assert "--float-export" in err
+    assert not out.exists()
+
+
 def test_build_default_out_dir_env(tmp_path, capsys, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("LINEPACK_OUT", str(target))
@@ -270,16 +285,19 @@ def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     ["build", "--n", "3", "--out", "FILE"],
     ["srg", "--v", "16", "--k", "6", "--lambda", "2", "--mu", "2", "--out", "FILE"],
     ["gram", "--n", "3", "--out", "MISSING/x"],
+    ["gram", "--n", "3", "--method", "closed-form,character", "--out", "DIR"],
     ["search", "--max-order", "10", "--out", "MISSING/x"],
     ["chartab", "--n", "3", "--out", "MISSING/x"],
-], ids=["build", "srg", "gram", "search", "chartab"])
+], ids=["build", "srg", "gram", "gram-directory", "search", "chartab"])
 def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    # the path fails before the work: nothing is printed for a run that fails
     existing = tmp_path / "file"
     existing.write_text("")
-    paths = {"FILE": str(existing), "MISSING/x": str(tmp_path / "missing" / "x")}
+    paths = {"FILE": str(existing), "DIR": str(tmp_path),
+             "MISSING/x": str(tmp_path / "missing" / "x")}
     argv = [paths.get(tok, tok) for tok in argv]
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
     assert f"linepack: usage: {argv[-1]}" in err
 
 

@@ -132,26 +132,19 @@ def test_character_filter_order_mismatch(table3):
         character_sum_filter(SearchTuple(256, 30, 2, 120), table3)
 
 
-class _StubChar:
-    def __init__(self, degree, re):
-        self.degree = degree
-        self.re = np.array(re, dtype=np.int64)
-        self.im = np.zeros_like(self.re)
-
-
 class _StubTable:
     """Minimal duck-typed table: all degree-l characters vanish at class 1."""
 
-    def __init__(self, order, chars, nclasses):
+    def __init__(self, order, degree, rows):
         import types
         self.group = types.SimpleNamespace(order=order)
-        self.characters = chars
-        self.classes = list(range(nclasses))
+        re = np.array(rows, dtype=np.int64)
+        self.value_arrays = (re, np.zeros_like(re))
+        self.degrees = (degree,) * len(rows)
 
 
 def test_character_filter_rejects_vanishing_column():
-    chars = [_StubChar(2, [2, 0, 2]) for _ in range(7)]
-    table = _StubTable(64, chars, 3)
+    table = _StubTable(64, 2, [[2, 0, 2]] * 7)
     assert not character_sum_filter(suzuki_tuple(), table)
 
 
