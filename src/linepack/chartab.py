@@ -76,16 +76,26 @@ def _strip_pow2(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return re >> log2, im >> log2, log2
 
 
-def _is_diagonal(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray, b_im: np.ndarray,
-                 diagonal) -> bool:
-    """Whether (a_re + i a_im)(b_re + i b_im)^H is the real matrix diag(diagonal)."""
-    part = exact_matmul(a_re, b_re.T)
-    part += exact_matmul(a_im, b_im.T)
-    part.flat[::len(part) + 1] -= diagonal  # all zero exactly when the real part matches
-    if part.any():
-        return False
-    del part  # freed before the imaginary part is formed
-    return np.array_equal(exact_matmul(a_im, b_re.T), exact_matmul(a_re, b_im.T))
+# rows per block of the orthogonality checks: each product is _BLOCK x N
+_BLOCK = 256
+
+
+def _is_diagonal(re: np.ndarray, im: np.ndarray, weights, diagonal: np.ndarray) -> bool:
+    """Whether (re + i im) diag(weights) (re + i im)^H is the real matrix diag(diagonal).
+
+    Checked _BLOCK rows at a time, each block weighted as it is formed, so
+    no full-size product and no weighted copy of the matrix is alive.
+    """
+    for r0 in range(0, len(re), _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        b_re, b_im = re[rows] * weights, im[rows] * weights
+        part = exact_matmul(b_re, re.T)
+        part += exact_matmul(b_im, im.T)
+        at = np.arange(len(part))
+        part[at, r0 + at] -= diagonal[rows]  # all zero exactly when the real part matches
+        if part.any() or not np.array_equal(exact_matmul(b_im, re.T), exact_matmul(b_re, im.T)):
+            return False
+    return True
 
 
 def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
@@ -172,12 +182,6 @@ class CharacterTable:
             out.append(int(match[0]))
         return tuple(out)
 
-    def character_index(self, kind: str, parameter: int, sign: int = 0) -> int:
-        for i, ch in enumerate(self.characters):
-            if (ch.kind, ch.parameter, ch.sign) == (kind, parameter, sign):
-                return i
-        raise KeyError((kind, parameter, sign))
-
     def verify(self) -> None:
         """Exact structural checks: square table, degree sum, orthogonality."""
         nchar, ncls = len(self.characters), len(self.class_sizes)
@@ -189,10 +193,10 @@ class CharacterTable:
         re, im = self.value_arrays
         w = self.class_sizes
         # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta
-        if not _is_diagonal(re * w, im * w, re, im, order):
+        if not _is_diagonal(re, im, w, np.full(nchar, order)):
             raise AssertionError("row orthogonality fails")
         # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta
-        if not _is_diagonal(re.T, im.T, re.T, im.T, order // w):
+        if not _is_diagonal(re.T, im.T, 1, order // w):
             raise AssertionError("column orthogonality fails")
         # degree column at the identity class
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():

@@ -98,7 +98,7 @@ def cmd_build(args) -> int:
     if args.float_export and args.n > _FULL_BUILD_MAX_N:
         raise UsageError(f"--float-export is written for n <= {_FULL_BUILD_MAX_N} only")
     t0 = time.monotonic()
-    out = Path(args.out or os.environ.get("LINEPACK_OUT", f"linepack_n{args.n}"))
+    out = Path(args.out or os.environ.get("LINEPACK_OUT") or f"linepack_n{args.n}")
     out.mkdir(parents=True, exist_ok=True)
     field, group, rep, table = _contexts(args.n)
     m, num_vectors = etf.frame_dimensions(args.n)

@@ -25,12 +25,15 @@ a_s, b_t, and pi sends
     (b_t, y) -> (-1)^tr(y) i^tr(b_t^3) M_t
     (1,   y) -> (-1)^tr(y) i I.
 
-On an arbitrary element (x, y) the value is fixed by decomposing x over
-the basis {a_s} + {b_t} + {1}, multiplying the generator images in that
-fixed order, and correcting by the central character (-1)^tr(c + y),
-where (x, c) is the same generator product taken inside the group.  The
-family realizing the hyperdifference set is obtained by precomposing pi
-with the cube-scaling automorphisms, one per nonzero field element.
+On an arbitrary element (x, y) the value is fixed by the subset of the
+basis {a_s} + {b_t} + {1} that sums to x: its generator images are
+multiplied in that fixed order and corrected by the central character
+(-1)^tr(c + y), where (x, c) is the same generator product taken inside
+the group.  One pass over the 2^n subsets, each the subset without its
+top generator extended by one product, reaches every x exactly once
+because the basis is independent.  The family realizing the
+hyperdifference set is obtained by precomposing pi with the
+cube-scaling automorphisms, one per nonzero field element.
 """
 
 from __future__ import annotations
@@ -127,22 +130,6 @@ def heisenberg_generators(k: int) -> tuple[list[MonomialMatrix], list[MonomialMa
     return translation_matrices(k), modulation_matrices(k)
 
 
-def _echelonize(basis: list[int]) -> list[tuple[int, int]]:
-    """Row echelon form of GF(2) vectors with combination masks attached."""
-    rows: list[tuple[int, int]] = []
-    for pos, vec in enumerate(basis):
-        v, m = vec, 1 << pos
-        for ev, em in rows:
-            if v & (1 << (ev.bit_length() - 1)):
-                v ^= ev
-                m ^= em
-        if v == 0:
-            raise ValueError("generator field elements are linearly dependent")
-        rows.append((v, m))
-        rows.sort(key=lambda r: -r[0])
-    return rows
-
-
 class RepContext:
     """The distinguished degree-2^k representation of a Suzuki 2-group."""
 
@@ -156,7 +143,6 @@ class RepContext:
         self.alphas = [field.artin_schreier_section(x) for x in xs]
         self.betas = [field.artin_schreier_section(y) for y in ys]
         self.basis = self.alphas + self.betas + [1]
-        self._echelon = _echelonize(self.basis)
 
         ts, ms = heisenberg_generators(self.k)
         images = [t.times_i_power(field.trace(field.cube(a)))
@@ -165,37 +151,28 @@ class RepContext:
                    for m, b in zip(ms, self.betas)]
         images.append(MonomialMatrix.scalar(self.dim, 1))
         self.generator_images = images
-        self.generator_elements = [(b, 0) for b in self.basis]
-
-    def decompose(self, x: int) -> int:
-        """Bitmask over the generator basis whose XOR is x."""
-        v, m = x, 0
-        for ev, em in self._echelon:
-            if v & (1 << (ev.bit_length() - 1)):
-                v ^= ev
-                m ^= em
-        if v != 0:
-            raise AssertionError("basis decomposition failed")
-        return m
 
     @cached_property
     def _rep_x0(self) -> list[MonomialMatrix]:
-        """Images of (x, 0) for every field element x, in the fixed product order."""
-        field = self.field
-        out = []
-        for x in range(field.order):
-            mask = self.decompose(x)
-            mat = MonomialMatrix.identity(self.dim)
-            acc = self.group.identity
-            for pos in range(len(self.basis)):
-                if mask & (1 << pos):
-                    mat = mat @ self.generator_images[pos]
-                    acc = self.group.mul(acc, self.generator_elements[pos])
-            if acc[0] != x:
-                raise AssertionError("generator product landed on the wrong element")
+        """Images of (x, 0) for every field element x, in the fixed product order.
+
+        Subset `mask` of the basis is the subset without its top generator
+        extended by that generator, so generators multiply in ascending
+        basis position and each subset costs one product.
+        """
+        images = [MonomialMatrix.identity(self.dim)]
+        products = [self.group.identity]
+        for mask in range(1, self.field.order):
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            images.append(images[rest] @ self.generator_images[top])
+            products.append(self.group.mul(products[rest], (self.basis[top], 0)))
+        out: list[MonomialMatrix | None] = [None] * self.field.order
+        for mat, (x, c) in zip(images, products):
+            if out[x] is not None:
+                raise AssertionError("generator field elements are linearly dependent")
             # the product reaches (x, c); correct by the central character at c
-            mat = mat.times_i_power(2 * field.trace(acc[1]))
-            out.append(mat)
+            out[x] = mat.times_i_power(2 * self.field.trace(c))
         return out
 
     @cached_property

@@ -418,11 +418,21 @@ def srg_scheme(v: int, k: int, lam: int, mu: int,
                ) -> tuple[SchemeDescriptor, HyperdiffReport]:
     """2-class scheme of a strongly regular graph, plus its ETF verdict.
 
-    The nontrivial eigenvalues must be integers: s = sqrt((lam-mu)^2 +
+    The parameters must pass the feasibility conditions 0 < k < v - 1,
+    0 <= lam < k, 0 <= mu <= k and k(k - lam - 1) = mu(v - k - 1), and the
+    nontrivial eigenvalues must be integers: s = sqrt((lam-mu)^2 +
     4(k-mu)) integral with lam - mu + s even.  The designated singleton
     subset ({1} when 2k - v equals twice the negative eigenvalue, {2}
     when twice the positive one) is run through hyperdiff_check.
     """
+    for holds, condition in ((0 < k < v - 1, "0 < k < v - 1"),
+                             (0 <= lam < k, "0 <= lambda < k"),
+                             (0 <= mu <= k, "0 <= mu <= k"),
+                             (k * (k - lam - 1) == mu * (v - k - 1),
+                              "k(k - lambda - 1) = mu(v - k - 1)")):
+        if not holds:
+            raise ValueError(f"parameters {(v, k, lam, mu)} are not those of a strongly "
+                             f"regular graph: {condition} fails")
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     s = math.isqrt(disc)
     if s * s != disc or (lam - mu + s) % 2 != 0:
@@ -432,8 +442,9 @@ def srg_scheme(v: int, k: int, lam: int, mu: int,
         try:
             adjacency = _BUILTIN_SRG[(v, k, lam, mu)]()
         except KeyError:
+            builtin = " and ".join(map(str, sorted(_BUILTIN_SRG)))
             raise ValueError(f"no built-in graph for parameters {(v, k, lam, mu)}; "
-                             "supply an adjacency matrix") from None
+                             f"the built-in sets are {builtin}") from None
     a = np.asarray(adjacency, dtype=np.int64)
     if a.shape != (v, v) or not np.array_equal(a, a.T) or a.diagonal().any() \
             or not np.isin(a, (0, 1)).all():

@@ -50,9 +50,6 @@ class SearchTuple:
     def lam(self) -> int:
         return self.m * (self.m - 1) // (self.n - 1)
 
-    def as_row(self) -> tuple[int, int, int, int]:
-        return (self.n, self.k, self.l, self.m)
-
 
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}

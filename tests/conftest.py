@@ -55,6 +55,14 @@ def rep7(group7):
 
 
 @pytest.fixture(scope="session")
+def row_of():
+    """The table row of the character labelled `label`, e.g. "nl+[3]"."""
+    def find(table, label):
+        return [ch.label for ch in table.characters].index(label)
+    return find
+
+
+@pytest.fixture(scope="session")
 def table3(group3, rep3):
     return build_character_table(group3, rep3)
 

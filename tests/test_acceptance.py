@@ -193,7 +193,7 @@ def test_criterion_7_search_calibration(capsys):
         default = enumerate_tuples(1023)
         restricted = enumerate_tuples(1023, nonabelian_orders_only=True)
         elapsed = time.monotonic() - t0
-        rows = {t.as_row() for t in default}
+        rows = {(t.n, t.k, t.l, t.m) for t in default}
         containment = TABLE_ROWS <= rows          # hard gate
         counts = {"default": len(default), "nonabelian_orders_only": len(restricted)}
         calibrated = [name for name, c in counts.items() if c == 238]

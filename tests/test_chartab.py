@@ -59,11 +59,11 @@ def test_trivial_character(table3, group3):
     assert table3.characters[0].label == "lin[0]"
 
 
-def test_linear_characters_multiplicative(table3, group3):
+def test_linear_characters_multiplicative(table3, group3, row_of):
     rng = random.Random(11)
     q = group3.field.order
     for c in range(q):
-        idx = table3.character_index("linear", c)
+        idx = row_of(table3, f"lin[{c}]")
         for _ in range(125):
             a = (rng.randrange(q), rng.randrange(q))
             b = (rng.randrange(q), rng.randrange(q))
@@ -99,7 +99,7 @@ def test_linear_characters_pairwise_orthogonal(group3):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("table_name", ["table3", "table5"])
-def test_nonlinear_values_n3(table_name, request):
+def test_nonlinear_values_n3(table_name, request, row_of):
     # the stored "+" arrays at every member of every class, against the
     # per-element three-case formula
     table = request.getfixturevalue(table_name)
@@ -108,33 +108,33 @@ def test_nonlinear_values_n3(table_name, request):
     k = field.k
     re, im = table.value_arrays
     for gamma in field.nonzero_elements():
-        idx = table.character_index("nonlinear", gamma, +1)
+        idx = row_of(table, f"nl+[{gamma}]")
         for g in group.elements():
             x, y = g
             ci = int(group.class_of_element[group.index(g)])
             sign = (1 - 2 * field.hyperplane_quotient(gamma, y)) << k
             want = (sign if x == 0 else 0, sign if x == gamma else 0)
             assert (re[idx, ci], im[idx, ci]) == want
-    idx1 = table.character_index("nonlinear", 1, +1)
+    idx1 = row_of(table, "nl+[1]")
     assert value_at(group, table, idx1, (1, 0)) == (0, 1 << k)
 
 
-def test_minus_family_is_conjugate(table3):
+def test_minus_family_is_conjugate(table3, row_of):
     re, im = table3.value_arrays
     for gamma in table3.group.field.nonzero_elements():
-        plus = table3.character_index("nonlinear", gamma, +1)
-        minus = table3.character_index("nonlinear", gamma, -1)
+        plus = row_of(table3, f"nl+[{gamma}]")
+        minus = row_of(table3, f"nl-[{gamma}]")
         assert re[minus].tolist() == re[plus].tolist()
         assert im[minus].tolist() == [-v for v in im[plus].tolist()]
 
 
-def test_values_constant_on_classes_member_level(table3, group3):
+def test_values_constant_on_classes_member_level(table3, group3, row_of):
     # recompute every nonlinear value directly at every member of every class
     field = group3.field
     k = field.k
     re, im = table3.value_arrays
     for gamma in field.nonzero_elements():
-        idx = table3.character_index("nonlinear", gamma, +1)
+        idx = row_of(table3, f"nl+[{gamma}]")
         for ci, cls in enumerate(group3.conjugacy_classes):
             for (x, y) in cls.members:
                 if x not in (0, gamma):
@@ -221,6 +221,23 @@ def test_verify_detects_broken_value(table3):
     re[3, 1] = -re[3, 1]
     broken = replace(table3, value_arrays=(re, im))
     with pytest.raises(AssertionError):
+        broken.verify()
+
+
+@pytest.mark.parametrize("corrupt", ["re", "im", "row"])
+def test_verify_checks_the_last_row_block(table7, corrupt):
+    # n = 7 has 382 characters, so the orthogonality checks run in two row
+    # blocks; a doubled row stays orthogonal to every other row and is seen
+    # only on the diagonal, inside the last block
+    re, im = (a.copy() for a in table7.value_arrays)
+    assert len(re) == 382
+    if corrupt == "row":
+        re[-1] *= 2
+        im[-1] *= 2
+    else:
+        (re if corrupt == "re" else im)[-1, 1] += 1
+    broken = replace(table7, value_arrays=(re, im))
+    with pytest.raises(AssertionError, match="row orthogonality fails"):
         broken.verify()
 
 

@@ -94,6 +94,16 @@ def test_build_default_out_dir_env(tmp_path, capsys, monkeypatch):
     assert (target / "certificate.json").exists()
 
 
+def test_build_empty_out_dir_env_is_unset(tmp_path, capsys, monkeypatch):
+    # an empty $LINEPACK_OUT falls back to ./linepack_n<N>, not the cwd
+    monkeypatch.setenv("LINEPACK_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "build", "--n", "3")
+    assert code == 0
+    assert (tmp_path / "linepack_n3" / "certificate.json").exists()
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_build_n5(tmp_path, capsys):
     out = tmp_path / "n5"
     code, stdout, _ = run(capsys, "build", "--n", "5", "--out", str(out))
@@ -502,6 +512,20 @@ def test_srg_conference_rejected(capsys):
                        "--lambda", "0", "--mu", "1")
     assert code == 2
     assert "conference" in err
+
+
+@pytest.mark.parametrize("params, message", [
+    (("16", "20", "2", "2"), "0 < k < v - 1 fails"),
+    (("16", "6", "7", "2"), "0 <= lambda < k fails"),
+    (("10", "3", "0", "1"), "the built-in sets are (9, 4, 1, 2) and (16, 6, 2, 2)"),
+])
+def test_srg_bad_parameters_named(capsys, params, message):
+    # k > v and lambda > k are no SRG parameters at all; Petersen is one,
+    # but has no built-in graph
+    v, k, lam, mu = params
+    code, stdout, err = run(capsys, "srg", "--v", v, "--k", k, "--lambda", lam, "--mu", mu)
+    assert code == 2 and stdout == ""
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

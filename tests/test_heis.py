@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linepack.bgroup import GroupContext
+from linepack.gf2n import FieldContext
 from linepack.heis import (
     MonomialMatrix,
+    RepContext,
     heisenberg_generators,
     modulation_matrices,
     translation_matrices,
@@ -132,16 +136,29 @@ def test_rep_is_homomorphism(fixture_name, request):
         assert rep.rep(a) @ rep.rep(group.inv(a)) == MonomialMatrix.identity(rep.dim)
 
 
-def test_decompose_recovers_element(rep5):
-    rng = random.Random(43)
-    for _ in range(200):
-        x = rng.randrange(rep5.field.order)
-        mask = rep5.decompose(x)
-        acc = 0
-        for pos, b in enumerate(rep5.basis):
-            if mask & (1 << pos):
-                acc ^= b
-        assert acc == x
+def test_dependent_basis_is_rejected(monkeypatch):
+    # the subset pass reaches every x once only for an independent basis;
+    # a section that repeats a generator makes two subsets collide
+    field = FieldContext(5)
+    xs, ys = field.symplectic_basis()
+    section = field.artin_schreier_section
+    monkeypatch.setattr(field, "artin_schreier_section",
+                        lambda u: section(xs[0]) if u == ys[-1] else section(u))
+    rep = RepContext(GroupContext(field))
+    assert rep.betas[-1] == rep.alphas[0]
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        rep._rep_x0
+
+
+@pytest.mark.parametrize("n, digest", [
+    (7, "e59fad39fa9266f589e86828a6e13952b8a3475295fb8932eec472bdf3d7267c"),
+    (9, "16edd68e75946767b20fb224c9a54ce8a35a71d1460021253ce468b38e09fe67"),
+])
+def test_dense_x0_pinned(n, digest):
+    # sha256 of the little-endian int64 re bytes, then the im bytes
+    re, im = RepContext(GroupContext(FieldContext(n))).dense_x0
+    raw = re.astype("<i8").tobytes() + im.astype("<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fixture_name", ["rep3", "rep5", "rep7"])
@@ -177,14 +194,14 @@ def test_rep_image_is_monomial_with_unit_entries(rep3):
         assert (np.abs(dense) != 0).sum(axis=0).max() == 1
 
 
-def test_twisted_family(group3, rep3, table3):
+def test_twisted_family(group3, rep3, table3, row_of):
     # gamma = 1 is the untwisted representation
     for g in group3.elements():
         assert rep3.rep_twisted(1, g) == rep3.rep(g)
     # traces reproduce the "+" family on every class
     re, im = table3.value_arrays
     for gamma in group3.field.nonzero_elements():
-        idx = table3.character_index("nonlinear", gamma, +1)
+        idx = row_of(table3, f"nl+[{gamma}]")
         for ci, cls in enumerate(group3.conjugacy_classes):
             assert rep3.rep_twisted(gamma, cls.representative).trace() == (re[idx, ci], im[idx, ci])
 

@@ -43,13 +43,9 @@ ALLOWED = {
                               "character values the table gathers in bulk",
     "CharacterTable.d_set_sum": "test_chartab, criterion 3: the flat D-sums that make the "
                                 "character-sum Gram an ETF",
-    "CharacterTable.character_index": "test_chartab, test_heis: a lookup of a character by "
-                                      "label, not an oracle",
     "SchemeDescriptor.verify_axioms": "test_scheme, criterion 4: the scheme axioms (A1)-(A5)",
     "SchemeDescriptor.verify_idempotents": "test_scheme, criterion 4: the primitive idempotents "
                                            "are orthogonal, complete and of the recorded ranks",
-    "SearchTuple.as_row": "test_search, criterion 7: a lookup of a tuple's (n, k, l, m), "
-                          "not an oracle",
     "closed_form_entry": "test_etf: scalar oracle for the vectorized closed-form Gram route",
     "group_scheme": "test_scheme, criterion 4: the group scheme whose axioms, idempotents and "
                     "Krein parameters the paper's construction rests on",

@@ -23,7 +23,7 @@ TABLE_ROWS = [
 
 
 def test_known_rows_present():
-    rows = {t.as_row() for t in enumerate_tuples(1023)}
+    rows = {(t.n, t.k, t.l, t.m) for t in enumerate_tuples(1023)}
     for row in TABLE_ROWS:
         assert row in rows
     assert (64, 9, 2, 36) in rows
@@ -46,7 +46,7 @@ def test_every_tuple_satisfies_divisibility():
 def test_enumeration_sorted_and_deterministic():
     a = enumerate_tuples(700)
     b = enumerate_tuples(700)
-    assert [t.as_row() for t in a] == [t.as_row() for t in b]
+    assert [(t.n, t.k, t.l, t.m) for t in a] == [(t.n, t.k, t.l, t.m) for t in b]
     keys = [(t.n, t.l, t.k) for t in a]
     assert keys == sorted(keys)
 
@@ -66,8 +66,8 @@ def test_nonabelian_order_predicate():
 
 
 def test_nonabelian_restriction_is_monotone():
-    full = {t.as_row() for t in enumerate_tuples(1023)}
-    restricted = {t.as_row() for t in enumerate_tuples(1023, nonabelian_orders_only=True)}
+    full = {(t.n, t.k, t.l, t.m) for t in enumerate_tuples(1023)}
+    restricted = {(t.n, t.k, t.l, t.m) for t in enumerate_tuples(1023, nonabelian_orders_only=True)}
     assert restricted <= full
 
 
