@@ -40,6 +40,7 @@ import numpy as np
 from . import bgroup, chartab, etf, exact, gf2n, heis, scheme, search
 
 DEFAULT_SEED = 1
+DEFAULT_SAMPLES = 100_000
 _FULL_BUILD_MAX_N = 5
 
 
@@ -121,7 +122,7 @@ def cmd_build(args) -> int:
         sample_info = None
     else:
         print(f"n={args.n}: full Gram verification skipped; "
-              "writing the frame and a sampled closed-form cross-check",
+              "writing the frame and a sampled three-way cross-check",
               file=sys.stderr)
         etf.write_frame_file(out / "frame.mat", m, etf.frame_blocks(
             group, rep, np.arange(num_vectors, dtype=np.int64)))
@@ -186,10 +187,20 @@ def _verify_from_file(args) -> int:
     return 0
 
 
+def _check_sample_flags(args, mode: str | None) -> None:
+    """--samples and --seed shape only the sampled check, so any other mode refuses them."""
+    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value is not None and mode != "sample":
+            raise UsageError(f"{flag} applies to --mode sample only")
+
+
 def _verify_from_n(args) -> int:
     _check_build_n(args.n)
-    _check_samples(args.samples)
     mode = args.mode or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
+    _check_sample_flags(args, mode)
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    _check_samples(samples)
     if mode == "full" and args.n > _FULL_BUILD_MAX_N:
         raise UsageError(f"full verification materializes the Gram matrix for n <= "
                          f"{_FULL_BUILD_MAX_N} only; use --mode sample at n={args.n}")
@@ -210,8 +221,7 @@ def _verify_from_n(args) -> int:
         if cert.verdict != "OPTIMAL":
             raise VerificationFailure(cert.failure or "certification failed")
         return 0
-    report = etf.three_way_sampled(group, table, rep, min_entries=args.samples,
-                                   seed=args.seed)
+    report = etf.three_way_sampled(group, table, rep, min_entries=samples, seed=seed)
     print(json.dumps({k: v for k, v in report.items() if k != "mismatches"},
                      indent=2, sort_keys=True))
     if not (report["agree"] and report["pattern_ok"]):
@@ -223,6 +233,7 @@ def cmd_verify(args) -> int:
     if (args.infile is None) == (args.n is None):
         raise UsageError("give exactly one of --n or --in")
     if args.infile is not None:
+        _check_sample_flags(args, None)
         return _verify_from_file(args)
     return _verify_from_n(args)
 
@@ -360,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--out", help="output directory (default $LINEPACK_OUT or ./linepack_n<N>)")
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    b.add_argument("--samples", type=int, default=100_000)
+    b.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     b.add_argument("--float-export", action="store_true")
     common(b)
     b.set_defaults(func=cmd_build)
@@ -369,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int)
     v.add_argument("--in", dest="infile", help="matrix file to verify")
     v.add_argument("--mode", choices=["full", "sample"])
-    v.add_argument("--samples", type=int, default=100_000)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    v.add_argument("--samples", type=int, help=f"sample mode only (default {DEFAULT_SAMPLES})")
+    v.add_argument("--seed", type=int, help=f"sample mode only (default {DEFAULT_SEED})")
     common(v)
     v.set_defaults(func=cmd_verify)
 

@@ -28,8 +28,10 @@ The Gram matrix of the frame is computed three independent ways:
 The two table routes are rows over the group, one value per element,
 and each Gram block is its row gathered at inv(g) h on one selection of
 columns; full verification selects every column.  The frame route never
-reads that index.  All three agree entrywise; verification is exact,
-with a sampled mode for sizes whose full Gram would not fit in memory.
+reads that index.  All three agree entrywise; verification is exact.
+Full verification holds the whole frame and Gram; the sampled mode
+compares a random block of columns, and its frame route streams the
+gamma blocks of those columns in O(ncols^2) memory.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import exact_matmul
+from .exact import check_bound, exact_matmul, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
@@ -117,6 +119,7 @@ def frame_blocks(group: GroupContext, rep: RepContext,
                           f.k - 2 * f.n)
 
 
+# kept apart from synthesize_frame: perfbench/traced.py wraps it by name
 def _synthesize_columns(group: GroupContext, rep: RepContext,
                         cols: np.ndarray) -> FrameMatrix:
     m, _ = frame_dimensions(group.field.n)
@@ -337,6 +340,55 @@ def _route_mismatches(routes: dict[str, GaussianRationalMatrix]) -> dict:
             for a, b in itertools.combinations(routes, 2)}
 
 
+# rows of one stacked product in `_gram_from_blocks`: a multiple of the 4^k-row
+# gamma block for n = 3 ... 9; beyond that a group is one gamma block
+_GROUP_ROWS = 512
+
+
+def _stacked_groups(first: FrameMatrix, rest: Iterator[FrameMatrix]) -> Iterator[np.ndarray]:
+    """`first` and then `rest`, copied into one reused buffer of _GROUP_ROWS
+    rows (or of one block, if larger), each row [re | im]; yields each full
+    buffer and the partial tail, as a view the next step overwrites."""
+    c = first.cols
+    stack = np.empty((max(_GROUP_ROWS, first.rows), 2 * c), dtype=np.int64)
+    fill = 0
+    for block in itertools.chain([first], rest):
+        if fill + block.rows > len(stack):
+            yield stack[:fill]
+            fill = 0
+        stack[fill:fill + block.rows, :c] = block.re
+        stack[fill:fill + block.rows, c:] = block.im
+        fill += block.rows
+    yield stack[:fill]
+
+
+def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
+    """frame^H frame of the frame whose consecutive row blocks are `blocks`,
+    accumulated in O(cols^2) memory, equal to `gram_from_frame` of the whole.
+
+    Each stacked group S of `_stacked_groups` is one exact product
+    P = S^T S, whose quadrants fold into the accumulators at once:
+    re += P_rr + P_ii, im += P_ri - P_ir.  `exact_matmul` proves each
+    product exact, not the int64 sums across groups; the running bound
+    2 sum max|S|^2 rows does, and `check_bound` refuses before a sum wraps.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    c = first.cols
+    re = np.zeros((c, c), dtype=np.int64)
+    im = np.zeros_like(re)
+    bound = 0
+    for s in _stacked_groups(first, blocks):
+        bound += 2 * max_abs(s) ** 2 * len(s)
+        check_bound(bound, "streamed frame Gram")
+        p = exact_matmul(s.T, s)
+        re += p[:c, :c]
+        re += p[c:, c:]
+        im += p[:c, c:]
+        im -= p[c:, :c]
+    return GaussianRationalMatrix(re, im, 1 << -first.log2_scale_sq).canonical()
+
+
 def _isqrt_ceil(x: int) -> int:
     r = math.isqrt(x)
     return r if r * r >= x else r + 1
@@ -347,16 +399,18 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
                       seed: int = 1) -> dict:
     """Sampled comparison: a random block of columns, all pairs among them.
 
-    The frame route builds only the sampled columns (honest monomial
-    matrices); the character and closed-form routes are evaluated on the
-    same index grid.  Also checks the diagonal / off-diagonal modulus
-    pattern on every sampled entry.  With min_entries >= N^2 every column
-    is sampled, whatever the seed, and the comparison covers the full Gram.
+    The frame route streams the sampled columns' gamma blocks (honest
+    monomial matrices) through `_gram_from_blocks`, in O(ncols^2) memory,
+    and never holds the m x ncols frame; the character and closed-form
+    routes are evaluated on the same index grid.  Also checks the
+    diagonal / off-diagonal modulus pattern on every sampled entry.  With
+    min_entries >= N^2 every column is sampled, whatever the seed, and the
+    comparison covers the full Gram.
     """
     rng = random.Random(seed)
     ncols = min(group.order, _isqrt_ceil(min_entries))
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
-    routes = {"frame": gram_from_frame(_synthesize_columns(group, rep, sel))}
+    routes = {"frame": _gram_from_blocks(frame_blocks(group, rep, sel))}
     # one index grid for both table routes, built after the frame route's peak
     at = group.inverse_product_index_grid(sel)
     routes |= {"character": gram_character(group, table, at),

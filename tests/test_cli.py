@@ -200,6 +200,20 @@ def test_verify_full_beyond_n5_is_usage_error(capsys, monkeypatch):
     assert "--mode sample" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "3", "--mode", "full", "--samples", "5"],
+    ["--n", "3", "--mode", "full", "--seed", "9"],
+    ["--n", "3", "--seed", "9"],  # full is the default mode at n <= 5
+    ["--in", "IN", "--samples", "5"],
+    ["--in", "IN", "--seed", "1"],
+])
+def test_sample_flags_outside_sample_mode_are_usage_errors(built_n3, capsys, flags):
+    argv = [str(built_n3 / "frame.mat") if tok == "IN" else tok for tok in flags]
+    code, stdout, err = run(capsys, "verify", *argv)
+    assert code == 2 and stdout == ""
+    assert f"{flags[-2]} applies to --mode sample only" in err
+
+
 def test_verify_frame_file(built_n3, capsys):
     code, stdout, _ = run(capsys, "verify", "--in", str(built_n3 / "frame.mat"))
     assert code == 0
@@ -553,7 +567,8 @@ _ARGV = st.one_of(
     _flags(st.just(["verify"]), _optional("--n", _ARG_N),
            _optional("--in", st.sampled_from(["IN", "OUT/missing.mat"])),
            _optional("--mode", st.sampled_from(["full", "sample", "bogus"])),
-           _optional("--samples", _ARG_SMALL), _optional("--threads", _ARG_SMALL)),
+           _optional("--samples", _ARG_SMALL), _optional("--seed", _ARG_SMALL),
+           _optional("--threads", _ARG_SMALL)),
     _flags(st.just(["search"]), _optional("--max-order", st.integers(-1, 80).map(str)),
            st.sampled_from([[], ["--nonabelian-orders-only"]]),
            st.sampled_from([[], ["--suzuki-filters"]]),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from linepack.etf import (
     write_gram_file,
     MatrixParseError,
 )
-from linepack.exact import blas_threads
+from linepack.exact import blas_threads, exact_matmul
 from linepack.scheme import GaussianRationalMatrix
 
 
@@ -159,6 +160,52 @@ def test_three_way_detects_an_element_in_the_sibling_coset():
     group.class_of_element[g] ^= 1  # the other coset of the hyperplane over x = 1
     report = three_way_sampled(group, table, rep, min_entries=64 ** 2)
     assert report["agree"] is False
+
+
+@pytest.mark.parametrize("n, group_rows", [(3, 8), (5, 48)])
+def test_streamed_frame_gram_crosses_groups(monkeypatch, request, n, group_rows):
+    # 28 rows at n = 3 are 3 groups of 8 and a 4-row tail; 496 at n = 5 are
+    # 10 groups of 48 and a 16-row tail
+    group, rep, table = (request.getfixturevalue(f"{name}{n}")
+                         for name in ("group", "rep", "table"))
+    monkeypatch.setattr(etf, "_GROUP_ROWS", group_rows)
+    report = three_way_sampled(group, table, rep, min_entries=group.order ** 2)
+    assert report["agree"] and report["pattern_ok"]
+    assert report["columns"] == group.order
+    sel = np.array(sorted(random.Random(n).sample(range(group.order), 40)), dtype=np.int64)
+    whole = synthesize_frame(group, rep)
+    want = gram_from_frame(FrameMatrix(whole.re[:, sel], whole.im[:, sel],
+                                       whole.log2_scale_sq))
+    assert etf._gram_from_blocks(frame_blocks(group, rep, sel)) == want
+
+
+def test_streamed_frame_gram_refuses_to_wrap(monkeypatch):
+    # each one-row group's product is legal (bound 2^60) and so is one group's
+    # sum (re = 2^60 + 2^60); four groups would wrap re at 2^63
+    monkeypatch.setattr(etf, "_GROUP_ROWS", 1)
+    v = np.array([[1 << 30]], dtype=np.int64)
+    block = FrameMatrix(v, v, 0)
+    assert exact_matmul(v.T, v)[0, 0] == 1 << 60
+    assert etf._gram_from_blocks([block]).re[0, 0] == 1 << 61
+    with pytest.raises(OverflowError):
+        etf._gram_from_blocks([block] * 4)
+
+
+def test_sampled_frame_route_streams_n7(monkeypatch, group7, table7, rep7):
+    # the m x ncols frame of the sample is 41 MB of int64 at n = 7; the
+    # streamed route holds one 512-row group and one product at a time
+    def refuse(*args):
+        raise AssertionError("the sampled columns' frame was synthesized whole")
+
+    monkeypatch.setattr(etf, "_synthesize_columns", refuse)
+    tracemalloc.start()
+    try:
+        report = three_way_sampled(group7, table7, rep7, min_entries=100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["agree"] and report["pattern_ok"] and report["columns"] == 317
+    assert peak < 20 << 20
 
 
 def test_gram_properties_n3(group3, table3):
