@@ -149,11 +149,48 @@ def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
 
 def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
     """frame^H frame as an exact Gaussian rational matrix."""
-    re = exact_matmul(frame.re.T, frame.re)
-    re += exact_matmul(frame.im.T, frame.im)
-    im = exact_matmul(frame.re.T, frame.im)
-    im -= exact_matmul(frame.im.T, frame.re)
-    return GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq).canonical()
+    return _gram_from_blocks([frame])
+
+
+# rows of one group in `_gram_from_blocks`: a multiple of the 4^k-row gamma
+# block for n = 3 ... 9; beyond that a group is one gamma block
+_GROUP_ROWS = 512
+
+
+def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
+    """frame^H frame of the frame whose consecutive row blocks are `blocks`.
+
+    Blocks are joined into groups of at most _GROUP_ROWS rows; a larger
+    block, such as a whole frame, is a group of its own and is not copied.
+    Each group G adds its four exact products to the accumulators,
+    re += G_re^T G_re + G_im^T G_im and im += G_re^T G_im - G_im^T G_re,
+    so beyond one group only O(cols^2) memory is alive.  `exact_matmul`
+    proves each product exact, not the int64 sums across groups; the
+    running bound 2 sum max|G|^2 rows does, and `check_bound` refuses
+    before a sum wraps.
+    """
+    blocks = iter(blocks)
+    pending = next(blocks)
+    scale = 1 << -pending.log2_scale_sq
+    re = np.zeros((pending.cols, pending.cols), dtype=np.int64)
+    im = np.zeros_like(re)
+    bound = 0
+    while pending is not None:
+        group, pending = [pending], None
+        for block in blocks:
+            if sum(b.rows for b in group) + block.rows > _GROUP_ROWS:
+                pending = block
+                break
+            group.append(block)
+        g_re = np.concatenate([b.re for b in group]) if len(group) > 1 else group[0].re
+        g_im = np.concatenate([b.im for b in group]) if len(group) > 1 else group[0].im
+        bound += 2 * max_abs(g_re, g_im) ** 2 * len(g_re)
+        check_bound(bound, "frame Gram")
+        re += exact_matmul(g_re.T, g_re)
+        re += exact_matmul(g_im.T, g_im)
+        im += exact_matmul(g_re.T, g_im)
+        im -= exact_matmul(g_im.T, g_re)
+    return GaussianRationalMatrix(re, im, scale).canonical()
 
 
 def _gathered(row: GaussianRationalMatrix, at: np.ndarray) -> GaussianRationalMatrix:
@@ -338,55 +375,6 @@ def _route_mismatches(routes: dict[str, GaussianRationalMatrix]) -> dict:
     """First mismatching entry of each pair of named Gram routes, None where they agree."""
     return {f"{a}_vs_{b}": first_mismatch(routes[a], routes[b])
             for a, b in itertools.combinations(routes, 2)}
-
-
-# rows of one stacked product in `_gram_from_blocks`: a multiple of the 4^k-row
-# gamma block for n = 3 ... 9; beyond that a group is one gamma block
-_GROUP_ROWS = 512
-
-
-def _stacked_groups(first: FrameMatrix, rest: Iterator[FrameMatrix]) -> Iterator[np.ndarray]:
-    """`first` and then `rest`, copied into one reused buffer of _GROUP_ROWS
-    rows (or of one block, if larger), each row [re | im]; yields each full
-    buffer and the partial tail, as a view the next step overwrites."""
-    c = first.cols
-    stack = np.empty((max(_GROUP_ROWS, first.rows), 2 * c), dtype=np.int64)
-    fill = 0
-    for block in itertools.chain([first], rest):
-        if fill + block.rows > len(stack):
-            yield stack[:fill]
-            fill = 0
-        stack[fill:fill + block.rows, :c] = block.re
-        stack[fill:fill + block.rows, c:] = block.im
-        fill += block.rows
-    yield stack[:fill]
-
-
-def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
-    """frame^H frame of the frame whose consecutive row blocks are `blocks`,
-    accumulated in O(cols^2) memory, equal to `gram_from_frame` of the whole.
-
-    Each stacked group S of `_stacked_groups` is one exact product
-    P = S^T S, whose quadrants fold into the accumulators at once:
-    re += P_rr + P_ii, im += P_ri - P_ir.  `exact_matmul` proves each
-    product exact, not the int64 sums across groups; the running bound
-    2 sum max|S|^2 rows does, and `check_bound` refuses before a sum wraps.
-    """
-    blocks = iter(blocks)
-    first = next(blocks)
-    c = first.cols
-    re = np.zeros((c, c), dtype=np.int64)
-    im = np.zeros_like(re)
-    bound = 0
-    for s in _stacked_groups(first, blocks):
-        bound += 2 * max_abs(s) ** 2 * len(s)
-        check_bound(bound, "streamed frame Gram")
-        p = exact_matmul(s.T, s)
-        re += p[:c, :c]
-        re += p[c:, c:]
-        im += p[:c, c:]
-        im -= p[c:, :c]
-    return GaussianRationalMatrix(re, im, 1 << -first.log2_scale_sq).canonical()
 
 
 def _isqrt_ceil(x: int) -> int:

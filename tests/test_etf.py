@@ -180,15 +180,16 @@ def test_streamed_frame_gram_crosses_groups(monkeypatch, request, n, group_rows)
 
 
 def test_streamed_frame_gram_refuses_to_wrap(monkeypatch):
-    # each one-row group's product is legal (bound 2^60) and so is one group's
-    # sum (re = 2^60 + 2^60); four groups would wrap re at 2^63
+    # each one-row group's products are legal (bound 2^60) and so is one
+    # group's sum (re = 2^60 + 2^60); the running bound of two groups is
+    # 2^62, refused there, before any sum could wrap at 2^63
     monkeypatch.setattr(etf, "_GROUP_ROWS", 1)
     v = np.array([[1 << 30]], dtype=np.int64)
     block = FrameMatrix(v, v, 0)
     assert exact_matmul(v.T, v)[0, 0] == 1 << 60
     assert etf._gram_from_blocks([block]).re[0, 0] == 1 << 61
     with pytest.raises(OverflowError):
-        etf._gram_from_blocks([block] * 4)
+        etf._gram_from_blocks([block] * 2)
 
 
 def test_sampled_frame_route_streams_n7(monkeypatch, group7, table7, rep7):
