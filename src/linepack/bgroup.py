@@ -96,8 +96,8 @@ class GroupContext:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Brute-force oracle: the partition in `class_of_element` order,
-        members ascending, the least one the representative."""
+        """`class_of_element` regrouped, members ascending, the least one the representative;
+        the brute force is `test_bgroup`'s orbit computation through `conjugate`."""
         f = self.field
         cls = self.class_of_element
         idx = np.argsort(cls, kind="stable")

@@ -84,9 +84,29 @@ def _check_build_n(n: int) -> None:
         raise UsageError("n must satisfy 3 <= n <= 9")
 
 
-def _check_samples(samples: int) -> None:
+def _refuse(args, only: str, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise UsageError(f"{flag} applies to {only} only")
+
+
+def _run_plan(args) -> tuple[str, int | None, int | None]:
+    """(mode, samples, seed) of `build` and `verify --n`: full at n <= 5, sampled beyond,
+    or what verify's --mode names.  --samples and --seed shape only the sampled
+    check, so any other mode refuses them and returns None for both."""
+    _check_build_n(args.n)
+    mode = getattr(args, "mode", None) or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
+    if mode != "sample":
+        _refuse(args, "--mode sample" if args.command == "verify"
+                else f"n >= {_FULL_BUILD_MAX_N + 2}", "--samples", "--seed")
+        if args.n > _FULL_BUILD_MAX_N:
+            raise UsageError(f"full verification materializes the Gram matrix for n <= "
+                             f"{_FULL_BUILD_MAX_N} only; use --mode sample at n={args.n}")
+        return mode, None, None
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
         raise UsageError("--samples must be at least 1")
+    return mode, samples, DEFAULT_SEED if args.seed is None else args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +114,8 @@ def _check_samples(samples: int) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    _check_build_n(args.n)
-    _check_samples(args.samples)
-    if args.float_export and args.n > _FULL_BUILD_MAX_N:
+    mode, samples, seed = _run_plan(args)
+    if args.float_export and mode != "full":
         raise UsageError(f"--float-export is written for n <= {_FULL_BUILD_MAX_N} only")
     t0 = time.monotonic()
     out = Path(args.out or os.environ.get("LINEPACK_OUT") or f"linepack_n{args.n}")
@@ -106,7 +125,7 @@ def cmd_build(args) -> int:
     _, welch_par = etf.welch_bound_sq(m, num_vectors)
     outputs = []
 
-    if args.n <= _FULL_BUILD_MAX_N:
+    if mode == "full":
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
         cert = etf.verify_frame(frame, gram=gram)
@@ -127,8 +146,7 @@ def cmd_build(args) -> int:
         etf.write_frame_file(out / "frame.mat", m, etf.frame_blocks(
             group, rep, np.arange(num_vectors, dtype=np.int64)))
         outputs.append("frame.mat")
-        report = etf.three_way_sampled(group, table, rep,
-                                       min_entries=args.samples, seed=args.seed)
+        report = etf.three_way_sampled(group, table, rep, min_entries=samples, seed=seed)
         ok = report["agree"] and report["pattern_ok"]
         sample_info = report
         cert_dict = {
@@ -137,7 +155,7 @@ def cmd_build(args) -> int:
         }
         _write_json(out / "sample_plan.json", {
             "method": "closed-form-crosscheck", "n": args.n,
-            "seed": args.seed, "requestedEntries": args.samples,
+            "seed": seed, "requestedEntries": samples,
             "results": {k: v for k, v in report.items() if k != "mismatches"},
         })
         outputs.append("sample_plan.json")
@@ -146,8 +164,7 @@ def cmd_build(args) -> int:
     outputs.append("certificate.json")
     manifest = {
         "command": "build",
-        "parameters": {"n": args.n, "threads": args.threads,
-                       "seed": args.seed if args.n > _FULL_BUILD_MAX_N else None},
+        "parameters": {"n": args.n, "threads": args.threads, "seed": seed},
         "n": args.n,
         "k": field.k,
         "modulus": field.modulus,
@@ -187,23 +204,8 @@ def _verify_from_file(args) -> int:
     return 0
 
 
-def _check_sample_flags(args, mode: str | None) -> None:
-    """--samples and --seed shape only the sampled check, so any other mode refuses them."""
-    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
-        if value is not None and mode != "sample":
-            raise UsageError(f"{flag} applies to --mode sample only")
-
-
 def _verify_from_n(args) -> int:
-    _check_build_n(args.n)
-    mode = args.mode or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
-    _check_sample_flags(args, mode)
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    _check_samples(samples)
-    if mode == "full" and args.n > _FULL_BUILD_MAX_N:
-        raise UsageError(f"full verification materializes the Gram matrix for n <= "
-                         f"{_FULL_BUILD_MAX_N} only; use --mode sample at n={args.n}")
+    mode, samples, seed = _run_plan(args)
     _, group, rep, table = _contexts(args.n)
     if mode == "full":
         frame = etf.synthesize_frame(group, rep)
@@ -233,7 +235,8 @@ def cmd_verify(args) -> int:
     if (args.infile is None) == (args.n is None):
         raise UsageError("give exactly one of --n or --in")
     if args.infile is not None:
-        _check_sample_flags(args, None)
+        _refuse(args, "--n", "--mode")
+        _refuse(args, "--mode sample", "--samples", "--seed")
         return _verify_from_file(args)
     return _verify_from_n(args)
 
@@ -249,20 +252,13 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.suzuki_filters:
-        suzuki = {}
+        _, group, _, table = _contexts(3)
+        sizes = group.class_sizes()
+        index = group.order // len(group.commutator_subgroup)
         for t in tuples:
-            if t.n != 64:
-                continue
-            if not suzuki:
-                _, group, _, table = _contexts(3)
-                suzuki = {
-                    "sizes": group.class_sizes(),
-                    "index": group.order // len(group.commutator_subgroup),
-                    "table": table,
-                }
-            t.verdicts["classes"] = search.conjugacy_size_filter(
-                t, suzuki["sizes"], suzuki["index"])
-            t.verdicts["chars"] = search.character_sum_filter(t, suzuki["table"])
+            if t.n == 64:
+                t.verdicts["classes"] = search.conjugacy_size_filter(t, sizes, index)
+                t.verdicts["chars"] = search.character_sum_filter(t, table)
     csv_text = search.tuples_to_csv(tuples)
     summary = f"{len(tuples)} tuples with max order {args.max_order}"
     if args.out:
@@ -306,11 +302,12 @@ def cmd_gram(args) -> int:
     if args.out:
         open(args.out, "a").close()  # a missing directory or a directory path fails before the work
     _, group, rep, table = _contexts(args.n)
-    at = group.inverse_product_index_matrix
-    routes = {"character": lambda: etf.gram_character(group, table, at),
-              "closed-form": lambda: etf.gram_closed_form(group, at),
+    routes = {"character": lambda: etf.gram_character(
+                  group, table, group.inverse_product_index_matrix),
+              "closed-form": lambda: etf.gram_closed_form(
+                  group, group.inverse_product_index_matrix),
               "frame": lambda: etf.gram_from_frame(etf.synthesize_frame(group, rep))}
-    # the frame route runs first, before the index grid is cached on the group
+    # the frame route runs first, before a table route caches the index grid on the group
     built = {meth: routes[meth]() for meth in sorted(set(methods), key=lambda m: m != "frame")}
     mats = {meth: built[meth] for meth in sorted(built)}
     for pair, bad_at in etf._route_mismatches(mats).items():
@@ -370,16 +367,18 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="synthesize, certify, and export a frame")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--out", help="output directory (default $LINEPACK_OUT or ./linepack_n<N>)")
-    b.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    b.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    b.add_argument("--seed", type=int, help=f"n >= 7 only (default {DEFAULT_SEED})")
+    b.add_argument("--samples", type=int, help=f"n >= 7 only (default {DEFAULT_SAMPLES})")
     b.add_argument("--float-export", action="store_true")
     common(b)
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="certify a frame or Gram matrix")
     v.add_argument("--n", type=int)
-    v.add_argument("--in", dest="infile", help="matrix file to verify")
-    v.add_argument("--mode", choices=["full", "sample"])
+    v.add_argument("--in", dest="infile",
+                   help="matrix file to certify in full; takes no --mode, --samples or --seed")
+    v.add_argument("--mode", choices=["full", "sample"],
+                   help="with --n only (default full at n <= 5, sample beyond)")
     v.add_argument("--samples", type=int, help=f"sample mode only (default {DEFAULT_SAMPLES})")
     v.add_argument("--seed", type=int, help=f"sample mode only (default {DEFAULT_SEED})")
     common(v)

@@ -41,7 +41,7 @@ import math
 import random
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -306,17 +306,17 @@ def _welch_pattern(gram: GaussianRationalMatrix, m: int,
     return None, off_sq
 
 
-def _certify_gram(gram: GaussianRationalMatrix, m: int, parseval: bool,
+def _certify_gram(gram: GaussianRationalMatrix, m: int, precondition: str | None,
                   method: str, cross_checks: dict) -> EtfCertificate:
+    """precondition is the failed Parseval or projection check, None if they pass."""
     n = gram.shape[0]
-    diag = gram.entry(0, 0)
-    fail, off_sq = _welch_pattern(gram, m, n) if parseval else ("parseval identity fails", None)
+    fail, off_sq = _welch_pattern(gram, m, n) if precondition is None else (precondition, None)
     welch_unit, welch_par = (None, None) if off_sq is None else welch_bound_sq(m, n)
     return EtfCertificate(
-        m=m, num_vectors=n, parseval=parseval,
+        m=m, num_vectors=n, parseval=precondition is None,
         verdict="OPTIMAL" if fail is None else "NOT_ETF",
         method=method,
-        diagonal_value=diag[0] if parseval else None,
+        diagonal_value=gram.entry(0, 0)[0] if precondition is None else None,
         off_diag_modulus_sq=off_sq,
         welch_sq_parseval=welch_par,
         welch_sq_unit=welch_unit,
@@ -336,7 +336,8 @@ def verify_frame(frame: FrameMatrix,
     cross = {"parsevalDefect": None if defect is None else list(defect)}
     if gram is None:
         gram = gram_from_frame(frame)
-    return _certify_gram(gram, frame.rows, defect is None, "frame", cross)
+    return _certify_gram(gram, frame.rows, None if defect is None else "parseval identity fails",
+                         "frame", cross)
 
 
 def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertificate:
@@ -355,8 +356,7 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
     elif not integral:
         failure = "Gram trace is not an integer"
     cross = {"projectionDefect": None if defect is None else list(defect)}
-    cert = _certify_gram(gram, int(tr_re) if integral else 0, failure is None, method, cross)
-    return cert if failure is None else replace(cert, failure=failure)
+    return _certify_gram(gram, int(tr_re) if integral else 0, failure, method, cross)
 
 
 def verify_etf(obj) -> EtfCertificate:

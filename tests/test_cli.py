@@ -206,12 +206,27 @@ def test_verify_full_beyond_n5_is_usage_error(capsys, monkeypatch):
     ["--n", "3", "--seed", "9"],  # full is the default mode at n <= 5
     ["--in", "IN", "--samples", "5"],
     ["--in", "IN", "--seed", "1"],
+    ["--in", "IN", "--mode", "full"],  # a file is certified in full, whatever the mode says
+    ["--in", "IN", "--mode", "sample"],
+    ["build", "--n", "3", "--samples", "5"],  # build samples at n >= 7 only
+    ["build", "--n", "3", "--seed", "9"],
+    ["build", "--n", "5", "--samples", "5"],
+    ["build", "--n", "5", "--seed", "9"],
 ])
-def test_sample_flags_outside_sample_mode_are_usage_errors(built_n3, capsys, flags):
+def test_sample_flags_outside_sample_mode_are_usage_errors(built_n3, tmp_path, capsys, flags):
+    command, *flags = flags if flags[0] == "build" else ["verify", *flags]
+    out = tmp_path / "out"
     argv = [str(built_n3 / "frame.mat") if tok == "IN" else tok for tok in flags]
-    code, stdout, err = run(capsys, "verify", *argv)
+    argv += ["--out", str(out)] if command == "build" else []
+    code, stdout, err = run(capsys, command, *argv)
     assert code == 2 and stdout == ""
-    assert f"{flags[-2]} applies to --mode sample only" in err
+    if command == "build":
+        assert f"{flags[-2]} applies to n >= 7 only" in err
+        assert not out.exists()
+    elif flags[-2] == "--mode":
+        assert "--mode applies to --n only" in err
+    else:
+        assert f"{flags[-2]} applies to --mode sample only" in err
 
 
 def test_verify_frame_file(built_n3, capsys):
@@ -383,11 +398,19 @@ def test_verify_mutated_matrix_file_is_never_a_crash(built_n3, name, mutations):
 
 
 @pytest.mark.parametrize("command", ["verify", "build"])
-def test_samples_below_one_is_usage_error(tmp_path, capsys, command):
-    extra = ["--out", str(tmp_path)] if command == "build" else ["--mode", "sample"]
-    code, _, err = run(capsys, command, "--n", "3", "--samples", "0", *extra)
+def test_samples_below_one_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # build samples at n >= 7 only; the check comes before any context is built
+    from linepack import cli
+
+    def no_contexts(n):
+        raise AssertionError("contexts built before the usage check")
+
+    monkeypatch.setattr(cli, "_contexts", no_contexts)
+    extra = ["--n", "7", "--out", str(tmp_path)] if command == "build" \
+        else ["--n", "3", "--mode", "sample"]
+    code, _, err = run(capsys, command, "--samples", "0", *extra)
     assert code == 2
-    assert "--samples" in err
+    assert "--samples must be at least 1" in err
 
 
 @pytest.mark.parametrize("json_errors", [False, True])
@@ -494,6 +517,18 @@ def test_gram_methods_agree(capsys):
                           "--method", "closed-form,character,frame")
     assert code == 0
     assert stdout.strip() == "AGREE (4096 entries)"
+
+
+def test_gram_frame_route_reads_no_index_grid(capsys, monkeypatch):
+    # only the table routes gather at inv(g) h; the frame route never builds the N x N grid
+    from linepack import bgroup
+
+    def no_grid(self):
+        raise AssertionError("index grid read by the frame route")
+
+    monkeypatch.setattr(bgroup.GroupContext, "inverse_product_index_matrix", property(no_grid))
+    code, stdout, _ = run(capsys, "gram", "--n", "3", "--method", "frame")
+    assert (code, stdout.strip()) == (0, "OK (4096 entries)")
 
 
 def test_gram_single_method_writes_file(tmp_path, capsys):

@@ -282,12 +282,19 @@ def _mercedes(tamper=None):
      "off-diagonal modulus misses the Welch value", Fraction(0), Fraction(1, 9)),
 ])
 def test_certify_gram_failures(tamper, m, failure, off_sq, welch):
-    cert = _certify_gram(_mercedes(tamper), m, True, "gram", {})
+    cert = _certify_gram(_mercedes(tamper), m, None, "gram", {})
     assert cert.failure == failure
     assert cert.verdict == ("OPTIMAL" if failure is None else "NOT_ETF")
     assert cert.off_diag_modulus_sq == off_sq and cert.welch_sq_parseval == welch
     # the sampled check runs the same pattern test on a principal submatrix
     assert _welch_pattern(_mercedes(tamper), m, 3)[0] == failure
+
+
+def test_certify_gram_reports_the_failed_precondition():
+    # a failed Parseval or projection check is the verdict; the pattern is not read
+    cert = _certify_gram(_mercedes(), 2, "Gram matrix is not a projection", "gram", {})
+    assert (cert.verdict, cert.failure) == ("NOT_ETF", "Gram matrix is not a projection")
+    assert not cert.parseval and cert.diagonal_value is None and cert.off_diag_modulus_sq is None
 
 
 def test_welch_pattern_passes_without_an_off_diagonal():
