@@ -10,10 +10,10 @@ quantity is squared, hence rational.
 
 The Gram matrix of the frame is computed three independent ways:
 
-* frame route: conjugate-transpose product of the synthesized matrix,
-  exact in int64, with each product run on float BLAS only where the
-  checked bound of `exact.exact_matmul` proves the result an exact
-  integer;
+* frame route: the Hermitian product frame^H frame, exact in int64,
+  run by `exact.exact_gram` as one symmetric product of the stacked
+  [re; im] and one cross product re^T im, on float BLAS only where its
+  checked bound proves the result an exact integer;
 * character route: (1/N) sum over the hyperdifference family of
   degree-weighted character values at inv(g) h, read from the exact
   character table;
@@ -29,9 +29,11 @@ The two table routes are rows over the group, one value per element,
 and each Gram block is its row gathered at inv(g) h on one selection of
 columns; full verification selects every column.  The frame route never
 reads that index.  All three agree entrywise; verification is exact.
-Full verification holds the whole frame and Gram; the sampled mode
-compares a random block of columns, and its frame route streams the
-gamma blocks of those columns in O(ncols^2) memory.
+Full verification holds the whole int64 frame and Gram; the sampled mode
+compares a random block of columns, and its frame route streams the int8
+gamma blocks of those columns in O(ncols^2) memory.  The Parseval check
+frame frame^H and the projection check G^2 = G^H G of a Hermitian Gram
+run through the same Hermitian product.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import check_bound, exact_matmul, max_abs
+from .exact import check_bound, exact_gram, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
@@ -102,21 +104,30 @@ def frame_dimensions(n: int) -> tuple[int, int]:
 
 def frame_blocks(group: GroupContext, rep: RepContext,
                  cols: np.ndarray) -> Iterator[FrameMatrix]:
-    """The frame's rows on the given columns, one 4^k-row block per gamma, ascending.
+    """The frame's rows on the given columns, one 4^k-row int8 block per
+    gamma, ascending.
 
     Block gamma of column (x, y) is pi(gamma^-1 x, 0), flattened, times
     (-1)^tr(gamma^-3 y): the twisted representation at that element.
     """
     f = group.field
     xs, ys = cols >> f.n, cols & (f.order - 1)
-    stack_re, stack_im = rep.dense_x0
+    stack_re, stack_im = (_int8(stack) for stack in rep.dense_x0)
     for gamma in f.nonzero_elements():
         ginv = f.inv(gamma)
         ginv3 = f.inv(f.cube(gamma))
-        signs = 1 - 2 * f.trace_table[f.mul_table[ginv3, ys]].astype(np.int64)
+        signs = 1 - 2 * f.trace_table[f.mul_table[ginv3, ys]].astype(np.int8)
         images = f.mul_table[ginv, xs]
         yield FrameMatrix(stack_re[images].T * signs, stack_im[images].T * signs,
                           f.k - 2 * f.n)
+
+
+def _int8(stack: np.ndarray) -> np.ndarray:
+    """The representation stack as int8; OverflowError if an entry would wrap."""
+    narrow = stack.astype(np.int8)
+    if not np.array_equal(narrow, stack):
+        raise OverflowError("representation entries do not fit int8; refusing to wrap")
+    return narrow
 
 
 # kept apart from synthesize_frame: perfbench/traced.py wraps it by name
@@ -138,11 +149,13 @@ def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
 
 
 def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
-    """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else a bad index."""
-    re = exact_matmul(frame.re, frame.re.T)
-    re += exact_matmul(frame.im, frame.im.T)
-    im = exact_matmul(frame.im, frame.re.T)
-    im -= exact_matmul(frame.re, frame.im.T)
+    """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else a bad index.
+
+    The Hermitian product of the transposed frame is conj(frame frame^H),
+    which differs from the real identity at the same entries.
+    """
+    re, im = np.zeros((2, frame.rows, frame.rows), dtype=np.int64)
+    exact_gram(frame.re.T, frame.im.T, (re, im))
     return first_mismatch(GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq),
                           GaussianRationalMatrix.identity(frame.rows))
 
@@ -162,18 +175,15 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
 
     Blocks are joined into groups of at most _GROUP_ROWS rows; a larger
     block, such as a whole frame, is a group of its own and is not copied.
-    Each group G adds its four exact products to the accumulators,
-    re += G_re^T G_re + G_im^T G_im and im += G_re^T G_im - G_im^T G_re,
-    so beyond one group only O(cols^2) memory is alive.  `exact_matmul`
-    proves each product exact, not the int64 sums across groups; the
-    running bound 2 sum max|G|^2 rows does, and `check_bound` refuses
-    before a sum wraps.
+    `exact_gram` adds each group's G^H G to the accumulators, so beyond
+    one group only O(cols^2) memory is alive.  It proves each group's
+    product exact, not the int64 sums across groups; the running bound
+    2 sum max|G|^2 rows does, and `check_bound` refuses before a sum wraps.
     """
     blocks = iter(blocks)
     pending = next(blocks)
     scale = 1 << -pending.log2_scale_sq
-    re = np.zeros((pending.cols, pending.cols), dtype=np.int64)
-    im = np.zeros_like(re)
+    re, im = np.zeros((2, pending.cols, pending.cols), dtype=np.int64)
     bound = 0
     while pending is not None:
         group, pending = [pending], None
@@ -186,10 +196,7 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
         g_im = np.concatenate([b.im for b in group]) if len(group) > 1 else group[0].im
         bound += 2 * max_abs(g_re, g_im) ** 2 * len(g_re)
         check_bound(bound, "frame Gram")
-        re += exact_matmul(g_re.T, g_re)
-        re += exact_matmul(g_im.T, g_im)
-        im += exact_matmul(g_re.T, g_im)
-        im -= exact_matmul(g_im.T, g_re)
+        exact_gram(g_re, g_im, (re, im))
     return GaussianRationalMatrix(re, im, scale).canonical()
 
 
@@ -294,13 +301,14 @@ def _welch_pattern(gram: GaussianRationalMatrix, m: int,
     if m < 1:
         return "degenerate: m < 1 spans no line", None
     sq, den = gram.abs_sq_int()
-    off = sq[~np.eye(gram.shape[0], dtype=bool)]
-    if off.size and off.min() != off.max():
-        return "off-diagonal modulus is not constant", None
-    if off.size == 0:
+    if len(sq) == 1:
         return None, None
+    off = int(sq[0, 1])
+    np.fill_diagonal(sq, off)  # so min and max run over the off-diagonal entries, uncopied
+    if sq.min() != sq.max():
+        return "off-diagonal modulus is not constant", None
     _, welch_par = welch_bound_sq(m, num_vectors)
-    off_sq = Fraction(int(off[0]), den)
+    off_sq = Fraction(off, den)
     if off_sq != welch_par:
         return "off-diagonal modulus misses the Welch value", off_sq
     return None, off_sq
@@ -351,12 +359,19 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
     defect = first_mismatch(gram, GaussianRationalMatrix(gram.re.T, -gram.im.T, gram.den))
     if defect is not None:
         failure = "Gram matrix is not Hermitian"
-    elif (defect := first_mismatch(gram @ gram, gram)) is not None:
+    elif (defect := first_mismatch(_hermitian_square(gram), gram)) is not None:
         failure = "Gram matrix is not a projection"
     elif not integral:
         failure = "Gram trace is not an integer"
     cross = {"projectionDefect": None if defect is None else list(defect)}
     return _certify_gram(gram, int(tr_re) if integral else 0, failure, method, cross)
+
+
+def _hermitian_square(gram: GaussianRationalMatrix) -> GaussianRationalMatrix:
+    """gram^H gram, which is gram @ gram once gram is known to be Hermitian."""
+    re, im = np.zeros((2,) + gram.shape, dtype=np.int64)
+    exact_gram(gram.re, gram.im, (re, im))
+    return GaussianRationalMatrix(re, im, gram.den * gram.den)
 
 
 def verify_etf(obj) -> EtfCertificate:

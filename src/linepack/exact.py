@@ -2,14 +2,22 @@
 
 numpy never sends an integer matmul to BLAS, so the certified products
 G = Phi^H Phi, Phi Phi^H, G^2 and the character orthogonality sums used
-to run in numpy's scalar int64 loop.  `exact_matmul` runs them on float
-BLAS when a bound proves the float result is the exact integer: with
+to run in numpy's scalar int64 loop.  One kernel runs them on float BLAS
+when a bound proves the float result is the exact integer: with
 bound = max|a| * max|b| * K, every product and every partial sum of a
 K-term integer dot product has magnitude at most `bound`, so below 2^24
 (float32) or 2^53 (float64) each is an integer the float type holds
 exactly, whatever the summation order or FMA use of a classical BLAS.
 This is the exact-via-floating-point technique of FFLAS-FFPACK (Dumas,
 Giorgi, Pernet, ACM TOMS 2008).
+
+The kernel has two entry points.  `exact_matmul` is the general product
+a @ b.  `exact_gram` is the Hermitian product A^H A of A = re + i im,
+whose real part re^T re + im^T im is the one symmetric product S^T S of
+the stacked S = [re; im] (BLAS syrk) and whose imaginary part is X - X^T
+for the one product X = re^T im: half the flops of four general
+products.  Its real part sums 2K terms in one accumulator, so its float
+tiers need 2 max^2 K, max over re and im, below 2^24 or 2^53.
 
 Every int64 computation in the package keeps each product term below
 2^62 (`INT64_BOUND`), so the sum or difference of two such terms, as in
@@ -25,12 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["INT64_BOUND", "blas_threads", "check_bound", "exact_matmul", "max_abs"]
+__all__ = ["INT64_BOUND", "blas_threads", "check_bound", "exact_gram", "exact_matmul",
+           "max_abs"]
 
 INT64_BOUND = 1 << 62
 
-# tile edge over rows and the inner dimension: each float copy holds at most
-# _TILE * max(_TILE, N) entries for an N-column product, whatever M and K are
+# tile edge over rows, columns and the inner dimension: each float copy holds
+# at most _TILE * max(_TILE, N) entries for an N-column product, and 2 _TILE * N
+# for the stacked tile of an N x N Hermitian product, whatever M and K are
 _TILE = 256
 
 
@@ -53,13 +63,18 @@ def check_bound(bound: int, what: str) -> None:
         raise OverflowError(f"{what}: int64 bound {bound} reaches 2**62; refusing to wrap")
 
 
-def _product_dtype(bound: int) -> type:
-    """The narrowest type whose products under `bound` are exact integers."""
-    if bound < 1 << 24:
+def _product_dtype(bound: int, terms: int = 1) -> type:
+    """The narrowest type in which a sum of `terms` products, each under
+    `bound`, is an exact integer.
+
+    A float accumulator holds the whole sum; an int64 product is checked
+    on its own, below 2^62, so that the sum of two cannot wrap.
+    """
+    if terms * bound < 1 << 24:
         return np.float32
-    if bound < 1 << 53:
+    if terms * bound < 1 << 53:
         return np.float64
-    check_bound(bound, "exact_matmul")
+    check_bound(bound, "exact product")
     return np.int64
 
 
@@ -94,6 +109,63 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += tmp
         out[rows] = acc
     return out
+
+
+def _add(out: np.ndarray, x: np.ndarray) -> None:
+    """out += x for an int64 block out and an exact-integer float block x, in int64."""
+    np.add(out, x, out=out, dtype=np.int64, casting="unsafe")
+
+
+def exact_gram(re: np.ndarray, im: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
+    """Add (re + i im)^H (re + i im) of integer K x N matrices into the int64
+    N x N pair out = (out_re, out_im), exactly.
+
+    float32 BLAS when 2 max^2 K < 2^24, float64 BLAS below 2^53, numpy's
+    int64 loop while each product term max^2 K is below 2^62, and
+    OverflowError beyond, where max is over re and im together.  The
+    caller bounds the sum with what `out` already holds.
+
+    Each K tile is cast to float once, stacked as S = [re; im], so the
+    real part is the symmetric product S^T S and the imaginary part is
+    X - X^T for X = re^T im.  The output is split into _TILE column
+    tiles, and only the tile pairs on or above the diagonal are
+    multiplied: a diagonal tile's S^T S is one BLAS syrk, and the tile
+    below the diagonal is the transpose of the real part and minus the
+    transpose of the imaginary part.
+    """
+    if re.ndim != 2 or re.shape != im.shape:
+        raise ValueError(f"need two K x N matrices, got shapes {re.shape} and {im.shape}")
+    k, n = re.shape
+    out_re, out_im = out
+    bound = max_abs(re, im) ** 2 * k
+    if bound == 0:
+        return
+    dtype = _product_dtype(bound, terms=2)
+    if dtype is np.int64:
+        re, im = re.astype(np.int64, copy=False), im.astype(np.int64, copy=False)
+        out_re += re.T @ re
+        out_re += im.T @ im
+        x = re.T @ im
+        out_im += x
+        out_im -= x.T
+        return
+    tiles = [slice(c, c + _TILE) for c in range(0, n, _TILE)]
+    for k0 in range(0, k, _TILE):
+        kt = min(_TILE, k - k0)
+        s = np.empty((2 * kt, n), dtype=dtype)
+        s[:kt], s[kt:] = re[k0:k0 + kt], im[k0:k0 + kt]
+        r, i = s[:kt], s[kt:]
+        for a, ta in enumerate(tiles):
+            s_a, r_a, i_a = s[:, ta].T, r[:, ta].T, i[:, ta].T
+            for tb in tiles[a:]:
+                sym = s_a @ s[:, tb]  # syrk on the diagonal: one operand and its transpose
+                x = r_a @ i[:, tb]
+                x -= x.T if tb is ta else i_a @ r[:, tb]
+                _add(out_re[ta, tb], sym)
+                _add(out_im[ta, tb], x)
+                if tb is not ta:
+                    _add(out_re[tb, ta], sym.T)
+                    _add(out_im[tb, ta], -x.T)
 
 
 # ---------------------------------------------------------------------------

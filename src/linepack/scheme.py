@@ -147,7 +147,9 @@ class GaussianRationalMatrix:
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""
         check_bound(self.max_abs() ** 2, "abs_sq_int")
-        return self.re * self.re + self.im * self.im, self.den * self.den
+        sq = self.re * self.re
+        sq += self.im * self.im
+        return sq, self.den * self.den
 
 
 def first_mismatch(a: GaussianRationalMatrix,

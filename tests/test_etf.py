@@ -192,6 +192,28 @@ def test_streamed_frame_gram_refuses_to_wrap(monkeypatch):
         etf._gram_from_blocks([block] * 2)
 
 
+def test_frame_blocks_refuse_entries_beyond_int8(monkeypatch, group3, rep3):
+    # the blocks are int8 copies of the representation stack; an entry that
+    # would wrap must raise, not give a wrong Gram
+    re, im = rep3.dense_x0
+    bad = re.copy()
+    bad[0, 0] = 200
+    monkeypatch.setattr(rep3, "dense_x0", (bad, im))
+    cols = np.arange(group3.order, dtype=np.int64)
+    with pytest.raises(OverflowError, match="int8"):
+        etf._gram_from_blocks(frame_blocks(group3, rep3, cols))
+    with pytest.raises(OverflowError, match="int8"):
+        synthesize_frame(group3, rep3)
+
+
+def test_frame_blocks_are_int8(group3, rep3):
+    cols = np.arange(group3.order, dtype=np.int64)
+    block = next(frame_blocks(group3, rep3, cols))
+    assert block.re.dtype == block.im.dtype == np.int8
+    frame = synthesize_frame(group3, rep3)
+    assert frame.re.dtype == frame.im.dtype == np.int64
+
+
 def test_sampled_frame_route_streams_n7(monkeypatch, group7, table7, rep7):
     # the m x ncols frame of the sample is 41 MB of int64 at n = 7; the
     # streamed route holds one 512-row group and one product at a time
@@ -309,6 +331,31 @@ def test_non_projection_gram_rejected():
     cert = verify_gram(bad)
     assert cert.verdict == "NOT_ETF"
     assert cert.failure == "Gram matrix is not a projection"
+
+
+def test_verify_gram_checks_hermitian_before_the_folded_square(monkeypatch, group3, rep3):
+    # the projection check squares G as G^H G, which is G @ G only once G
+    # is known to be Hermitian
+    gram = gram_from_frame(synthesize_frame(group3, rep3))
+    re = gram.re.copy()
+    re[3, 7] += 2
+    re[7, 3] += 2  # still Hermitian, no longer a projection
+    cert = verify_gram(GaussianRationalMatrix(re, gram.im, gram.den))
+    assert cert.failure == "Gram matrix is not a projection"
+    assert cert.cross_checks["projectionDefect"] == [0, 3]  # as gram @ gram finds it
+
+    def refuse(*args):
+        raise AssertionError("a non-Hermitian Gram reached the folded square")
+
+    monkeypatch.setattr(etf, "exact_gram", refuse)
+    im = gram.im.copy()
+    im[3, 7] += 1
+    cert = verify_gram(GaussianRationalMatrix(gram.re, im, gram.den))
+    assert cert.failure == "Gram matrix is not Hermitian"
+    assert cert.cross_checks["projectionDefect"] == [3, 7]
+    # [[1, 1], [0, 0]] is idempotent, G @ G == G, but not Hermitian
+    cert = verify_gram(GaussianRationalMatrix(np.array([[1, 1], [0, 0]])))
+    assert cert.failure == "Gram matrix is not Hermitian"
 
 
 def test_tampered_frame_detected(group3, rep3):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from linepack.exact import (
     _product_dtype,
     blas_threads,
     check_bound,
+    exact_gram,
     exact_matmul,
     max_abs,
 )
@@ -120,18 +123,26 @@ def test_blas_threads_restores_the_count():
 
 
 def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3, scheme3):
+    # each site's products, counted by entry point of the one checked kernel;
+    # a product that bypassed both would leave its site's count short
     calls = []
 
-    def counting(a, b):
-        calls.append((a.shape, b.shape))
-        return exact.exact_matmul(a, b)
+    def counting(kernel):
+        def call(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return call
 
     for module in (chartab, etf, scheme):
-        monkeypatch.setattr(module, "exact_matmul", counting)
+        for name in ("exact_matmul", "exact_gram"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(exact, name)))
     frame = etf.synthesize_frame(group3, rep3)
+    gram = etf.gram_from_frame(frame)
     sites = {
         "gram_from_frame": lambda: etf.gram_from_frame(frame),
         "parseval_defect": lambda: etf.parseval_defect(frame),
+        "verify_gram": lambda: etf.verify_gram(gram),
         "GaussianRationalMatrix.__matmul__": lambda: scheme.GaussianRationalMatrix(
             frame.re, frame.im) @ scheme.GaussianRationalMatrix(frame.re.T, -frame.im.T),
         "CharacterTable.verify": table3.verify,
@@ -141,12 +152,134 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
     for name, call in sites.items():
         calls.clear()
         call()
-        counts[name] = len(calls)
+        counts[name] = Counter(calls)
     d1 = scheme3.class_count
     assert counts == {
-        "gram_from_frame": 4,
-        "parseval_defect": 4,
-        "GaussianRationalMatrix.__matmul__": 4,
-        "CharacterTable.verify": 8,
-        "krein": 2 * d1 * (d1 + 1),
+        "gram_from_frame": {"exact_gram": 1},
+        "parseval_defect": {"exact_gram": 1},
+        "verify_gram": {"exact_gram": 1},
+        "GaussianRationalMatrix.__matmul__": {"exact_matmul": 4},
+        "CharacterTable.verify": {"exact_matmul": 8},
+        "krein": {"exact_matmul": 2 * d1 * (d1 + 1)},
     }
+
+
+# ---------------------------------------------------------------------------
+# exact_gram, the Hermitian entry point
+# ---------------------------------------------------------------------------
+
+def _gram_reference(re, im, dtype=object):
+    """(re + i im)^H (re + i im): (re part, im part), in Python ints, or in
+    int64 where the caller knows every sum is far below 2^62."""
+    r, i = re.astype(dtype), im.astype(dtype)
+    return np.dot(r.T, r) + np.dot(i.T, i), np.dot(r.T, i) - np.dot(i.T, r)
+
+
+def _gram(re, im, start=0):
+    n = re.shape[1]
+    out = (np.full((n, n), start, dtype=np.int64), np.full((n, n), -start, dtype=np.int64))
+    exact_gram(re, im, out)
+    return out
+
+
+def _assert_gram(re, im, start=0, dtype=object):
+    want_re, want_im = _gram_reference(re, im, dtype)
+    got_re, got_im = _gram(re, im, start)
+    assert got_re.dtype == got_im.dtype == np.int64
+    assert np.array_equal(got_re, want_re + start)
+    assert np.array_equal(got_im, want_im - start)
+
+
+def _tier(monkeypatch, re, im):
+    """The product dtype exact_gram picks for these operands."""
+    seen = []
+    real = exact._product_dtype
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(exact, "_product_dtype", spy)
+    _gram(re, im)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("scale, dtype", [
+    (3, np.float32),        # 2 * 9 * 37 < 2^24
+    (1 << 20, np.float64),  # 2 * 2^40 * 37 < 2^53
+    (1 << 27, np.int64),    # 2 * 2^54 * 37 >= 2^53
+])
+def test_gram_matches_python_ints_on_each_tier(monkeypatch, scale, dtype):
+    # 8-entry tiles, so that 37 x 21 operands cross three K tiles and three
+    # column tiles, each with a partial last tile, at Python-int speed
+    rng = np.random.default_rng(11)
+    re = rng.integers(-scale, scale + 1, size=(37, 21))
+    im = rng.integers(-scale, scale + 1, size=(37, 21))
+    assert _tier(monkeypatch, re, im) is dtype
+    monkeypatch.setattr(exact, "_TILE", 8)
+    _assert_gram(re, im)
+
+
+def test_gram_refuses_beyond_2_62():
+    big = np.array([[1 << 31]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _gram(big, big)
+    with pytest.raises(OverflowError):
+        _gram(np.array([[INT64_MIN]]), np.array([[0]]))
+
+
+@pytest.mark.parametrize("x, y, dtype", [
+    (2896, 2895, np.float32),                   # 2 x^2 just below 2^24
+    (2897, 2896, np.float64),                   # 2 x^2 just above 2^24; x^2 + y^2 is odd above it
+    ((1 << 26) - 1, (1 << 26) - 2, np.float64),  # 2 x^2 just below 2^53
+    ((1 << 26) + 1, 1 << 26, np.int64),         # 2 x^2 just above 2^53; x^2 + y^2 is odd above it
+    ((1 << 31) - 1, (1 << 31) - 2, np.int64),   # each term below 2^62, their sum above it
+])
+def test_gram_tiers_select_on_twice_max_squared_k(monkeypatch, x, y, dtype):
+    # one row, so K = 1 and the real part is the sum of two squares, the
+    # one entry where the two products meet in one accumulator
+    for re, im in ((np.array([[x, y]]), np.array([[y, -x]])),
+                   (np.array([[y, x]]), np.array([[-x, y]]))):
+        assert _tier(monkeypatch, re, im) is dtype
+        _assert_gram(re, im)
+    assert _gram(np.array([[x]]), np.array([[y]]))[0][0, 0] == x * x + y * y
+
+
+def test_gram_of_empty_and_zero_inputs():
+    # nothing is added: K = 0, and all-zero operands, whose bound is zero
+    for k in (0, 4):
+        zero = np.zeros((k, 3), dtype=np.int64)
+        re, im = _gram(zero, zero, start=5)
+        assert (re == 5).all() and (im == -5).all()
+
+
+def test_gram_adds_into_large_accumulators_in_int64():
+    # full-size tiles of int8 frame blocks; the float products must be added
+    # in int64, not in float64, where a sum above 2^53 would round
+    rng = np.random.default_rng(3)
+    re = rng.integers(-1, 2, size=(2 * _TILE + 7, _TILE + 9)).astype(np.int8)
+    im = rng.integers(-1, 2, size=(2 * _TILE + 7, _TILE + 9)).astype(np.int8)
+    _assert_gram(re, im, start=(1 << 60) + 1, dtype=np.int64)
+
+
+def test_gram_shapes_are_checked():
+    with pytest.raises(ValueError):
+        _gram(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        exact_gram(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), (None, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(0, 40), n=st.integers(1, 6), mag=_magnitudes)
+def test_gram_matches_python_ints(data, k, n, mag):
+    elements = st.integers(-mag, mag)
+    re = data.draw(hnp.arrays(np.int64, (k, n), elements=elements))
+    im = data.draw(hnp.arrays(np.int64, (k, n), elements=elements))
+    try:
+        got = _gram(re, im)
+    except OverflowError:
+        assert max_abs(re, im) ** 2 * k >= INT64_BOUND
+        return
+    want = _gram_reference(re, im)
+    assert all(np.array_equal(g, w.astype(np.int64).reshape(n, n)) for g, w in zip(got, want))
