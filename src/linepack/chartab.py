@@ -27,8 +27,9 @@ of the q images pi(x, 0), gathered at gamma^-1 x and signed by
 All values are Gaussian integers; the JSON export writes each one as
 (re + i im) 2^log2 with re, im not both even.
 Every computation in this module is exact.  The orthogonality products
-reach floating point only through `exact.exact_matmul`, whose checked
-bound proves each result an exact integer.
+reach floating point only through `exact.gram_tiles`, whose checked
+bound proves each result an exact integer; each tile is checked and
+dropped as it comes, so no characters x characters product is held.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .bgroup import GroupContext
-from .exact import exact_matmul
+from .exact import check_bound, gram_tiles, max_abs
 from .heis import RepContext
 
 __all__ = [
@@ -76,24 +77,26 @@ def _strip_pow2(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return re >> log2, im >> log2, log2
 
 
-# rows per block of the orthogonality checks: each product is _BLOCK x N
-_BLOCK = 256
+def _is_diagonal(re: np.ndarray, im: np.ndarray, weights: np.ndarray,
+                 diagonal: np.ndarray) -> bool:
+    """Whether (re + i im)^H diag(weights) (re + i im) is the real matrix diag(diagonal).
 
-
-def _is_diagonal(re: np.ndarray, im: np.ndarray, weights, diagonal: np.ndarray) -> bool:
-    """Whether (re + i im) diag(weights) (re + i im)^H is the real matrix diag(diagonal).
-
-    Checked _BLOCK rows at a time, each block weighted as it is formed, so
-    no full-size product and no weighted copy of the matrix is alive.
+    Consecutive rows of one weight form a run, and the product is the sum
+    over the runs of the weight times the run's Hermitian Gram, so each
+    run is a view and no weighted copy is made.  The runs' `gram_tiles`
+    advance together; each summed tile is checked and dropped.
     """
-    for r0 in range(0, len(re), _BLOCK):
-        rows = slice(r0, r0 + _BLOCK)
-        b_re, b_im = re[rows] * weights, im[rows] * weights
-        part = exact_matmul(b_re, re.T)
-        part += exact_matmul(b_im, im.T)
-        at = np.arange(len(part))
-        part[at, r0 + at] -= diagonal[rows]  # all zero exactly when the real part matches
-        if part.any() or not np.array_equal(exact_matmul(b_im, re.T), exact_matmul(b_re, im.T)):
+    cuts = [0, *(np.flatnonzero(np.diff(weights)) + 1).tolist(), len(weights)]
+    runs = [(int(weights[a]), re[a:b], im[a:b]) for a, b in zip(cuts, cuts[1:])]
+    check_bound(sum(w * 2 * max_abs(r, i) ** 2 * len(r) for w, r, i in runs), "weighted Gram")
+    for tiles in zip(*(gram_tiles(r, i) for _, r, i in runs)):
+        rows, cols = tiles[0][:2]
+        t_re = sum(w * t[2] for (w, _, _), t in zip(runs, tiles))
+        t_im = sum(w * t[3] for (w, _, _), t in zip(runs, tiles))
+        if rows == cols:
+            at = np.arange(len(t_re))
+            t_re[at, at] -= diagonal[rows]  # all zero exactly when the real part matches
+        if t_re.any() or t_im.any():
             return False
     return True
 
@@ -192,11 +195,13 @@ class CharacterTable:
             raise AssertionError("squared degrees do not sum to the group order")
         re, im = self.value_arrays
         w = self.class_sizes
-        # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta
-        if not _is_diagonal(re, im, w, np.full(nchar, order)):
+        # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta, the
+        # conjugate of the class-size-weighted Hermitian Gram of the table's transpose
+        if not _is_diagonal(re.T, im.T, w, np.full(nchar, order)):
             raise AssertionError("row orthogonality fails")
-        # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta
-        if not _is_diagonal(re.T, im.T, 1, order // w):
+        # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta,
+        # the conjugate of the table's Hermitian Gram
+        if not _is_diagonal(re, im, np.ones(nchar, dtype=np.int64), order // w):
             raise AssertionError("column orthogonality fails")
         # degree column at the identity class
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():

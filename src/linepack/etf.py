@@ -29,11 +29,13 @@ The two table routes are rows over the group, one value per element,
 and each Gram block is its row gathered at inv(g) h on one selection of
 columns; full verification selects every column.  The frame route never
 reads that index.  All three agree entrywise; verification is exact.
-Full verification holds the whole int64 frame and Gram; the sampled mode
-compares a random block of columns, and its frame route streams the int8
-gamma blocks of those columns in O(ncols^2) memory.  The Parseval check
-frame frame^H and the projection check G^2 = G^H G of a Hermitian Gram
-run through the same Hermitian product.
+Full verification holds the int8 frame and one int64 N x N Gram; the
+sampled mode compares a random block of columns, and its frame route
+streams the int8 gamma blocks of those columns in O(ncols^2) memory.  The
+Parseval check frame frame^H and the projection check G^2 = G^H G of a
+Hermitian Gram read the same Hermitian product one tile at a time
+(`exact.gram_tiles`) and compare each tile as it comes, so neither
+product is ever held whole.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import check_bound, exact_gram, max_abs
+from .exact import check_bound, exact_gram, gram_tiles, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
@@ -134,7 +136,7 @@ def _int8(stack: np.ndarray) -> np.ndarray:
 def _synthesize_columns(group: GroupContext, rep: RepContext,
                         cols: np.ndarray) -> FrameMatrix:
     m, _ = frame_dimensions(group.field.n)
-    re = np.empty((m, len(cols)), dtype=np.int64)
+    re = np.empty((m, len(cols)), dtype=np.int8)
     im = np.empty_like(re)
     for i, block in enumerate(frame_blocks(group, rep, cols)):
         rows = slice(i * block.rows, (i + 1) * block.rows)
@@ -143,21 +145,50 @@ def _synthesize_columns(group: GroupContext, rep: RepContext,
 
 
 def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
-    """The m x N frame, columns in canonical element order."""
+    """The m x N int8 frame, columns in canonical element order."""
     cols = np.arange(group.order, dtype=np.int64)
     return _synthesize_columns(group, rep, cols)
 
 
 def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
-    """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else a bad index.
+    """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else its
+    first bad entry, row-major.
 
     The Hermitian product of the transposed frame is conj(frame frame^H),
-    which differs from the real identity at the same entries.
+    which differs from the real identity at the same entries; each of its
+    tiles is compared with that tile of the identity, so no m x m matrix
+    is made.
     """
-    re, im = np.zeros((2, frame.rows, frame.rows), dtype=np.int64)
-    exact_gram(frame.re.T, frame.im.T, (re, im))
-    return first_mismatch(GaussianRationalMatrix(re, im, 1 << -frame.log2_scale_sq),
-                          GaussianRationalMatrix.identity(frame.rows))
+    scale = 1 << -frame.log2_scale_sq
+
+    def pair(rows, cols, t_re, t_im):
+        eye = np.eye(*t_re.shape, rows.start - cols.start, dtype=np.int64)
+        return GaussianRationalMatrix(t_re, t_im, scale), GaussianRationalMatrix(eye)
+
+    return _first_tile_mismatch(gram_tiles(frame.re.T, frame.im.T), pair)
+
+
+def _first_tile_mismatch(tiles, pair) -> tuple[int, int] | None:
+    """The first entry, row-major, where a Hermitian product differs from a
+    Hermitian matrix, or None.
+
+    `tiles` are the product's tiles (rows, cols, t_re, t_im) on and above
+    the diagonal in row-band order (`exact.gram_tiles`), and
+    pair(rows, cols, t_re, t_im) gives the two matrices compared on a
+    tile.  The difference is Hermitian, so its first nonzero (i, j) has
+    j >= i, else (j, i) would come first; it lies in an upper tile of the
+    row band of i, and is the least mismatch over that band's tiles.
+    """
+    band, found = None, []
+    for rows, cols, t_re, t_im in tiles:
+        if rows != band and found:
+            break
+        band = rows
+        defect = first_mismatch(*pair(rows, cols, t_re, t_im))
+        del t_re, t_im  # dropped before the next tile is made
+        if defect is not None:
+            found.append((rows.start + defect[0], cols.start + defect[1]))
+    return min(found, default=None)
 
 
 def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
@@ -179,6 +210,7 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
     one group only O(cols^2) memory is alive.  It proves each group's
     product exact, not the int64 sums across groups; the running bound
     2 sum max|G|^2 rows does, and `check_bound` refuses before a sum wraps.
+    The accumulators are reduced by their gcd in place.
     """
     blocks = iter(blocks)
     pending = next(blocks)
@@ -197,7 +229,10 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
         bound += 2 * max_abs(g_re, g_im) ** 2 * len(g_re)
         check_bound(bound, "frame Gram")
         exact_gram(g_re, g_im, (re, im))
-    return GaussianRationalMatrix(re, im, scale).canonical()
+    g = GaussianRationalMatrix(re, im, scale).content()
+    re //= g
+    im //= g
+    return GaussianRationalMatrix(re, im, scale // g)
 
 
 def _gathered(row: GaussianRationalMatrix, at: np.ndarray) -> GaussianRationalMatrix:
@@ -300,15 +335,21 @@ def _welch_pattern(gram: GaussianRationalMatrix, m: int,
         return "degenerate: m = N leaves no off-diagonal angle", None
     if m < 1:
         return "degenerate: m < 1 spans no line", None
-    sq, den = gram.abs_sq_int()
-    if len(sq) == 1:
+    check_bound(gram.max_abs() ** 2, "abs_sq_int")
+    size = len(gram.re)
+    if size == 1:
         return None, None
-    off = int(sq[0, 1])
-    np.fill_diagonal(sq, off)  # so min and max run over the off-diagonal entries, uncopied
-    if sq.min() != sq.max():
-        return "off-diagonal modulus is not constant", None
+    off = int(gram.re[0, 1]) ** 2 + int(gram.im[0, 1]) ** 2
+    # the squares and their temporary together hold one chunk's entries
+    step = _chunk_rows(2 * size)
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        sq, _ = GaussianRationalMatrix(gram.re[rows], gram.im[rows], gram.den).abs_sq_int()
+        np.fill_diagonal(sq[:, start:], off)  # so only off-diagonal entries can differ
+        if (sq != off).any():
+            return "off-diagonal modulus is not constant", None
     _, welch_par = welch_bound_sq(m, num_vectors)
-    off_sq = Fraction(off, den)
+    off_sq = Fraction(off, gram.den * gram.den)
     if off_sq != welch_par:
         return "off-diagonal modulus misses the Welch value", off_sq
     return None, off_sq
@@ -355,11 +396,17 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
         raise ValueError("gram matrix must be square")
     tr_re, tr_im = gram.trace()
     integral = tr_im == 0 and tr_re.denominator == 1
+
+    def square_and_gram(rows, cols, t_re, t_im):
+        # gram^H gram, which is gram @ gram once gram is known to be Hermitian
+        return (GaussianRationalMatrix(t_re, t_im, gram.den * gram.den),
+                GaussianRationalMatrix(gram.re[rows, cols], gram.im[rows, cols], gram.den))
+
     failure = None
-    defect = first_mismatch(gram, GaussianRationalMatrix(gram.re.T, -gram.im.T, gram.den))
-    if defect is not None:
+    if (defect := _hermitian_defect(gram)) is not None:
         failure = "Gram matrix is not Hermitian"
-    elif (defect := first_mismatch(_hermitian_square(gram), gram)) is not None:
+    elif (defect := _first_tile_mismatch(gram_tiles(gram.re, gram.im),
+                                         square_and_gram)) is not None:
         failure = "Gram matrix is not a projection"
     elif not integral:
         failure = "Gram trace is not an integer"
@@ -367,11 +414,23 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
     return _certify_gram(gram, int(tr_re) if integral else 0, failure, method, cross)
 
 
-def _hermitian_square(gram: GaussianRationalMatrix) -> GaussianRationalMatrix:
-    """gram^H gram, which is gram @ gram once gram is known to be Hermitian."""
-    re, im = np.zeros((2,) + gram.shape, dtype=np.int64)
-    exact_gram(gram.re, gram.im, (re, im))
-    return GaussianRationalMatrix(re, im, gram.den * gram.den)
+def _hermitian_defect(gram: GaussianRationalMatrix) -> tuple[int, int] | None:
+    """The first entry, row-major, where a square gram differs from its
+    conjugate transpose, or None.
+
+    The difference is skew-Hermitian, so its first nonzero (i, j) has
+    j >= i; each chunk of rows is compared on and right of the diagonal
+    with the matching columns, and no transposed copy is made.
+    """
+    step = _chunk_rows(gram.shape[1])
+    for start in range(0, gram.shape[0], step):
+        rows, right = slice(start, start + step), slice(start, None)
+        defect = first_mismatch(
+            GaussianRationalMatrix(gram.re[rows, right], gram.im[rows, right], gram.den),
+            GaussianRationalMatrix(gram.re[right, rows].T, -gram.im[right, rows].T, gram.den))
+        if defect is not None:
+            return start + defect[0], start + defect[1]
+    return None
 
 
 def verify_etf(obj) -> EtfCertificate:
@@ -447,8 +506,12 @@ def _chunk_rows(cols: int) -> int:
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of `a`, and the index of each entry among them."""
-    ordered = np.sort(a, axis=None)
+    """The sorted distinct values of `a`, and the index of each entry among them.
+
+    Sorted as int64: numpy's int8 sort of the frame's few values is several
+    times slower than the widening copy and the int64 sort together.
+    """
+    ordered = np.sort(a.astype(np.int64, copy=False), axis=None)
     values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     return values, np.searchsorted(values, a)
 

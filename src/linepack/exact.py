@@ -12,12 +12,17 @@ This is the exact-via-floating-point technique of FFLAS-FFPACK (Dumas,
 Giorgi, Pernet, ACM TOMS 2008).
 
 The kernel has two entry points.  `exact_matmul` is the general product
-a @ b.  `exact_gram` is the Hermitian product A^H A of A = re + i im,
-whose real part re^T re + im^T im is the one symmetric product S^T S of
-the stacked S = [re; im] (BLAS syrk) and whose imaginary part is X - X^T
-for the one product X = re^T im: half the flops of four general
-products.  Its real part sums 2K terms in one accumulator, so its float
-tiers need 2 max^2 K, max over re and im, below 2^24 or 2^53.
+a @ b.  `gram_tiles` is the Hermitian product A^H A of A = re + i im,
+yielded one int64 tile at a time on and above the diagonal, so that a
+caller can check each tile and drop it.  Its real part re^T re + im^T im
+is the one symmetric product S^T S of the stacked S = [re; im] (BLAS syrk
+on the diagonal tiles) and its imaginary part is X - X^T for the one
+product X = re^T im: half the flops of four general products.  The real
+part sums 2K terms in one accumulator, so the tier is decided once per
+call, from 2 max^2 K over re and im together, below 2^24 or 2^53 for the
+float tiers; every tile is accumulated over all K in that tier.
+`exact_gram`, which adds the whole N x N product into an int64 pair, is
+its add-and-mirror consumer.
 
 Every int64 computation in the package keeps each product term below
 2^62 (`INT64_BOUND`), so the sum or difference of two such terms, as in
@@ -29,18 +34,19 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["INT64_BOUND", "blas_threads", "check_bound", "exact_gram", "exact_matmul",
-           "max_abs"]
+           "gram_tiles", "max_abs"]
 
 INT64_BOUND = 1 << 62
 
 # tile edge over rows, columns and the inner dimension: each float copy holds
-# at most _TILE * max(_TILE, N) entries for an N-column product, and 2 _TILE * N
-# for the stacked tile of an N x N Hermitian product, whatever M and K are
+# at most _TILE * max(_TILE, N) entries for an N-column product, and 2 _TILE^2
+# for a stacked K chunk of a Hermitian product, whatever M, N and K are
 _TILE = 256
 
 
@@ -111,61 +117,75 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add(out: np.ndarray, x: np.ndarray) -> None:
-    """out += x for an int64 block out and an exact-integer float block x, in int64."""
-    np.add(out, x, out=out, dtype=np.int64, casting="unsafe")
+def _stacked(re: np.ndarray, im: np.ndarray, dtype: type) -> np.ndarray:
+    """[re; im] as one array of the product dtype, laid out as re is, so
+    that the cast of a transposed view reads it in memory order."""
+    order = "F" if re.strides[0] < re.strides[1] else "C"
+    s = np.empty((2 * len(re), re.shape[1]), dtype=dtype, order=order)
+    s[:len(re)], s[len(re):] = re, im
+    return s
+
+
+def gram_tiles(re: np.ndarray,
+               im: np.ndarray) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Yield the tiles of (re + i im)^H (re + i im) of integer K x N matrices
+    on and above the diagonal, exactly, as (rows, cols, tile_re, tile_im):
+    rows and cols are slices of range(N), the tiles int64, the tile pairs
+    in row-band order.
+
+    The tier is picked once, from the whole-K bound 2 max^2 K, max over re
+    and im together: float32 BLAS below 2^24, float64 BLAS below 2^53,
+    numpy's int64 loop while each product term max^2 K is below 2^62, and
+    OverflowError beyond.  Each tile is accumulated over all K in that
+    tier, _TILE rows of K at a time, and converted to int64 once.  A K
+    chunk of each of the two column bands is cast and stacked as
+    S = [re; im], so the real part is S_a^T S_b (a BLAS syrk on the
+    diagonal) and the imaginary part is re_a^T im_b - im_a^T re_b (X - X^T
+    for X = re_a^T im_a on the diagonal).  Every float copy holds O(_TILE^2)
+    entries, whatever K and N are.  The checks run at the first tile.
+    """
+    if re.ndim != 2 or re.shape != im.shape:
+        raise ValueError(f"need two K x N matrices, got shapes {re.shape} and {im.shape}")
+    k, n = re.shape
+    dtype = _product_dtype(max_abs(re, im) ** 2 * k, terms=2)
+    bands = [slice(c, min(c + _TILE, n)) for c in range(0, n, _TILE)]
+    for a, ta in enumerate(bands):
+        for tb in bands[a:]:
+            sym = np.zeros((ta.stop - ta.start, tb.stop - tb.start), dtype=dtype)
+            x = np.zeros_like(sym)
+            for k0 in range(0, k, _TILE):
+                kc = slice(k0, k0 + _TILE)
+                s_a = _stacked(re[kc, ta], im[kc, ta], dtype)
+                s_b = s_a if tb == ta else _stacked(re[kc, tb], im[kc, tb], dtype)
+                h = len(s_a) // 2
+                sym += s_a.T @ s_b  # syrk on the diagonal: one operand and its transpose
+                x += s_a[:h].T @ s_b[h:]
+                if tb != ta:
+                    x -= s_a[h:].T @ s_b[:h]
+                s_a = s_b = None  # this chunk's casts are freed before the next are made
+            if tb == ta:
+                x = x - x.T
+            sym = sym.astype(np.int64, copy=False)  # each float tile freed as it is converted
+            x = x.astype(np.int64, copy=False)
+            yield ta, tb, sym, x
 
 
 def exact_gram(re: np.ndarray, im: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
     """Add (re + i im)^H (re + i im) of integer K x N matrices into the int64
     N x N pair out = (out_re, out_im), exactly.
 
-    float32 BLAS when 2 max^2 K < 2^24, float64 BLAS below 2^53, numpy's
-    int64 loop while each product term max^2 K is below 2^62, and
-    OverflowError beyond, where max is over re and im together.  The
-    caller bounds the sum with what `out` already holds.
-
-    Each K tile is cast to float once, stacked as S = [re; im], so the
-    real part is the symmetric product S^T S and the imaginary part is
-    X - X^T for X = re^T im.  The output is split into _TILE column
-    tiles, and only the tile pairs on or above the diagonal are
-    multiplied: a diagonal tile's S^T S is one BLAS syrk, and the tile
-    below the diagonal is the transpose of the real part and minus the
-    transpose of the imaginary part.
+    Each tile of `gram_tiles` is added in int64, and its mirror below the
+    diagonal is the transpose of the real part and minus the transpose of
+    the imaginary part.  The caller bounds the sum with what `out`
+    already holds.
     """
-    if re.ndim != 2 or re.shape != im.shape:
-        raise ValueError(f"need two K x N matrices, got shapes {re.shape} and {im.shape}")
-    k, n = re.shape
     out_re, out_im = out
-    bound = max_abs(re, im) ** 2 * k
-    if bound == 0:
-        return
-    dtype = _product_dtype(bound, terms=2)
-    if dtype is np.int64:
-        re, im = re.astype(np.int64, copy=False), im.astype(np.int64, copy=False)
-        out_re += re.T @ re
-        out_re += im.T @ im
-        x = re.T @ im
-        out_im += x
-        out_im -= x.T
-        return
-    tiles = [slice(c, c + _TILE) for c in range(0, n, _TILE)]
-    for k0 in range(0, k, _TILE):
-        kt = min(_TILE, k - k0)
-        s = np.empty((2 * kt, n), dtype=dtype)
-        s[:kt], s[kt:] = re[k0:k0 + kt], im[k0:k0 + kt]
-        r, i = s[:kt], s[kt:]
-        for a, ta in enumerate(tiles):
-            s_a, r_a, i_a = s[:, ta].T, r[:, ta].T, i[:, ta].T
-            for tb in tiles[a:]:
-                sym = s_a @ s[:, tb]  # syrk on the diagonal: one operand and its transpose
-                x = r_a @ i[:, tb]
-                x -= x.T if tb is ta else i_a @ r[:, tb]
-                _add(out_re[ta, tb], sym)
-                _add(out_im[ta, tb], x)
-                if tb is not ta:
-                    _add(out_re[tb, ta], sym.T)
-                    _add(out_im[tb, ta], -x.T)
+    for rows, cols, t_re, t_im in gram_tiles(re, im):
+        out_re[rows, cols] += t_re
+        out_im[rows, cols] += t_im
+        if rows != cols:
+            out_re[cols, rows] += t_re.T
+            out_im[cols, rows] -= t_im.T
 
 
 # ---------------------------------------------------------------------------

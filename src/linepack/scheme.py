@@ -88,11 +88,21 @@ class GaussianRationalMatrix:
     def max_abs(self) -> int:
         return max_abs(self.re, self.im)
 
-    def canonical(self) -> "GaussianRationalMatrix":
-        """Divide out the gcd of all entries and the denominator."""
+    def content(self) -> int:
+        """The gcd of the denominator and every entry.
+
+        Read from np.gcd.reduce of the signed entries, so no |entry| copy
+        is made; math.gcd drops the sign of the int64 result, which is
+        INT64_MIN when the gcd is 2^63, so nothing wraps.
+        """
         g = self.den
         for a in (self.re, self.im):
-            g = math.gcd(g, int(np.gcd.reduce(np.abs(a), axis=None)))
+            g = math.gcd(g, int(np.gcd.reduce(a, axis=None)))
+        return g
+
+    def canonical(self) -> "GaussianRationalMatrix":
+        """Divide out the gcd of all entries and the denominator."""
+        g = self.content()
         if g <= 1:
             return self
         return GaussianRationalMatrix(self.re // g, self.im // g, self.den // g)

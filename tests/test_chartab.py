@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linepack import chartab, exact
 from linepack.bgroup import GroupContext
 from linepack.chartab import (
     _strip_pow2,
@@ -239,6 +240,19 @@ def test_verify_checks_the_last_row_block(table7, corrupt):
     broken = replace(table7, value_arrays=(re, im))
     with pytest.raises(AssertionError, match="row orthogonality fails"):
         broken.verify()
+
+
+def test_orthogonality_check_reads_the_imaginary_part(monkeypatch):
+    # A = [1, i] has A^H A = [[1, i], [-i, 1]]: its real part is the identity
+    # and only its imaginary part is off the diagonal.  One-column tiles put
+    # that entry in an off-diagonal tile, and two runs of weights are summed
+    monkeypatch.setattr(exact, "_TILE", 1)
+    re, im = np.array([[1, 0]]), np.array([[0, 1]])
+    assert not chartab._is_diagonal(re, im, np.array([1]), np.array([1, 1]))
+    assert chartab._is_diagonal(np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
+                                np.array([1, 3]), np.array([1, 3]))
+    assert not chartab._is_diagonal(np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
+                                    np.array([1, 3]), np.array([1, 1]))
 
 
 def test_identity_column_sums_to_order(table3):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepack import FieldContext, GroupContext, RepContext, build_character_table, etf
+from linepack import FieldContext, GroupContext, RepContext, build_character_table, etf, exact
 from linepack.etf import (
     FrameMatrix,
     _certify_gram,
@@ -32,7 +32,7 @@ from linepack.etf import (
     write_gram_file,
     MatrixParseError,
 )
-from linepack.exact import blas_threads, exact_matmul
+from linepack.exact import blas_threads, exact_gram, exact_matmul
 from linepack.scheme import GaussianRationalMatrix
 
 
@@ -211,7 +211,7 @@ def test_frame_blocks_are_int8(group3, rep3):
     block = next(frame_blocks(group3, rep3, cols))
     assert block.re.dtype == block.im.dtype == np.int8
     frame = synthesize_frame(group3, rep3)
-    assert frame.re.dtype == frame.im.dtype == np.int64
+    assert frame.re.dtype == frame.im.dtype == np.int8
 
 
 def test_sampled_frame_route_streams_n7(monkeypatch, group7, table7, rep7):
@@ -347,7 +347,7 @@ def test_verify_gram_checks_hermitian_before_the_folded_square(monkeypatch, grou
     def refuse(*args):
         raise AssertionError("a non-Hermitian Gram reached the folded square")
 
-    monkeypatch.setattr(etf, "exact_gram", refuse)
+    monkeypatch.setattr(etf, "gram_tiles", refuse)
     im = gram.im.copy()
     im[3, 7] += 1
     cert = verify_gram(GaussianRationalMatrix(gram.re, im, gram.den))
@@ -356,6 +356,100 @@ def test_verify_gram_checks_hermitian_before_the_folded_square(monkeypatch, grou
     # [[1, 1], [0, 0]] is idempotent, G @ G == G, but not Hermitian
     cert = verify_gram(GaussianRationalMatrix(np.array([[1, 1], [0, 0]])))
     assert cert.failure == "Gram matrix is not Hermitian"
+
+
+def _parent_defects(gram):
+    """The Hermitian and projection defects as whole-matrix comparisons find
+    them: gram against its conjugate transpose, then the materialized G^H G
+    against G."""
+    hermitian = first_mismatch(gram, GaussianRationalMatrix(gram.re.T, -gram.im.T, gram.den))
+    if hermitian is not None:
+        return "Gram matrix is not Hermitian", hermitian
+    re, im = np.zeros((2,) + gram.shape, dtype=np.int64)
+    exact_gram(gram.re, gram.im, (re, im))
+    return "Gram matrix is not a projection", first_mismatch(
+        GaussianRationalMatrix(re, im, gram.den ** 2), gram)
+
+
+def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
+    # 10-entry tiles, which do not divide N = 64 or m = 28: the last tile is
+    # 4 x 4 in the Gram and 8 x 8 in frame frame^H.  One-entry flips in that
+    # tile, and seeded Hermitian pair flips anywhere, must be reported at the
+    # entry the whole-matrix comparison reports
+    monkeypatch.setattr(exact, "_TILE", 10)
+    frame = synthesize_frame(group3, rep3)
+    gram = gram_from_frame(frame)
+    identity = GaussianRationalMatrix(np.eye(64, dtype=np.int64))
+    cases = []
+    for base, i, j, part, delta in [
+        (gram, 62, 61, "im", 1),       # not Hermitian
+        (gram, 63, 63, "re", 1),       # Hermitian, not a projection
+        (gram, 61, 62, "re", 2),       # with its mirror below
+        (identity, 63, 63, "re", 3),   # the defect is in the last tile too
+        (identity, 61, 62, "re", 3),
+    ]:
+        re, im = base.re.copy(), base.im.copy()
+        (re if part == "re" else im)[i, j] += delta
+        if (i, j, part) != (62, 61, "im"):
+            (re if part == "re" else im)[j, i] += delta if part == "re" else -delta
+        cases.append(GaussianRationalMatrix(re, im, base.den))
+    # row 1 has its only mismatch at (1, 25), in the band's third tile; the
+    # band's first tile has one at (5, 5), a later row
+    re = np.zeros((64, 64), dtype=np.int64)
+    re[1, 1] = re[1, 25] = re[25, 1] = 1
+    re[5, 5] = 4
+    cases.append(GaussianRationalMatrix(re, None, 2))
+    rng = np.random.default_rng(2)
+    for _ in range(6):
+        i, j = sorted(rng.integers(0, 64, size=2))
+        re = gram.re.copy()
+        re[i, j] += 1
+        re[j, i] += 1 if i != j else 0
+        cases.append(GaussianRationalMatrix(re, gram.im, gram.den))
+    for tampered in cases:
+        cert = verify_gram(tampered)
+        failure, defect = _parent_defects(tampered)
+        assert (cert.failure, cert.cross_checks["projectionDefect"]) == (failure, list(defect))
+    found = [tuple(verify_gram(c).cross_checks["projectionDefect"]) for c in cases[:6]]
+    assert found == [(61, 62), (0, 63), (0, 61), (63, 63), (61, 61), (1, 25)]
+
+    def parent_parseval(f):
+        re, im = np.zeros((2, f.rows, f.rows), dtype=np.int64)
+        exact_gram(f.re.T, f.im.T, (re, im))
+        return first_mismatch(GaussianRationalMatrix(re, im, 1 << -f.log2_scale_sq),
+                              GaussianRationalMatrix.identity(f.rows))
+
+    for i, j in [(27, 63), (20, 60), (27, 0), (0, 0)]:
+        re = frame.re.copy()
+        re[i, j] = 1 - re[i, j]
+        tampered = FrameMatrix(re, frame.im, frame.log2_scale_sq)
+        defect = parseval_defect(tampered)
+        assert defect is not None and defect == parent_parseval(tampered)
+
+
+@pytest.mark.parametrize("name, budget_mib", [
+    ("verify_gram", 8),           # 20.5 MiB when G^2 and a transposed copy were made
+    ("parseval_defect", 3.75),    # 8.5 MiB when the m x m product and identity were made
+    ("_welch_pattern", 1),        # 16.0 MiB when the N x N squared moduli were made
+    ("gram_from_frame", 20),      # 32.0 MiB with the int64 frame and a reduced copy
+])
+def test_checks_stay_within_memory_budgets_n5(group5, rep5, name, budget_mib):
+    # each budget is below the arrays the function no longer holds: the int64
+    # Gram pair (16 MiB) is the only N x N memory; its input is made untraced
+    frame = synthesize_frame(group5, rep5)
+    gram = gram_from_frame(frame)
+    m, num = frame_dimensions(5)
+    passes = {"verify_gram": lambda: verify_gram(gram).verdict == "OPTIMAL",
+              "parseval_defect": lambda: parseval_defect(frame) is None,
+              "_welch_pattern": lambda: _welch_pattern(gram, m, num)[0] is None,
+              "gram_from_frame": lambda: gram_from_frame(frame) == gram}[name]
+    tracemalloc.start()
+    try:
+        assert passes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget_mib * (1 << 20), f"{name}: {peak / (1 << 20):.2f} MiB"
 
 
 def test_tampered_frame_detected(group3, rep3):

@@ -16,6 +16,7 @@ from linepack.exact import (
     check_bound,
     exact_gram,
     exact_matmul,
+    gram_tiles,
     max_abs,
 )
 
@@ -124,7 +125,8 @@ def test_blas_threads_restores_the_count():
 
 def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3, scheme3):
     # each site's products, counted by entry point of the one checked kernel;
-    # a product that bypassed both would leave its site's count short
+    # a product that bypassed them would leave its site's count short.
+    # exact_gram reads gram_tiles from exact itself, so that is patched too
     calls = []
 
     def counting(kernel):
@@ -133,10 +135,11 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
             return kernel(*args)
         return call
 
-    for module in (chartab, etf, scheme):
-        for name in ("exact_matmul", "exact_gram"):
+    kernels = {name: getattr(exact, name) for name in ("exact_matmul", "exact_gram", "gram_tiles")}
+    for module in (chartab, etf, exact, scheme):
+        for name, kernel in kernels.items():
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(getattr(exact, name)))
+                monkeypatch.setattr(module, name, counting(kernel))
     frame = etf.synthesize_frame(group3, rep3)
     gram = etf.gram_from_frame(frame)
     sites = {
@@ -155,11 +158,12 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         counts[name] = Counter(calls)
     d1 = scheme3.class_count
     assert counts == {
-        "gram_from_frame": {"exact_gram": 1},
-        "parseval_defect": {"exact_gram": 1},
-        "verify_gram": {"exact_gram": 1},
+        "gram_from_frame": {"exact_gram": 1, "gram_tiles": 1},
+        "parseval_defect": {"gram_tiles": 1},
+        "verify_gram": {"gram_tiles": 1},
         "GaussianRationalMatrix.__matmul__": {"exact_matmul": 4},
-        "CharacterTable.verify": {"exact_matmul": 8},
+        # one per run of equal class sizes (1, then 4) for the rows, one for the columns
+        "CharacterTable.verify": {"gram_tiles": 3},
         "krein": {"exact_matmul": 2 * d1 * (d1 + 1)},
     }
 
@@ -283,3 +287,57 @@ def test_gram_matches_python_ints(data, k, n, mag):
         return
     want = _gram_reference(re, im)
     assert all(np.array_equal(g, w.astype(np.int64).reshape(n, n)) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# gram_tiles, the tile-yielding form of the Hermitian entry point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale, dtype", [
+    (3, np.float32),        # 2 * 9 * 23 < 2^24
+    (1 << 20, np.float64),  # 2 * 2^40 * 23 < 2^53
+    (1 << 27, np.int64),    # 2 * 2^54 * 23 >= 2^53
+])
+def test_gram_tiles_match_python_ints_on_each_tier(monkeypatch, scale, dtype):
+    # 7-entry tiles, which divide neither K = 23 nor N = 17, so partial K
+    # chunks and a partial last band are crossed; the tiles must be int64,
+    # exact, on and above the diagonal only, in row-band order, and cover
+    # each entry of the upper bands once
+    rng = np.random.default_rng(5)
+    re = rng.integers(-scale, scale + 1, size=(23, 17))
+    im = rng.integers(-scale, scale + 1, size=(23, 17))
+    assert _tier(monkeypatch, re, im) is dtype
+    monkeypatch.setattr(exact, "_TILE", 7)
+    want_re, want_im = _gram_reference(re, im)
+    seen = np.zeros((17, 17), dtype=int)
+    order = []
+    for rows, cols, t_re, t_im in gram_tiles(re, im):
+        assert t_re.dtype == t_im.dtype == np.int64
+        assert np.array_equal(t_re, want_re[rows, cols])
+        assert np.array_equal(t_im, want_im[rows, cols])
+        seen[rows, cols] += 1
+        order.append((rows.start, cols.start))
+    assert order == [(0, 0), (0, 7), (0, 14), (7, 7), (7, 14), (14, 14)]
+    band = np.arange(17) // 7
+    assert np.array_equal(seen, (band[:, None] <= band[None, :]).astype(int))
+
+
+def test_gram_tiles_of_empty_and_zero_inputs(monkeypatch):
+    # K = 0 and all-zero operands give zero tiles over every upper band, so
+    # a consumer compares them like any other product
+    monkeypatch.setattr(exact, "_TILE", 3)
+    for k in (0, 4):
+        zero = np.zeros((k, 4), dtype=np.int64)
+        tiles = list(gram_tiles(zero, zero))
+        assert [(r.start, r.stop, c.start, c.stop) for r, c, _, _ in tiles] == [
+            (0, 3, 0, 3), (0, 3, 3, 4), (3, 4, 3, 4)]
+        assert all(t.dtype == np.int64 and not t.any() for _, _, *pair in tiles for t in pair)
+    assert list(gram_tiles(np.zeros((5, 0)), np.zeros((5, 0)))) == []
+
+
+def test_gram_tiles_check_at_the_first_tile():
+    tiles = gram_tiles(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        next(tiles)
+    with pytest.raises(OverflowError):
+        next(gram_tiles(np.array([[1 << 31]]), np.array([[1 << 31]])))

@@ -63,6 +63,19 @@ def test_add_sub_and_equality_across_denominators():
     assert a.canonical().den == 2
 
 
+def test_canonical_reads_the_gcd_of_signed_entries():
+    # the gcd is read from the signed entries, with no |entry| copy; at
+    # INT64_MIN numpy returns the gcd 2^63 as INT64_MIN, which must not wrap
+    low = np.iinfo(np.int64).min
+    a = GaussianRationalMatrix(np.array([[-4, 6]]), np.array([[0, -2]]), 6)
+    assert a.content() == 2
+    c = a.canonical()
+    assert (c.re.tolist(), c.im.tolist(), c.den) == ([[-2, 3]], [[0, -1]], 3)
+    assert GaussianRationalMatrix(np.array([[low, 0]]), None, 1 << 64).content() == 1 << 63
+    b = GaussianRationalMatrix(np.array([[low, 1 << 62]]), None, 1 << 62).canonical()
+    assert (b.re.tolist(), b.den) == ([[-2, 1]], 1)
+
+
 _BIG = GaussianRationalMatrix(np.array([[1 << 32]]))
 
 
