@@ -172,8 +172,10 @@ class GroupContext:
     # vectorized index machinery
     # ------------------------------------------------------------------
 
-    def inverse_product_index_grid(self, cols: np.ndarray) -> np.ndarray:
-        """Index of inv(g) * h for g, h in the selection `cols` of element indices.
+    def inverse_product_index_grid(self, cols: np.ndarray,
+                                   rows: np.ndarray | None = None) -> np.ndarray:
+        """Index of inv(g) * h for g in the selection `rows` of element
+        indices (default `cols`) and h in the selection `cols`.
 
         This is the argument on which every group-scheme matrix entry
         depends: the (g, h) entry of any matrix in the adjacency algebra
@@ -182,10 +184,12 @@ class GroupContext:
         """
         f = self.field
         n, mask = f.n, f.order - 1
-        x, y = cols >> n, cols & mask
-        wx = x[:, None] ^ x[None, :]
-        wy = (y ^ f.cube_table[x])[:, None] ^ y[None, :]
-        wy ^= f.mul_table[x[:, None], f.square_table[x][None, :]]
+        rows = cols if rows is None else rows
+        x, y = rows >> n, rows & mask
+        a, b = cols >> n, cols & mask
+        wx = x[:, None] ^ a[None, :]
+        wy = (y ^ f.cube_table[x])[:, None] ^ b[None, :]
+        wy ^= f.mul_table[x[:, None], f.square_table[a][None, :]]
         return (wx << n) | wy
 
     @cached_property

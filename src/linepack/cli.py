@@ -26,7 +26,6 @@ metadata live only in the manifest.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -53,6 +52,10 @@ class VerificationFailure(Exception):
 
 
 def _sha256(path: Path) -> str:
+    # imported here: only build's manifest hashes files, and hashlib loads
+    # OpenSSL, 3.5 MB of RSS in every process that imports it
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -211,10 +214,7 @@ def _verify_from_n(args) -> int:
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
         cert = etf.verify_frame(frame, gram=gram)
-        at = group.inverse_product_index_matrix
-        mismatches = etf._route_mismatches({
-            "frame": gram, "character": etf.gram_character(group, table, at),
-            "closedForm": etf.gram_closed_form(group, at)})
+        mismatches = etf._full_route_mismatches(group, table, gram)
         agree = all(v is None for v in mismatches.values())
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))

@@ -29,21 +29,26 @@ The two table routes are rows over the group, one value per element,
 and each Gram block is its row gathered at inv(g) h on one selection of
 columns; full verification selects every column.  The frame route never
 reads that index.  All three agree entrywise; verification is exact.
-Full verification holds the int8 frame and one int64 N x N Gram; the
-sampled mode compares a random block of columns, and its frame route
-streams the int8 gamma blocks of those columns in O(ncols^2) memory.  The
-Parseval check frame frame^H and the projection check G^2 = G^H G of a
-Hermitian Gram read the same Hermitian product one tile at a time
-(`exact.gram_tiles`) and compare each tile as it comes, so neither
-product is ever held whole.
+Full verification holds the int8 frame and one int64 N x N Gram, and
+gathers the two table routes on one chunk of rows at a time to compare
+them with it; the sampled mode compares a random block of columns, and
+its frame route streams the int8 gamma blocks of those columns in
+O(ncols^2) memory.  The Parseval check frame frame^H and the projection
+check G^2 = G^H G of a Hermitian Gram read the same Hermitian product one
+tile at a time (`exact.gram_tiles`) and compare each tile as it comes, so
+neither product is ever held whole.  `read_matrix_file` reads a matrix
+file one row at a time into the int64 (re, im) pair it returns, and holds
+that pair and one row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import re
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -451,6 +456,32 @@ def _route_mismatches(routes: dict[str, GaussianRationalMatrix]) -> dict:
             for a, b in itertools.combinations(routes, 2)}
 
 
+def _full_route_mismatches(group: GroupContext, table: CharacterTable,
+                           gram: GaussianRationalMatrix) -> dict:
+    """`_route_mismatches` of the frame Gram `gram` and the character and
+    closed-form routes over all N^2 entries.
+
+    The table routes are gathered on the index grid of one chunk of
+    `_chunk_rows(N)` rows at a time and compared with the frame Gram's
+    rows, so no N x N index or route is made; each pair keeps its first
+    chunk's mismatch, which is the first row-major one.
+    """
+    elements = np.arange(group.order, dtype=np.int64)
+    step = _chunk_rows(group.order)
+    found: dict = {}
+    for start in range(0, group.order, step):
+        rows = slice(start, start + step)
+        at = group.inverse_product_index_grid(elements, elements[rows])
+        chunk = _route_mismatches({
+            "frame": GaussianRationalMatrix(gram.re[rows], gram.im[rows], gram.den),
+            "character": gram_character(group, table, at),
+            "closedForm": gram_closed_form(group, at)})
+        for pair, bad in chunk.items():
+            if found.get(pair) is None:
+                found[pair] = None if bad is None else (start + bad[0], bad[1])
+    return found
+
+
 def _isqrt_ceil(x: int) -> int:
     r = math.isqrt(x)
     return r if r * r >= x else r + 1
@@ -577,103 +608,166 @@ class MatrixParseError(ValueError):
 # never meets int()'s 4300-digit limit; the magnitude must also stay below 2^63
 _INT = r"[+-]?\d{1,19}"
 _ENTRY = {False: ("a;b", f"{_INT};{_INT}"), True: ("p/q;r/s", f"{_INT}/{_INT};{_INT}/{_INT}")}
+_TOKENS = {rational: re.compile(f"{entry}(?: {entry})*") for rational, (_, entry) in _ENTRY.items()}
 _TO_SPACES = str.maketrans("/;", "  ")
 
 
-def _parse_rows(lines: list[str], cols: int, rational: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's index into a table of the distinct entries, and that table:
-    one int64 row per distinct token, its integers (a, b) or (p, q, r, s).
+def read_matrix_file(path):
+    """Parse a v1 matrix file; returns a FrameMatrix or GaussianRationalMatrix.
 
-    Each line must be exactly `cols` entries of the one grammar (every count
-    is checked before `cols` sizes anything).  Only the tokens a row adds to
-    the table are matched and converted; a value whose magnitude reaches
-    2^63 is a parse error, so negation never wraps.
+    The file is read in one pass, a line at a time, straight into the int64
+    (re, im) pair of the result (`_read_rows`): the reader holds that pair
+    and one row, never the text, a list of its lines or an index of every
+    entry.  The pair is allocated only when the body has the
+    4 rows cols - 1 bytes that rows x cols entries take at least: 3 bytes
+    each, as in `0;0`, and a separator after each but the last.  A shorter
+    body cannot hold the matrix and is read to its fault with nothing
+    allocated.  A pipe, whose size is unknown up front, is sized by its
+    header alone.
     """
-    for r, ln in enumerate(lines):
-        found = ln.count(" ") + 1
-        if found != cols:
-            raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
-    # cols is now bounded by the file's line length, so it may size the index array
-    form, entry = _ENTRY[rational]
-    entries = re.compile(f"{entry}(?: {entry})*")
-    index: dict[str, int] = {}
-    table: list[np.ndarray] = []
-    size, step = 0, _chunk_rows(cols)
-    ids = np.empty((len(lines), cols), dtype=np.intp)
-    for r, ln in enumerate(lines):
-        if r % step == 0:
-            index.clear()  # bounds the index when entries do not repeat
-        toks = ln.split(" ")
-        new = list(set(toks).difference(index))
-        if new:
-            text = " ".join(new)
-            if not entries.fullmatch(text):
-                raise MatrixParseError(f"bad entry in row {r}: entries are integers {form}"
-                                       " of at most 19 digits")
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            line = fh.readline()
+            header = line.split()
+            if header[:2] != _HEADER.split():
+                raise MatrixParseError("missing LINEPACK-MATRIX v1 header")
             try:
-                ints = np.array(text.translate(_TO_SPACES).split(" "), dtype=np.int64)
-            except OverflowError as exc:
-                raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
-            if (ints == -_INT64_MAX - 1).any():
-                raise MatrixParseError("entry magnitude 2**63 is beyond int64")
-            index.update(zip(new, range(size, size + len(new))))
-            size += len(new)
-            table.append(ints)
-        ids[r] = np.fromiter(map(index.__getitem__, toks), dtype=np.intp, count=cols)
-    return ids, np.concatenate(table).reshape(size, -1)
+                fields = dict(tok.split("=", 1) for tok in header[2:])
+                rows, cols = int(fields["rows"]), int(fields["cols"])
+                scale = int(fields["scale_log2_num"]), int(fields["scale_log2_den"])
+            except (KeyError, ValueError) as exc:
+                raise MatrixParseError(f"malformed header: {exc}") from exc
+            if rows < 1 or cols < 1:
+                raise MatrixParseError(f"need positive rows and cols, got {rows}x{cols}")
+            # the body size, or one byte over it when the header ends in \r\n
+            st = os.fstat(fh.fileno())
+            fits = not stat.S_ISREG(st.st_mode) or st.st_size - len(line) >= 4 * rows * cols - 1
+            lines = (ln.rstrip("\n") for ln in fh if ln != "\n")
+            return _read_rows(lines, rows, cols, scale, fits)
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(f"not an ASCII matrix file: {exc}") from exc
 
 
-def _over_common_denominator(fractions: np.ndarray) -> tuple[np.ndarray, int]:
+def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int],
+               fits: bool):
+    """The matrix whose rows are the non-empty `lines`, each gathered into the
+    result as it is read, into nothing unless the body `fits` the matrix.
+
+    Each line must be exactly `cols` entries of the one grammar that the
+    first entry names.  Only the tokens new to the index are matched and
+    converted, into a table of (re, im) rows that each line is gathered
+    from; index and table are reset every `_chunk_rows(cols)` rows, which
+    bounds them when entries do not repeat.  Gram values are held over the
+    running common denominator (`_over_running_denominator`).  The row
+    count is reported before any other fault, and before any value is used.
+    """
+    found, fault = 0, None
+    try:
+        for r, ln in enumerate(lines):
+            found = r + 1
+            if r == rows:
+                break  # the surplus is counted below
+            if r == 0:
+                rational = "/" in ln.split(" ", 1)[0]
+                log2_scale_sq = None if rational else _frame_log2_scale_sq(*scale)
+                try:
+                    out = np.empty((2, rows, cols), dtype=np.int64) if fits else None
+                except (MemoryError, ValueError) as exc:  # a pipe's header alone sized it
+                    raise MatrixParseError(f"no memory for {rows}x{cols} entries: {exc}") from exc
+                index, table, size, den = {}, np.empty((0, 2), dtype=np.int64), 0, 1
+            toks = _row_tokens(ln, r, cols)
+            if r % _chunk_rows(cols) == 0:
+                index.clear()
+                size = 0
+            new = list(set(toks).difference(index))
+            if new:
+                values = _token_ints(new, r, rational)
+                if rational:
+                    filled = [table[:size]] if out is None else [table[:size], out[:, :r]]
+                    values, den = _over_running_denominator(values, den, filled)
+                if size + len(new) > len(table):
+                    table = np.concatenate([table[:size], np.empty((size + len(new), 2), np.int64)])
+                table[size:size + len(new)] = values
+                index.update(zip(new, range(size, size + len(new))))
+                size += len(new)
+            if out is not None:
+                out[:, r] = table[np.fromiter(map(index.__getitem__, toks), np.intp, cols)].T
+    except MatrixParseError as exc:
+        fault = exc
+    found += sum(1 for _ in lines)  # the lines after a fault or beyond `rows`
+    if found != rows:
+        raise MatrixParseError(f"expected {rows} rows, found {found}")
+    if fault is None and out is None:  # only if the file changed while it was read
+        fault = MatrixParseError(f"the body is too short for {rows}x{cols} entries")
+    if fault is not None:
+        raise fault
+    if rational:
+        return GaussianRationalMatrix(out[0], out[1], den)
+    return FrameMatrix(out[0], out[1], log2_scale_sq)
+
+
+def _row_tokens(line: str, r: int, cols: int) -> list[str]:
+    """The entries of row r; a line with the wrong count is never split."""
+    found = line.count(" ") + 1
+    if found != cols:
+        raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
+    return line.split(" ")
+
+
+def _frame_log2_scale_sq(snum: int, sden: int) -> int:
+    """A frame's squared scale exponent from its header's scale_log2_num and _den."""
+    if sden not in (1, 2):
+        raise MatrixParseError("unsupported scale denominator")
+    if snum > 0:
+        # certification needs the inverse squared scale as an integer power of two
+        raise MatrixParseError("frame scale_log2_num must not be positive")
+    log2_scale_sq = snum * 2 // sden
+    if -log2_scale_sq >= 62:
+        # the certificate compares over this denominator, under exact.INT64_BOUND
+        raise MatrixParseError(f"frame inverse squared scale 2**{-log2_scale_sq} "
+                               "reaches the 2**62 bound of exact int64 arithmetic")
+    return log2_scale_sq
+
+
+def _token_ints(tokens: list[str], r: int, rational: bool) -> np.ndarray:
+    """One int64 row per distinct token of row r: its integers (a, b) or
+    (p, q, r, s).  A value whose magnitude reaches 2^63 is a parse error,
+    so negation never wraps."""
+    text = " ".join(tokens)
+    if not _TOKENS[rational].fullmatch(text):
+        raise MatrixParseError(f"bad entry in row {r}: entries are integers "
+                               f"{_ENTRY[rational][0]} of at most 19 digits")
+    try:
+        ints = np.array(text.translate(_TO_SPACES).split(" "), dtype=np.int64)
+    except OverflowError as exc:
+        raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
+    if (ints == -_INT64_MAX - 1).any():
+        raise MatrixParseError("entry magnitude 2**63 is beyond int64")
+    return ints.reshape(len(tokens), -1)
+
+
+def _over_running_denominator(fractions: np.ndarray, den: int,
+                              filled: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """Rows p q r s of fractions p/q;r/s as integer (re, im) rows over the lcm
-    of the reduced denominators, each fraction reduced once."""
+    of `den` and their reduced denominators, and that lcm.
+
+    When the lcm grows, the values already read, over `den`, are multiplied
+    up in `filled` in place.  Every value is checked against int64 before
+    it is scaled.
+    """
     p, q = fractions[:, 0::2], fractions[:, 1::2]
     if not q.all():
         raise MatrixParseError("zero denominator")
     g = np.gcd(p, q) * np.sign(q)  # the reduced denominator is positive
     p, q = p // g, q // g
-    den = math.lcm(*np.unique(q).tolist())
-    if den > _INT64_MAX:
-        raise MatrixParseError(f"common denominator {den} exceeds int64")
-    factor = den // q
-    if (np.abs(p) > _INT64_MAX // factor).any():
-        raise MatrixParseError(f"entries over the common denominator {den} exceed int64")
-    return p * factor, den
-
-
-def read_matrix_file(path):
-    """Parse a v1 matrix file; returns a FrameMatrix or GaussianRationalMatrix."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            header = fh.readline().split()
-            body = fh.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise MatrixParseError(f"not an ASCII matrix file: {exc}") from exc
-    if header[:2] != _HEADER.split():
-        raise MatrixParseError("missing LINEPACK-MATRIX v1 header")
-    try:
-        fields = dict(tok.split("=", 1) for tok in header[2:])
-        rows, cols = int(fields["rows"]), int(fields["cols"])
-        snum, sden = int(fields["scale_log2_num"]), int(fields["scale_log2_den"])
-    except (KeyError, ValueError) as exc:
-        raise MatrixParseError(f"malformed header: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixParseError(f"need positive rows and cols, got {rows}x{cols}")
-    lines = [ln for ln in body if ln]
-    if len(lines) != rows:
-        raise MatrixParseError(f"expected {rows} rows, found {len(lines)}")
-    rational = "/" in lines[0].split(" ", 1)[0]
-    if not rational:
-        if sden not in (1, 2):
-            raise MatrixParseError("unsupported scale denominator")
-        if snum > 0:
-            # certification needs the inverse squared scale as an integer power of two
-            raise MatrixParseError("frame scale_log2_num must not be positive")
-        log2_scale_sq = snum * 2 // sden
-        if -log2_scale_sq >= 63:
-            raise MatrixParseError("frame inverse squared scale 2**-log2_scale_sq is beyond int64")
-    ids, table = _parse_rows(lines, cols, rational)
-    del lines, body  # free the text before the full-size gathers
-    if not rational:
-        return FrameMatrix(table[ids, 0], table[ids, 1], log2_scale_sq)
-    values, den = _over_common_denominator(table)
-    return GaussianRationalMatrix(values[ids, 0], values[ids, 1], den)
+    lcm = math.lcm(den, *set(q.ravel().tolist()))
+    if lcm > _INT64_MAX:
+        raise MatrixParseError(f"common denominator {lcm} exceeds int64")
+    grow, factor = lcm // den, lcm // q
+    if (np.abs(p) > _INT64_MAX // factor).any() or (
+            grow > 1 and max_abs(*filled) > _INT64_MAX // grow):
+        raise MatrixParseError(f"entries over the common denominator {lcm} exceed int64")
+    if grow > 1:
+        for a in filled:
+            a *= grow
+    return p * factor, lcm

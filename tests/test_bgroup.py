@@ -195,3 +195,12 @@ def test_inverse_product_index_grid_sampled_n5(group5):
     cols = np.array(sorted(random.Random(9).sample(range(group5.order), 40)))
     assert np.array_equal(group5.inverse_product_index_grid(cols),
                           _inverse_products(group5, cols))
+
+
+def test_inverse_product_index_grid_on_rows_and_cols(group5):
+    # rows g and columns h chosen apart: the rows x cols block of the full grid
+    rng = random.Random(4)
+    rows = np.array(rng.sample(range(group5.order), 7))
+    cols = np.array(rng.sample(range(group5.order), 30))
+    full = group5.inverse_product_index_matrix
+    assert np.array_equal(group5.inverse_product_index_grid(cols, rows), full[np.ix_(rows, cols)])

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +193,36 @@ def test_verify_sample_by_degree(capsys):
     assert payload["agree"] and payload["pattern_ok"]
 
 
+@pytest.mark.parametrize("rows", [[62], [3, 62]])
+def test_verify_full_reports_the_whole_matrix_mismatch(capsys, monkeypatch, group3, rep3,
+                                                      table3, rows):
+    # 8-row chunks at n = 3, and a closed form that differs in column 5 of the
+    # given rows, row 62 being in the last chunk: each pair reports what the
+    # whole matrices give
+    from linepack import etf
+    from linepack.scheme import GaussianRationalMatrix
+
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 8 * 64)
+    closed_form, full_at = etf.gram_closed_form, group3.inverse_product_index_matrix
+
+    def flipped(group, at):
+        gram = closed_form(group, at)
+        re = gram.re.copy()
+        re[np.isin(at[:, 0], full_at[rows, 0]), 5] += 1  # column 0 of row g is inv(g)
+        return GaussianRationalMatrix(re, gram.im, gram.den)
+
+    monkeypatch.setattr(etf, "gram_closed_form", flipped)
+    want = etf._route_mismatches({
+        "frame": etf.gram_from_frame(etf.synthesize_frame(group3, rep3)),
+        "character": etf.gram_character(group3, table3, full_at),
+        "closedForm": flipped(group3, full_at)})
+    assert want == {"frame_vs_character": None, "frame_vs_closedForm": (rows[0], 5),
+                    "character_vs_closedForm": (rows[0], 5)}
+    code, stdout, err = run(capsys, "verify", "--n", "3", "--mode", "full")
+    assert code == 1 and json.loads(stdout)["threeWay"] is False
+    assert f"gram routes disagree: {want}" in err
+
+
 def test_verify_full_beyond_n5_is_usage_error(capsys, monkeypatch):
     from linepack import cli
 
@@ -305,10 +340,14 @@ _HEAD = "LINEPACK-MATRIX v1 rows={} cols={} scale_log2_num={} scale_log2_den={}\
     _HEAD.format(1, 2, -2, 2) + "1;0  0;0\n",
     _HEAD.format(1, 18769302, -2, 2) + "1;0\n",
     _HEAD.format(1, 1, -2, 2) + "1" * 5000 + ";0\n",
+    _HEAD.format(10 ** 12, 10 ** 12, -2, 2) + "1;0\n",
+    _HEAD.format(2 ** 40, 1, -2, 2) + "1;0\n",
+    _HEAD.format(1, 1, -62, 2) + "1;0\n",
 ], ids=["missing-file", "zero-rows", "non-square-gram", "positive-frame-scale",
         "frame-entry-beyond-int64", "gram-denominator-beyond-int64", "not-ascii",
         "zero-denominator", "underscore-digits", "frame-entry-int64-min",
-        "double-space", "cols-beyond-the-row", "entry-with-5000-digits"])
+        "double-space", "cols-beyond-the-row", "entry-with-5000-digits",
+        "entries-beyond-the-file", "rows-beyond-the-file", "frame-scale-at-2**62"])
 def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "input.mat"
     if isinstance(content, str):
@@ -318,6 +357,40 @@ def test_verify_malformed_input_is_exit_2(tmp_path, capsys, content):
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 2
     assert "linepack: " in err
+
+
+@pytest.mark.parametrize("content, code, message", [
+    ("gram.mat", 0, ""),
+    (_HEAD.format(10 ** 12, 10 ** 12, -2, 2) + "1;0\n", 2, "expected 1000000000000 rows, found 1"),
+    (_HEAD.format(1, 10 ** 11, -2, 2) + "1;0\n", 2, "no memory for 1x100000000000 entries"),
+], ids=["gram", "entries-beyond-the-array-limit", "entries-beyond-memory"])
+def test_verify_in_reads_a_pipe(built_n3, capsys, content, code, message):
+    # a pipe has no size to bound its header by, so the header alone sizes the result
+    path = built_n3 / "gram.mat"
+    data = path.read_bytes() if content == "gram.mat" else content.encode("ascii")
+    r, w = os.pipe()  # each input fits the pipe's buffer, so it is written whole first
+    os.write(w, data)
+    os.close(w)
+    try:
+        got = run(capsys, "verify", "--in", f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert got[0] == code and message in got[2]
+    if code == 0:
+        assert got == run(capsys, "verify", "--in", str(path))
+
+
+def test_verify_in_imports_neither_hashlib_nor_numpy_ma(built_n3):
+    # hashlib loads OpenSSL and numpy.ma is large; only build's manifest hashes
+    # files, and the reader finds the common denominator without np.unique
+    code = ("import sys, linepack.cli as cli\n"
+            f"assert cli.main(['verify', '--in', {str(built_n3 / 'gram.mat')!r}]) == 0\n"
+            "print(sorted({'hashlib', 'numpy.ma'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,17 +433,21 @@ def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
     ("parseval_defect", 3.75),    # 8.5 MiB when the m x m product and identity were made
     ("_welch_pattern", 1),        # 16.0 MiB when the N x N squared moduli were made
     ("gram_from_frame", 20),      # 32.0 MiB with the int64 frame and a reduced copy
+    ("read_matrix_file", 17.5),   # 25.1 MiB with the text, its lines and an N x N index
 ])
-def test_checks_stay_within_memory_budgets_n5(group5, rep5, name, budget_mib):
+def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budget_mib):
     # each budget is below the arrays the function no longer holds: the int64
     # Gram pair (16 MiB) is the only N x N memory; its input is made untraced
     frame = synthesize_frame(group5, rep5)
     gram = gram_from_frame(frame)
     m, num = frame_dimensions(5)
+    if name == "read_matrix_file":
+        write_gram_file(tmp_path / "gram.mat", gram)
     passes = {"verify_gram": lambda: verify_gram(gram).verdict == "OPTIMAL",
               "parseval_defect": lambda: parseval_defect(frame) is None,
               "_welch_pattern": lambda: _welch_pattern(gram, m, num)[0] is None,
-              "gram_from_frame": lambda: gram_from_frame(frame) == gram}[name]
+              "gram_from_frame": lambda: gram_from_frame(frame) == gram,
+              "read_matrix_file": lambda: read_matrix_file(tmp_path / "gram.mat").den == 64}[name]
     tracemalloc.start()
     try:
         assert passes()
@@ -612,13 +617,77 @@ def test_parse_errors(tmp_path):
         read_matrix_file(short)
 
 
+def test_reader_reports_one_row_too_few_or_too_many(tmp_path, group3, table3):
+    gram = gram_character(group3, table3, group3.inverse_product_index_matrix)
+    write_gram_file(tmp_path / "gram.mat", gram)
+    head, *rows = (tmp_path / "gram.mat").read_text(encoding="ascii").splitlines(keepends=True)
+    for body, found in ((rows[:-1], 63), (rows + rows[:1], 65)):
+        (tmp_path / "bad.mat").write_text(head + "".join(body), encoding="ascii")
+        with pytest.raises(MatrixParseError, match=f"^expected 64 rows, found {found}$"):
+            read_matrix_file(tmp_path / "bad.mat")
+
+
+def test_reader_allocates_nothing_for_a_body_too_short(tmp_path):
+    # 1000 x 1000 entries take 16 MiB as int64 pairs; one row cannot hold them
+    path = tmp_path / "short.mat"
+    path.write_text("LINEPACK-MATRIX v1 rows=1000 cols=1000 scale_log2_num=-2 "
+                    "scale_log2_den=2\n" + " ".join(["0;0"] * 1000) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixParseError, match="^expected 1000 rows, found 1$"):
+            read_matrix_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["frame.mat", "gram.mat"])
+def test_reader_reads_crlf_and_blank_lines_as_the_plain_file(tmp_path, group3, rep3, name):
+    frame = synthesize_frame(group3, rep3)
+    plain = tmp_path / name
+    if name == "frame.mat":
+        write_frame_file(plain, frame.rows, [frame])
+    else:
+        write_gram_file(plain, gram_from_frame(frame))
+    want = read_matrix_file(plain)
+    text = plain.read_text(encoding="ascii")
+    for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                    text.replace("\n", "\n\n\r\n") + "\n\n"):
+        (tmp_path / "v.mat").write_bytes(variant.encode("ascii"))
+        got = read_matrix_file(tmp_path / "v.mat")
+        if name == "frame.mat":
+            assert got.log2_scale_sq == want.log2_scale_sq
+            assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
+        else:
+            assert got.den == want.den and got == want
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 64])
+def test_reader_rescale_beyond_int64_is_a_parse_error(tmp_path, monkeypatch, chunk_entries):
+    # row 1's denominator 2 doubles row 0's value: 2^62 - 1 becomes 2^63 - 2 and
+    # fits, 2^62 becomes 2^63 and does not; with 1-entry chunks the index is
+    # reset, so the filled row alone, not the token table, holds the value
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+    head = "LINEPACK-MATRIX v1 rows=2 cols=1 scale_log2_num=0 scale_log2_den=1\n"
+    path = tmp_path / "g.mat"
+    path.write_text(head + f"{2 ** 62 - 1}/1;0/1\n1/2;0/1\n")
+    got = read_matrix_file(path)
+    assert (got.re.ravel().tolist(), got.den) == ([2 ** 63 - 2, 1], 2)
+    path.write_text(head + f"{2 ** 62}/1;0/1\n1/2;0/1\n")
+    with pytest.raises(MatrixParseError, match="int64"):
+        read_matrix_file(path)
+
+
 _fractions = st.tuples(st.integers(-10 ** 15, 10 ** 15), st.integers(-60, 60).filter(bool))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4))
 def test_gram_parser_matches_fraction_reference(tmp_path_factory, data, rows, cols):
-    # unreduced fractions and negative denominators, which the writer never emits
+    # unreduced fractions and negative denominators, which the writer never emits;
+    # read again with 1-entry chunks, so every row is its own chunk, later rows
+    # bring new denominators and the rows already read are rescaled
     entries = data.draw(st.lists(st.tuples(_fractions, _fractions),
                                  min_size=rows * cols, max_size=rows * cols))
     path = tmp_path_factory.mktemp("parse") / "g.mat"
@@ -628,14 +697,16 @@ def test_gram_parser_matches_fraction_reference(tmp_path_factory, data, rows, co
                     "scale_log2_den=1\n" + "\n".join(lines) + "\n")
     values = [(Fraction(p, q), Fraction(r, s)) for (p, q), (r, s) in entries]
     den = math.lcm(*(v.denominator for pair in values for v in pair))
-    if max(den, *(abs(v) * den for pair in values for v in pair)) >= 1 << 63:
-        with pytest.raises(MatrixParseError, match="int64"):
-            read_matrix_file(path)
-        return
-    got = read_matrix_file(path)
-    assert got.den == den
-    assert got.re.ravel().tolist() == [int(a * den) for a, _ in values]
-    assert got.im.ravel().tolist() == [int(b * den) for _, b in values]
+    for chunk_entries in (etf._CHUNK_ENTRIES, 1):
+        with mock.patch.object(etf, "_CHUNK_ENTRIES", chunk_entries):
+            if max(den, *(abs(v) * den for pair in values for v in pair)) >= 1 << 63:
+                with pytest.raises(MatrixParseError, match="int64"):
+                    read_matrix_file(path)
+                continue
+            got = read_matrix_file(path)
+        assert got.den == den
+        assert got.re.ravel().tolist() == [int(a * den) for a, _ in values]
+        assert got.im.ravel().tolist() == [int(b * den) for _, b in values]
 
 
 _gram_entries = st.one_of(st.just(0), st.integers(-2 ** 40, 2 ** 40))
