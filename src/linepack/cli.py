@@ -214,7 +214,8 @@ def _verify_from_n(args) -> int:
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
         cert = etf.verify_frame(frame, gram=gram)
-        mismatches = etf._full_route_mismatches(group, table, gram)
+        mismatches = etf._chunked_route_mismatches(
+            group, table, gram, np.arange(group.order, dtype=np.int64))
         agree = all(v is None for v in mismatches.values())
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))

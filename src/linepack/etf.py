@@ -27,18 +27,21 @@ The Gram matrix of the frame is computed three independent ways:
 
 The two table routes are rows over the group, one value per element,
 and each Gram block is its row gathered at inv(g) h on one selection of
-columns; full verification selects every column.  The frame route never
-reads that index.  All three agree entrywise; verification is exact.
-Full verification holds the int8 frame and one int64 N x N Gram, and
-gathers the two table routes on one chunk of rows at a time to compare
-them with it; the sampled mode compares a random block of columns, and
-its frame route streams the int8 gamma blocks of those columns in
-O(ncols^2) memory.  The Parseval check frame frame^H and the projection
-check G^2 = G^H G of a Hermitian Gram read the same Hermitian product one
-tile at a time (`exact.gram_tiles`) and compare each tile as it comes, so
-neither product is ever held whole.  `read_matrix_file` reads a matrix
-file one row at a time into the int64 (re, im) pair it returns, and holds
-that pair and one row.
+columns; full verification selects every column, the sampled mode a
+random block of them.  The frame route never reads that index.  All
+three agree entrywise; verification is exact.  Both modes compare the
+routes in one place, `_chunked_route_mismatches`, which gathers the two
+table routes on one chunk of selected rows at a time and compares them
+with the frame Gram of the selection: full verification holds the int8
+frame and one int64 N x N Gram, and the sampled mode's frame route
+streams the int8 gamma blocks of its columns in O(ncols^2) memory.  The
+Parseval check frame frame^H and the projection check G^2 = G^H G of a
+Hermitian Gram read the same Hermitian product one tile at a time
+(`exact.gram_tiles`) and compare each tile as it comes, so neither
+product is ever held whole; whether the Gram is Hermitian is asked of
+`GaussianRationalMatrix.hermitian_defect`.  `read_matrix_file` reads a
+matrix file one row at a time into the int64 (re, im) pair it returns,
+and holds that pair and one row.
 """
 
 from __future__ import annotations
@@ -408,7 +411,7 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
                 GaussianRationalMatrix(gram.re[rows, cols], gram.im[rows, cols], gram.den))
 
     failure = None
-    if (defect := _hermitian_defect(gram)) is not None:
+    if (defect := gram.hermitian_defect()) is not None:
         failure = "Gram matrix is not Hermitian"
     elif (defect := _first_tile_mismatch(gram_tiles(gram.re, gram.im),
                                          square_and_gram)) is not None:
@@ -417,25 +420,6 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
         failure = "Gram trace is not an integer"
     cross = {"projectionDefect": None if defect is None else list(defect)}
     return _certify_gram(gram, int(tr_re) if integral else 0, failure, method, cross)
-
-
-def _hermitian_defect(gram: GaussianRationalMatrix) -> tuple[int, int] | None:
-    """The first entry, row-major, where a square gram differs from its
-    conjugate transpose, or None.
-
-    The difference is skew-Hermitian, so its first nonzero (i, j) has
-    j >= i; each chunk of rows is compared on and right of the diagonal
-    with the matching columns, and no transposed copy is made.
-    """
-    step = _chunk_rows(gram.shape[1])
-    for start in range(0, gram.shape[0], step):
-        rows, right = slice(start, start + step), slice(start, None)
-        defect = first_mismatch(
-            GaussianRationalMatrix(gram.re[rows, right], gram.im[rows, right], gram.den),
-            GaussianRationalMatrix(gram.re[right, rows].T, -gram.im[right, rows].T, gram.den))
-        if defect is not None:
-            return start + defect[0], start + defect[1]
-    return None
 
 
 def verify_etf(obj) -> EtfCertificate:
@@ -456,22 +440,22 @@ def _route_mismatches(routes: dict[str, GaussianRationalMatrix]) -> dict:
             for a, b in itertools.combinations(routes, 2)}
 
 
-def _full_route_mismatches(group: GroupContext, table: CharacterTable,
-                           gram: GaussianRationalMatrix) -> dict:
-    """`_route_mismatches` of the frame Gram `gram` and the character and
-    closed-form routes over all N^2 entries.
+def _chunked_route_mismatches(group: GroupContext, table: CharacterTable,
+                              gram: GaussianRationalMatrix, sel: np.ndarray) -> dict:
+    """`_route_mismatches` of the frame Gram `gram` of the columns `sel` and
+    the character and closed-form routes on sel x sel, at positions
+    relative to the selection.
 
     The table routes are gathered on the index grid of one chunk of
-    `_chunk_rows(N)` rows at a time and compared with the frame Gram's
-    rows, so no N x N index or route is made; each pair keeps its first
-    chunk's mismatch, which is the first row-major one.
+    `_chunk_rows(len(sel))` selected rows at a time and compared with the
+    frame Gram's rows, so no sel x sel index or route is made; each pair
+    keeps its first chunk's mismatch, which is the first row-major one.
     """
-    elements = np.arange(group.order, dtype=np.int64)
-    step = _chunk_rows(group.order)
+    step = _chunk_rows(len(sel))
     found: dict = {}
-    for start in range(0, group.order, step):
+    for start in range(0, len(sel), step):
         rows = slice(start, start + step)
-        at = group.inverse_product_index_grid(elements, elements[rows])
+        at = group.inverse_product_index_grid(sel, sel[rows])
         chunk = _route_mismatches({
             "frame": GaussianRationalMatrix(gram.re[rows], gram.im[rows], gram.den),
             "character": gram_character(group, table, at),
@@ -494,24 +478,23 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 
     The frame route streams the sampled columns' gamma blocks (honest
     monomial matrices) through `_gram_from_blocks`, in O(ncols^2) memory,
-    and never holds the m x ncols frame; the character and closed-form
-    routes are evaluated on the same index grid.  Also checks the
-    diagonal / off-diagonal modulus pattern on every sampled entry.  With
-    min_entries >= N^2 every column is sampled, whatever the seed, and the
-    comparison covers the full Gram.
+    and never holds the m x ncols frame; `_chunked_route_mismatches`
+    compares it with the character and closed-form routes as full
+    verification does, and the diagonal / off-diagonal modulus pattern is
+    checked on every entry of it.  With min_entries >= N^2 every column is
+    sampled, whatever the seed, and the comparison covers the full Gram.
+    min_entries below 1 is a ValueError.
     """
+    if min_entries < 1:
+        raise ValueError(f"need min_entries >= 1, got {min_entries}")
     rng = random.Random(seed)
     ncols = min(group.order, _isqrt_ceil(min_entries))
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
-    routes = {"frame": _gram_from_blocks(frame_blocks(group, rep, sel))}
-    # one index grid for both table routes, built after the frame route's peak
-    at = group.inverse_product_index_grid(sel)
-    routes |= {"character": gram_character(group, table, at),
-               "closedForm": gram_closed_form(group, at)}
-    mismatches = _route_mismatches(routes)
+    gram = _gram_from_blocks(frame_blocks(group, rep, sel))
+    mismatches = _chunked_route_mismatches(group, table, gram, sel)
 
     m, num = frame_dimensions(group.field.n)
-    pattern_fail, _ = _welch_pattern(routes["closedForm"], m, num)
+    pattern_fail, _ = _welch_pattern(gram, m, num)
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),

@@ -12,15 +12,17 @@ This is the exact-via-floating-point technique of FFLAS-FFPACK (Dumas,
 Giorgi, Pernet, ACM TOMS 2008).
 
 The kernel has two entry points.  `exact_matmul` is the general product
-a @ b.  `gram_tiles` is the Hermitian product A^H A of A = re + i im,
-yielded one int64 tile at a time on and above the diagonal, so that a
-caller can check each tile and drop it.  Its real part re^T re + im^T im
-is the one symmetric product S^T S of the stacked S = [re; im] (BLAS syrk
-on the diagonal tiles) and its imaginary part is X - X^T for the one
-product X = re^T im: half the flops of four general products.  The real
-part sums 2K terms in one accumulator, so the tier is decided once per
-call, from 2 max^2 K over re and im together, below 2^24 or 2^53 for the
-float tiers; every tile is accumulated over all K in that tier.
+a @ b of small operands, each cast whole to the product type.
+`gram_tiles` is the Hermitian product A^H A of A = re + i im, yielded one
+int64 tile at a time on and above the diagonal, so that a caller can
+check each tile and drop it; it is the package's only tiled product
+loop.  Its real part re^T re + im^T im is the one symmetric product
+S^T S of the stacked S = [re; im] (BLAS syrk on the diagonal tiles) and
+its imaginary part is X - X^T for the one product X = re^T im: half the
+flops of four general products.  The real part sums 2K terms in one
+accumulator, so the tier is decided once per call, from 2 max^2 K over
+re and im together, below 2^24 or 2^53 for the float tiers; every tile
+is accumulated over all K in that tier.
 `exact_gram`, which adds the whole N x N product into an int64 pair, is
 its add-and-mirror consumer.
 
@@ -44,9 +46,9 @@ __all__ = ["INT64_BOUND", "blas_threads", "check_bound", "exact_gram", "exact_ma
 
 INT64_BOUND = 1 << 62
 
-# tile edge over rows, columns and the inner dimension: each float copy holds
-# at most _TILE * max(_TILE, N) entries for an N-column product, and 2 _TILE^2
-# for a stacked K chunk of a Hermitian product, whatever M, N and K are
+# tile edge of `gram_tiles` over columns and the inner dimension: each float
+# copy holds at most 2 _TILE^2 entries, a stacked K chunk of one column band,
+# whatever N and K are
 _TILE = 256
 
 
@@ -88,7 +90,9 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for an integer matrix a and an integer matrix or vector b, exact in int64.
 
     float32 BLAS when max|a| * max|b| * K < 2^24, float64 BLAS below
-    2^53, numpy's int64 loop below 2^62, and OverflowError beyond.
+    2^53, numpy's int64 loop below 2^62, and OverflowError beyond.  Each
+    operand is cast whole, once, to that type: the products it serves are
+    small, at most the 64 x 64 and 22 x 4096 products of the n = 3 scheme.
     """
     if a.ndim != 2 or b.ndim not in (1, 2) or b.shape[0] != a.shape[1]:
         raise ValueError(f"cannot multiply shapes {a.shape} @ {b.shape}")
@@ -98,23 +102,8 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if bound == 0:
         return np.zeros(out_shape, dtype=np.int64)
     dtype = _product_dtype(bound)
-    if dtype is np.int64:
-        return np.matmul(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
-    # row and K tiles keep every float copy small; only the int64 result is full size
-    out = np.empty(out_shape, dtype=np.int64)
-    for i0 in range(0, m, _TILE):
-        rows = slice(i0, i0 + _TILE)
-        acc = tmp = None
-        for k0 in range(0, k, _TILE):
-            at = a[rows, k0:k0 + _TILE].astype(dtype)
-            bt = b[k0:k0 + _TILE].astype(dtype)
-            if acc is None:
-                acc = np.matmul(at, bt)
-            else:
-                tmp = np.matmul(at, bt, out=tmp)
-                acc += tmp
-        out[rows] = acc
-    return out
+    return np.matmul(a.astype(dtype, copy=False),
+                     b.astype(dtype, copy=False)).astype(np.int64, copy=False)
 
 
 def _stacked(re: np.ndarray, im: np.ndarray, dtype: type) -> np.ndarray:

@@ -9,6 +9,8 @@ arithmetic; per-entry reduced fractions are derived on demand.  Every
 matrix product, of idempotents and of adjacency matrices alike, goes
 through `exact.exact_matmul`, and every elementwise int64 product is
 bounded by `exact.check_bound` first, so nothing wraps silently.
+`GaussianRationalMatrix.hermitian_defect` is the package's one Hermitian
+test, read by the idempotent check here and by `etf.verify_gram`.
 
 Two constructions are provided:
 
@@ -151,8 +153,25 @@ class GaussianRationalMatrix:
 
     # -- predicates -------------------------------------------------------
 
-    def is_hermitian(self) -> bool:
-        return np.array_equal(self.re, self.re.T) and np.array_equal(self.im, -self.im.T)
+    def hermitian_defect(self) -> tuple[int, int] | None:
+        """The first entry, row-major, where a square matrix differs from its
+        conjugate transpose, or None.
+
+        The difference is skew-Hermitian, so its first nonzero (i, j) has
+        j >= i; each chunk of 64 rows is compared on and right of the
+        diagonal with the matching columns, and no transposed copy is made.
+        A matrix that is not square is a ValueError.
+        """
+        if self.shape[0] != self.shape[1]:
+            raise ValueError(f"a {self.shape[0]}x{self.shape[1]} matrix is not square")
+        for start in range(0, self.shape[0], 64):
+            rows, right = slice(start, start + 64), slice(start, None)
+            defect = first_mismatch(
+                GaussianRationalMatrix(self.re[rows, right], self.im[rows, right], self.den),
+                GaussianRationalMatrix(self.re[right, rows].T, -self.im[right, rows].T, self.den))
+            if defect is not None:
+                return start + defect[0], start + defect[1]
+        return None
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""
@@ -247,18 +266,19 @@ class SchemeDescriptor:
         return {"intersection_numbers": p, "transpose_of": transpose_of}
 
     def verify_idempotents(self) -> None:
-        """All pairwise products: E_j E_l = delta E_j; also sum to I and
-        have trace equal to their recorded ranks."""
+        """Sum to I; each Hermitian, with trace equal to its recorded rank;
+        then all pairwise products: E_j E_l = delta E_j."""
         n = self.size
         idems = [self.idempotent(j) for j in range(self.class_count)]
         if gram_projector(self, range(self.class_count)) != GaussianRationalMatrix.identity(n):
             raise AssertionError("idempotents do not sum to the identity")
         for j, ej in enumerate(idems):
-            if not ej.is_hermitian():
+            if ej.hermitian_defect() is not None:
                 raise AssertionError(f"idempotent {j} is not Hermitian")
             tr_re, tr_im = ej.trace()
             if tr_im != 0 or tr_re != self.ranks[j]:
                 raise AssertionError(f"idempotent {j} has trace {tr_re}, expected rank {self.ranks[j]}")
+        for j, ej in enumerate(idems):
             for l, el in enumerate(idems):
                 prod = ej @ el
                 want = ej if j == l else GaussianRationalMatrix(np.zeros((n, n), dtype=np.int64))

@@ -234,7 +234,7 @@ def test_sampled_frame_route_streams_n7(monkeypatch, group7, table7, rep7):
 
 def test_gram_properties_n3(group3, table3):
     gram = gram_character(group3, table3, group3.inverse_product_index_matrix)
-    assert gram.is_hermitian()
+    assert gram.hermitian_defect() is None
     assert gram @ gram == gram
     assert gram.trace() == (Fraction(28), Fraction(0))
     e = group3.index((0, 0))
@@ -247,6 +247,62 @@ def test_three_way_sampled_n3(group3, table3, rep3):
     report = three_way_sampled(group3, table3, rep3, min_entries=900, seed=2)
     assert report["agree"] and report["pattern_ok"]
     assert report["entries"] >= 900
+
+
+def test_three_way_sampled_refuses_fewer_than_one_entry(group3, table3, rep3):
+    for min_entries in (0, -4):
+        with pytest.raises(ValueError, match="min_entries"):
+            three_way_sampled(group3, table3, rep3, min_entries=min_entries)
+    report = three_way_sampled(group3, table3, rep3, min_entries=1)
+    assert report["columns"] == 1 and report["agree"] and report["pattern_ok"]
+
+
+@pytest.mark.parametrize("rows", [[37], [3, 37]])
+def test_sampled_routes_report_the_whole_selection_mismatch(monkeypatch, group3, table3,
+                                                            rep3, rows):
+    # 8-row chunks of a 40-column selection at n = 3, row 37 being in the last
+    # of five, and a closed form that differs in column 5 of the given rows:
+    # each pair reports what the whole-selection matrices give
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 8 * 40)
+    assert etf._chunk_rows(40) == 8
+    sel = np.array(sorted(random.Random(4).sample(range(64), 40)), dtype=np.int64)
+    whole_at = group3.inverse_product_index_grid(sel)
+    closed_form = etf.gram_closed_form
+
+    def flipped(group, at):
+        gram = closed_form(group, at)
+        re = gram.re.copy()
+        re[np.isin(at[:, 5], whole_at[rows, 5]), 5] += 1  # a grid's column names its rows
+        return GaussianRationalMatrix(re, gram.im, gram.den)
+
+    monkeypatch.setattr(etf, "gram_closed_form", flipped)
+    whole = synthesize_frame(group3, rep3)
+    want = etf._route_mismatches({
+        "frame": gram_from_frame(FrameMatrix(whole.re[:, sel], whole.im[:, sel],
+                                             whole.log2_scale_sq)),
+        "character": gram_character(group3, table3, whole_at),
+        "closedForm": flipped(group3, whole_at)})
+    assert want == {"frame_vs_character": None, "frame_vs_closedForm": (rows[0], 5),
+                    "character_vs_closedForm": (rows[0], 5)}
+    report = three_way_sampled(group3, table3, rep3, min_entries=40 ** 2, seed=4)
+    assert report["columns"] == 40 and report["mismatches"] == want
+
+
+def test_sampled_pattern_reads_the_frame_gram(monkeypatch, group3, table3, rep3):
+    # one off-diagonal modulus of the frame route changed; the table routes
+    # alone would pass the pattern check
+    gram_from_blocks = etf._gram_from_blocks
+
+    def tampered(blocks):
+        gram = gram_from_blocks(blocks)
+        re = gram.re.copy()
+        re[2, 7] += 1
+        return GaussianRationalMatrix(re, gram.im, gram.den)
+
+    monkeypatch.setattr(etf, "_gram_from_blocks", tampered)
+    report = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2)
+    assert report["pattern_ok"] is False
+    assert report["mismatches"]["frame_vs_closedForm"] == (2, 7)
 
 
 def test_sampled_grid_matches_full_gram_n3(group3, table3):
@@ -357,6 +413,19 @@ def test_verify_gram_checks_hermitian_before_the_folded_square(monkeypatch, grou
     # [[1, 1], [0, 0]] is idempotent, G @ G == G, but not Hermitian
     cert = verify_gram(GaussianRationalMatrix(np.array([[1, 1], [0, 0]])))
     assert cert.failure == "Gram matrix is not Hermitian"
+
+
+def test_hermitian_defect_is_the_first_mismatch_with_the_conjugate_transpose(group5, rep5):
+    # row 100 is in the second chunk of 64 rows; a flip below the diagonal is
+    # reported at its mirror above it, which comes first row-major
+    gram = gram_from_frame(synthesize_frame(group5, rep5))
+    assert gram.hermitian_defect() is None
+    for i, j, part in [(100, 700, "re"), (700, 100, "re"), (100, 700, "im"), (700, 100, "im")]:
+        re, im = gram.re.copy(), gram.im.copy()
+        (re if part == "re" else im)[i, j] += 1
+        tampered = GaussianRationalMatrix(re, im, gram.den)
+        want = first_mismatch(tampered, GaussianRationalMatrix(re.T, -im.T, gram.den))
+        assert want == (100, 700) and tampered.hermitian_defect() == want
 
 
 def _parent_defects(gram):

@@ -7,7 +7,13 @@ attribute.  The exceptions are listed in `ALLOWED`, each with the test
 that calls it and the claim it serves; a name only a test calls is
 otherwise dead weight.
 
-The check matches names, not bindings, so it is a lower bound on the
+Private helpers are held to the same rule, with no exceptions: every
+private module-level function, and every private method of a
+module-level class other than a dunder, must be read in `src/linepack`
+outside its own body, so that a helper a merge leaves behind for the
+tests alone is caught.
+
+The checks match names, not bindings, so each is a lower bound on the
 dead code, not a proof that none is left: a method whose name is also
 used for something else (a local variable `scale`, a numpy `.conjugate`)
 counts as called.
@@ -83,3 +89,30 @@ def test_every_public_name_has_a_caller_in_src():
             uncalled.add(name)
     assert uncalled - ALLOWED.keys() == set(), "public names no code in src/ calls"
     assert ALLOWED.keys() - uncalled == set(), "allowlisted names that now have a caller"
+
+
+def _private_definitions(tree):
+    """(qualified name, node) of each private module-level def and non-dunder class method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("_") \
+                        and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = [(node.id if isinstance(node, ast.Name) else node.attr, path, node.lineno)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    defs = [(name, path, node.lineno, node.end_lineno)
+            for path, tree in trees.items() for name, node in _private_definitions(tree)]
+    assert defs, "no private helpers found"
+    uncalled = {name for name, path, first, last in defs
+                if not any(u == name.rsplit(".", 1)[-1] and not (p == path and first <= line <= last)
+                           for u, p, line in uses)}
+    assert uncalled == set(), "private helpers no code in src/ calls"

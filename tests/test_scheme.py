@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -93,8 +94,8 @@ def test_int64_products_refuse_to_wrap(site):
 def test_hermitian_and_idempotent_predicates():
     herm = GaussianRationalMatrix(np.array([[2, 1], [1, 0]]),
                                   np.array([[0, 3], [-3, 0]]), 2)
-    assert herm.is_hermitian()
-    assert not GaussianRationalMatrix(np.array([[0, 1], [0, 0]])).is_hermitian()
+    assert herm.hermitian_defect() is None
+    assert GaussianRationalMatrix(np.array([[0, 1], [0, 0]])).hermitian_defect() == (0, 1)
     proj = GaussianRationalMatrix(np.array([[1, 1], [1, 1]]), None, 2)
     assert proj @ proj == proj
     not_proj = GaussianRationalMatrix(np.array([[2, 0], [0, 0]]))
@@ -136,6 +137,35 @@ def test_group_scheme_idempotents_n3(scheme3):
     assert set(scheme3.ranks[8:]) == {4}
 
 
+def _leading_block(x):
+    """An integer 64 x 64 matrix that is x on its leading block and 0 elsewhere."""
+    out = np.zeros((64, 64), dtype=np.int64)
+    out[:len(x), :len(x)] = x
+    return GaussianRationalMatrix(out)
+
+
+_V, _W = np.array([1, -1, 0, 0]), np.array([0, 0, 1, -1])
+
+
+@pytest.mark.parametrize("x, message", [
+    # not Hermitian
+    (_leading_block([[0, 1], [0, 0]]), "idempotent 1 is not Hermitian"),
+    # Hermitian and traceless, with zero row and column sums, so that E_0 = J / N
+    # still annihilates it: only the products of E_1 and E_2 fail
+    (_leading_block(np.outer(_V, _W) + np.outer(_W, _V)), "product E_1 E_1 is wrong"),
+    # Hermitian, trace 1
+    (_leading_block([[1]]), "idempotent 1 has trace 2, expected rank 1"),
+], ids=["not-hermitian", "not-idempotent", "trace"])
+def test_verify_idempotents_rejects_a_shifted_pair(scheme3, x, message):
+    # E_1 + X and E_2 - X still sum, with the rest, to the identity
+    def shifted(j):
+        e = scheme3.idempotent(j)
+        return {1: e + x, 2: e - x}.get(j, e)
+
+    with pytest.raises(AssertionError, match=message):
+        dataclasses.replace(scheme3, idempotent_builder=shifted).verify_idempotents()
+
+
 def test_idempotents_constant_on_relations(scheme3):
     rel = scheme3.relation_index
     for j in (0, 5, 9, 20):
@@ -152,7 +182,7 @@ def test_gram_projector_basics(scheme3, table3):
     with pytest.raises(ValueError):
         gram_projector(scheme3, ())
     gd = gram_projector(scheme3, table3.d_set)
-    assert gd @ gd == gd and gd.is_hermitian()
+    assert gd @ gd == gd and gd.hermitian_defect() is None
     assert gd.trace() == (Fraction(28), Fraction(0))
     assert gd.entry(0, 0) == (Fraction(28, 64), Fraction(0))
 
