@@ -73,11 +73,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _contexts(n: int):
+    """(field, group, rep) at n; a command that reads the character table
+    builds it from group and rep."""
     field = gf2n.FieldContext(n)
     group = bgroup.GroupContext(field)
-    rep = heis.RepContext(group)
-    table = chartab.build_character_table(group, rep)
-    return field, group, rep, table
+    return field, group, heis.RepContext(group)
 
 
 def _check_build_n(n: int) -> None:
@@ -123,7 +123,7 @@ def cmd_build(args) -> int:
     t0 = time.monotonic()
     out = Path(args.out or os.environ.get("LINEPACK_OUT") or f"linepack_n{args.n}")
     out.mkdir(parents=True, exist_ok=True)
-    field, group, rep, table = _contexts(args.n)
+    field, group, rep = _contexts(args.n)
     m, num_vectors = etf.frame_dimensions(args.n)
     _, welch_par = etf.welch_bound_sq(m, num_vectors)
     outputs = []
@@ -149,6 +149,7 @@ def cmd_build(args) -> int:
         etf.write_frame_file(out / "frame.mat", m, etf.frame_blocks(
             group, rep, np.arange(num_vectors, dtype=np.int64)))
         outputs.append("frame.mat")
+        table = chartab.build_character_table(group, rep)
         report = etf.three_way_sampled(group, table, rep, min_entries=samples, seed=seed)
         ok = report["agree"] and report["pattern_ok"]
         sample_info = report
@@ -209,7 +210,8 @@ def _verify_from_file(args) -> int:
 
 def _verify_from_n(args) -> int:
     mode, samples, seed = _run_plan(args)
-    _, group, rep, table = _contexts(args.n)
+    _, group, rep = _contexts(args.n)
+    table = chartab.build_character_table(group, rep)
     if mode == "full":
         frame = etf.synthesize_frame(group, rep)
         gram = etf.gram_from_frame(frame)
@@ -253,7 +255,8 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.suzuki_filters:
-        _, group, _, table = _contexts(3)
+        _, group, rep = _contexts(3)
+        table = chartab.build_character_table(group, rep)
         sizes = group.class_sizes()
         index = group.order // len(group.commutator_subgroup)
         for t in tuples:
@@ -279,7 +282,7 @@ def cmd_chartab(args) -> int:
     _check_build_n(args.n)
     if args.n > 7:
         raise UsageError("character tables are emitted for n <= 7")
-    table = _contexts(args.n)[3]
+    table = chartab.build_character_table(*_contexts(args.n)[1:])
     payload = table.to_json_dict()
     payload["orthogonality"] = {"rows": "exact", "columns": "exact"}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -302,9 +305,10 @@ def cmd_gram(args) -> int:
         raise UsageError(f"unknown gram methods {sorted(bad)}; choose from {sorted(known)}")
     if args.out:
         open(args.out, "a").close()  # a missing directory or a directory path fails before the work
-    _, group, rep, table = _contexts(args.n)
+    _, group, rep = _contexts(args.n)
     routes = {"character": lambda: etf.gram_character(
-                  group, table, group.inverse_product_index_matrix),
+                  group, chartab.build_character_table(group, rep),
+                  group.inverse_product_index_matrix),
               "closed-form": lambda: etf.gram_closed_form(
                   group, group.inverse_product_index_matrix),
               "frame": lambda: etf.gram_from_frame(etf.synthesize_frame(group, rep))}

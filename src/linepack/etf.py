@@ -40,8 +40,10 @@ Hermitian Gram read the same Hermitian product one tile at a time
 (`exact.gram_tiles`) and compare each tile as it comes, so neither
 product is ever held whole; whether the Gram is Hermitian is asked of
 `GaussianRationalMatrix.hermitian_defect`.  `read_matrix_file` reads a
-matrix file one row at a time into the int64 (re, im) pair it returns,
-and holds that pair and one row.
+matrix file one row at a time into the (re, im) pair it returns, and
+holds that pair and one row.  The pair is int8 while every value read
+fits, as in the Suzuki frames and Grams, and int64 otherwise; arithmetic
+on it runs in int64.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Gaussian-integer frame entries with a global scale 2^(log2_scale_sq / 2)."""
+    """Gaussian-integer frame entries with a global scale 2^(log2_scale_sq / 2);
+    int8 or int64 parts."""
 
     re: np.ndarray
     im: np.ndarray
@@ -598,10 +601,12 @@ _TO_SPACES = str.maketrans("/;", "  ")
 def read_matrix_file(path):
     """Parse a v1 matrix file; returns a FrameMatrix or GaussianRationalMatrix.
 
-    The file is read in one pass, a line at a time, straight into the int64
+    The file is read in one pass, a line at a time, straight into the
     (re, im) pair of the result (`_read_rows`): the reader holds that pair
     and one row, never the text, a list of its lines or an index of every
-    entry.  The pair is allocated only when the body has the
+    entry.  The pair is int8 while every value read fits, and is widened
+    once to int64 when one does not; arithmetic on either runs in int64.
+    The pair is allocated only when the body has the
     4 rows cols - 1 bytes that rows x cols entries take at least: 3 bytes
     each, as in `0;0`, and a separator after each but the last.  A shorter
     body cannot hold the matrix and is read to its fault with nothing
@@ -641,8 +646,13 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
     converted, into a table of (re, im) rows that each line is gathered
     from; index and table are reset every `_chunk_rows(cols)` rows, which
     bounds them when entries do not repeat.  Gram values are held over the
-    running common denominator (`_over_running_denominator`).  The row
-    count is reported before any other fault, and before any value is used.
+    running common denominator (`_over_running_denominator`).  The range
+    of the values read is kept as the table grows and the denominator
+    rescales them; it bounds each rescale against int64.  The result is
+    allocated as int8, and the first time that range leaves int8 the rows
+    filled so far are widened to int64, before any value beyond int8 is
+    written.  The row count is reported before any
+    other fault, and before any value is used.
     """
     found, fault = 0, None
     try:
@@ -654,10 +664,11 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
                 rational = "/" in ln.split(" ", 1)[0]
                 log2_scale_sq = None if rational else _frame_log2_scale_sq(*scale)
                 try:
-                    out = np.empty((2, rows, cols), dtype=np.int64) if fits else None
+                    out = np.empty((2, rows, cols), dtype=np.int8) if fits else None
                 except (MemoryError, ValueError) as exc:  # a pipe's header alone sized it
                     raise MatrixParseError(f"no memory for {rows}x{cols} entries: {exc}") from exc
                 index, table, size, den = {}, np.empty((0, 2), dtype=np.int64), 0, 1
+                lo, hi, grow = 0, 0, 1  # the least and greatest value read, over den
             toks = _row_tokens(ln, r, cols)
             if r % _chunk_rows(cols) == 0:
                 index.clear()
@@ -666,8 +677,16 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
             if new:
                 values = _token_ints(new, r, rational)
                 if rational:
-                    filled = [table[:size]] if out is None else [table[:size], out[:, :r]]
-                    values, den = _over_running_denominator(values, den, filled)
+                    values, grow = _over_running_denominator(values, den, max(-lo, hi))
+                    den, lo, hi = den * grow, lo * grow, hi * grow
+                lo, hi = min(lo, int(values.min())), max(hi, int(values.max()))
+                if out is not None and out.dtype == np.int8 and not -128 <= lo <= hi <= 127:
+                    out = out.astype(np.int64)  # once: the rows filled so far, unscaled
+                if grow > 1:
+                    table[:size] *= grow
+                    if out is not None:
+                        # an int64 factor: int8 rows in range may meet one beyond int8, as -1 * 128
+                        out[:, :r] *= np.int64(grow)
                 if size + len(new) > len(table):
                     table = np.concatenate([table[:size], np.empty((size + len(new), 2), np.int64)])
                 table[size:size + len(new)] = values
@@ -730,13 +749,13 @@ def _token_ints(tokens: list[str], r: int, rational: bool) -> np.ndarray:
 
 
 def _over_running_denominator(fractions: np.ndarray, den: int,
-                              filled: list[np.ndarray]) -> tuple[np.ndarray, int]:
+                              held: int) -> tuple[np.ndarray, int]:
     """Rows p q r s of fractions p/q;r/s as integer (re, im) rows over the lcm
-    of `den` and their reduced denominators, and that lcm.
+    of `den` and their reduced denominators, and the factor lcm // den.
 
-    When the lcm grows, the values already read, over `den`, are multiplied
-    up in `filled` in place.  Every value is checked against int64 before
-    it is scaled.
+    The values already read, over `den` and at most `held` in magnitude,
+    are the caller's to multiply by that factor.  Every value is checked
+    against int64 first.
     """
     p, q = fractions[:, 0::2], fractions[:, 1::2]
     if not q.all():
@@ -748,9 +767,6 @@ def _over_running_denominator(fractions: np.ndarray, den: int,
         raise MatrixParseError(f"common denominator {lcm} exceeds int64")
     grow, factor = lcm // den, lcm // q
     if (np.abs(p) > _INT64_MAX // factor).any() or (
-            grow > 1 and max_abs(*filled) > _INT64_MAX // grow):
+            grow > 1 and held > _INT64_MAX // grow):
         raise MatrixParseError(f"entries over the common denominator {lcm} exceed int64")
-    if grow > 1:
-        for a in filled:
-            a *= grow
-    return p * factor, lcm
+    return p * factor, grow

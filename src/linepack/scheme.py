@@ -3,9 +3,12 @@
 A scheme on N points is held as a relation-index matrix R (the (g, h)
 entry names the relation containing the pair) together with exact
 primitive idempotents.  Matrices are dense Gaussian rationals stored as
-a pair of int64 numpy arrays over a single positive denominator, which
-keeps every product, Hadamard product, and comparison in exact integer
-arithmetic; per-entry reduced fractions are derived on demand.  Every
+a pair of int8 or int64 numpy arrays over a single positive denominator,
+which keeps every product, Hadamard product, and comparison in exact
+integer arithmetic; per-entry reduced fractions are derived on demand.
+int8 parts, as a matrix file whose entries all fit is read, are widened
+to int64 (`_int64`) wherever arithmetic could leave int8, so all
+arithmetic runs in int64.  Every
 matrix product, of idempotents and of adjacency matrices alike, goes
 through `exact.exact_matmul`, and every elementwise int64 product is
 bounded by `exact.check_bound` first, so nothing wraps silently.
@@ -61,16 +64,32 @@ __all__ = [
     "srg_scheme",
 ]
 
+def _int64(a: np.ndarray) -> np.ndarray:
+    """`a` as int64: itself if it is int64, else a widened copy.
+
+    numpy keeps int8 times a Python int in int8, where it wraps or raises
+    OverflowError, so every arithmetic site reads int8 parts through this.
+    """
+    return a.astype(np.int64, copy=False)
+
+
+def _part(a) -> np.ndarray:
+    """An int8 or int64 array as given; anything else as int64."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.int8, np.int64) else a.astype(np.int64)
+
+
 class GaussianRationalMatrix:
-    """Dense exact matrix (re + i im) / den with int64 numpy parts."""
+    """Dense exact matrix (re + i im) / den with int8 or int64 numpy parts;
+    arithmetic in int64."""
 
     __slots__ = ("re", "im", "den")
 
     def __init__(self, re: np.ndarray, im: np.ndarray | None = None, den: int = 1):
         if den <= 0:
             raise ValueError("denominator must be positive")
-        self.re = np.asarray(re, dtype=np.int64)
-        self.im = np.zeros_like(self.re) if im is None else np.asarray(im, dtype=np.int64)
+        self.re = _part(re)
+        self.im = np.zeros_like(self.re) if im is None else _part(im)
         if self.re.shape != self.im.shape:
             raise ValueError("mismatched real/imaginary shapes")
         self.den = den
@@ -94,8 +113,9 @@ class GaussianRationalMatrix:
         """The gcd of the denominator and every entry.
 
         Read from np.gcd.reduce of the signed entries, so no |entry| copy
-        is made; math.gcd drops the sign of the int64 result, which is
-        INT64_MIN when the gcd is 2^63, so nothing wraps.
+        is made; math.gcd drops the sign of the result, which is INT64_MIN
+        when the gcd is 2^63, or -128 when an int8 part's is 128, so nothing
+        wraps.
         """
         g = self.den
         for a in (self.re, self.im):
@@ -107,7 +127,7 @@ class GaussianRationalMatrix:
         g = self.content()
         if g <= 1:
             return self
-        return GaussianRationalMatrix(self.re // g, self.im // g, self.den // g)
+        return GaussianRationalMatrix(_int64(self.re) // g, _int64(self.im) // g, self.den // g)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRationalMatrix):
@@ -132,12 +152,14 @@ class GaussianRationalMatrix:
         return GaussianRationalMatrix(re, im, self.den * other.den)
 
     def _rescaled(self, den: int) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) over `den`, a multiple of self.den; the arrays themselves at den."""
+        """(re, im) over `den`, a multiple of self.den, as int64; int64 parts
+        themselves at den."""
+        re, im = _int64(self.re), _int64(self.im)
         s = den // self.den
         if s == 1:
-            return self.re, self.im
+            return re, im
         check_bound(self.max_abs() * s, "rescale to a common denominator")
-        return self.re * s, self.im * s
+        return re * s, im * s
 
     def _aligned(self, other: "GaussianRationalMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         den = math.lcm(self.den, other.den)
@@ -168,7 +190,8 @@ class GaussianRationalMatrix:
             rows, right = slice(start, start + 64), slice(start, None)
             defect = first_mismatch(
                 GaussianRationalMatrix(self.re[rows, right], self.im[rows, right], self.den),
-                GaussianRationalMatrix(self.re[right, rows].T, -self.im[right, rows].T, self.den))
+                GaussianRationalMatrix(self.re[right, rows].T, -_int64(self.im[right, rows]).T,
+                                       self.den))
             if defect is not None:
                 return start + defect[0], start + defect[1]
         return None
@@ -176,8 +199,9 @@ class GaussianRationalMatrix:
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (integer matrix, denominator den^2)."""
         check_bound(self.max_abs() ** 2, "abs_sq_int")
-        sq = self.re * self.re
-        sq += self.im * self.im
+        re, im = _int64(self.re), _int64(self.im)
+        sq = re * re
+        sq += im * im
         return sq, self.den * self.den
 
 
@@ -186,8 +210,8 @@ def first_mismatch(a: GaussianRationalMatrix,
     """The first entry, row-major, where two matrices of one shape differ, or None.
 
     They are compared over the lcm of their denominators, 64 rows at a
-    time: neither is reduced first, one already at the lcm is read in
-    place, and a rescaled copy never exceeds 64 rows.
+    time: neither is reduced first, an int64 one already at the lcm is
+    read in place, and a rescaled or widened copy never exceeds 64 rows.
     """
     for start in range(0, a.shape[0], 64):
         rows = slice(start, start + 64)

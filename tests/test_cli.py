@@ -604,6 +604,23 @@ def test_gram_frame_route_reads_no_index_grid(capsys, monkeypatch):
     assert (code, stdout.strip()) == (0, "OK (4096 entries)")
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "3", "--out", "OUT"],
+    ["gram", "--n", "3", "--method", "frame,closed-form"],
+], ids=["build", "gram"])
+def test_commands_that_never_read_the_character_table_do_not_build_it(tmp_path, capsys,
+                                                                     monkeypatch, argv):
+    # build at n <= 5 and the frame and closed-form Gram routes read no table
+    from linepack import chartab
+
+    def no_table(group, rep):
+        raise AssertionError("character table built")
+
+    monkeypatch.setattr(chartab, "build_character_table", no_table)
+    code, _, err = run(capsys, *[str(tmp_path / "out") if a == "OUT" else a for a in argv])
+    assert (code, err) == (0, "")
+
+
 def test_gram_single_method_writes_file(tmp_path, capsys):
     out = tmp_path / "g.mat"
     code, stdout, _ = run(capsys, "gram", "--n", "3", "--method", "closed-form",

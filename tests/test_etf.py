@@ -499,10 +499,12 @@ def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
 
 @pytest.mark.parametrize("name, budget_mib", [
     ("verify_gram", 8),           # 20.5 MiB when G^2 and a transposed copy were made
+    ("verify_gram_read", 8),      # the same check of the int8 Gram read from its file
     ("parseval_defect", 3.75),    # 8.5 MiB when the m x m product and identity were made
     ("_welch_pattern", 1),        # 16.0 MiB when the N x N squared moduli were made
     ("gram_from_frame", 20),      # 32.0 MiB with the int64 frame and a reduced copy
-    ("read_matrix_file", 17.5),   # 25.1 MiB with the text, its lines and an N x N index
+    ("read_matrix_file", 4),      # 16.2 MiB into an int64 pair, 25.1 MiB with the text
+    ("read_matrix_file_frame", 2),  # 7.9 MiB into an int64 pair
 ])
 def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budget_mib):
     # each budget is below the arrays the function no longer holds: the int64
@@ -510,13 +512,19 @@ def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budg
     frame = synthesize_frame(group5, rep5)
     gram = gram_from_frame(frame)
     m, num = frame_dimensions(5)
-    if name == "read_matrix_file":
+    if name in ("read_matrix_file", "verify_gram_read"):
         write_gram_file(tmp_path / "gram.mat", gram)
+    if name == "read_matrix_file_frame":
+        write_frame_file(tmp_path / "frame.mat", frame.rows, [frame])
+    read = read_matrix_file(tmp_path / "gram.mat") if name == "verify_gram_read" else None
     passes = {"verify_gram": lambda: verify_gram(gram).verdict == "OPTIMAL",
+              "verify_gram_read": lambda: verify_gram(read).verdict == "OPTIMAL",
               "parseval_defect": lambda: parseval_defect(frame) is None,
               "_welch_pattern": lambda: _welch_pattern(gram, m, num)[0] is None,
               "gram_from_frame": lambda: gram_from_frame(frame) == gram,
-              "read_matrix_file": lambda: read_matrix_file(tmp_path / "gram.mat").den == 64}[name]
+              "read_matrix_file": lambda: read_matrix_file(tmp_path / "gram.mat").den == 64,
+              "read_matrix_file_frame": lambda: read_matrix_file(
+                  tmp_path / "frame.mat").log2_scale_sq == -8}[name]
     tracemalloc.start()
     try:
         assert passes()
@@ -730,6 +738,64 @@ def test_reader_reads_crlf_and_blank_lines_as_the_plain_file(tmp_path, group3, r
             assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
         else:
             assert got.den == want.den and got == want
+
+
+def test_reader_holds_the_suzuki_files_as_int8(tmp_path, group5, rep5):
+    # every n = 5 frame entry is 0, +-1 or +-i, every Gram entry 31, +-1 or +-i over 64
+    frame = synthesize_frame(group5, rep5)
+    gram = gram_from_frame(frame)
+    write_frame_file(tmp_path / "frame.mat", frame.rows, [frame])
+    write_gram_file(tmp_path / "gram.mat", gram)
+    back = read_matrix_file(tmp_path / "frame.mat")
+    assert back.re.dtype == back.im.dtype == np.int8
+    assert np.array_equal(back.re, frame.re) and np.array_equal(back.im, frame.im)
+    back = read_matrix_file(tmp_path / "gram.mat")
+    assert back.re.dtype == back.im.dtype == np.int8
+    assert back.den == 64 and back == gram
+
+
+_FRAME_HEAD = "LINEPACK-MATRIX v1 rows={} cols=2 scale_log2_num=-2 scale_log2_den=2\n"
+_GRAM_HEAD = "LINEPACK-MATRIX v1 rows={} cols=2 scale_log2_num=0 scale_log2_den=1\n"
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["frame", "gram"])
+@pytest.mark.parametrize("chunk_entries", [1, 64])
+def test_reader_widens_at_the_first_value_beyond_int8(tmp_path, monkeypatch, chunk_entries,
+                                                      rational):
+    # 127 and -128 fit int8; 128 or -129 in a later row widens the rows already
+    # read, in a chunk of their own when a chunk holds one entry
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+    entry = "{}/1;{}/1" if rational else "{};{}"
+    rows = [[(127, -128), (0, 1)], [(-1, 0), (-128, 127)]]
+    path = tmp_path / "m.mat"
+    for big in (None, 128, -129):
+        body = rows + ([[(0, big), (big, 0)]] if big else [])
+        head = (_GRAM_HEAD if rational else _FRAME_HEAD).format(len(body))
+        path.write_text(head + "".join(" ".join(entry.format(*e) for e in row) + "\n"
+                                       for row in body))
+        got = read_matrix_file(path)
+        assert got.re.dtype == got.im.dtype == (np.int64 if big else np.int8)
+        assert got.re.tolist() == [[e[0] for e in row] for row in body]
+        assert got.im.tolist() == [[e[1] for e in row] for row in body]
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 64])
+@pytest.mark.parametrize("first, second, values, den, dtype", [
+    ("100/1", "1/2", [200, 1], 2, np.int64),   # 100 rescaled leaves int8
+    ("-64/1", "1/2", [-128, 1], 2, np.int8),
+    ("-1/1", "1/128", [-128, 1], 128, np.int8),  # an int8 row times a factor beyond int8
+    ("1/1", "1/128", [128, 1], 128, np.int64),
+    ("0/1", "1/1000", [0, 1], 1000, np.int8),
+])
+def test_reader_widens_before_a_rescale_leaves_int8(tmp_path, monkeypatch, chunk_entries,
+                                                    first, second, values, den, dtype):
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+    head = "LINEPACK-MATRIX v1 rows=2 cols=1 scale_log2_num=0 scale_log2_den=1\n"
+    path = tmp_path / "g.mat"
+    path.write_text(head + f"{first};0/1\n{second};0/1\n")
+    got = read_matrix_file(path)
+    assert (got.re.ravel().tolist(), got.den, got.re.dtype) == (values, den, dtype)
+    assert got.im.dtype == dtype and not got.im.any()
 
 
 @pytest.mark.parametrize("chunk_entries", [1, 64])

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from linepack.exact import gram_tiles
 from linepack.scheme import (
     GaussianRationalMatrix,
+    first_mismatch,
     gram_projector,
     hyperdiff_check,
     lattice_graph_adjacency,
@@ -111,6 +115,92 @@ def test_overflow_guard_fires():
 def test_denominator_must_be_positive():
     with pytest.raises(ValueError):
         GaussianRationalMatrix(np.eye(2, dtype=np.int64), None, 0)
+
+
+def test_parts_keep_int8_and_int64_and_widen_the_rest():
+    for dtype in (np.int8, np.int64):
+        a = np.array([[1, -2]], dtype=dtype)
+        m = GaussianRationalMatrix(a, a)
+        assert m.re is a and m.im is a
+        assert GaussianRationalMatrix(a).im.dtype == dtype
+    for other in (np.array([[1]], dtype=np.int32), np.array([[200]], dtype=np.uint8),
+                  np.eye(2), [[1, 2]]):
+        m = GaussianRationalMatrix(other, other)
+        assert m.re.dtype == m.im.dtype == np.int64
+        assert m.re.tolist() == np.asarray(other).astype(np.int64).tolist()
+
+
+def _plain(x):
+    """A result as nested Python values, so int8 and int64 results compare by value."""
+    if isinstance(x, GaussianRationalMatrix):
+        return x.re.tolist(), x.im.tolist(), x.den
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    return x
+
+
+# every method of the matrix type, and the functions that read its parts
+_METHODS = {
+    "max_abs": lambda a, b: a.max_abs(),
+    "content": lambda a, b: a.content(),
+    "canonical": lambda a, b: a.canonical(),
+    "eq": lambda a, b: (a == b, a == a),
+    "first_mismatch": lambda a, b: first_mismatch(a, b),
+    "entry": lambda a, b: [a.entry(i, j) for i, j in np.ndindex(a.shape)],
+    "trace": lambda a, b: a.trace(),
+    "matmul": lambda a, b: a @ b,
+    "rescaled": lambda a, b: [a._rescaled(a.den), a._rescaled(3 * a.den)],
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "hermitian_defect": lambda a, b: a.hermitian_defect(),
+    "abs_sq_int": lambda a, b: a.abs_sq_int(),
+    "gram_tiles": lambda a, b: list(gram_tiles(a.re, a.im)),
+}
+
+_INT8 = st.one_of(st.sampled_from([-128, 127, -1, 0, 1]), st.integers(-128, 127))
+
+
+def _int8_matrix(re, im, den) -> GaussianRationalMatrix:
+    return GaussianRationalMatrix(np.array(re, dtype=np.int8), np.array(im, dtype=np.int8), den)
+
+
+@st.composite
+def _int8_pairs(draw):
+    """Two n x n int8 matrices; the first holds -128 and the second 127, and
+    the first is made Hermitian but for int8's missing 128 when asked."""
+    n = draw(st.integers(1, 4))
+    dens = st.sampled_from([1, 2, 3, 128, 256, 1000])
+    parts = [np.array(draw(st.lists(_INT8, min_size=n * n, max_size=n * n)),
+                      dtype=np.int8).reshape(n, n) for _ in range(4)]
+    if draw(st.booleans()):
+        re, im = parts[0], np.triu(parts[1], 1).astype(np.int64)
+        parts[0] = np.triu(re) + np.triu(re, 1).T
+        parts[1] = (im - im.T).astype(np.int8)  # 128 wraps to -128: not Hermitian there
+    parts[0][0, 0], parts[2][0, 0] = -128, 127
+    return (GaussianRationalMatrix(parts[0], parts[1], draw(dens)),
+            GaussianRationalMatrix(parts[2], parts[3], draw(dens)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_int8_pairs())
+# each site where int8 would wrap or raise: a rescale and an add, a gcd of 128
+# and an all-zero matrix over 1000, the negation of -128, and -128 squared
+@example(pair=(_int8_matrix([[127, -128]] * 2, [[0, 1]] * 2, 1),
+               _int8_matrix([[127, 1]] * 2, [[-128, 0]] * 2, 2)))
+@example(pair=(_int8_matrix([[-128, 0], [0, -128]], [[0, 0]] * 2, 256),
+               _int8_matrix([[0, 0]] * 2, [[0, 0]] * 2, 1000)))
+@example(pair=(_int8_matrix([[-128, 0], [0, 0]], [[0, -128], [-128, 0]], 1),
+               _int8_matrix([[127, 0], [0, 127]], [[0, 0]] * 2, 1)))
+def test_int8_parts_match_their_int64_copy(pair):
+    a, b = pair
+    wide = [GaussianRationalMatrix(m.re.astype(np.int64), m.im.astype(np.int64), m.den)
+            for m in pair]
+    assert a.re.dtype == b.im.dtype == np.int8
+    for name, method in _METHODS.items():
+        assert _plain(method(a, b)) == _plain(method(*wide)), name
+        assert _plain(method(b, a)) == _plain(method(*wide[::-1])), name
 
 
 # ---------------------------------------------------------------------------
