@@ -39,7 +39,14 @@ Parseval check frame frame^H and the projection check G^2 = G^H G of a
 Hermitian Gram read the same Hermitian product one tile at a time
 (`exact.gram_tiles`) and compare each tile as it comes, so neither
 product is ever held whole; whether the Gram is Hermitian is asked of
-`GaussianRationalMatrix.hermitian_defect`.  `read_matrix_file` reads a
+`GaussianRationalMatrix.hermitian_defect`.  The Welch pattern
+(`_welch_pattern`) reads a Hermitian Gram on and above its diagonal, one
+block at a time: the tiles of frame^H frame for a frame alone, or the
+chunks of `GaussianRationalMatrix.upper_blocks` for a Gram already held.
+So `verify --in` holds the frame or Gram it read and O(tile) more, and
+only three paths hold an N x N Gram: `build` and `verify --n --mode
+full` at n <= 5, which write or compare it whole, and the `gram`
+command, which prints it.  `read_matrix_file` reads a
 matrix file one row at a time into the (re, im) pair it returns, and
 holds that pair and one row.  The pair is int8 while every value read
 fits, as in the Suzuki frames and Grams, and int64 otherwise; arithmetic
@@ -62,7 +69,7 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import check_bound, exact_gram, gram_tiles, max_abs
+from .exact import INT64_BOUND, check_bound, exact_gram, gram_tiles, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
@@ -329,54 +336,79 @@ class EtfCertificate:
         }
 
 
-def _welch_pattern(gram: GaussianRationalMatrix, m: int,
-                   num_vectors: int) -> tuple[str | None, Fraction | None]:
+def _welch_pattern(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]], den: int,
+                   m: int, num_vectors: int) -> tuple[str | None, Fraction | None, Fraction]:
     """Check a Parseval Gram matrix, or a principal submatrix of one, for
     the ETF pattern: constant diagonal m/N and constant off-diagonal
     modulus at the Welch value.
 
-    Returns the first failure (None if the pattern holds) and the squared
-    off-diagonal modulus (None unless it is constant and there is one).
+    The matrix is Hermitian, over `den`, read as `blocks` (rows, cols, re,
+    im) on and above its diagonal (`GaussianRationalMatrix.upper_blocks`
+    or `exact.gram_tiles`): each starts on the diagonal or lies above it,
+    and the first gives the diagonal value, its (0, 0), and the
+    off-diagonal value, its (0, 1) unless the matrix is 1 x 1.  Every block
+    is read before the failure is chosen, so the answer does not depend on
+    how the matrix is cut, and no squared modulus is formed once the
+    greatest |entry| squares to 2^62.
+
+    Returns the first failure (None if the pattern holds), the squared
+    off-diagonal modulus (None unless it is constant and there is one) and
+    the diagonal value.
     """
-    if gram.im.diagonal().any() or (gram.re.diagonal() != gram.re[0, 0]).any():
-        return "diagonal is not constant", None
-    if gram.entry(0, 0)[0] != Fraction(m, num_vectors):
-        return "diagonal disagrees with m/N", None
+    diag = off = None
+    diag_ok = off_ok = True
+    top = 0  # the greatest |entry| read
+    for rows, cols, re, im in blocks:
+        on = rows.start == cols.start
+        if diag is None:
+            diag = int(re[0, 0])
+            off = int(re[0, 1]) ** 2 + int(im[0, 1]) ** 2 if re.shape[1] > 1 else None
+        top = max(top, max_abs(re, im))
+        if on:
+            diag_ok = diag_ok and not im.diagonal().any() and bool((re.diagonal() == diag).all())
+        if off_ok and off is not None and top * top < INT64_BOUND:
+            sq, _ = GaussianRationalMatrix(re, im, den).abs_sq_int()
+            if on:
+                np.fill_diagonal(sq, off)  # so only off-diagonal entries can differ
+            off_ok = bool((sq == off).all())
+    diagonal = Fraction(diag, den)
+    if not diag_ok:
+        return "diagonal is not constant", None, diagonal
+    if diagonal != Fraction(m, num_vectors):
+        return "diagonal disagrees with m/N", None, diagonal
     if m >= num_vectors:
-        return "degenerate: m = N leaves no off-diagonal angle", None
+        return "degenerate: m = N leaves no off-diagonal angle", None, diagonal
     if m < 1:
-        return "degenerate: m < 1 spans no line", None
-    check_bound(gram.max_abs() ** 2, "abs_sq_int")
-    size = len(gram.re)
-    if size == 1:
-        return None, None
-    off = int(gram.re[0, 1]) ** 2 + int(gram.im[0, 1]) ** 2
-    # the squares and their temporary together hold one chunk's entries
-    step = _chunk_rows(2 * size)
-    for start in range(0, size, step):
-        rows = slice(start, start + step)
-        sq, _ = GaussianRationalMatrix(gram.re[rows], gram.im[rows], gram.den).abs_sq_int()
-        np.fill_diagonal(sq[:, start:], off)  # so only off-diagonal entries can differ
-        if (sq != off).any():
-            return "off-diagonal modulus is not constant", None
+        return "degenerate: m < 1 spans no line", None, diagonal
+    check_bound(top * top, "abs_sq_int")
+    if off is None:
+        return None, None, diagonal
+    if not off_ok:
+        return "off-diagonal modulus is not constant", None, diagonal
     _, welch_par = welch_bound_sq(m, num_vectors)
-    off_sq = Fraction(off, gram.den * gram.den)
+    off_sq = Fraction(off, den * den)
     if off_sq != welch_par:
-        return "off-diagonal modulus misses the Welch value", off_sq
-    return None, off_sq
+        return "off-diagonal modulus misses the Welch value", off_sq, diagonal
+    return None, off_sq, diagonal
 
 
-def _certify_gram(gram: GaussianRationalMatrix, m: int, precondition: str | None,
-                  method: str, cross_checks: dict) -> EtfCertificate:
-    """precondition is the failed Parseval or projection check, None if they pass."""
-    n = gram.shape[0]
-    fail, off_sq = _welch_pattern(gram, m, n) if precondition is None else (precondition, None)
-    welch_unit, welch_par = (None, None) if off_sq is None else welch_bound_sq(m, n)
+def _certify_gram(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]], den: int,
+                  m: int, num_vectors: int, precondition: str | None, method: str,
+                  cross_checks: dict) -> EtfCertificate:
+    """Certify the Gram matrix read as `blocks` over `den` (`_welch_pattern`).
+
+    precondition is the failed Parseval or projection check, None if they
+    pass.  When it is set no block is read, so a lazy walk computes nothing.
+    """
+    fail, off_sq, diagonal = precondition, None, None
+    if precondition is None:
+        fail, off_sq, diagonal = _welch_pattern(blocks, den, m, num_vectors)
+    welch_unit, welch_par = (None, None) if off_sq is None else welch_bound_sq(m, num_vectors)
     return EtfCertificate(
-        m=m, num_vectors=n, parseval=precondition is None,
+        m=m, num_vectors=num_vectors, parseval=precondition is None,
         verdict="OPTIMAL" if fail is None else "NOT_ETF",
         method=method,
-        diagonal_value=gram.entry(0, 0)[0] if precondition is None else None,
+        diagonal_value=diagonal,
         off_diag_modulus_sq=off_sq,
         welch_sq_parseval=welch_par,
         welch_sq_unit=welch_unit,
@@ -389,15 +421,20 @@ def verify_frame(frame: FrameMatrix,
                  gram: GaussianRationalMatrix | None = None) -> EtfCertificate:
     """Exact certification of a synthesized frame.
 
-    A precomputed frame^H frame may be passed to avoid repeating the
-    large product when the caller also exports it.
+    The Welch pattern reads the tiles of frame^H frame (`exact.gram_tiles`)
+    one at a time, so no N x N matrix is made, and none at all when the
+    Parseval check fails.  A caller that already holds frame^H frame, to
+    export it, passes it as `gram`, and the pattern reads that instead of
+    a second product.
     """
     defect = parseval_defect(frame)
     cross = {"parsevalDefect": None if defect is None else list(defect)}
     if gram is None:
-        gram = gram_from_frame(frame)
-    return _certify_gram(gram, frame.rows, None if defect is None else "parseval identity fails",
-                         "frame", cross)
+        blocks, den = gram_tiles(frame.re, frame.im), 1 << -frame.log2_scale_sq
+    else:
+        blocks, den = gram.upper_blocks(), gram.den
+    return _certify_gram(blocks, den, frame.rows, frame.cols,
+                         None if defect is None else "parseval identity fails", "frame", cross)
 
 
 def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertificate:
@@ -422,7 +459,8 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
     elif not integral:
         failure = "Gram trace is not an integer"
     cross = {"projectionDefect": None if defect is None else list(defect)}
-    return _certify_gram(gram, int(tr_re) if integral else 0, failure, method, cross)
+    return _certify_gram(gram.upper_blocks(), gram.den, int(tr_re) if integral else 0,
+                         gram.shape[0], failure, method, cross)
 
 
 def verify_etf(obj) -> EtfCertificate:
@@ -469,11 +507,6 @@ def _chunked_route_mismatches(group: GroupContext, table: CharacterTable,
     return found
 
 
-def _isqrt_ceil(x: int) -> int:
-    r = math.isqrt(x)
-    return r if r * r >= x else r + 1
-
-
 def three_way_sampled(group: GroupContext, table: CharacterTable,
                       rep: RepContext, min_entries: int = 100_000,
                       seed: int = 1) -> dict:
@@ -484,20 +517,21 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     and never holds the m x ncols frame; `_chunked_route_mismatches`
     compares it with the character and closed-form routes as full
     verification does, and the diagonal / off-diagonal modulus pattern is
-    checked on every entry of it.  With min_entries >= N^2 every column is
-    sampled, whatever the seed, and the comparison covers the full Gram.
-    min_entries below 1 is a ValueError.
+    checked on every entry of it on and above the diagonal; a frame Gram is
+    Hermitian by construction, so that covers every modulus.  With
+    min_entries >= N^2 every column is sampled, whatever the seed, and the
+    comparison covers the full Gram.  min_entries below 1 is a ValueError.
     """
     if min_entries < 1:
         raise ValueError(f"need min_entries >= 1, got {min_entries}")
     rng = random.Random(seed)
-    ncols = min(group.order, _isqrt_ceil(min_entries))
+    ncols = min(group.order, math.isqrt(min_entries - 1) + 1)  # the ceiling square root
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
     gram = _gram_from_blocks(frame_blocks(group, rep, sel))
     mismatches = _chunked_route_mismatches(group, table, gram, sel)
 
     m, num = frame_dimensions(group.field.n)
-    pattern_fail, _ = _welch_pattern(gram, m, num)
+    pattern_fail = _welch_pattern(gram.upper_blocks(), gram.den, m, num)[0]
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),

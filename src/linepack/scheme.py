@@ -14,6 +14,11 @@ through `exact.exact_matmul`, and every elementwise int64 product is
 bounded by `exact.check_bound` first, so nothing wraps silently.
 `GaussianRationalMatrix.hermitian_defect` is the package's one Hermitian
 test, read by the idempotent check here and by `etf.verify_gram`.
+`GaussianRationalMatrix.upper_blocks` is the package's one walk of a
+held matrix on and above its diagonal: chunks of rows from the diagonal
+rightward, as views, at most `_BLOCK_ENTRIES` entries each.  The
+Hermitian test reads it, and so does `etf._welch_pattern` for every Gram
+that is held whole.
 
 Two constructions are provided:
 
@@ -42,6 +47,7 @@ two answers agree.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -63,6 +69,11 @@ __all__ = [
     "lattice_graph_adjacency",
     "srg_scheme",
 ]
+
+# entries of one chunk of `GaussianRationalMatrix.upper_blocks`: its parts
+# as int64, or its squared moduli and their temporary, take 512 KiB
+_BLOCK_ENTRIES = 1 << 15
+
 
 def _int64(a: np.ndarray) -> np.ndarray:
     """`a` as int64: itself if it is int64, else a widened copy.
@@ -175,25 +186,41 @@ class GaussianRationalMatrix:
 
     # -- predicates -------------------------------------------------------
 
+    def upper_blocks(self) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+        """A square matrix on and above its diagonal as (rows, cols, re, im):
+        consecutive chunks of rows, each on the columns from its first
+        row's diagonal rightward, the parts views of self's.
+
+        A chunk holds at most _BLOCK_ENTRIES entries, or one row when a row
+        holds more; rows.start == cols.start, so the diagonal of each chunk
+        is the matrix's.  A matrix that is not square is a ValueError.
+        """
+        size, cols = self.shape
+        if size != cols:
+            raise ValueError(f"a {size}x{cols} matrix is not square")
+        start = 0
+        while start < size:
+            rows = slice(start, min(size, start + max(1, _BLOCK_ENTRIES // (size - start))))
+            right = slice(start, size)
+            yield rows, right, self.re[rows, right], self.im[rows, right]
+            start = rows.stop
+
     def hermitian_defect(self) -> tuple[int, int] | None:
         """The first entry, row-major, where a square matrix differs from its
         conjugate transpose, or None.
 
         The difference is skew-Hermitian, so its first nonzero (i, j) has
-        j >= i; each chunk of 64 rows is compared on and right of the
-        diagonal with the matching columns, and no transposed copy is made.
-        A matrix that is not square is a ValueError.
+        j >= i; each chunk of `upper_blocks` is compared with the matching
+        columns, and no transposed copy is made.  A matrix that is not
+        square is a ValueError.
         """
-        if self.shape[0] != self.shape[1]:
-            raise ValueError(f"a {self.shape[0]}x{self.shape[1]} matrix is not square")
-        for start in range(0, self.shape[0], 64):
-            rows, right = slice(start, start + 64), slice(start, None)
+        for rows, right, re, im in self.upper_blocks():
             defect = first_mismatch(
-                GaussianRationalMatrix(self.re[rows, right], self.im[rows, right], self.den),
+                GaussianRationalMatrix(re, im, self.den),
                 GaussianRationalMatrix(self.re[right, rows].T, -_int64(self.im[right, rows]).T,
                                        self.den))
             if defect is not None:
-                return start + defect[0], start + defect[1]
+                return rows.start + defect[0], right.start + defect[1]
         return None
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:

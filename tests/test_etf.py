@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepack import FieldContext, GroupContext, RepContext, build_character_table, etf, exact
+from linepack import (FieldContext, GroupContext, RepContext, build_character_table, etf,
+                      exact, scheme)
 from linepack.etf import (
     FrameMatrix,
     _certify_gram,
@@ -253,8 +254,14 @@ def test_three_way_sampled_refuses_fewer_than_one_entry(group3, table3, rep3):
     for min_entries in (0, -4):
         with pytest.raises(ValueError, match="min_entries"):
             three_way_sampled(group3, table3, rep3, min_entries=min_entries)
-    report = three_way_sampled(group3, table3, rep3, min_entries=1)
-    assert report["columns"] == 1 and report["agree"] and report["pattern_ok"]
+
+
+@pytest.mark.parametrize("min_entries, columns", [
+    (1, 1), (2, 2), (4096, 64), (4097, 65), (100_000, 317)])
+def test_three_way_sampled_columns_are_the_ceiling_square_root(group5, table5, rep5,
+                                                             min_entries, columns):
+    report = three_way_sampled(group5, table5, rep5, min_entries=min_entries)
+    assert report["columns"] == columns and report["agree"] and report["pattern_ok"]
 
 
 @pytest.mark.parametrize("rows", [[37], [3, 37]])
@@ -342,6 +349,17 @@ def test_identity_gram_is_degenerate():
     assert "degenerate" in cert.failure
 
 
+def _pattern(gram, m, num_vectors):
+    """`_welch_pattern` of a held matrix, read in the chunks of `upper_blocks`:
+    the failure and the squared off-diagonal modulus."""
+    return _welch_pattern(gram.upper_blocks(), gram.den, m, num_vectors)[:2]
+
+
+def _certify(gram, m, precondition=None):
+    return _certify_gram(gram.upper_blocks(), gram.den, m, gram.shape[0], precondition,
+                         "gram", {})
+
+
 def _mercedes(tamper=None):
     # Parseval ETF of 3 vectors in dimension 2: diagonal 2/3, off-diagonal -1/3
     parts = {"re": 3 * np.eye(3, dtype=np.int64) - 1, "im": np.zeros((3, 3), dtype=np.int64)}
@@ -351,7 +369,7 @@ def _mercedes(tamper=None):
     return GaussianRationalMatrix(parts["re"], parts["im"], 3)
 
 
-@pytest.mark.parametrize("tamper, m, failure, off_sq, welch", [
+_CERTIFY_CASES = [
     (None, 2, None, Fraction(1, 9), Fraction(1, 9)),
     (("re", (1, 1), 1), 2, "diagonal is not constant", None, None),
     (("im", (2, 2), 1), 2, "diagonal is not constant", None, None),
@@ -359,28 +377,95 @@ def _mercedes(tamper=None):
     (("re", (0, 1), 0), 2, "off-diagonal modulus is not constant", None, None),
     (("re", ~np.eye(3, dtype=bool), 0), 2,
      "off-diagonal modulus misses the Welch value", Fraction(0), Fraction(1, 9)),
-])
+]
+
+
+@pytest.mark.parametrize("tamper, m, failure, off_sq, welch", _CERTIFY_CASES)
 def test_certify_gram_failures(tamper, m, failure, off_sq, welch):
-    cert = _certify_gram(_mercedes(tamper), m, None, "gram", {})
+    cert = _certify(_mercedes(tamper), m)
     assert cert.failure == failure
     assert cert.verdict == ("OPTIMAL" if failure is None else "NOT_ETF")
     assert cert.off_diag_modulus_sq == off_sq and cert.welch_sq_parseval == welch
     # the sampled check runs the same pattern test on a principal submatrix
-    assert _welch_pattern(_mercedes(tamper), m, 3)[0] == failure
+    assert _pattern(_mercedes(tamper), m, 3)[0] == failure
 
 
 def test_certify_gram_reports_the_failed_precondition():
     # a failed Parseval or projection check is the verdict; the pattern is not read
-    cert = _certify_gram(_mercedes(), 2, "Gram matrix is not a projection", "gram", {})
+    cert = _certify(_mercedes(), 2, "Gram matrix is not a projection")
     assert (cert.verdict, cert.failure) == ("NOT_ETF", "Gram matrix is not a projection")
     assert not cert.parseval and cert.diagonal_value is None and cert.off_diag_modulus_sq is None
 
 
 def test_welch_pattern_passes_without_an_off_diagonal():
     # one sampled column: nothing to compare beyond the diagonal
-    assert _welch_pattern(GaussianRationalMatrix([[7]], None, 16), 28, 64) == (None, None)
-    assert _welch_pattern(GaussianRationalMatrix([[5]], None, 16), 28, 64)[0] \
+    assert _pattern(GaussianRationalMatrix([[7]], None, 16), 28, 64) == (None, None)
+    assert _pattern(GaussianRationalMatrix([[5]], None, 16), 28, 64)[0] \
         == "diagonal disagrees with m/N"
+
+
+def _tile_walk(gram, edge):
+    """A held matrix on and above its diagonal in the tiles `exact.gram_tiles`
+    yields with _TILE = edge: square bands, one row band after another."""
+    size = gram.shape[0]
+    bands = [slice(c, min(c + edge, size)) for c in range(0, size, edge)]
+    for a, ta in enumerate(bands):
+        for tb in bands[a:]:
+            yield ta, tb, gram.re[ta, tb], gram.im[ta, tb]
+
+
+def _fields(cert):
+    return cert.failure, cert.diagonal_value, cert.off_diag_modulus_sq, cert.welch_sq_parseval
+
+
+@pytest.mark.parametrize("walk", ["one row", "tiles of 2"])
+def test_welch_walk_does_not_depend_on_the_blocks(monkeypatch, group3, rep3, walk):
+    # every block is read before the answer is chosen, so a fault's block
+    # does not decide which fault is reported
+    gram = gram_from_frame(synthesize_frame(group3, rep3))
+    late_diagonal = [gram.re.copy(), gram.im.copy()]
+    late_diagonal[0][0, 1] += 1  # an off-diagonal fault in the first block
+    late_diagonal[0][1, 0] += 1
+    late_diagonal[0][63, 63] += 1  # a diagonal fault in the last block
+    late_welch = gram.im.copy()
+    late_welch[62, 63] += 1  # one modulus in the last block holding an off-diagonal entry
+    late_welch[63, 62] -= 1
+    cases = [(_mercedes(tamper), m) for tamper, m, *_ in _CERTIFY_CASES] + [
+        (GaussianRationalMatrix([[7]], None, 16), 28),
+        (GaussianRationalMatrix([[5]], None, 16), 28),
+        (GaussianRationalMatrix(*late_diagonal, gram.den), 28),
+        (GaussianRationalMatrix(gram.re, late_welch, gram.den), 28),
+        # entries of 2^31 and more: only a diagonal fault is reported, no squares formed
+        (GaussianRationalMatrix([[1 << 32, 1 << 31], [1 << 31, (1 << 32) + 1]], None, 1 << 33), 1),
+    ]
+    wants = [_fields(_certify(case, m)) for case, m in cases]
+    assert [w[0] for w in wants[-3:]] == ["diagonal is not constant",
+                                          "off-diagonal modulus is not constant",
+                                          "diagonal is not constant"]
+    if walk == "one row":
+        monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 1)
+    blocks = (lambda g: g.upper_blocks()) if walk == "one row" else (lambda g: _tile_walk(g, 2))
+    for (case, m), want in zip(cases, wants):
+        cert = _certify_gram(blocks(case), case.den, m, case.shape[0], None, "gram", {})
+        assert _fields(cert) == want
+    # a constant diagonal m/N and an entry of 2^31: the squares are refused
+    big = GaussianRationalMatrix([[1 << 32, 1 << 31], [1 << 31, 1 << 32]], None, 1 << 33)
+    with pytest.raises(OverflowError, match="abs_sq_int"):
+        _welch_pattern(blocks(big), big.den, 1, 2)
+
+
+def test_frame_welch_walk_reads_small_tiles(monkeypatch, group3, rep3):
+    # the frame's own Gram tiles, two columns wide, and the held Gram in
+    # one-row chunks give the certificate of the unpatched walks
+    frames = [synthesize_frame(group3, rep3),
+              FrameMatrix(np.array([[1, 0, 1, 0], [0, 1, 0, 1]]), np.zeros((2, 4), int), -1)]
+    grams = [gram_from_frame(frame) for frame in frames]
+    wants = [verify_frame(frame) for frame in frames]
+    assert [w.failure for w in wants] == [None, "off-diagonal modulus is not constant"]
+    monkeypatch.setattr(exact, "_TILE", 2)
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 1)
+    for frame, gram, want in zip(frames, grams, wants):
+        assert verify_frame(frame) == want == verify_frame(frame, gram=gram)
 
 
 def test_non_projection_gram_rejected():
@@ -503,6 +588,7 @@ def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
     ("parseval_defect", 3.75),    # 8.5 MiB when the m x m product and identity were made
     ("_welch_pattern", 1),        # 16.0 MiB when the N x N squared moduli were made
     ("gram_from_frame", 20),      # 32.0 MiB with the int64 frame and a reduced copy
+    ("verify_frame", 4),          # 18.75 MiB when the int64 N x N Gram was made
     ("read_matrix_file", 4),      # 16.2 MiB into an int64 pair, 25.1 MiB with the text
     ("read_matrix_file_frame", 2),  # 7.9 MiB into an int64 pair
 ])
@@ -520,7 +606,8 @@ def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budg
     passes = {"verify_gram": lambda: verify_gram(gram).verdict == "OPTIMAL",
               "verify_gram_read": lambda: verify_gram(read).verdict == "OPTIMAL",
               "parseval_defect": lambda: parseval_defect(frame) is None,
-              "_welch_pattern": lambda: _welch_pattern(gram, m, num)[0] is None,
+              "_welch_pattern": lambda: _pattern(gram, m, num)[0] is None,
+              "verify_frame": lambda: verify_frame(frame).verdict == "OPTIMAL",
               "gram_from_frame": lambda: gram_from_frame(frame) == gram,
               "read_matrix_file": lambda: read_matrix_file(tmp_path / "gram.mat").den == 64,
               "read_matrix_file_frame": lambda: read_matrix_file(

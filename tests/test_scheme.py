@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linepack import scheme
 from linepack.exact import gram_tiles
 from linepack.scheme import (
     GaussianRationalMatrix,
@@ -93,6 +94,27 @@ def test_int64_products_refuse_to_wrap(site):
     # each of these used to wrap silently; (2^32)^2 became 0
     with pytest.raises(OverflowError):
         site()
+
+
+@pytest.mark.parametrize("size, entries", [(1, 4), (5, 1), (37, 64), (300, 1 << 15)])
+def test_upper_blocks_cover_the_upper_triangle_once(monkeypatch, size, entries):
+    # chunks of rows from the diagonal rightward, each within the entry cap
+    # or one row, as views; every entry on or above the diagonal in one chunk
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", entries)
+    mat = GaussianRationalMatrix(np.arange(size * size).reshape(size, size), None, 3)
+    seen = np.zeros((size, size), dtype=int)
+    next_row = 0
+    for rows, cols, re, im in mat.upper_blocks():
+        assert rows.start == cols.start == next_row and cols.stop == size
+        assert re.size <= entries or rows.stop - rows.start == 1
+        assert np.shares_memory(re, mat.re) and np.shares_memory(im, mat.im)
+        assert np.array_equal(re, mat.re[rows, cols])
+        seen[rows, cols] += 1
+        next_row = rows.stop
+    assert next_row == size
+    assert np.array_equal(seen[np.triu_indices(size)], np.ones(size * (size + 1) // 2))
+    with pytest.raises(ValueError, match="not square"):
+        next(GaussianRationalMatrix(np.zeros((2, 3), dtype=np.int64)).upper_blocks())
 
 
 def test_hermitian_and_idempotent_predicates():
