@@ -10,10 +10,11 @@ quantity is squared, hence rational.
 
 The Gram matrix of the frame is computed three independent ways:
 
-* frame route: the Hermitian product frame^H frame, exact in int64,
-  run by `exact.exact_gram` as one symmetric product of the stacked
-  [re; im] and one cross product re^T im, on float BLAS only where its
-  checked bound proves the result an exact integer;
+* frame route: the Hermitian product frame^H frame, exact, run by
+  `exact.exact_gram` as one symmetric product of the stacked [re; im]
+  and one cross product re^T im, on float BLAS only where its checked
+  bound proves the result an exact integer, and summed in int16 while
+  a running bound proves every sum fits, else in int64;
 * character route: (1/N) sum over the hyperdifference family of
   degree-weighted character values at inv(g) h, read from the exact
   character table;
@@ -33,8 +34,9 @@ three agree entrywise; verification is exact.  Both modes compare the
 routes in one place, `_chunked_route_mismatches`, which gathers the two
 table routes on one chunk of selected rows at a time and compares them
 with the frame Gram of the selection: full verification holds the int8
-frame and one int64 N x N Gram, and the sampled mode's frame route
-streams the int8 gamma blocks of its columns in O(ncols^2) memory.  The
+frame and one N x N Gram, int8 for the Suzuki frames, and the sampled
+mode's frame route streams the int8 gamma blocks of its columns in
+O(ncols^2) memory.  The
 Parseval check frame frame^H and the projection check G^2 = G^H G of a
 Hermitian Gram read the same Hermitian product one tile at a time
 (`exact.gram_tiles`) and compare each tile as it comes, so neither
@@ -50,7 +52,9 @@ command, which prints it.  `read_matrix_file` reads a
 matrix file one row at a time into the (re, im) pair it returns, and
 holds that pair and one row.  The pair is int8 while every value read
 fits, as in the Suzuki frames and Grams, and int64 otherwise; arithmetic
-on it runs in int64.
+on it runs in int64.  The frame Gram (`_gram_from_blocks`) follows the
+same rule once it is reduced by its gcd, so a Gram built from its frame
+and the Gram read back from its file are held alike.
 """
 
 from __future__ import annotations
@@ -210,7 +214,8 @@ def _first_tile_mismatch(tiles, pair) -> tuple[int, int] | None:
 
 
 def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
-    """frame^H frame as an exact Gaussian rational matrix."""
+    """frame^H frame as an exact Gaussian rational matrix, reduced by its
+    gcd, with int8 parts when every entry fits and int64 parts otherwise."""
     return _gram_from_blocks([frame])
 
 
@@ -226,15 +231,19 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
     block, such as a whole frame, is a group of its own and is not copied.
     `exact_gram` adds each group's G^H G to the accumulators, so beyond
     one group only O(cols^2) memory is alive.  It proves each group's
-    product exact, not the int64 sums across groups; the running bound
-    2 sum max|G|^2 rows does, and `check_bound` refuses before a sum wraps.
-    The accumulators are reduced by their gcd in place.
+    product exact, not the sums across groups; the running bound
+    2 sum max|G|^2 rows does.  It bounds every accumulated entry, so the
+    accumulators are int16 while it is below 2^15 and are widened once to
+    int64 before a group's add would take it there; `check_bound` refuses
+    before an int64 sum wraps.  The accumulators are reduced by their gcd
+    in place, read from `np.gcd.reduce` without a widened copy, and the
+    result is int8 when every reduced entry fits, as `read_matrix_file`
+    holds a Gram file, and int64 otherwise.
     """
     blocks = iter(blocks)
     pending = next(blocks)
-    scale = 1 << -pending.log2_scale_sq
-    re, im = np.zeros((2, pending.cols, pending.cols), dtype=np.int64)
-    bound = 0
+    scale, cols = 1 << -pending.log2_scale_sq, pending.cols
+    acc, bound = None, 0  # acc[0] and acc[1] sum the real and imaginary parts
     while pending is not None:
         group, pending = [pending], None
         for block in blocks:
@@ -246,11 +255,15 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
         g_im = np.concatenate([b.im for b in group]) if len(group) > 1 else group[0].im
         bound += 2 * max_abs(g_re, g_im) ** 2 * len(g_re)
         check_bound(bound, "frame Gram")
-        exact_gram(g_re, g_im, (re, im))
-    g = GaussianRationalMatrix(re, im, scale).content()
-    re //= g
-    im //= g
-    return GaussianRationalMatrix(re, im, scale // g)
+        dtype = np.int16 if bound < 1 << 15 else np.int64
+        acc = np.zeros((2, cols, cols), dtype) if acc is None else acc.astype(dtype, copy=False)
+        exact_gram(g_re, g_im, (acc[0], acc[1]))
+    top = max_abs(acc)
+    g = math.gcd(scale, int(np.gcd.reduce(acc, axis=None)))
+    if top:  # g divides every entry; an all-zero Gram, whose g is the scale, stays
+        acc //= g
+    acc = acc.astype(np.int8 if top // g <= 127 else np.int64, copy=False)
+    return GaussianRationalMatrix(acc[0], acc[1], scale // g)
 
 
 def _gathered(row: GaussianRationalMatrix, at: np.ndarray) -> GaussianRationalMatrix:

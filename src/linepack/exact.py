@@ -23,8 +23,9 @@ flops of four general products.  The real part sums 2K terms in one
 accumulator, so the tier is decided once per call, from 2 max^2 K over
 re and im together, below 2^24 or 2^53 for the float tiers; every tile
 is accumulated over all K in that tier.
-`exact_gram`, which adds the whole N x N product into an int64 pair, is
-its add-and-mirror consumer.
+`exact_gram`, which adds the whole N x N product into an integer pair
+whose type the caller picks from its bound, is its add-and-mirror
+consumer.
 
 Every int64 computation in the package keeps each product term below
 2^62 (`INT64_BOUND`), so the sum or difference of two such terms, as in
@@ -160,13 +161,14 @@ def gram_tiles(re: np.ndarray,
 
 
 def exact_gram(re: np.ndarray, im: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
-    """Add (re + i im)^H (re + i im) of integer K x N matrices into the int64
-    N x N pair out = (out_re, out_im), exactly.
+    """Add (re + i im)^H (re + i im) of integer K x N matrices into the
+    integer N x N pair out = (out_re, out_im), exactly.
 
-    Each tile of `gram_tiles` is added in int64, and its mirror below the
-    diagonal is the transpose of the real part and minus the transpose of
-    the imaginary part.  The caller bounds the sum with what `out`
-    already holds.
+    Each int64 tile of `gram_tiles` is added into `out` in place, and its
+    mirror below the diagonal is the transpose of the real part and minus
+    the transpose of the imaginary part.  The caller chooses out's integer
+    type from a bound on the sum with what `out` already holds: an add
+    into a type too narrow for that bound wraps.
     """
     out_re, out_im = out
     for rows, cols, t_re, t_im in gram_tiles(re, im):

@@ -6,9 +6,10 @@ primitive idempotents.  Matrices are dense Gaussian rationals stored as
 a pair of int8 or int64 numpy arrays over a single positive denominator,
 which keeps every product, Hadamard product, and comparison in exact
 integer arithmetic; per-entry reduced fractions are derived on demand.
-int8 parts, as a matrix file whose entries all fit is read, are widened
-to int64 (`_int64`) wherever arithmetic could leave int8, so all
-arithmetic runs in int64.  Every
+int8 parts, as a matrix file whose entries all fit is read or a frame
+Gram reduced by its gcd is held, are widened to int64 (`_int64`)
+wherever arithmetic could leave int8, or squared straight into int64
+(`abs_sq_int`), so all arithmetic runs in int64.  Every
 matrix product, of idempotents and of adjacency matrices alike, goes
 through `exact.exact_matmul`, and every elementwise int64 product is
 bounded by `exact.check_bound` first, so nothing wraps silently.
@@ -224,11 +225,14 @@ class GaussianRationalMatrix:
         return None
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
-        """Entrywise squared moduli as (integer matrix, denominator den^2)."""
+        """Entrywise squared moduli as (int64 matrix, denominator den^2).
+
+        Each part is squared into int64 as it is read, so an int8 part is
+        never copied whole to int64 first.
+        """
         check_bound(self.max_abs() ** 2, "abs_sq_int")
-        re, im = _int64(self.re), _int64(self.im)
-        sq = re * re
-        sq += im * im
+        sq = np.square(self.re, dtype=np.int64)
+        sq += np.square(self.im, dtype=np.int64)
         return sq, self.den * self.den
 
 

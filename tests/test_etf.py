@@ -194,6 +194,63 @@ def test_streamed_frame_gram_refuses_to_wrap(monkeypatch):
         etf._gram_from_blocks([block] * 2)
 
 
+def _object_gram(blocks) -> GaussianRationalMatrix:
+    """frame^H frame of the stacked blocks in Python ints, unreduced."""
+    re = np.concatenate([b.re for b in blocks]).astype(object)
+    im = np.concatenate([b.im for b in blocks]).astype(object)
+    return GaussianRationalMatrix((re.T @ re + im.T @ im).astype(np.int64),
+                                  (re.T @ im - im.T @ re).astype(np.int64),
+                                  1 << -blocks[0].log2_scale_sq)
+
+
+def test_streamed_frame_gram_widens_before_the_bound_leaves_int16(monkeypatch):
+    # each one-row group adds 2 * 100^2 = 20000 to the running bound: the
+    # first group's sums fit int16, and the second add would wrap it, since
+    # each diagonal entry of two rows of +-99 or +-100 reaches 4 * 99^2 > 2^15
+    monkeypatch.setattr(etf, "_GROUP_ROWS", 1)
+    rng = np.random.default_rng(22)
+    parts = rng.choice(np.array([-100, -99, 99, 100], dtype=np.int8), (2, 5, 6))
+    blocks = [FrameMatrix(parts[0, r:r + 1], parts[1, r:r + 1], 0) for r in range(5)]
+    accumulated = []
+    real_add = etf.exact_gram
+
+    def add(re, im, out):
+        accumulated.append(out[0].dtype)
+        real_add(re, im, out)
+
+    monkeypatch.setattr(etf, "exact_gram", add)
+    for rows in (1, 2, 5):
+        accumulated.clear()
+        got = etf._gram_from_blocks(blocks[:rows])
+        want = _object_gram(blocks[:rows])
+        assert want.max_abs() >= (1 << 15 if rows > 1 else 128)
+        assert accumulated == [np.int16] + [np.int64] * (rows - 1)
+        assert got.re.dtype == got.im.dtype == np.int64 and got == want
+
+
+def test_frame_gram_is_int8_only_when_every_reduced_entry_fits():
+    # over the scale 16, one row [12, 1] has the Gram [[144, 12], [12, 1]]
+    # with gcd 1, accumulated in int16 and held in int64; [8, 4] reduces by
+    # 16 to [[4, 2], [2, 1]], and the zero Gram to 0 over 1
+    for row, dtype, den in [([[12, 1]], np.int64, 16), ([[8, 4]], np.int8, 1),
+                            ([[0, 0]], np.int8, 1)]:
+        block = FrameMatrix(np.array(row, dtype=np.int8), np.zeros((1, 2), np.int8), -4)
+        got = etf._gram_from_blocks([block])
+        assert got.re.dtype == got.im.dtype == dtype
+        assert got == _object_gram([block]) and got.den == den
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_frame_gram_is_held_as_its_file_reads(tmp_path, request, n):
+    group, rep = (request.getfixturevalue(f"{name}{n}") for name in ("group", "rep"))
+    gram = gram_from_frame(synthesize_frame(group, rep))
+    write_gram_file(tmp_path / "gram.mat", gram)
+    back = read_matrix_file(tmp_path / "gram.mat")
+    assert gram.re.dtype == gram.im.dtype == back.re.dtype == back.im.dtype == np.int8
+    assert gram.den == back.den == 1 << (n + 1)
+    assert np.array_equal(gram.re, back.re) and np.array_equal(gram.im, back.im)
+
+
 def test_frame_blocks_refuse_entries_beyond_int8(monkeypatch, group3, rep3):
     # the blocks are int8 copies of the representation stack; an entry that
     # would wrap must raise, not give a wrong Gram
@@ -587,14 +644,16 @@ def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
     ("verify_gram_read", 8),      # the same check of the int8 Gram read from its file
     ("parseval_defect", 3.75),    # 8.5 MiB when the m x m product and identity were made
     ("_welch_pattern", 1),        # 16.0 MiB when the N x N squared moduli were made
-    ("gram_from_frame", 20),      # 32.0 MiB with the int64 frame and a reduced copy
+    ("gram_from_frame", 8),       # 32.0 MiB with the int64 frame and a reduced copy,
+                                  # 18.75 MiB with int64 accumulators
     ("verify_frame", 4),          # 18.75 MiB when the int64 N x N Gram was made
     ("read_matrix_file", 4),      # 16.2 MiB into an int64 pair, 25.1 MiB with the text
     ("read_matrix_file_frame", 2),  # 7.9 MiB into an int64 pair
 ])
 def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budget_mib):
-    # each budget is below the arrays the function no longer holds: the int64
-    # Gram pair (16 MiB) is the only N x N memory; its input is made untraced
+    # each budget is below the arrays the function no longer holds; the Gram
+    # the checks read is the int8 pair (2 MiB), made untraced, and
+    # gram_from_frame holds int16 accumulators (4 MiB) and that pair
     frame = synthesize_frame(group5, rep5)
     gram = gram_from_frame(frame)
     m, num = frame_dimensions(5)
@@ -731,11 +790,7 @@ def test_threads_do_not_change_results(group3, rep3):
     # the BLAS thread count cannot change the kernel's products: each equals
     # the arbitrary-precision product of the n = 3 frame on dtype=object
     frame = synthesize_frame(group3, rep3)
-    re, im = frame.re.astype(object), frame.im.astype(object)
-    want = GaussianRationalMatrix(
-        (np.dot(re.T, re) + np.dot(im.T, im)).astype(np.int64),
-        (np.dot(re.T, im) - np.dot(im.T, re)).astype(np.int64),
-        1 << -frame.log2_scale_sq)
+    want = _object_gram([frame])
     for threads in (1, 2):
         with blas_threads(threads):
             assert gram_from_frame(frame) == want
