@@ -15,9 +15,11 @@ The "+" family is pinned as the orbit of the Heisenberg-model character
 under the cube-scaling automorphisms and forms the hyperdifference set;
 the "-" family consists of its complex conjugates.
 
-The table's values live only in two int64 arrays (re, im) of shape
+The table's values live only in two int8 arrays (re, im) of shape
 characters x classes, built by whole-table gathers over the field's
-lookup tables; a `Character` labels one row.  Classes are read through
+lookup tables; a `Character` labels one row.  Every value is 0, +/-1,
++/-2^k or +/-i 2^k with 2^k <= 16, widened to int64 wherever it is
+computed with.  Classes are read through
 `GroupContext.class_of_element` alone, so no tuple partition is built.
 During construction the "+" block is compared, in one whole-table
 comparison, with the traces of the monomial representation: the traces
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .bgroup import GroupContext
-from .exact import check_bound, gram_tiles, max_abs
+from .exact import gram_tiles, max_abs
 from .heis import RepContext
 
 __all__ = [
@@ -77,22 +79,10 @@ def _strip_pow2(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return re >> log2, im >> log2, log2
 
 
-def _is_diagonal(re: np.ndarray, im: np.ndarray, weights: np.ndarray,
-                 diagonal: np.ndarray) -> bool:
-    """Whether (re + i im)^H diag(weights) (re + i im) is the real matrix diag(diagonal).
-
-    Consecutive rows of one weight form a run, and the product is the sum
-    over the runs of the weight times the run's Hermitian Gram, so each
-    run is a view and no weighted copy is made.  The runs' `gram_tiles`
-    advance together; each summed tile is checked and dropped.
-    """
-    cuts = [0, *(np.flatnonzero(np.diff(weights)) + 1).tolist(), len(weights)]
-    runs = [(int(weights[a]), re[a:b], im[a:b]) for a, b in zip(cuts, cuts[1:])]
-    check_bound(sum(w * 2 * max_abs(r, i) ** 2 * len(r) for w, r, i in runs), "weighted Gram")
-    for tiles in zip(*(gram_tiles(r, i) for _, r, i in runs)):
-        rows, cols = tiles[0][:2]
-        t_re = sum(w * t[2] for (w, _, _), t in zip(runs, tiles))
-        t_im = sum(w * t[3] for (w, _, _), t in zip(runs, tiles))
+def _is_diagonal(re: np.ndarray, im: np.ndarray, diagonal: np.ndarray) -> bool:
+    """Whether (re + i im)^H (re + i im) is the real matrix diag(diagonal),
+    read one `gram_tiles` tile at a time; each tile is checked and dropped."""
+    for rows, cols, t_re, t_im in gram_tiles(re, im):
         if rows == cols:
             at = np.arange(len(t_re))
             t_re[at, at] -= diagonal[rows]  # all zero exactly when the real part matches
@@ -109,8 +99,8 @@ def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signs(field, scalars: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(-1)^tr(s y) on the grid scalars x ys."""
-    return 1 - 2 * field.trace_table[field.mul_table[scalars[:, None], ys]].astype(np.int64)
+    """(-1)^tr(s y) on the grid scalars x ys, as int8."""
+    return 1 - 2 * field.trace_table[field.mul_table[scalars[:, None], ys]].astype(np.int8)
 
 
 def linear_characters(group: GroupContext) -> np.ndarray:
@@ -151,7 +141,8 @@ def nonlinear_characters(group: GroupContext, rep: RepContext
     field = group.field
     x_cls, y_cls = _representatives(group)
     gammas = np.arange(1, field.order)
-    scaled = _signs(field, field.inverse_cube_table[gammas], y_cls) << field.k
+    # np.int8 refuses a degree beyond int8 rather than wrap
+    scaled = _signs(field, field.inverse_cube_table[gammas], y_cls) * np.int8(1 << field.k)
     re = np.where(x_cls == 0, scaled, 0)
     im = np.where(x_cls == gammas[:, None], scaled, 0)
     _check_rep_traces(group, rep, x_cls, y_cls, re, im)
@@ -163,7 +154,7 @@ class CharacterTable:
     group: GroupContext
     characters: tuple[Character, ...]
     d_set: tuple[int, ...]      # indices of the "+" family, gamma ascending
-    value_arrays: tuple[np.ndarray, np.ndarray]  # (re, im) int64, characters x classes; exact
+    value_arrays: tuple[np.ndarray, np.ndarray]  # (re, im) int8, characters x classes; exact
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -195,13 +186,18 @@ class CharacterTable:
             raise AssertionError("squared degrees do not sum to the group order")
         re, im = self.value_arrays
         w = self.class_sizes
-        # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta, the
-        # conjugate of the class-size-weighted Hermitian Gram of the table's transpose
-        if not _is_diagonal(re.T, im.T, w, np.full(nchar, order)):
+        # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta, the conjugate of the
+        # Hermitian Gram of the table's transpose, each class scaled by sqrt(|class|):
+        # an integer for the sizes 1 and 4^k, and any other size fails
+        root = np.rint(np.sqrt(w)).astype(np.int64)
+        dtype = np.int16 if max_abs(re, im) * max_abs(root) < 1 << 15 else np.int64
+        if (root * root != w).any() or not _is_diagonal(
+                np.multiply(re.T, root[:, None], dtype=dtype),
+                np.multiply(im.T, root[:, None], dtype=dtype), np.full(nchar, order)):
             raise AssertionError("row orthogonality fails")
         # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta,
         # the conjugate of the table's Hermitian Gram
-        if not _is_diagonal(re, im, np.ones(nchar, dtype=np.int64), order // w):
+        if not _is_diagonal(re, im, order // w):
             raise AssertionError("column orthogonality fails")
         # degree column at the identity class
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():
@@ -209,13 +205,14 @@ class CharacterTable:
 
     def d_set_sum(self, class_index: int, weighted: bool = False) -> tuple[int, int]:
         """Sum (re, im) of the hyperdifference-family values on one class."""
-        re, im = self.value_arrays
         rows = list(self.d_set)
+        re, im = (a[rows, class_index].astype(np.int64) for a in self.value_arrays)
         w = np.array(self.degrees)[rows] if weighted else 1
-        return int((w * re[rows, class_index]).sum()), int((w * im[rows, class_index]).sum())
+        return int((w * re).sum()), int((w * im).sum())
 
     def to_json_dict(self) -> dict:
-        re, im, log2 = (a.tolist() for a in _strip_pow2(*self.value_arrays))
+        re, im, log2 = (a.tolist() for a in _strip_pow2(
+            *(part.astype(np.int64) for part in self.value_arrays)))
         x_cls, y_cls = _representatives(self.group)
         return {
             "order": self.group.order,

@@ -95,16 +95,16 @@ def _refuse(args, only: str, *flags: str) -> None:
 
 def _run_plan(args) -> tuple[str, int | None, int | None]:
     """(mode, samples, seed) of `build` and `verify --n`: full at n <= 5, sampled beyond,
-    or what verify's --mode names.  --samples and --seed shape only the sampled
+    or what verify's --mode names, full at n <= 7.  --samples and --seed shape only the sampled
     check, so any other mode refuses them and returns None for both."""
     _check_build_n(args.n)
     mode = getattr(args, "mode", None) or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
     if mode != "sample":
         _refuse(args, "--mode sample" if args.command == "verify"
                 else f"n >= {_FULL_BUILD_MAX_N + 2}", "--samples", "--seed")
-        if args.n > _FULL_BUILD_MAX_N:
-            raise UsageError(f"full verification materializes the Gram matrix for n <= "
-                             f"{_FULL_BUILD_MAX_N} only; use --mode sample at n={args.n}")
+        if args.n > 7:
+            raise UsageError(f"full verification holds the m x N frame, about 68 GB at n = 9, "
+                             f"so it runs for n <= 7; use --mode sample at n={args.n}")
         return mode, None, None
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
@@ -142,6 +142,7 @@ def cmd_build(args) -> int:
         ok = cert.verdict == "OPTIMAL"
         cert_dict = cert.to_json_dict()
         sample_info = None
+        del frame, gram, cert  # freed before hashing loads OpenSSL
     else:
         print(f"n={args.n}: full Gram verification skipped; "
               "writing the frame and a sampled three-way cross-check",
@@ -213,11 +214,8 @@ def _verify_from_n(args) -> int:
     _, group, rep = _contexts(args.n)
     table = chartab.build_character_table(group, rep)
     if mode == "full":
-        frame = etf.synthesize_frame(group, rep)
-        gram = etf.gram_from_frame(frame)
-        cert = etf.verify_frame(frame, gram=gram)
-        mismatches = etf._chunked_route_mismatches(
-            group, table, gram, np.arange(group.order, dtype=np.int64))
+        mismatches: dict = {}
+        cert = etf.verify_frame(etf.synthesize_frame(group, rep), routes=(group, table, mismatches))
         agree = all(v is None for v in mismatches.values())
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))
@@ -383,7 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="infile",
                    help="matrix file to certify in full; takes no --mode, --samples or --seed")
     v.add_argument("--mode", choices=["full", "sample"],
-                   help="with --n only (default full at n <= 5, sample beyond)")
+                   help="with --n only (default full at n <= 5, sample beyond); full runs at n "
+                        "<= 7 holding the frame and a Gram tile: ~300 MB, ~100 s at --threads 2")
     v.add_argument("--samples", type=int, help=f"sample mode only (default {DEFAULT_SAMPLES})")
     v.add_argument("--seed", type=int, help=f"sample mode only (default {DEFAULT_SEED})")
     common(v)

@@ -27,34 +27,26 @@ The Gram matrix of the frame is computed three independent ways:
       i (-1)^tr(w^-3 z) / 2^(n+1)           w != 0.
 
 The two table routes are rows over the group, one value per element,
-and each Gram block is its row gathered at inv(g) h on one selection of
-columns; full verification selects every column, the sampled mode a
-random block of them.  The frame route never reads that index.  All
-three agree entrywise; verification is exact.  Both modes compare the
-routes in one place, `_chunked_route_mismatches`, which gathers the two
-table routes on one chunk of selected rows at a time and compares them
-with the frame Gram of the selection: full verification holds the int8
-frame and one N x N Gram, int8 for the Suzuki frames, and the sampled
-mode's frame route streams the int8 gamma blocks of its columns in
-O(ncols^2) memory.  The
-Parseval check frame frame^H and the projection check G^2 = G^H G of a
-Hermitian Gram read the same Hermitian product one tile at a time
-(`exact.gram_tiles`) and compare each tile as it comes, so neither
-product is ever held whole; whether the Gram is Hermitian is asked of
-`GaussianRationalMatrix.hermitian_defect`.  The Welch pattern
-(`_welch_pattern`) reads a Hermitian Gram on and above its diagonal, one
-block at a time: the tiles of frame^H frame for a frame alone, or the
-chunks of `GaussianRationalMatrix.upper_blocks` for a Gram already held.
-So `verify --in` holds the frame or Gram it read and O(tile) more, and
-only three paths hold an N x N Gram: `build` and `verify --n --mode
-full` at n <= 5, which write or compare it whole, and the `gram`
-command, which prints it.  `read_matrix_file` reads a
-matrix file one row at a time into the (re, im) pair it returns, and
-holds that pair and one row.  The pair is int8 while every value read
-fits, as in the Suzuki frames and Grams, and int64 otherwise; arithmetic
-on it runs in int64.  The frame Gram (`_gram_from_blocks`) follows the
-same rule once it is reduced by its gcd, so a Gram built from its frame
-and the Gram read back from its file are held alike.
+gathered at inv(g) h on a selection of columns: every column for full
+verification, a random block for the sampled mode.  The frame route
+never reads that index.  All three agree entrywise; verification is exact.
+
+Each certificate walks its Gram once, on and above the diagonal: the
+tiles of frame^H frame (`exact.gram_tiles`) for a frame, or the chunks
+of `GaussianRationalMatrix.upper_blocks` for a Gram already held.  The
+Welch pattern (`_welch_pattern`) reads every block, and the route
+comparison (`_routes_compared`) each as it passes, with its mirror.  For
+a frame the pattern alone proves tightness (`verify_frame`), so the
+Parseval product frame frame^H runs only to name a failure; a Gram
+alone bounds no rank, so `verify_gram` keeps its projection check
+G^2 = G^H G on the same tiled product.  So `verify` holds the frame or
+Gram it has and O(tile) more, and only `build` and `gram` hold an N x N
+Gram: `verify --n 7 --mode full` certifies all 2^28 entries three ways
+in 101 s at 295 MB peak RSS with `--threads 2` on a 2 vCPU Xeon.
+`read_matrix_file` reads a matrix file one row at a time into the
+(re, im) pair it returns, int8 while every value read fits, as in the
+Suzuki frames and Grams, and int64 otherwise; the frame Gram
+(`_gram_from_blocks`), reduced by its gcd, is held alike.
 """
 
 from __future__ import annotations
@@ -174,13 +166,8 @@ def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
 
 def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
     """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else its
-    first bad entry, row-major.
-
-    The Hermitian product of the transposed frame is conj(frame frame^H),
-    which differs from the real identity at the same entries; each of its
-    tiles is compared with that tile of the identity, so no m x m matrix
-    is made.
-    """
+    first bad entry, row-major: each tile of conj(frame frame^H), the
+    transposed frame's Hermitian product, is compared with the identity's."""
     scale = 1 << -frame.log2_scale_sq
 
     def pair(rows, cols, t_re, t_im):
@@ -268,7 +255,9 @@ def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
 
 def _gathered(row: GaussianRationalMatrix, at: np.ndarray) -> GaussianRationalMatrix:
     """Entry (g, h) is row(inv(g) h), read at the index grid `at` of a column
-    selection (`GroupContext.inverse_product_index_grid`)."""
+    selection (`GroupContext.inverse_product_index_grid`); int8 if it fits."""
+    if row.re.dtype != np.int8 and row.max_abs() <= 127:
+        row = GaussianRationalMatrix(row.re.astype(np.int8), row.im.astype(np.int8), row.den)
     return GaussianRationalMatrix(row.re[at], row.im[at], row.den)
 
 
@@ -278,7 +267,7 @@ def gram_character(group: GroupContext, table: CharacterTable,
     # |sum| <= (q - 1) 4^k < 2^(2n), far inside int64 for every supported n
     re, im = table.value_arrays
     d_set = list(table.d_set)
-    deg = np.array(table.degrees)[d_set, None]
+    deg = np.array(table.degrees, dtype=np.int64)[d_set, None]  # widens the int8 values
     cls = group.class_of_element
     row = GaussianRationalMatrix((deg * re[d_set]).sum(axis=0)[cls],
                                  (deg * im[d_set]).sum(axis=0)[cls], group.order)
@@ -357,12 +346,11 @@ def _welch_pattern(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]]
 
     The matrix is Hermitian, over `den`, read as `blocks` (rows, cols, re,
     im) on and above its diagonal (`GaussianRationalMatrix.upper_blocks`
-    or `exact.gram_tiles`): each starts on the diagonal or lies above it,
-    and the first gives the diagonal value, its (0, 0), and the
-    off-diagonal value, its (0, 1) unless the matrix is 1 x 1.  Every block
-    is read before the failure is chosen, so the answer does not depend on
-    how the matrix is cut, and no squared modulus is formed once the
-    greatest |entry| squares to 2^62.
+    or `exact.gram_tiles`), each starting on the diagonal or above it.  The
+    first gives the diagonal value, and the first holding the matrix's
+    (0, 1) the off-diagonal one; no earlier block holds an off-diagonal
+    entry.  Every block is read before the failure is chosen, and no
+    squared modulus is formed once the greatest |entry| squares to 2^62.
 
     Returns the first failure (None if the pattern holds), the squared
     off-diagonal modulus (None unless it is constant and there is one) and
@@ -373,9 +361,10 @@ def _welch_pattern(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]]
     top = 0  # the greatest |entry| read
     for rows, cols, re, im in blocks:
         on = rows.start == cols.start
-        if diag is None:
-            diag = int(re[0, 0])
-            off = int(re[0, 1]) ** 2 + int(im[0, 1]) ** 2 if re.shape[1] > 1 else None
+        diag = int(re[0, 0]) if diag is None else diag
+        j = rows.start + 1 - cols.start  # where the block holds entry (0, 1), if it does
+        if off is None and 0 <= j < re.shape[1]:
+            off = int(re[0, j]) ** 2 + int(im[0, j]) ** 2
         top = max(top, max_abs(re, im))
         if on:
             diag_ok = diag_ok and not im.diagonal().any() and bool((re.diagonal() == diag).all())
@@ -430,24 +419,41 @@ def _certify_gram(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]],
     )
 
 
-def verify_frame(frame: FrameMatrix,
-                 gram: GaussianRationalMatrix | None = None) -> EtfCertificate:
-    """Exact certification of a synthesized frame.
+def verify_frame(frame: FrameMatrix, gram: GaussianRationalMatrix | None = None,
+                 routes: tuple[GroupContext, CharacterTable, dict] | None = None) -> EtfCertificate:
+    """Certify a frame by the Welch pattern of G = frame^H frame, read one
+    tile at a time (`exact.gram_tiles`), or from `gram` when the caller
+    holds it; `routes` = (group, table, found) compares G with the table
+    routes on the same walk (`_routes_compared`).
 
-    The Welch pattern reads the tiles of frame^H frame (`exact.gram_tiles`)
-    one at a time, so no N x N matrix is made, and none at all when the
-    Parseval check fails.  A caller that already holds frame^H frame, to
-    export it, passes it as `gram`, and the pattern reads that instead of
-    a second product.
+    The pattern proves the frame tight: rank G <= m, the row count, and a
+    diagonal m/N with every off-diagonal |G_ij|^2 at the Parseval Welch
+    value m(N - m)/(N^2 (N - 1)) gives tr G = ||G||_F^2 = m, so by
+    Cauchy-Schwarz on the eigenvalues every nonzero one is 1 and
+    frame frame^H = I (Benedetto and Fickus, 2003).  `parseval_defect`
+    runs only when the pattern fails; its failure, or else the walk's
+    overflow, is reported first.
     """
-    defect = parseval_defect(frame)
-    cross = {"parsevalDefect": None if defect is None else list(defect)}
     if gram is None:
         blocks, den = gram_tiles(frame.re, frame.im), 1 << -frame.log2_scale_sq
     else:
         blocks, den = gram.upper_blocks(), gram.den
-    return _certify_gram(blocks, den, frame.rows, frame.cols,
-                         None if defect is None else "parseval identity fails", "frame", cross)
+    if routes is not None:
+        blocks = _routes_compared(blocks, den, np.arange(frame.cols), *routes)
+    overflow = None
+    try:
+        cert = _certify_gram(blocks, den, frame.rows, frame.cols, None, "frame",
+                             {"parsevalDefect": None})
+        if cert.failure is None:
+            return cert
+    except OverflowError as exc:
+        overflow = exc
+    if (defect := parseval_defect(frame)) is not None:
+        return _certify_gram((), den, frame.rows, frame.cols, "parseval identity fails",
+                             "frame", {"parsevalDefect": list(defect)})
+    if overflow is not None:
+        raise overflow
+    return cert
 
 
 def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertificate:
@@ -494,30 +500,30 @@ def _route_mismatches(routes: dict[str, GaussianRationalMatrix]) -> dict:
             for a, b in itertools.combinations(routes, 2)}
 
 
-def _chunked_route_mismatches(group: GroupContext, table: CharacterTable,
-                              gram: GaussianRationalMatrix, sel: np.ndarray) -> dict:
-    """`_route_mismatches` of the frame Gram `gram` of the columns `sel` and
-    the character and closed-form routes on sel x sel, at positions
-    relative to the selection.
-
-    The table routes are gathered on the index grid of one chunk of
-    `_chunk_rows(len(sel))` selected rows at a time and compared with the
-    frame Gram's rows, so no sel x sel index or route is made; each pair
-    keeps its first chunk's mismatch, which is the first row-major one.
-    """
-    step = _chunk_rows(len(sel))
-    found: dict = {}
-    for start in range(0, len(sel), step):
-        rows = slice(start, start + step)
-        at = group.inverse_product_index_grid(sel, sel[rows])
-        chunk = _route_mismatches({
-            "frame": GaussianRationalMatrix(gram.re[rows], gram.im[rows], gram.den),
-            "character": gram_character(group, table, at),
-            "closedForm": gram_closed_form(group, at)})
-        for pair, bad in chunk.items():
-            if found.get(pair) is None:
-                found[pair] = None if bad is None else (start + bad[0], bad[1])
-    return found
+def _routes_compared(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]], den: int,
+                     sel: np.ndarray, group: GroupContext, table: CharacterTable,
+                     found: dict) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Yield `blocks`, the frame Gram of the columns `sel` over `den`, each
+    once it and its mirror (the conjugate transpose) are compared with the
+    table routes gathered from rows built once.  `found` gets each pair's
+    first mismatch, row-major over the selection, or None."""
+    first = np.arange(group.order)  # the Gram row at g = e, as inv(e) h = h
+    rows_of = {"character": gram_character(group, table, first),
+               "closedForm": gram_closed_form(group, first)}
+    found.update(dict.fromkeys(("frame_vs_character", "frame_vs_closedForm",
+                                "character_vs_closedForm")))
+    for block in blocks:
+        rows, cols, re, im = block
+        mirror = [(cols, rows, re.T, np.negative(im, dtype=np.int64).T)] if rows != cols else []
+        for r, c, part_re, part_im in [block, *mirror]:
+            at = group.inverse_product_index_grid(sel[c], sel[r])
+            routes = {"frame": GaussianRationalMatrix(part_re, part_im, den),
+                      **{name: _gathered(row, at) for name, row in rows_of.items()}}
+            for pair, bad in _route_mismatches(routes).items():
+                if bad is not None:
+                    bad = (r.start + bad[0], c.start + bad[1])
+                    found[pair] = min(bad, found[pair] or bad)
+        yield block
 
 
 def three_way_sampled(group: GroupContext, table: CharacterTable,
@@ -527,13 +533,10 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 
     The frame route streams the sampled columns' gamma blocks (honest
     monomial matrices) through `_gram_from_blocks`, in O(ncols^2) memory,
-    and never holds the m x ncols frame; `_chunked_route_mismatches`
-    compares it with the character and closed-form routes as full
-    verification does, and the diagonal / off-diagonal modulus pattern is
-    checked on every entry of it on and above the diagonal; a frame Gram is
-    Hermitian by construction, so that covers every modulus.  With
-    min_entries >= N^2 every column is sampled, whatever the seed, and the
-    comparison covers the full Gram.  min_entries below 1 is a ValueError.
+    and never holds the m x ncols frame; one walk of its `upper_blocks`
+    compares the routes (`_routes_compared`) and checks the Welch pattern,
+    which covers every modulus of a Hermitian Gram.  min_entries >= N^2
+    samples every column; min_entries below 1 is a ValueError.
     """
     if min_entries < 1:
         raise ValueError(f"need min_entries >= 1, got {min_entries}")
@@ -541,10 +544,11 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     ncols = min(group.order, math.isqrt(min_entries - 1) + 1)  # the ceiling square root
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
     gram = _gram_from_blocks(frame_blocks(group, rep, sel))
-    mismatches = _chunked_route_mismatches(group, table, gram, sel)
-
     m, num = frame_dimensions(group.field.n)
-    pattern_fail = _welch_pattern(gram.upper_blocks(), gram.den, m, num)[0]
+    mismatches: dict = {}
+    pattern_fail = _welch_pattern(
+        _routes_compared(gram.upper_blocks(), gram.den, sel, group, table, mismatches),
+        gram.den, m, num)[0]
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),

@@ -402,8 +402,8 @@ def group_scheme(group: GroupContext, table: CharacterTable) -> SchemeDescriptor
 
     def idempotent(j: int) -> GaussianRationalMatrix:
         d = table.characters[j].degree
-        vals_re = d * re[j][relation_index]
-        vals_im = d * im[j][relation_index]
+        vals_re = (d * re[j].astype(np.int64))[relation_index]  # widened from the int8 table
+        vals_im = (d * im[j].astype(np.int64))[relation_index]
         return GaussianRationalMatrix(vals_re, vals_im, group.order)
 
     return SchemeDescriptor(

@@ -204,7 +204,7 @@ def character_sum_filter(tup: SearchTuple, table: CharacterTable) -> bool:
         return False
     sq_bound = Fraction(n - tup.m, n - 1)
     abs_bound_sq = Fraction(tup.k * (n - tup.m), n - 1)
-    re, im = (a[deg_l] for a in table.value_arrays)
+    re, im = (a[deg_l].astype(int) for a in table.value_arrays)  # widened from int8
     for column in (re * re + im * im).T.tolist()[1:]:
         mods_sq = [Fraction(v) for v in column]
         if sum(mods_sq) < sq_bound:

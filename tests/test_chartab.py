@@ -245,14 +245,25 @@ def test_verify_checks_the_last_row_block(table7, corrupt):
 def test_orthogonality_check_reads_the_imaginary_part(monkeypatch):
     # A = [1, i] has A^H A = [[1, i], [-i, 1]]: its real part is the identity
     # and only its imaginary part is off the diagonal.  One-column tiles put
-    # that entry in an off-diagonal tile, and two runs of weights are summed
+    # that entry in an off-diagonal tile, and the diagonal is read per tile
     monkeypatch.setattr(exact, "_TILE", 1)
     re, im = np.array([[1, 0]]), np.array([[0, 1]])
-    assert not chartab._is_diagonal(re, im, np.array([1]), np.array([1, 1]))
-    assert chartab._is_diagonal(np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
-                                np.array([1, 3]), np.array([1, 3]))
-    assert not chartab._is_diagonal(np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
-                                    np.array([1, 3]), np.array([1, 1]))
+    assert not chartab._is_diagonal(re, im, np.array([1, 1]))
+    scaled = np.diag([1, 2])  # rows scaled by the square roots of the weights 1 and 4
+    assert chartab._is_diagonal(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 4]))
+    assert not chartab._is_diagonal(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 1]))
+
+
+def test_row_orthogonality_refuses_a_class_size_that_is_not_a_square(table3):
+    # the row check scales each class by the square root of its size; a size
+    # of 3 has none, and fails the check rather than raise anything else
+    sizes = table3.class_sizes.copy()
+    assert sizes[8] == sizes[9] == 4
+    sizes[8:10] = 3, 5  # still summing to the order
+    broken = replace(table3)
+    broken.__dict__["class_sizes"] = sizes  # where the cached property keeps its value
+    with pytest.raises(AssertionError, match="row orthogonality fails"):
+        broken.verify()
 
 
 def test_identity_column_sums_to_order(table3):

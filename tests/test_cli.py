@@ -195,42 +195,40 @@ def test_verify_sample_by_degree(capsys):
 
 @pytest.mark.parametrize("rows", [[62], [3, 62]])
 def test_verify_full_reports_the_whole_matrix_mismatch(capsys, monkeypatch, group3, rep3,
-                                                      table3, rows):
-    # 8-row chunks at n = 3, and a closed form that differs in column 5 of the
-    # given rows, row 62 being in the last chunk: each pair reports what the
-    # whole matrices give
-    from linepack import etf
+                                                      table3, flip_route, rows):
+    # 8-wide tiles at n = 3, and a closed form that differs in column 5 of the
+    # given rows: (62, 5) lies below the diagonal, in the mirror of the first
+    # row band's last tile, and (3, 5) in the first tile.  Each pair reports
+    # what the whole matrices give
+    from linepack import etf, exact
     from linepack.scheme import GaussianRationalMatrix
 
-    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 8 * 64)
-    closed_form, full_at = etf.gram_closed_form, group3.inverse_product_index_matrix
-
-    def flipped(group, at):
-        gram = closed_form(group, at)
-        re = gram.re.copy()
-        re[np.isin(at[:, 0], full_at[rows, 0]), 5] += 1  # column 0 of row g is inv(g)
-        return GaussianRationalMatrix(re, gram.im, gram.den)
-
-    monkeypatch.setattr(etf, "gram_closed_form", flipped)
+    full_at = group3.inverse_product_index_matrix
+    closed_form = etf.gram_closed_form(group3, full_at)
+    re = closed_form.re.copy()
+    re[rows, 5] += 1
     want = etf._route_mismatches({
         "frame": etf.gram_from_frame(etf.synthesize_frame(group3, rep3)),
         "character": etf.gram_character(group3, table3, full_at),
-        "closedForm": flipped(group3, full_at)})
+        "closedForm": GaussianRationalMatrix(re, closed_form.im, closed_form.den)})
     assert want == {"frame_vs_character": None, "frame_vs_closedForm": (rows[0], 5),
                     "character_vs_closedForm": (rows[0], 5)}
+    monkeypatch.setattr(exact, "_TILE", 8)
+    flip_route({"closedForm": [(g, 5) for g in rows]})
     code, stdout, err = run(capsys, "verify", "--n", "3", "--mode", "full")
     assert code == 1 and json.loads(stdout)["threeWay"] is False
     assert f"gram routes disagree: {want}" in err
 
 
-def test_verify_full_beyond_n5_is_usage_error(capsys, monkeypatch):
+def test_verify_full_at_n9_is_usage_error(capsys, monkeypatch):
+    # the m x N frame alone would be about 68 GB; refused before any context is built
     from linepack import cli
 
     def no_contexts(n):
         raise AssertionError("contexts built before the usage check")
 
     monkeypatch.setattr(cli, "_contexts", no_contexts)
-    code, _, err = run(capsys, "verify", "--n", "7", "--mode", "full")
+    code, _, err = run(capsys, "verify", "--n", "9", "--mode", "full")
     assert code == 2
     assert "--mode sample" in err
 
@@ -424,6 +422,65 @@ def test_verify_all_zero_gram_is_not_etf(tmp_path, capsys, size):
     cert = json.loads(stdout)
     assert (cert["verdict"], cert["m"], cert["parseval"]) == ("NOT_ETF", 0, True)
     assert "degenerate" in cert["failure"] and "linepack: violation" in err
+
+
+# a frame fails with the certificate and violation it had while the Parseval
+# check ran before the Welch pattern: (sha256 of the stdout, the violation)
+_FRAME_FAILURES = {
+    "tight-non-etf": ("fcfa02172e1c2c99e92862aec978c3b48421d44811776bfe6e77a4e427e94354",
+                      "off-diagonal modulus is not constant"),
+    "flipped-entry": ("1053e280f93455956391a205da3ff538dbe639dffc36a2f63690ffbcd5377312",
+                      "parseval identity fails at entry (0, 4)"),
+    "header-scale": ("4e52391de56db176b0db1c66605874913d4f9eff40763ada27fc45ef68876a10",
+                     "parseval identity fails at entry (0, 0)"),
+}
+
+
+def _failing_frame(built_n3, case: str) -> str:
+    if case == "tight-non-etf":  # Parseval, and two off-diagonal moduli
+        return _HEAD.format(2, 4, -1, 2) + "1;0 0;0 1;0 0;0\n0;0 1;0 0;0 1;0\n"
+    lines = (built_n3 / "frame.mat").read_text().splitlines()
+    if case == "header-scale":
+        lines[0] = lines[0].replace("scale_log2_num=-5", "scale_log2_num=-7")
+    else:
+        tokens = lines[5].split(" ")
+        assert tokens[0] == "1;0"
+        tokens[0] = "-1;0"
+        lines[5] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _parseval_calls(monkeypatch) -> list:
+    from linepack import etf
+
+    calls, defect = [], etf.parseval_defect
+    monkeypatch.setattr(etf, "parseval_defect", lambda frame: calls.append(1) or defect(frame))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(_FRAME_FAILURES))
+def test_failing_frames_run_the_parseval_check_once(built_n3, tmp_path, capsys, monkeypatch,
+                                                    case):
+    path = tmp_path / "frame.mat"
+    path.write_text(_failing_frame(built_n3, case))
+    calls = _parseval_calls(monkeypatch)
+    code, stdout, err = run(capsys, "verify", "--in", str(path))
+    digest, violation = _FRAME_FAILURES[case]
+    assert (code, len(calls)) == (1, 1)
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == digest
+    assert err == f"linepack: violation: {violation}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--in", "FRAME"],
+                                  ["verify", "--n", "3", "--mode", "full"],
+                                  ["build", "--n", "3", "--out", "OUT"]])
+def test_certified_frames_run_no_parseval_check(built_n3, tmp_path, capsys, monkeypatch, argv):
+    # the Welch pattern proves the frame tight, so a success needs no second product
+    paths = {"FRAME": str(built_n3 / "frame.mat"), "OUT": str(tmp_path / "out")}
+    calls = _parseval_calls(monkeypatch)
+    code, stdout, _ = run(capsys, *(paths.get(tok, tok) for tok in argv))
+    assert (code, calls) == (0, [])
+    assert json.loads(stdout)["parseval"] is True
 
 
 _HEADER_FIELDS = ["rows", "cols", "scale_log2_num", "scale_log2_den"]

@@ -323,33 +323,66 @@ def test_three_way_sampled_columns_are_the_ceiling_square_root(group5, table5, r
 
 @pytest.mark.parametrize("rows", [[37], [3, 37]])
 def test_sampled_routes_report_the_whole_selection_mismatch(monkeypatch, group3, table3,
-                                                            rep3, rows):
-    # 8-row chunks of a 40-column selection at n = 3, row 37 being in the last
-    # of five, and a closed form that differs in column 5 of the given rows:
-    # each pair reports what the whole-selection matrices give
-    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 8 * 40)
-    assert etf._chunk_rows(40) == 8
+                                                            rep3, flip_route, rows):
+    # upper_blocks chunks of at most 8 x 40 entries on a 40-column selection
+    # at n = 3, and a closed form that differs in column 5 of the given rows:
+    # (37, 5) lies below the diagonal, seen only in a chunk's mirror.  Each
+    # pair reports what the whole-selection matrices give
     sel = np.array(sorted(random.Random(4).sample(range(64), 40)), dtype=np.int64)
     whole_at = group3.inverse_product_index_grid(sel)
-    closed_form = etf.gram_closed_form
-
-    def flipped(group, at):
-        gram = closed_form(group, at)
-        re = gram.re.copy()
-        re[np.isin(at[:, 5], whole_at[rows, 5]), 5] += 1  # a grid's column names its rows
-        return GaussianRationalMatrix(re, gram.im, gram.den)
-
-    monkeypatch.setattr(etf, "gram_closed_form", flipped)
+    closed_form = gram_closed_form(group3, whole_at)
+    re = closed_form.re.copy()
+    re[rows, 5] += 1
     whole = synthesize_frame(group3, rep3)
     want = etf._route_mismatches({
         "frame": gram_from_frame(FrameMatrix(whole.re[:, sel], whole.im[:, sel],
                                              whole.log2_scale_sq)),
         "character": gram_character(group3, table3, whole_at),
-        "closedForm": flipped(group3, whole_at)})
+        "closedForm": GaussianRationalMatrix(re, closed_form.im, closed_form.den)})
     assert want == {"frame_vs_character": None, "frame_vs_closedForm": (rows[0], 5),
                     "character_vs_closedForm": (rows[0], 5)}
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 8 * 40)
+    flip_route({"closedForm": [(sel[g], sel[5]) for g in rows]})
     report = three_way_sampled(group3, table3, rep3, min_entries=40 ** 2, seed=4)
     assert report["columns"] == 40 and report["mismatches"] == want
+
+
+@pytest.mark.parametrize("flips, want", [
+    # two character flips, the lower one met first, in the mirror of tile
+    # (0, 5); the closed form's in the last tile
+    ({"character": [(700, 100), (100, 900)], "closedForm": [(1000, 1020)]},
+     {"frame_vs_character": (100, 900), "frame_vs_closedForm": (1000, 1020),
+      "character_vs_closedForm": (100, 900)}),
+    ({"character": [(1000, 1020)], "closedForm": [(700, 100)]},
+     {"frame_vs_character": (1000, 1020), "frame_vs_closedForm": (700, 100),
+      "character_vs_closedForm": (700, 100)}),
+], ids=["character-mirror", "closed-form-mirror"])
+def test_tile_walk_reports_the_whole_matrix_route_mismatch_n5(monkeypatch, group5, table5,
+                                                              rep5, flip_route, flips, want):
+    # 128-wide tiles at n = 5: one-entry flips in the last tile and below the
+    # diagonal, each the whole matrix's first mismatch of its pairs; the
+    # frame certificate is unaffected
+    monkeypatch.setattr(exact, "_TILE", 128)
+    frame = synthesize_frame(group5, rep5)
+    flip_route(flips)
+    found = {}
+    cert = verify_frame(frame, routes=(group5, table5, found))
+    assert found == want and cert.verdict == "OPTIMAL"
+
+
+def test_block_walk_reports_the_whole_selection_route_mismatch_n5(monkeypatch, group5, table5,
+                                                                  rep5, flip_route):
+    # 150 sampled columns at n = 5 in chunks of at most 1500 entries: a
+    # character flip in the last chunk and a closed-form flip below the
+    # diagonal, at selection positions
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 1500)
+    sel = np.array(sorted(random.Random(3).sample(range(1024), 150)), dtype=np.int64)
+    flip_route({"character": [(sel[149], sel[148])], "closedForm": [(sel[120], sel[7])]})
+    report = three_way_sampled(group5, table5, rep5, min_entries=150 ** 2, seed=3)
+    assert report["columns"] == 150 and report["pattern_ok"]
+    assert report["mismatches"] == {"frame_vs_character": (149, 148),
+                                    "frame_vs_closedForm": (120, 7),
+                                    "character_vs_closedForm": (120, 7)}
 
 
 def test_sampled_pattern_reads_the_frame_gram(monkeypatch, group3, table3, rep3):
@@ -523,6 +556,16 @@ def test_frame_welch_walk_reads_small_tiles(monkeypatch, group3, rep3):
     monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 1)
     for frame, gram, want in zip(frames, grams, wants):
         assert verify_frame(frame) == want == verify_frame(frame, gram=gram)
+
+
+def test_one_column_tiles_still_read_the_off_diagonal(monkeypatch):
+    # the first 1 x 1 tile holds no off-diagonal entry and the next holds
+    # (0, 1): a tight frame that is not an ETF still fails, and the Welch
+    # pattern never passes a frame without reading its off-diagonal moduli
+    monkeypatch.setattr(exact, "_TILE", 1)
+    frame = FrameMatrix(np.array([[1, 0, 1, 0], [0, 1, 0, 1]]), np.zeros((2, 4), int), -1)
+    cert = verify_frame(frame)
+    assert (cert.failure, cert.parseval) == ("off-diagonal modulus is not constant", True)
 
 
 def test_non_projection_gram_rejected():

@@ -47,15 +47,28 @@ def test_every_traced_attribute_is_a_kind_the_tracer_wraps():
     assert not wrong, wrong
 
 
-def test_traced_build_completes_with_its_spans(tmp_path):
-    # the wrapped run, not only the names: a wrapper that breaks a caller shows here
+def _traced(tmp_path, *argv) -> tuple[int, set]:
+    """The exit code and the span names of one traced run."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(TRACED), str(spans), "--",
-                           "build", "--n", "3", "--out", str(tmp_path / "out")],
+    done = subprocess.run([sys.executable, str(TRACED), str(spans), "--", *argv],
                           env=env, capture_output=True, timeout=120)
-    assert done.returncode == 0, done.stderr.decode()
-    names = {span[2] for span in json.loads(spans.read_text())["spans"]}
-    assert {"gf2n.tables", "heis.rep_init", "etf.synth", "etf.parseval", "etf.write"} <= names
-    # build at n <= 5 reads no character table, so none is built
-    assert not {"bgroup.classes", "chartab.build"} & names
+    return done.returncode, {span[2] for span in json.loads(spans.read_text())["spans"]}
+
+
+def test_traced_build_completes_with_its_spans(tmp_path):
+    # the wrapped run, not only the names: a wrapper that breaks a caller shows here
+    code, names = _traced(tmp_path, "build", "--n", "3", "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert {"gf2n.tables", "heis.rep_init", "etf.synth", "etf.certify", "etf.write"} <= names
+    # build at n <= 5 reads no character table, so none is built; a certified
+    # frame needs no Parseval product
+    assert not {"bgroup.classes", "chartab.build", "etf.parseval"} & names
+    # a frame that fails its Welch pattern runs the Parseval check, in its span
+    frame = tmp_path / "out" / "frame.mat"
+    lines = frame.read_text().splitlines()
+    lines[0] = lines[0].replace("scale_log2_num=-5", "scale_log2_num=-7")
+    frame.write_text("\n".join(lines) + "\n")
+    code, names = _traced(tmp_path, "verify", "--in", str(frame))
+    assert code == 1
+    assert {"etf.read", "etf.certify", "etf.parseval"} <= names
