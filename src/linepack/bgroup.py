@@ -110,10 +110,10 @@ class GroupContext:
     def class_of_element(self) -> np.ndarray:
         """Element index -> conjugacy class index, by the module's coset formula."""
         f = self.field
-        idx = np.arange(self.order)
-        x, y = idx >> f.n, idx & (f.order - 1)
-        coset = f.trace_table[f.mul_table[f.inverse_cube_table[x], y]]
-        return np.where(x == 0, y, f.order + 2 * (x - 1) + coset).astype(np.int32)
+        coset = f.trace_table[f.mul_table][f.inverse_cube_table]  # uint8 tr(x^-3 y) at (x, y)
+        cls = np.arange(f.order - 2, 3 * f.order - 2, 2, dtype=np.int32)[:, None] + coset
+        cls[0] = np.arange(f.order)
+        return cls.ravel()
 
     def class_sizes(self) -> list[int]:
         return np.bincount(self.class_of_element).tolist()
@@ -174,7 +174,7 @@ class GroupContext:
 
     def inverse_product_index_grid(self, cols: np.ndarray,
                                    rows: np.ndarray | None = None) -> np.ndarray:
-        """Index of inv(g) * h for g in the selection `rows` of element
+        """Int32 index of inv(g) * h for g in the selection `rows` of element
         indices (default `cols`) and h in the selection `cols`.
 
         This is the argument on which every group-scheme matrix entry
@@ -184,7 +184,7 @@ class GroupContext:
         """
         f = self.field
         n, mask = f.n, f.order - 1
-        rows = cols if rows is None else rows
+        rows, cols = (np.asarray(s, np.int32) for s in (cols if rows is None else rows, cols))
         x, y = rows >> n, rows & mask
         a, b = cols >> n, cols & mask
         wx = x[:, None] ^ a[None, :]
@@ -197,8 +197,7 @@ class GroupContext:
         """Full order x order grid of inv(g) * h indices (n <= 5 only)."""
         if self.order > 1 << 10:
             raise ValueError("full index matrix is too large; use inverse_product_index_grid")
-        idx = np.arange(self.order, dtype=np.int64)
-        return self.inverse_product_index_grid(idx)
+        return self.inverse_product_index_grid(np.arange(self.order, dtype=np.int32))
 
     def __repr__(self) -> str:
         return f"GroupContext(order={self.order}, field={self.field!r})"

@@ -31,22 +31,22 @@ gathered at inv(g) h on a selection of columns: every column for full
 verification, a random block for the sampled mode.  The frame route
 never reads that index.  All three agree entrywise; verification is exact.
 
-Each certificate walks its Gram once, on and above the diagonal: the
-tiles of frame^H frame (`exact.gram_tiles`) for a frame, or the chunks
-of `GaussianRationalMatrix.upper_blocks` for a Gram already held.  The
-Welch pattern (`_welch_pattern`) reads every block, and the route
-comparison (`_routes_compared`) each as it passes, with its mirror.  For
-a frame the pattern alone proves tightness (`verify_frame`), so the
-Parseval product frame frame^H runs only to name a failure; a Gram
-alone bounds no rank, so `verify_gram` keeps its projection check
-G^2 = G^H G on the same tiled product.  So `verify` holds the frame or
-Gram it has and O(tile) more, and only `build` and `gram` hold an N x N
-Gram: `verify --n 7 --mode full` certifies all 2^28 entries three ways
-in 101 s at 295 MB peak RSS with `--threads 2` on a 2 vCPU Xeon.
-`read_matrix_file` reads a matrix file one row at a time into the
-(re, im) pair it returns, int8 while every value read fits, as in the
-Suzuki frames and Grams, and int64 otherwise; the frame Gram
-(`_gram_from_blocks`), reduced by its gcd, is held alike.
+A frame certificate walks its Gram once, on and above the diagonal: the
+tiles of frame^H frame (`exact.gram_tiles`), or the chunks of
+`GaussianRationalMatrix.upper_blocks` when the Gram is held.  The Welch
+pattern (`_welch_pattern`) and the route comparison (`_routes_compared`)
+read each block as it passes, the latter with its mirror.  The pattern
+alone proves a frame tight (`verify_frame`), so the Parseval product
+runs only to name a failure.  A Gram alone bounds no rank, so
+`verify_gram` walks the Gram it holds three times: the Hermitian test,
+the projection check (the tiles of G^H G against G's), and the Welch
+walk of `upper_blocks`.  Only `build` and `gram` hold an N x N Gram:
+`verify --n 7 --mode full` certifies all 2^28 entries three ways in
+101 s at 295 MB peak RSS with `--threads 2` on a 2 vCPU Xeon.
+`_write_rows` writes a matrix file as one gather of encoded tokens per
+chunk of rows; `read_matrix_file` reads it a row at a time into an
+(re, im) pair, int8 while every value fits, as in the Suzuki frames and
+Grams, else int64.  The frame Gram (`_gram_from_blocks`) is held alike.
 """
 
 from __future__ import annotations
@@ -275,13 +275,13 @@ def gram_character(group: GroupContext, table: CharacterTable,
 
 
 def gram_closed_form(group: GroupContext, at: np.ndarray) -> GaussianRationalMatrix:
-    """Gram entries straight from the three-case field formula, vectorized."""
+    """Gram entries from the three-case field formula on the q x q grid (w, z)."""
     f = group.field
-    w, z = np.divmod(np.arange(group.order), f.order)
-    t = f.trace_table[f.mul_table[f.inverse_cube_table[w], z]].astype(np.int64)
-    re = np.where(w != 0, 0, np.where(z == 0, f.order - 1, -1))
-    im = np.where(w != 0, 1 - 2 * t, 0)
-    return _gathered(GaussianRationalMatrix(re, im, f.order * 2), at)
+    im = 1 - 2 * f.trace_table[f.mul_table][f.inverse_cube_table].astype(np.int8)
+    re = np.zeros_like(im, dtype=np.int8 if f.order <= 128 else np.int64)  # int8 if it fits
+    re[0], im[0] = -1, 0
+    re[0, 0] = f.order - 1
+    return _gathered(GaussianRationalMatrix(re.ravel(), im.ravel(), f.order * 2), at)
 
 
 def closed_form_entry(field: FieldContext, g, h) -> tuple[int, int]:
@@ -564,12 +564,12 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 # ---------------------------------------------------------------------------
 
 _HEADER = "LINEPACK-MATRIX v1"
-_CHUNK_ENTRIES = 1 << 16  # per chunk of rows: caps the writer's temporaries and the reader's index
+_CHUNK_ENTRIES = 1 << 14  # per chunk of rows: caps the writer's temporaries and the reader's index
 _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _chunk_rows(cols: int) -> int:
-    """Rows per chunk: 64 at the 1024 columns of n = 5, never fewer than one."""
+    """Rows per chunk: 16 at the 1024 columns of n = 5, never fewer than one."""
     return max(1, _CHUNK_ENTRIES // cols)
 
 
@@ -584,24 +584,23 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.searchsorted(values, a)
 
 
-def _write_rows(fh, entry: str, real: np.ndarray, imag: np.ndarray,
-                columns=lambda re_part, im_part: (re_part, im_part)) -> None:
-    """One line per row of space-separated entries, entry (i, j) being `entry`
-    formatted with the int64 columns(real, imag) at (i, j).
+def _write_rows(fh, real: np.ndarray, imag: np.ndarray, tokens) -> None:
+    """One line per row of space-separated entries, entry (i, j) being the
+    bytes tokens(re_vals, im_vals) gives for the pair (real, imag) at (i, j).
 
-    Each chunk of rows finds its distinct (real, imag) pairs, formats each
-    of them once, and builds every line from that table of tokens.
+    Each chunk of rows encodes its distinct pairs once, as int64, and is
+    one gather from the fixed-width table of each token and a space, then
+    each token and a newline, which the last column reads; NUL pads drop.
     """
     step = _chunk_rows(real.shape[1])
     for start in range(0, len(real), step):
-        rows = slice(start, start + step)
-        re_vals, re_ids = _distinct(real[rows])
-        im_vals, im_ids = _distinct(imag[rows])
+        re_vals, re_ids = _distinct(real[start:start + step])
+        im_vals, im_ids = _distinct(imag[start:start + step])
         codes, ids = _distinct(re_ids * len(im_vals) + im_ids)
-        parts = columns(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
-        text = " ".join([entry] * len(codes)) % tuple(np.stack(parts, axis=1).ravel().tolist())
-        tokens = np.array(text.split(" "), dtype=object)
-        fh.write("".join([" ".join(tokens[row]) + "\n" for row in ids]))
+        words = tokens(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
+        table = np.array([w + b" " for w in words] + [w + b"\n" for w in words])
+        ids[:, -1] += len(words)
+        fh.write(table[ids].tobytes().replace(b"\0", b""))
 
 
 def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
@@ -611,12 +610,13 @@ def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
     in all; each is written as it arrives, so a frame too large to hold in
     memory can be streamed from `frame_blocks`.
     """
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         for i, block in enumerate(blocks):
             if i == 0:
-                fh.write(f"{_HEADER} rows={rows} cols={block.cols} "
-                         f"scale_log2_num={block.log2_scale_sq} scale_log2_den=2\n")
-            _write_rows(fh, "%d;%d", block.re, block.im)
+                fh.write(f"{_HEADER} rows={rows} cols={block.cols} scale_log2_num="
+                         f"{block.log2_scale_sq} scale_log2_den=2\n".encode())
+            _write_rows(fh, block.re, block.im, lambda re_vals, im_vals: [
+                b"%d;%d" % pair for pair in zip(re_vals.tolist(), im_vals.tolist())])
 
 
 def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
@@ -628,13 +628,14 @@ def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
         raise OverflowError(f"Gram denominator {den} is beyond int64")
     rows, cols = g.shape
 
-    def reduced(re_part: np.ndarray, im_part: np.ndarray) -> tuple[np.ndarray, ...]:
-        gr, gi = np.gcd(re_part, den), np.gcd(im_part, den)
-        return re_part // gr, den // gr, im_part // gi, den // gi
+    def reduced(re_vals: np.ndarray, im_vals: np.ndarray) -> list[bytes]:
+        gr, gi = np.gcd(re_vals, den), np.gcd(im_vals, den)
+        parts = (re_vals // gr, den // gr, im_vals // gi, den // gi)
+        return [b"%d/%d;%d/%d" % entry for entry in zip(*(p.tolist() for p in parts))]
 
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n")
-        _write_rows(fh, "%d/%d;%d/%d", g.re, g.im, reduced)
+    with open(path, "wb") as fh:
+        fh.write(f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n".encode())
+        _write_rows(fh, g.re, g.im, reduced)
 
 
 class MatrixParseError(ValueError):

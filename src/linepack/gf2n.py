@@ -23,8 +23,8 @@ maps used by the group and frame layers:
 * deterministic symplectic bases of the trace-zero subspace under the
   alternating trace form, plus a self-dual normal basis cross-check.
 
-Everything is exact integer arithmetic; the numpy lookup tables for the
-vectorized matrix paths are derived lazily from the log/antilog pair.
+Everything is exact integer arithmetic; the int32 numpy lookup tables for
+the vectorized matrix paths are derived lazily from the log/antilog pair.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ __all__ = [
     "least_irreducible",
 ]
 
-# Largest degree for which the dense 2^n x 2^n int64 multiplication table
-# is built (8 MiB at the cap).
+# Largest degree for which the dense 2^n x 2^n int32 multiplication table
+# is built (4 MiB at the cap).
 _TABLE_DEGREE_CAP = 10
 
 
@@ -304,7 +304,7 @@ class FieldContext:
 
     def _power_table(self, e: int) -> np.ndarray:
         """a^e for every a, with 0^e = 0 (also for e < 0, as a sentinel)."""
-        t = np.asarray(self._exp)[e * np.asarray(self._log) % (self.order - 1)]
+        t = np.asarray(self._exp, dtype=np.int32)[e * np.asarray(self._log) % (self.order - 1)]
         t[0] = 0
         return t
 
@@ -325,7 +325,7 @@ class FieldContext:
         if self.n > _TABLE_DEGREE_CAP:
             raise ValueError(f"the multiplication table is capped at n <= {_TABLE_DEGREE_CAP}")
         log = np.asarray(self._log)
-        t = np.asarray(self._exp)[log[:, None] + log[None, :]]
+        t = np.asarray(self._exp, dtype=np.int32)[log[:, None] + log[None, :]]
         t[0, :] = 0
         t[:, 0] = 0
         return t

@@ -692,6 +692,8 @@ def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
     ("verify_frame", 4),          # 18.75 MiB when the int64 N x N Gram was made
     ("read_matrix_file", 4),      # 16.2 MiB into an int64 pair, 25.1 MiB with the text
     ("read_matrix_file_frame", 2),  # 7.9 MiB into an int64 pair
+    ("write_frame_file", 1),      # 3.0 MiB in chunks of 2^16 entries
+    ("write_gram_file", 1),       # 3.0 MiB likewise
 ])
 def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budget_mib):
     # each budget is below the arrays the function no longer holds; the Gram
@@ -713,7 +715,10 @@ def test_checks_stay_within_memory_budgets_n5(tmp_path, group5, rep5, name, budg
               "gram_from_frame": lambda: gram_from_frame(frame) == gram,
               "read_matrix_file": lambda: read_matrix_file(tmp_path / "gram.mat").den == 64,
               "read_matrix_file_frame": lambda: read_matrix_file(
-                  tmp_path / "frame.mat").log2_scale_sq == -8}[name]
+                  tmp_path / "frame.mat").log2_scale_sq == -8,
+              "write_frame_file": lambda: write_frame_file(
+                  tmp_path / "frame.mat", frame.rows, [frame]) is None,
+              "write_gram_file": lambda: write_gram_file(tmp_path / "gram.mat", gram) is None}[name]
     tracemalloc.start()
     try:
         assert passes()
@@ -1053,6 +1058,34 @@ def test_gram_writer_matches_fraction_reference(tmp_path_factory, data, rows, co
             want.append(f"{a.numerator}/{a.denominator};{b.numerator}/{b.denominator}")
         assert line.split(" ") == want
     assert read_matrix_file(path) == gram
+
+
+_frame_parts = {np.int8: st.integers(-128, 127),
+                np.int64: st.one_of(st.integers(-2, 2), st.integers(1 - 2 ** 63, 2 ** 63 - 1))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
+       dtype=st.sampled_from([np.int8, np.int64]), log2_scale_sq=st.integers(-60, 0))
+def test_frame_writer_matches_join_reference(tmp_path_factory, data, rows, cols, dtype,
+                                             log2_scale_sq):
+    # written whole and with one-row chunks, so every line ends a chunk's gather
+    parts = [np.array(data.draw(st.lists(_frame_parts[dtype], min_size=rows * cols,
+                                         max_size=rows * cols)),
+                      dtype=dtype).reshape(rows, cols) for _ in range(2)]
+    frame = FrameMatrix(*parts, log2_scale_sq)
+    want = [f"LINEPACK-MATRIX v1 rows={rows} cols={cols} scale_log2_num={log2_scale_sq} "
+            "scale_log2_den=2"]
+    want += [" ".join(f"{a};{b}" for a, b in zip(parts[0][i].tolist(), parts[1][i].tolist()))
+             for i in range(rows)]
+    path = tmp_path_factory.mktemp("write") / "f.mat"
+    for chunk_entries in (etf._CHUNK_ENTRIES, 1):
+        with mock.patch.object(etf, "_CHUNK_ENTRIES", chunk_entries):
+            write_frame_file(path, rows, [frame])
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
+    back = read_matrix_file(path)
+    assert back.log2_scale_sq == log2_scale_sq
+    assert np.array_equal(back.re, parts[0]) and np.array_equal(back.im, parts[1])
 
 
 def test_gram_writer_refuses_a_denominator_beyond_int64(tmp_path):
