@@ -43,10 +43,13 @@ the projection check (the tiles of G^H G against G's), and the Welch
 walk of `upper_blocks`.  Only `build` and `gram` hold an N x N Gram:
 `verify --n 7 --mode full` certifies all 2^28 entries three ways in
 101 s at 295 MB peak RSS with `--threads 2` on a 2 vCPU Xeon.
-`_write_rows` writes a matrix file as one gather of encoded tokens per
-chunk of rows; `read_matrix_file` reads it a row at a time into an
-(re, im) pair, int8 while every value fits, as in the Suzuki frames and
-Grams, else int64.  The frame Gram (`_gram_from_blocks`) is held alike.
+Matrix files are written and read a chunk of rows at a time, through
+the ids of the chunk's distinct tokens (`_distinct`): `_write_rows`
+writes a chunk as one gather of encoded tokens, and `read_matrix_file`
+converts each distinct token of a chunk once and fills the chunk's rows
+of an (re, im) pair in one gather, int8 while every value fits, as in
+the Suzuki frames and Grams, else int64.  The frame Gram
+(`_gram_from_blocks`) is held alike.
 """
 
 from __future__ import annotations
@@ -268,10 +271,9 @@ def gram_character(group: GroupContext, table: CharacterTable,
     re, im = table.value_arrays
     d_set = list(table.d_set)
     deg = np.array(table.degrees, dtype=np.int64)[d_set, None]  # widens the int8 values
-    cls = group.class_of_element
-    row = GaussianRationalMatrix((deg * re[d_set]).sum(axis=0)[cls],
-                                 (deg * im[d_set]).sum(axis=0)[cls], group.order)
-    return _gathered(row.canonical(), at)
+    row = GaussianRationalMatrix((deg * re[d_set]).sum(axis=0), (deg * im[d_set]).sum(axis=0),
+                                 group.order)  # one value per conjugacy class
+    return _gathered(_gathered(row.canonical(), group.class_of_element), at)
 
 
 def gram_closed_form(group: GroupContext, at: np.ndarray) -> GaussianRationalMatrix:
@@ -564,7 +566,7 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
 # ---------------------------------------------------------------------------
 
 _HEADER = "LINEPACK-MATRIX v1"
-_CHUNK_ENTRIES = 1 << 14  # per chunk of rows: caps the writer's temporaries and the reader's index
+_CHUNK_ENTRIES = 1 << 14  # per chunk of rows: caps the writer's and the reader's temporaries
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -653,17 +655,17 @@ _TO_SPACES = str.maketrans("/;", "  ")
 def read_matrix_file(path):
     """Parse a v1 matrix file; returns a FrameMatrix or GaussianRationalMatrix.
 
-    The file is read in one pass, a line at a time, straight into the
-    (re, im) pair of the result (`_read_rows`): the reader holds that pair
-    and one row, never the text, a list of its lines or an index of every
-    entry.  The pair is int8 while every value read fits, and is widened
-    once to int64 when one does not; arithmetic on either runs in int64.
-    The pair is allocated only when the body has the
-    4 rows cols - 1 bytes that rows x cols entries take at least: 3 bytes
-    each, as in `0;0`, and a separator after each but the last.  A shorter
-    body cannot hold the matrix and is read to its fault with nothing
-    allocated.  A pipe, whose size is unknown up front, is sized by its
-    header alone.
+    The file is read in one pass, a chunk of lines at a time, straight
+    into the (re, im) pair of the result (`_read_rows`): the reader holds
+    that pair and one chunk, never the text, and makes a Python object
+    per line and per distinct token of a chunk, never per entry.  The
+    pair is int8 while every value read fits, and is widened once to
+    int64 when one does not; arithmetic on either runs in int64.  The
+    pair is allocated only when the body has the 4 rows cols - 1 bytes
+    that rows x cols entries take at least: 3 bytes each, as in `0;0`,
+    and a separator after each but the last.  A shorter body cannot hold
+    the matrix and is read to its fault with nothing allocated.  A pipe,
+    whose size is unknown up front, is sized by its header alone.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -690,62 +692,57 @@ def read_matrix_file(path):
 
 def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int],
                fits: bool):
-    """The matrix whose rows are the non-empty `lines`, each gathered into the
-    result as it is read, into nothing unless the body `fits` the matrix.
+    """The matrix whose rows are the non-empty `lines`, read `_chunk_rows(cols)`
+    at a time into the result, into nothing unless the body `fits` the matrix.
 
     Each line must be exactly `cols` entries of the one grammar that the
-    first entry names.  Only the tokens new to the index are matched and
-    converted, into a table of (re, im) rows that each line is gathered
-    from; index and table are reset every `_chunk_rows(cols)` rows, which
-    bounds them when entries do not repeat.  Gram values are held over the
-    running common denominator (`_over_running_denominator`).  The range
-    of the values read is kept as the table grows and the denominator
-    rescales them; it bounds each rescale against int64.  The result is
-    allocated as int8, and the first time that range leaves int8 the rows
-    filled so far are widened to int64, before any value beyond int8 is
-    written.  The row count is reported before any
-    other fault, and before any value is used.
+    first entry names; a chunk ends before a line that is not.  Only its
+    distinct tokens (`_distinct_tokens`) are matched and converted, in
+    groups of the tokens each row uses first, so the earliest faulty row
+    is reported, into a table of (re, im) rows that the chunk is gathered
+    from.  Gram values are held over the running common denominator
+    (`_over_running_denominator`).  The range of the values read bounds
+    each rescale against int64.  The result is allocated as int8 and
+    widened once to int64, before the first value beyond int8 is written.
+    The row count is reported before any other fault.
     """
-    found, fault = 0, None
+    found, fault, step = 0, None, _chunk_rows(cols)
     try:
-        for r, ln in enumerate(lines):
-            found = r + 1
-            if r == rows:
-                break  # the surplus is counted below
+        for r in range(0, rows, step):
+            chunk = list(itertools.islice(lines, min(step, rows - r)))
+            if not chunk:
+                break
+            found += len(chunk)
             if r == 0:
-                rational = "/" in ln.split(" ", 1)[0]
+                rational = "/" in chunk[0].split(" ", 1)[0]
                 log2_scale_sq = None if rational else _frame_log2_scale_sq(*scale)
                 try:
                     out = np.empty((2, rows, cols), dtype=np.int8) if fits else None
                 except (MemoryError, ValueError) as exc:  # a pipe's header alone sized it
                     raise MatrixParseError(f"no memory for {rows}x{cols} entries: {exc}") from exc
-                index, table, size, den = {}, np.empty((0, 2), dtype=np.int64), 0, 1
-                lo, hi, grow = 0, 0, 1  # the least and greatest value read, over den
-            toks = _row_tokens(ln, r, cols)
-            if r % _chunk_rows(cols) == 0:
-                index.clear()
-                size = 0
-            new = list(set(toks).difference(index))
-            if new:
-                values = _token_ints(new, r, rational)
-                if rational:
-                    values, grow = _over_running_denominator(values, den, max(-lo, hi))
-                    den, lo, hi = den * grow, lo * grow, hi * grow
-                lo, hi = min(lo, int(values.min())), max(hi, int(values.max()))
-                if out is not None and out.dtype == np.int8 and not -128 <= lo <= hi <= 127:
-                    out = out.astype(np.int64)  # once: the rows filled so far, unscaled
-                if grow > 1:
-                    table[:size] *= grow
-                    if out is not None:
+                den, lo, hi = 1, 0, 0  # lo and hi: the least and greatest value read, over den
+            sizes = [ln.count(" ") + 1 for ln in chunk]  # entries per line
+            good = next((i for i, size in enumerate(sizes) if size != cols), len(chunk))
+            if good:
+                tokens, ids, first = _distinct_tokens(chunk[:good])
+                table, was = np.zeros((2, len(tokens)), np.int64), den
+                bounds = np.flatnonzero(np.diff(first // cols)) + 1  # where a new row starts
+                for a, b in itertools.pairwise([0, *bounds.tolist(), len(tokens)]):
+                    values = _token_ints(tokens[a:b], r + int(first[a]) // cols, rational)
+                    if rational:
+                        values, grow = _over_running_denominator(values, den, max(-lo, hi))
+                        den, lo, hi, table = den * grow, lo * grow, hi * grow, table * grow
+                    lo, hi = min(lo, int(values.min())), max(hi, int(values.max()))
+                    table[:, a:b] = values.T
+                if out is not None:
+                    if out.dtype == np.int8 and not -128 <= lo <= hi <= 127:
+                        out = out.astype(np.int64)  # once: the rows filled so far, unscaled
+                    if den > was:
                         # an int64 factor: int8 rows in range may meet one beyond int8, as -1 * 128
-                        out[:, :r] *= np.int64(grow)
-                if size + len(new) > len(table):
-                    table = np.concatenate([table[:size], np.empty((size + len(new), 2), np.int64)])
-                table[size:size + len(new)] = values
-                index.update(zip(new, range(size, size + len(new))))
-                size += len(new)
-            if out is not None:
-                out[:, r] = table[np.fromiter(map(index.__getitem__, toks), np.intp, cols)].T
+                        out[:, :r] *= np.int64(den // was)
+                    out[:, r:r + good] = np.take(table.astype(out.dtype), ids.reshape(good, -1), 1)
+            if good < len(chunk):
+                raise MatrixParseError(f"row {r + good} has {sizes[good]} entries, expected {cols}")
     except MatrixParseError as exc:
         fault = exc
     found += sum(1 for _ in lines)  # the lines after a fault or beyond `rows`
@@ -760,12 +757,37 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
     return FrameMatrix(out[0], out[1], log2_scale_sq)
 
 
-def _row_tokens(line: str, r: int, cols: int) -> list[str]:
-    """The entries of row r; a line with the wrong count is never split."""
-    found = line.count(" ") + 1
-    if found != cols:
-        raise MatrixParseError(f"row {r} has {found} entries, expected {cols}")
-    return line.split(" ")
+# words of a token's key: more than the 83 bytes of the grammar's longest entry and
+# its space, so two tokens with one key are equal or both fail the grammar
+_KEY_WORDS = 11
+_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(8)] + [-1], dtype=np.int64)  # 0 ... 8 bytes
+
+
+def _distinct_tokens(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct space-separated tokens of `lines` in order of first use,
+    the index of each entry among them, row-major, and each one's first
+    entry.  A token's key is the 8-byte words from its start, masked to it
+    and the space that ends it, and `_distinct` numbers it a word at a time."""
+    data = " ".join(["", *lines, "\0" * 8 * _KEY_WORDS]).encode("ascii")
+    cuts = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(" ")).astype(np.int32)
+    starts, spans = cuts[:-1] + 1, np.diff(cuts)  # each token's first byte, and its length + 1
+    del cuts  # before the keys are made
+    words = np.ndarray((len(data) - 7,), "<i8", data, 0, (1,))  # one at each byte
+    ids = None
+    for at in range(0, min(int(spans.max()), 8 * _KEY_WORDS), 8):
+        values, piece = _distinct(words[starts + at] & _LOW_BYTES[np.clip(spans - at, 0, 8)])
+        if ids is not None:  # the pair (ids, piece) as one code, numbered again
+            values, piece = _distinct(ids * len(values) + piece)
+        ids = piece
+        if len(values) == ids.size:  # every entry is a token of its own: no word splits more
+            break
+    first = np.full(len(values), ids.size, dtype=np.int32)  # each token's first entry
+    np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int32))
+    by_use = np.argsort(first)
+    ids, first = np.argsort(by_use)[ids], first[by_use]  # tokens numbered by first use
+    text = data.decode("ascii")  # a str is sliced faster than bytes are sliced and decoded
+    return [text[s:s + n - 1]
+            for s, n in zip(starts[first].tolist(), spans[first].tolist())], ids, first
 
 
 def _frame_log2_scale_sq(snum: int, sden: int) -> int:

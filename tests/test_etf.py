@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -414,6 +415,20 @@ def test_sampled_grid_matches_full_gram_n3(group3, table3):
     for i in range(len(sel)):
         for j in range(len(sel)):
             assert block_c.entry(i, j) == block.entry(i, j)
+
+
+def test_gram_character_row_stays_within_its_memory_budget_n7(group7, table7):
+    # 0.67 MiB traced when the row was gathered over all N elements as int64 and
+    # reduced there; the class row is reduced and narrowed before it is gathered
+    first = np.arange(group7.order)
+    tracemalloc.start()
+    try:
+        row = gram_character(group7, table7, first)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * (1 << 20), f"{peak / (1 << 20):.2f} MiB"
+    assert row.re.dtype == np.int8 and row == gram_closed_form(group7, first)
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +907,57 @@ def test_reader_reports_one_row_too_few_or_too_many(tmp_path, group3, table3):
         (tmp_path / "bad.mat").write_text(head + "".join(body), encoding="ascii")
         with pytest.raises(MatrixParseError, match=f"^expected 64 rows, found {found}$"):
             read_matrix_file(tmp_path / "bad.mat")
+
+
+_FAULT_FRAME = "LINEPACK-MATRIX v1 rows=4 cols=2 scale_log2_num=-2 scale_log2_den=2\n"
+_FAULT_GRAM = "LINEPACK-MATRIX v1 rows=4 cols=2 scale_log2_num=0 scale_log2_den=1\n"
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 2, 4])  # one chunk, a row each, two rows each
+@pytest.mark.parametrize("head, rows, message", [
+    (_FAULT_FRAME, ["0;0 1;0", "1;0 x;0", "0;0", "0;0 0;0"], "bad entry in row 1: "),
+    (_FAULT_FRAME, ["0;0 1;0", "0;0", "1;0 x;0", "0;0 0;0"], "row 1 has 1 entries, expected 2"),
+    (_FAULT_FRAME, ["0;0 1;0", "x;0", "1;0 x;0", "0;0 0;0"], "row 1 has 1 entries, expected 2"),
+    (_FAULT_FRAME, ["0;0 1;0", "1;0 0;0", "0;0 1;0", "1;0 x;0"], "bad entry in row 3: "),
+    (_FAULT_FRAME, ["0;0 1;0", "9999999999999999999;0 0;0", "x;0 0;0", "0;0 0;0"],
+     "entry in row 1 is beyond int64"),
+    (_FAULT_GRAM, ["0/1;0/1 1/1;0/1", "1/0;0/1 0/1;0/1", "1/2;0/1 x", "0/1;0/1 0/1;0/1"],
+     "zero denominator"),
+    # the lcm named is the running one at row 2, 15 * 2^62, not the chunk's 105 * 2^62
+    (_FAULT_GRAM, ["1/3;0/1 0/1;0/1", "0/1;0/1 1/5;0/1", f"1/{2 ** 62};0/1 0/1;0/1",
+                   "1/7;0/1 0/1;0/1"], f"common denominator {15 * 2 ** 62} exceeds int64"),
+], ids=["bad-token-before-short-row", "short-row-before-bad-token", "both-in-one-row",
+        "bad-token-first-used-in-a-later-chunk", "beyond-int64-before-bad-token",
+        "zero-denominator-before-bad-token", "running-lcm-beyond-int64"])
+def test_reader_reports_the_earliest_faulty_row(tmp_path, monkeypatch, chunk_entries, head,
+                                                rows, message):
+    # the row count comes first, then the earliest faulty row, and in a row its
+    # entry count before its tokens, however the rows fall into chunks
+    if chunk_entries is not None:
+        monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+    path = tmp_path / "m.mat"
+    path.write_text(head + "\n".join(rows) + "\n")
+    with pytest.raises(MatrixParseError, match=f"^{re.escape(message)}"):
+        read_matrix_file(path)
+    path.write_text(head + "\n".join(rows[:3]) + "\n")
+    with pytest.raises(MatrixParseError, match="^expected 4 rows, found 3$"):
+        read_matrix_file(path)
+
+
+def test_reader_tells_tokens_apart_by_every_byte(tmp_path):
+    # tokens sharing their first 8 bytes, or differing only by a trailing NUL,
+    # are distinct tokens; one that fails the grammar is never read as another
+    head = "LINEPACK-MATRIX v1 rows=1 cols=3 scale_log2_num=0 scale_log2_den=1\n"
+    path = tmp_path / "m.mat"
+    path.write_text(head + "123456/7;0/1 123456/7;1/1 123456/7;1/3\n")
+    got = read_matrix_file(path)
+    assert (got.re.tolist(), got.im.tolist(), got.den) == ([[370368] * 3], [[0, 21, 7]], 21)
+    long = "1" * 100 + "/1;0/1"
+    for row in ("1/1;0/1 1/1;0/1\0 1/1;0/1", f"{long} {long[:-1]}2 1/1;0/1",
+                f"1/1;0/1 {long} {long}"):
+        path.write_text(head + row + "\n")
+        with pytest.raises(MatrixParseError, match="^bad entry in row 0: "):
+            read_matrix_file(path)
 
 
 def test_reader_allocates_nothing_for_a_body_too_short(tmp_path):
