@@ -164,18 +164,6 @@ class CharacterTable:
     def degrees(self) -> tuple[int, ...]:
         return tuple(ch.degree for ch in self.characters)
 
-    @cached_property
-    def conjugate_index(self) -> tuple[int, ...]:
-        """For each character, the index of its complex conjugate in the table."""
-        re, im = self.value_arrays
-        out = []
-        for i in range(len(self.characters)):
-            match = np.where((re == re[i]).all(axis=1) & (im == -im[i]).all(axis=1))[0]
-            if len(match) != 1:
-                raise AssertionError("conjugate character is not unique")
-            out.append(int(match[0]))
-        return tuple(out)
-
     def verify(self) -> None:
         """Exact structural checks: square table, degree sum, orthogonality."""
         nchar, ncls = len(self.characters), len(self.class_sizes)

@@ -13,9 +13,9 @@ srg      build the 2-class scheme of a strongly regular graph and
          certify the ETF cut out by its designated idempotent
 
 Exit codes: 0 success / verified, 1 mathematical violation, 2 usage or
-parse error or a path that cannot be read or written, 3 internal error
-(any other exception, such as an int64 bound that `exact.check_bound`
-refuses); a crash never exits 1.
+parse error, a path that cannot be read or written, or a parsed file
+whose entries are too large for `exact.check_bound`'s int64 bound, 3
+internal error (any other exception); a crash never exits 1.
 
 `--threads` caps the threads of numpy's OpenBLAS for the run.  Content
 files contain no timestamps and identical invocations produce
@@ -199,7 +199,10 @@ def _verify_from_file(args) -> int:
     mat = etf.read_matrix_file(args.infile)
     if isinstance(mat, scheme.GaussianRationalMatrix) and mat.shape[0] != mat.shape[1]:
         raise UsageError(f"a Gram matrix must be square, got {mat.shape[0]}x{mat.shape[1]}")
-    cert = etf.verify_etf(mat)
+    try:
+        cert = etf.verify_etf(mat)
+    except OverflowError as exc:
+        raise etf.MatrixParseError(f"{args.infile}: entries too large to certify: {exc}") from exc
     print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
     if cert.verdict != "OPTIMAL":
         where = cert.cross_checks.get("parsevalDefect") \

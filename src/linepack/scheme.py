@@ -1,18 +1,26 @@
 """Association-scheme layer: adjacency algebra, idempotents, Krein data.
 
-A scheme on N points is held as a relation-index matrix R (the (g, h)
-entry names the relation containing the pair) together with exact
-primitive idempotents.  Matrices are dense Gaussian rationals stored as
-a pair of int8 or int64 numpy arrays over a single positive denominator,
-which keeps every product, Hadamard product, and comparison in exact
-integer arithmetic; per-entry reduced fractions are derived on demand.
-int8 parts, as a matrix file whose entries all fit is read or a frame
-Gram reduced by its gcd is held, are widened to int64 (`_int64`)
-wherever arithmetic could leave int8, or squared straight into int64
-(`abs_sq_int`), so all arithmetic runs in int64.  Every
-matrix product, of idempotents and of adjacency matrices alike, goes
-through `exact.exact_matmul`, and every elementwise int64 product is
-bounded by `exact.check_bound` first, so nothing wraps silently.
+A commutative scheme on N points is held as a relation-index matrix R
+(the (g, h) entry names the relation l of the pair, the adjacency matrix
+A_l is where R equals l) and its c x c second eigenmatrix Q, with
+primitive idempotents E_j = (1/N) sum_l Q[l, j] A_l (Bannai and Ito,
+*Algebraic Combinatorics I*, 1984, section II.3).  All else is read from
+those two: the valencies k_l from row 0 of R, the ranks m_j = Q[0, j],
+the dual of E_j as the column conj(Q[:, j]), E_j as column j gathered at
+R, and the Krein parameters
+q_ijk = sum_l k_l Q_li Q_lj conj(Q_lk) / (N m_k) as one exact product of
+the c^2 x c table k_l Q_li Q_lj by conj(Q), with no N x N matrix.
+
+Matrices are dense Gaussian rationals stored as a pair of int8 or int64
+numpy arrays over a single positive denominator, which keeps every
+product, Hadamard product, and comparison in exact integer arithmetic;
+per-entry reduced fractions are derived on demand.  int8 parts, as a
+matrix file whose entries all fit is read or a frame Gram reduced by its
+gcd is held, are widened to int64 (`_int64`) wherever arithmetic could
+leave int8, or squared straight into int64 (`abs_sq_int`), so all
+arithmetic runs in int64.  Every matrix product goes through
+`exact.exact_matmul`, and every elementwise int64 product is bounded by
+`exact.check_bound` first, so nothing wraps silently.
 `GaussianRationalMatrix.hermitian_defect` is the package's one Hermitian
 test, read by the idempotent check here and by `etf.verify_gram`.
 `GaussianRationalMatrix.upper_blocks` is the package's one walk of a
@@ -24,25 +32,20 @@ that is held whole.
 Two constructions are provided:
 
 * the group scheme of a Suzuki 2-group, whose relations collect the
-  pairs (g, h) with h g^-1 in a fixed conjugacy class and whose
-  idempotents come in closed form from the character table
-  ((d_chi / |G|) chi(g^-1 h), never from numeric eigendecomposition);
+  pairs (g, h) with h g^-1 in a fixed conjugacy class, with
+  Q[l, j] = d_j chi_j(class l) from the character table;
 * the 2-class scheme {I, A, J - I - A} of a strongly regular graph with
-  integer eigenvalues, with idempotents in closed form from the
-  parameters (conference-graph parameter sets are rejected).
-
-Idempotents are built on demand from `idempotent_builder`, never held
-as a list: the group scheme at n = 5 has 94 of them, 1024 x 1024 each,
-about 1.5 GB together.  The Krein tensor q_ijk is computed over i <= j
-only and mirrored, since E_i o E_j and E_j o E_i are the same integer
-arrays; q_ijk = q_jik therefore holds by construction, not by a check.
+  integer eigenvalues r > s, with Q[l, j] = m_j P[j, l] / k_l from
+  P = [[1, k, v-k-1], [1, r, -1-r], [1, s, -1-s]] and
+  m_j = v / sum_l P[j, l]^2 / k_l (conference graphs are rejected).
 
 A subset D of idempotent indices is a hyperdifference set when the sum
 G_D of its idempotents has off-diagonal entries of constant modulus;
 G_D is then the Gram matrix of an equiangular tight frame.  The check
-evaluates both that definition and the equivalent flatness of the Krein
-sums b_k = sum_{i,j in D} q_{i, dual(j)}^k for k >= 1, and insists the
-two answers agree.
+reads that definition from G_D = (1/N) sum_l s_l A_l, s_l = sum_{j in D}
+Q[l, j], over the relations l >= 1, and the equivalent flatness of the
+Krein sums b_k = sum_{i,j in D} q_{i, dual(j)}^k for k >= 1, and insists
+the two answers agree.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -256,31 +258,52 @@ def first_mismatch(a: GaussianRationalMatrix,
 
 @dataclass
 class SchemeDescriptor:
-    """A commutative association scheme with exact idempotents.
-
-    `relation_index[g, h]` names the relation of the pair; adjacency and
-    idempotent matrices are built on demand so that large group schemes
-    never hold their full matrix lists in memory at once.
-    """
+    """A commutative association scheme: `relation_index[g, h]` names the
+    relation l of the pair, and `eigenmatrix` is the c x c matrix Q with
+    E_j = (1/size) sum_l Q[l, j] A_l; all else is read from these two."""
 
     size: int
-    valencies: tuple[int, ...]
-    ranks: tuple[int, ...]
-    duality: tuple[int, ...]
     relation_index: np.ndarray
-    idempotent_builder: Callable[[int], GaussianRationalMatrix]
+    eigenmatrix: GaussianRationalMatrix
     kind: str
     meta: dict = field(default_factory=dict)
 
     @property
     def class_count(self) -> int:
-        return len(self.valencies)
+        return self.eigenmatrix.shape[0]
+
+    @cached_property
+    def valencies(self) -> tuple[int, ...]:
+        """k_l, the number of points in relation l to point 0."""
+        return tuple(np.bincount(self.relation_index[0], minlength=self.class_count).tolist())
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """m_j = tr E_j = Q[0, j]; raises unless each is an integer."""
+        q = self.eigenmatrix
+        re = _int64(q.re[0])
+        if q.im[0].any() or (re % q.den).any():
+            raise AssertionError("idempotent ranks are not integers")
+        return tuple((re // q.den).tolist())
+
+    @cached_property
+    def duality(self) -> tuple[int, ...]:
+        """For each E_j, the index of its conjugate: the column conj(Q[:, j]) of Q."""
+        re, im = _int64(self.eigenmatrix.re), _int64(self.eigenmatrix.im)
+        match = (re[:, :, None] == re[:, None]).all(axis=0) \
+            & (im[:, :, None] == -im[:, None]).all(axis=0)
+        if (match.sum(axis=1) != 1).any():
+            raise AssertionError("conjugate idempotent is not unique")
+        return tuple(match.argmax(axis=1).tolist())
 
     def adjacency(self, i: int) -> np.ndarray:
         return (self.relation_index == i).astype(np.int64)
 
     def idempotent(self, j: int) -> GaussianRationalMatrix:
-        return self.idempotent_builder(j)
+        """E_j: column j of Q gathered at the relation index, over Q.den * size."""
+        q = self.eigenmatrix
+        return GaussianRationalMatrix(q.re[:, j][self.relation_index],
+                                      q.im[:, j][self.relation_index], q.den * self.size)
 
     # -- axioms -----------------------------------------------------------
 
@@ -313,15 +336,13 @@ class SchemeDescriptor:
                 expanded = sum(int(p[i, j, k]) * adj[k] for k in range(d1))
                 if not np.array_equal(prod, expanded):
                     raise AssertionError("(A4) product is not constant on relations")
-        # valencies are the row sums of the adjacency matrices
-        for i in range(d1):
-            rows = adj[i].sum(axis=1)
-            if not (rows == self.valencies[i]).all():
-                raise AssertionError("valency is not constant across rows")
+        # the valencies, read from row 0, are the row sums of the adjacency matrices
+        if any((a.sum(axis=1) != k).any() for a, k in zip(adj, self.valencies)):
+            raise AssertionError("valency is not constant across rows")
         return {"intersection_numbers": p, "transpose_of": transpose_of}
 
     def verify_idempotents(self) -> None:
-        """Sum to I; each Hermitian, with trace equal to its recorded rank;
+        """Sum to I; each Hermitian, with trace equal to its rank Q[0, j];
         then all pairwise products: E_j E_l = delta E_j."""
         n = self.size
         idems = [self.idempotent(j) for j in range(self.class_count)]
@@ -344,39 +365,30 @@ class SchemeDescriptor:
 
     @cached_property
     def krein(self) -> list[list[list[Fraction]]]:
-        """Krein tensor q[i][j][k] by exact trace pairings; raises on any q < 0.
+        """Krein tensor q[i][j][k] with E_i o E_j = (1/n) sum_k q_ijk E_k; raises on any q < 0.
 
-        E_i o E_j = (1/n) sum_k q_ijk E_k, so q_ijk = n tr((E_i o E_j) E_k) / m_k.
-        Each unordered pair {i, j} is paired once and written to both
-        q[i][j] and q[j][i] (see the module docstring).
-        Materializes all idempotents; meant for small schemes.
+        E_i o E_j = (1/n^2) sum_l Q_li Q_lj A_l and tr(A_l E_k) = k_l conj(Q_lk), so
+        q_ijk = n tr((E_i o E_j) E_k) / m_k = sum_l k_l Q_li Q_lj conj(Q_lk) / (n m_k):
+        one exact product of the c^2 x c pair table by conj(Q), symmetric in i, j.
         """
-        n, d1 = self.size, self.class_count
-        idems = [self.idempotent(j) for j in range(d1)]
-        den = math.lcm(*(e.den for e in idems))
-        parts = [e._rescaled(den) for e in idems]
-        flat_re = np.stack([re.ravel() for re, _ in parts])
-        flat_im = np.stack([im.ravel() for _, im in parts])
-        flat_re_t = np.stack([re.T.ravel() for re, _ in parts])
-        flat_im_t = np.stack([im.T.ravel() for _, im in parts])
-        check_bound(max_abs(flat_re, flat_im) ** 2, "Krein Hadamard products")
-        q: list[list[list[Fraction]]] = [[[Fraction(0)] * d1 for _ in range(d1)] for _ in range(d1)]
-        for i in range(d1):
-            for j in range(i, d1):
-                had_re = flat_re[i] * flat_re[j] - flat_im[i] * flat_im[j]
-                had_im = flat_re[i] * flat_im[j] + flat_im[i] * flat_re[j]
-                tr_re = exact_matmul(flat_re_t, had_re) - exact_matmul(flat_im_t, had_im)
-                tr_im = exact_matmul(flat_re_t, had_im) + exact_matmul(flat_im_t, had_re)
-                if tr_im.any():
-                    raise AssertionError("Krein parameter came out non-real")
-                for k in range(d1):
-                    # q = n tr((E_i o E_j) E_k) / m_k with the trace over den^3
-                    val = Fraction(n * int(tr_re[k]), den ** 3 * self.ranks[k])
-                    if val < 0:
-                        raise AssertionError(
-                            f"Krein condition violated: q[{i}][{j}][{k}] = {val} < 0")
-                    q[i][j][k] = q[j][i][k] = val
-        return q
+        q, c = self.eigenmatrix, self.class_count
+        k = np.array(self.valencies, dtype=np.int64)
+        check_bound(2 * max(self.valencies) * q.max_abs() ** 2, "Krein pair table")
+        re, im = _int64(q.re).T, _int64(q.im).T     # row j is column j of Q
+        pairs = GaussianRationalMatrix(
+            ((re[:, None] * re - im[:, None] * im) * k).reshape(c * c, c),
+            ((re[:, None] * im + im[:, None] * re) * k).reshape(c * c, c), q.den ** 2)
+        sums = pairs @ GaussianRationalMatrix(q.re, -_int64(q.im), q.den)
+        if sums.im.any():
+            raise AssertionError("Krein parameter came out non-real")
+        scale = [sums.den * self.size * m for m in self.ranks]
+        vals = sums.re.reshape(c, c, c)
+        if (vals < 0).any():
+            i, j, l = np.argwhere(vals < 0)[0]
+            raise AssertionError(f"Krein condition violated: q[{i}][{j}][{l}] = "
+                                 f"{Fraction(int(vals[i, j, l]), scale[l])} < 0")
+        return [[[Fraction(v, d) for v, d in zip(row, scale)] for row in plane]
+                for plane in vals.tolist()]
 
     def summary_json(self) -> dict:
         return {
@@ -394,25 +406,14 @@ class SchemeDescriptor:
 # ---------------------------------------------------------------------------
 
 def group_scheme(group: GroupContext, table: CharacterTable) -> SchemeDescriptor:
-    """Scheme on the group whose relations sort pairs by the class of h g^-1."""
-    classes = group.conjugacy_classes
-    w = group.inverse_product_index_matrix
-    relation_index = group.class_of_element[w]
+    """Scheme on the group whose relations sort pairs by the class of h g^-1,
+    with Q[l, j] = d_j chi_j(class l) read from the character table."""
     re, im = table.value_arrays
-
-    def idempotent(j: int) -> GaussianRationalMatrix:
-        d = table.characters[j].degree
-        vals_re = (d * re[j].astype(np.int64))[relation_index]  # widened from the int8 table
-        vals_im = (d * im[j].astype(np.int64))[relation_index]
-        return GaussianRationalMatrix(vals_re, vals_im, group.order)
-
+    degrees = np.array(table.degrees, dtype=np.int64)[:, None]  # widens the int8 table
     return SchemeDescriptor(
         size=group.order,
-        valencies=tuple(c.size for c in classes),
-        ranks=tuple(ch.degree ** 2 for ch in table.characters),
-        duality=table.conjugate_index,
-        relation_index=relation_index,
-        idempotent_builder=idempotent,
+        relation_index=group.class_of_element[group.inverse_product_index_matrix],
+        eigenmatrix=GaussianRationalMatrix((degrees * re).T, (degrees * im).T),
         kind="group",
         meta={"order": group.order, "modulus": group.field.modulus},
     )
@@ -443,21 +444,25 @@ class HyperdiffReport:
 def hyperdiff_check(scheme: SchemeDescriptor, d_subset) -> HyperdiffReport:
     """Evaluate both hyperdifference criteria and insist they agree.
 
-    (a) all off-diagonal squared moduli of the Gram projector are equal;
+    (a) all off-diagonal squared moduli of the Gram projector, s_l / (n Q.den)
+        on relation l >= 1 with s_l = sum_{j in D} Q[l, j], are equal;
     (b) the Krein sums b_1, ..., b_d are all equal.
+    Neither builds an N x N matrix.
     """
     d_subset = tuple(d_subset)
-    gram = gram_projector(scheme, d_subset)
-    n = scheme.size
+    if not d_subset:
+        raise ValueError("empty index set")
+    q, n = scheme.eigenmatrix, scheme.size
     m = sum(scheme.ranks[j] for j in d_subset)
 
-    sq, sq_den = gram.abs_sq_int()
-    off = sq[~np.eye(n, dtype=bool)]
-    flat = bool(off.min() == off.max())
+    check_bound(q.max_abs() * len(d_subset), "projector values")
+    s_re, s_im = (_int64(a[1:, list(d_subset)]).sum(axis=1).tolist() for a in (q.re, q.im))
+    off = [x * x + y * y for x, y in zip(s_re, s_im)]
+    flat = len(set(off)) <= 1
 
     # b_k = sum over i, j in D of q_{i, dual(j)}^k
-    q = scheme.krein
-    b = tuple(sum((q[i][scheme.duality[j]][k] for i in d_subset for j in d_subset),
+    krein = scheme.krein
+    b = tuple(sum((krein[i][scheme.duality[j]][k] for i in d_subset for j in d_subset),
                   start=Fraction(0))
               for k in range(scheme.class_count))
     tail = b[1:]
@@ -471,7 +476,7 @@ def hyperdiff_check(scheme: SchemeDescriptor, d_subset) -> HyperdiffReport:
         return HyperdiffReport(d_subset, False, m, b, None, None, None)
     c1 = Fraction(m * (n - m), n * (n - 1))
     c2 = Fraction(m * (m - 1), n * (n - 1))
-    off_sq = Fraction(int(off[0]), sq_den)
+    off_sq = Fraction(off[0], (n * q.den) ** 2)
     if off_sq != c1 / n:
         raise AssertionError("off-diagonal modulus disagrees with the derived constant")
     if tail and tail[0] != n * c2:
@@ -536,33 +541,20 @@ def srg_scheme(v: int, k: int, lam: int, mu: int,
     if a.shape != (v, v) or not np.array_equal(a, a.T) or a.diagonal().any() \
             or not np.isin(a, (0, 1)).all():
         raise ValueError("adjacency matrix is not a simple graph on v vertices")
-    jmat = np.ones((v, v), dtype=np.int64)
     imat = np.eye(v, dtype=np.int64)
-    if not np.array_equal(exact_matmul(a, a), k * imat + lam * a + mu * (jmat - imat - a)):
+    if not np.array_equal(exact_matmul(a, a), k * imat + lam * a + mu * (1 - imat - a)):
         raise ValueError("adjacency matrix does not satisfy the SRG identity "
                          f"for parameters {(v, k, lam, mu)}")
 
     eig_plus = (lam - mu + s) // 2
     eig_minus = (lam - mu - s) // 2
-
-    den = v * (eig_plus - eig_minus)
-    a2 = jmat - imat - a
-    e1 = GaussianRationalMatrix(
-        (eig_minus - k - eig_minus * v) * imat + (v - k + eig_minus) * a + (eig_minus - k) * a2,
-        None, den)
-    e0 = GaussianRationalMatrix(jmat, None, v)
-    e2 = GaussianRationalMatrix.identity(v) - e0 - e1
-
-    rank1 = e1.trace()[0]
-    rank2 = e2.trace()[0]
-    if rank1.denominator != 1 or rank2.denominator != 1:
-        raise AssertionError("idempotent ranks are not integers")
-    ranks = (1, int(rank1), int(rank2))
-
-    relation = np.zeros((v, v), dtype=np.int64)
-    relation[a == 1] = 1
-    relation[a2 == 1] = 2
-    idems = [e0, e1, e2]
+    # first eigenmatrix P[j][l], the eigenvalue of A_l on E_j, and from it
+    # m_j = v / sum_l P_jl^2 / k_l and Q[l][j] = m_j P_jl / k_l
+    valencies = (1, k, v - k - 1)
+    p = (valencies, (1, eig_plus, -1 - eig_plus), (1, eig_minus, -1 - eig_minus))
+    ranks = [v / sum(Fraction(x * x, kl) for x, kl in zip(row, valencies)) for row in p]
+    q = [[ranks[j] * p[j][l] / valencies[l] for j in range(3)] for l in range(3)]
+    den = math.lcm(*(x.denominator for row in q for x in row))
 
     criterion = None
     if 2 * k - v == 2 * eig_minus:
@@ -574,11 +566,9 @@ def srg_scheme(v: int, k: int, lam: int, mu: int,
 
     desc = SchemeDescriptor(
         size=v,
-        valencies=(1, k, v - 1 - k),
-        ranks=ranks,
-        duality=(0, 1, 2),
-        relation_index=relation,
-        idempotent_builder=lambda j: idems[j],
+        relation_index=2 - a - 2 * imat,  # 0 on the diagonal, 1 on edges, 2 elsewhere
+        eigenmatrix=GaussianRationalMatrix(
+            np.array([[int(x * den) for x in row] for row in q], dtype=np.int64), None, den),
         kind="srg",
         meta={"parameters": [v, k, lam, mu], "eig_plus": eig_plus,
               "eig_minus": eig_minus, "criterion": criterion},

@@ -305,8 +305,8 @@ def test_row_norms(table3):
         assert total == table3.group.order
 
 
-def test_conjugate_duality(table3):
-    dual = table3.conjugate_index
+def test_conjugate_duality(table3, scheme3):
+    dual = scheme3.duality
     for i, ch in enumerate(table3.characters):
         j = dual[i]
         other = table3.characters[j]

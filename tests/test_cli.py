@@ -562,13 +562,33 @@ def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, json_erro
         assert "linepack: internal: OverflowError" in err
 
 
-def test_gram_beyond_the_int64_bound_is_exit_3(tmp_path, capsys):
-    # parses, but G @ G has a 2^124 bound the kernel refuses to compute
+def test_gram_beyond_the_int64_bound_is_exit_2(tmp_path, capsys):
+    # parses, but G @ G has a 2^124 bound the kernel refuses to compute: the
+    # file is beyond what the exact certificate supports, a parse error
     path = tmp_path / "huge.mat"
     path.write_text(_HEAD.format(1, 1, 0, 1) + "4611686018427387904/1;0/1\n")
     code, _, err = run(capsys, "verify", "--in", str(path))
-    assert code == 3
-    assert "OverflowError" in err
+    assert code == 2
+    assert "linepack: parse:" in err and "reaches 2**62" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_frame_beyond_the_int64_bound_is_exit_2(built_n3, tmp_path, capsys, json_errors):
+    # the n = 3 frame with every entry times 300000001 and the header unchanged
+    # parses, but its Gram tiles' bound 2 max^2 K reaches 2^62
+    head, *rows = (built_n3 / "frame.mat").read_text().split("\n")
+    scaled = [" ".join(";".join(str(300000001 * int(x)) for x in entry.split(";"))
+                       for entry in row.split()) for row in rows]
+    path = tmp_path / "scaled.mat"
+    path.write_text("\n".join([head, *scaled]))
+    flags = ["--json-errors"] if json_errors else []
+    code, stdout, err = run(capsys, *flags, "verify", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert "int64 bound 5760000038400000064 reaches 2**62" in err
+    assert "Traceback" not in err
+    if json_errors:
+        assert json.loads(err)["error"]["type"] == "parse"
 
 
 def test_threads_below_one_is_usage_error(tmp_path, capsys):
@@ -701,6 +721,28 @@ def test_srg_certificate(capsys):
     assert payload["certificate"]["numVectors"] == 16
     assert payload["certificate"]["offDiagModulusSquared"] == "1/64"
     assert payload["isHyperdifferenceSet"] is True
+
+
+# sha256 of the `srg --out` content files, for an ETF and for a violation;
+# stdout is the certificate
+SRG_SHA256 = {
+    (16, 6, 2, 2): (0, "bbfeb1b1c2b9af1a25bb2c42583b42bd2843430bbdef465dc42a5ffe17712f77",
+                    "3481f6be0430897be5cc8e588c1f68e3c9ec41f3057386cb9ade383ac19b6e41"),
+    (9, 4, 1, 2): (1, "177dd5cf1b40753c66a889766bf85ff0fa84dd5697914050c720df407e57ed62",
+                   "5eff23a9530eecceeb18a4019292bd080364192c6893a8d3e83bd713558fda0b"),
+}
+
+
+@pytest.mark.parametrize("params", sorted(SRG_SHA256), ids=lambda p: "-".join(map(str, p)))
+def test_srg_content_hashes_pinned(tmp_path, capsys, params):
+    want_code, gram_digest, cert_digest = SRG_SHA256[params]
+    flags = [a for flag, x in zip(("--v", "--k", "--lambda", "--mu"), params) for a in (flag, str(x))]
+    code, stdout, _ = run(capsys, "srg", *flags, "--out", str(tmp_path))
+    assert code == want_code
+    assert hashlib.sha256((tmp_path / "srg_gram.mat").read_bytes()).hexdigest() == gram_digest
+    cert = (tmp_path / "srg_certificate.json").read_bytes()
+    assert hashlib.sha256(cert).hexdigest() == cert_digest
+    assert stdout.encode("ascii") == cert
 
 
 def test_srg_conference_rejected(capsys):

@@ -123,7 +123,7 @@ def test_blas_threads_restores_the_count():
     assert get() == before
 
 
-def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3, scheme3):
+def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3):
     # each site's products, counted by entry point of the one checked kernel;
     # a product that bypassed them would leave its site's count short.
     # exact_gram reads gram_tiles from exact itself, so that is patched too
@@ -159,7 +159,6 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         calls.clear()
         call()
         counts[name] = Counter(calls)
-    d1 = scheme3.class_count
     assert counts == {
         "gram_from_frame": {"exact_gram": 1, "gram_tiles": 1},
         "parseval_defect": {"gram_tiles": 1},
@@ -170,7 +169,8 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         "GaussianRationalMatrix.__matmul__": {"exact_matmul": 4},
         # one for the rows, each class scaled by the square root of its size, one for the columns
         "CharacterTable.verify": {"gram_tiles": 2},
-        "krein": {"exact_matmul": 2 * d1 * (d1 + 1)},
+        # one Gaussian product of the c^2 x c pair table by conj(Q)
+        "krein": {"exact_matmul": 4},
     }
 
 

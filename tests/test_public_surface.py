@@ -40,6 +40,8 @@ ALLOWED = {
                                        "Heisenberg generators' basis is symplectic for",
     "GroupContext.center": "test_bgroup: the center, against brute force at n = 3",
     "GroupContext.commutator": "test_bgroup: the commutator subgroup, against brute force",
+    "GroupContext.conjugacy_classes": "test_bgroup, test_chartab: `class_of_element` regrouped "
+                                      "as tuples, the brute-force class oracle",
     "GroupContext.conjugate": "test_bgroup: brute-force conjugacy classes, the oracle for the "
                               "class formula",
     "GroupContext.quotient_epimorphism": "test_bgroup: the quotient attached to gamma is a "

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -274,8 +276,10 @@ def test_verify_idempotents_rejects_a_shifted_pair(scheme3, x, message):
         e = scheme3.idempotent(j)
         return {1: e + x, 2: e - x}.get(j, e)
 
+    shifted_scheme = dataclasses.replace(scheme3)
+    shifted_scheme.idempotent = shifted
     with pytest.raises(AssertionError, match=message):
-        dataclasses.replace(scheme3, idempotent_builder=shifted).verify_idempotents()
+        shifted_scheme.verify_idempotents()
 
 
 def test_idempotents_constant_on_relations(scheme3):
@@ -330,6 +334,114 @@ def test_krein_matches_character_sum_formula(scheme3, table3, group3):
     deg = table3.degrees
     for e, t, c in itertools.product(range(len(deg)), repeat=3):
         assert q[e][t][c] == Fraction(deg[e] * deg[t], deg[c]) * int(mult[e, t, c])
+
+
+def _krein_by_traces(desc):
+    """q_ijk = n tr((E_i o E_j) E_k) / m_k straight from the N x N idempotents,
+    with m_k = tr E_k.
+
+    The traces are int64 sums of products of the idempotents' integer
+    parts, the bound of every partial sum asserted below 2^62, so each is
+    exact; they are read out as Python ints into Fractions.
+    """
+    n, c = desc.size, desc.class_count
+    idems = [desc.idempotent(j) for j in range(c)]
+    den = math.lcm(*(e.den for e in idems))
+    scaled = [(e.re * (den // e.den), e.im * (den // e.den)) for e in idems]
+    flat_re, flat_im = (np.stack([part[t].ravel() for part in scaled]) for t in (0, 1))
+    # E_k^T, so that tr(X E_k) is the sum of X o E_k^T
+    tr_re, tr_im = (np.stack([part[t].T.ravel() for part in scaled]) for t in (0, 1))
+    top = max(int(np.abs(flat_re).max()), int(np.abs(flat_im).max()))
+    assert 4 * top ** 3 * n * n < 1 << 62
+    ranks = [e.trace() for e in idems]
+    assert all(im == 0 for _, im in ranks)
+    q = []
+    for i in range(c):
+        had_re = flat_re[i] * flat_re - flat_im[i] * flat_im
+        had_im = flat_re[i] * flat_im + flat_im[i] * flat_re
+        sum_re = (had_re @ tr_re.T - had_im @ tr_im.T).tolist()
+        assert not (had_re @ tr_im.T + had_im @ tr_re.T).any()
+        q.append([[Fraction(n * int(sum_re[j][k]), den ** 3) / ranks[k][0] for k in range(c)]
+                  for j in range(c)])
+    return q
+
+
+def _petersen_adjacency():
+    """The Petersen graph, SRG(10, 3, 0, 1): 2-subsets of 5 points, adjacent when disjoint."""
+    pairs = [set(p) for p in itertools.combinations(range(5), 2)]
+    return np.array([[int(not a & b) for b in pairs] for a in pairs])
+
+
+def _scheme_named(request, name):
+    """The n = 3 group scheme, or srg-v-k-lambda-mu: a built-in graph, or
+    the Petersen graph, whose eigenmatrix has denominator 3."""
+    if name == "group-n3":
+        return request.getfixturevalue("scheme3")
+    params = tuple(map(int, name.split("-")[1:]))
+    graph = _petersen_adjacency() if params == (10, 3, 0, 1) else None
+    return srg_scheme(*params, adjacency=graph)[0]
+
+
+@pytest.mark.parametrize("name", ["group-n3", "srg-16-6-2-2", "srg-9-4-1-2", "srg-10-3-0-1"])
+def test_krein_matches_the_trace_oracle(request, name):
+    # the eigenmatrix formula against the definition, on the idempotent matrices
+    desc = _scheme_named(request, name)
+    assert desc.krein == _krein_by_traces(desc)
+    if desc.kind == "srg":
+        m = desc.ranks
+        for i, j in itertools.product(range(3), repeat=2):
+            assert sum(desc.krein[i][j][k] * m[k] for k in range(3)) == m[i] * m[j]
+
+
+@pytest.mark.parametrize("name", ["group-n3", "srg-16-6-2-2", "srg-10-3-0-1"])
+@pytest.mark.parametrize("change, message", [
+    # one entry: the columns of Q no longer sum to N e_0, nor the idempotents to I
+    ({(1, 1): 1}, "idempotents do not sum to the identity"),
+    ({(0, 2): -1}, "idempotents do not sum to the identity"),
+    # two entries of one row, so the sum still holds: the products fail
+    ({(1, 1): 1, (1, 2): -1}, "idempotent"),
+], ids=["one-entry", "rank-entry", "row-preserving-pair"])
+def test_verify_idempotents_rejects_a_changed_eigenmatrix(request, name, change, message):
+    desc = _scheme_named(request, name)
+    q = desc.eigenmatrix
+    re = q.re.copy()
+    for at, step in change.items():
+        re[at] += step
+    mutant = dataclasses.replace(desc, eigenmatrix=GaussianRationalMatrix(re, q.im, q.den))
+    with pytest.raises(AssertionError, match=message):
+        mutant.verify_idempotents()
+
+
+def test_petersen_scheme_passes_its_checks():
+    desc, _ = srg_scheme(10, 3, 0, 1, adjacency=_petersen_adjacency())
+    assert desc.eigenmatrix.den == 3 and desc.ranks == (1, 5, 4)
+    desc.verify_axioms()
+    desc.verify_idempotents()
+
+
+def test_krein_condition_rejects_srg_28_9_0_4():
+    # feasible parameters with no graph: eigenvalues 1 and -5 of multiplicities
+    # 21 and 6, so Q = [[1, 21, 6], [1, 7/3, -10/3], [1, -7/3, 4/3]], and q_22^2 < 0;
+    # krein reads only the valencies (row 0 of the relation index) and Q
+    row0 = np.array([0] + [1] * 9 + [2] * 18)
+    circulant = row0[(np.arange(28) - np.arange(28)[:, None]) % 28]
+    q = GaussianRationalMatrix(np.array([[3, 63, 18], [3, 7, -10], [3, -7, 4]]), None, 3)
+    desc = scheme.SchemeDescriptor(28, circulant, q, "srg")
+    assert desc.valencies == (1, 9, 18) and desc.ranks == (1, 21, 6)
+    with pytest.raises(AssertionError, match=r"q\[2\]\[2\]\[2\] = -4/9 < 0"):
+        desc.krein
+
+
+def test_krein_stays_within_its_memory_budget_n3(group3, table3):
+    # the c^2 x c pair table and its one product, with no N x N idempotent
+    desc = scheme.group_scheme(group3, table3)
+    tracemalloc.start()
+    try:
+        desc.krein
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_hyperdiff_suzuki_family(scheme3, table3):
