@@ -2,8 +2,11 @@
 
 Subcommands
 -----------
-build    synthesize the frame for odd n, certify it, write matrix files,
-         a certificate, and a run manifest (exit 0 on OPTIMAL)
+build    synthesize the frame for odd n in factor form, certify all N^2
+         Gram entries from its q^3 values at every n, write the frame,
+         the Gram at n <= 5, a certificate, and a run manifest with
+         each output's sha256 (exit 0 on OPTIMAL); no sampling, so it
+         takes no --samples or --seed
 verify   certify a frame or Gram matrix, either rebuilt from n or parsed
          from a file; full or sampled mode
 search   enumerate constant-degree parameter candidates as CSV
@@ -26,6 +29,7 @@ metadata live only in the manifest.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -51,25 +55,15 @@ class VerificationFailure(Exception):
     pass
 
 
-def _sha256(path: Path) -> str:
-    # imported here: only build hashes, and hashlib's OpenSSL is 3.5 MB of RSS;
-    # 64 KiB reads add nothing to that, where 1 MiB reads added 2 MB
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
+def _write_json(path: Path, payload: dict, hasher=None) -> None:
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+    if hasher is not None:
+        hasher.update(data)
+    path.write_bytes(data)
 
 
 def _contexts(n: int):
@@ -94,14 +88,13 @@ def _refuse(args, only: str, *flags: str) -> None:
 
 
 def _run_plan(args) -> tuple[str, int | None, int | None]:
-    """(mode, samples, seed) of `build` and `verify --n`: full at n <= 5, sampled beyond,
-    or what verify's --mode names, full at n <= 7.  --samples and --seed shape only the sampled
-    check, so any other mode refuses them and returns None for both."""
+    """(mode, samples, seed) of `verify --n`: what --mode names, by default full at n <= 5 and
+    sampled beyond; full runs at n <= 7.  --samples and --seed shape only the sampled check,
+    so any other mode refuses them and returns None for both."""
     _check_build_n(args.n)
-    mode = getattr(args, "mode", None) or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
+    mode = args.mode or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
     if mode != "sample":
-        _refuse(args, "--mode sample" if args.command == "verify"
-                else f"n >= {_FULL_BUILD_MAX_N + 2}", "--samples", "--seed")
+        _refuse(args, "--mode sample", "--samples", "--seed")
         if args.n > 7:
             raise UsageError(f"full verification holds the m x N frame, about 68 GB at n = 9, "
                              f"so it runs for n <= 7; use --mode sample at n={args.n}")
@@ -117,59 +110,41 @@ def _run_plan(args) -> tuple[str, int | None, int | None]:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    mode, samples, seed = _run_plan(args)
-    if args.float_export and mode != "full":
+    _check_build_n(args.n)
+    if args.float_export and args.n > _FULL_BUILD_MAX_N:
         raise UsageError(f"--float-export is written for n <= {_FULL_BUILD_MAX_N} only")
     t0 = time.monotonic()
     out = Path(args.out or os.environ.get("LINEPACK_OUT") or f"linepack_n{args.n}")
     out.mkdir(parents=True, exist_ok=True)
     field, group, rep = _contexts(args.n)
+    factors = etf.frame_factors(group, rep)
     m, num_vectors = etf.frame_dimensions(args.n)
     _, welch_par = etf.welch_bound_sq(m, num_vectors)
-    outputs = []
+    # imported here: only build hashes, and hashlib's OpenSSL is 3.5 MB of RSS
+    import hashlib
 
-    if mode == "full":
-        frame = etf.synthesize_frame(group, rep)
-        gram = etf.gram_from_frame(frame)
-        cert = etf.verify_frame(frame, gram=gram)
-        etf.write_frame_file(out / "frame.mat", frame.rows, [frame])
-        outputs.append("frame.mat")
-        etf.write_gram_file(out / "gram.mat", gram)
-        outputs.append("gram.mat")
-        if args.float_export:
-            np.save(out / "frame_float.npy", frame.to_complex())
-            outputs.append("frame_float.npy")
-        ok = cert.verdict == "OPTIMAL"
-        cert_dict = cert.to_json_dict()
-        sample_info = None
-        del frame, gram, cert  # freed before hashing loads OpenSSL
+    sha256 = {}  # each output's hash, fed by its writer as the bytes pass
+
+    def hasher(name: str):
+        sha256[name] = hashlib.sha256()
+        return sha256[name]
+
+    etf.write_frame_file(out / "frame.mat", m, etf._synthesize_columns(
+        factors, np.arange(num_vectors)), hasher("frame.mat"))
+    if args.n <= _FULL_BUILD_MAX_N:
+        cert = etf.verify_factors(factors, out / "gram.mat", hasher("gram.mat"))
     else:
-        print(f"n={args.n}: full Gram verification skipped; "
-              "writing the frame and a sampled three-way cross-check",
-              file=sys.stderr)
-        etf.write_frame_file(out / "frame.mat", m, etf.frame_blocks(
-            group, rep, np.arange(num_vectors, dtype=np.int64)))
-        outputs.append("frame.mat")
-        table = chartab.build_character_table(group, rep)
-        report = etf.three_way_sampled(group, table, rep, min_entries=samples, seed=seed)
-        ok = report["agree"] and report["pattern_ok"]
-        sample_info = report
-        cert_dict = {
-            "m": m, "numVectors": num_vectors, "mode": "sample",
-            "noViolation": ok, "welchSquaredParseval": _frac_str(welch_par),
-        }
-        _write_json(out / "sample_plan.json", {
-            "method": "closed-form-crosscheck", "n": args.n,
-            "seed": seed, "requestedEntries": samples,
-            "results": {k: v for k, v in report.items() if k != "mismatches"},
-        })
-        outputs.append("sample_plan.json")
-
-    _write_json(out / "certificate.json", cert_dict)
-    outputs.append("certificate.json")
+        cert = etf.verify_factors(factors)
+    if args.float_export:
+        buf = io.BytesIO()
+        np.save(buf, etf.synthesize_frame(group, rep).to_complex())
+        hasher("frame_float.npy").update(buf.getbuffer())
+        (out / "frame_float.npy").write_bytes(buf.getbuffer())
+    cert_dict = cert.to_json_dict()
+    _write_json(out / "certificate.json", cert_dict, hasher("certificate.json"))
     manifest = {
         "command": "build",
-        "parameters": {"n": args.n, "threads": args.threads, "seed": seed},
+        "parameters": {"n": args.n, "threads": args.threads},
         "n": args.n,
         "k": field.k,
         "modulus": field.modulus,
@@ -178,15 +153,16 @@ def cmd_build(args) -> int:
         "welch_sq": _frac_str(welch_par),
         "ordering": "lex-xy",
         "d_order": "gamma-asc",
-        "outputs": outputs,
-        "sha256": {name: _sha256(out / name) for name in outputs},
+        "outputs": list(sha256),
+        "sha256": {name: h.hexdigest() for name, h in sha256.items()},
         "certificate": cert_dict,
-        "sample": sample_info,
+        "coverage": {"route": "factored", "entries": num_vectors ** 2,
+                     "values": field.order ** 3},
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
     _write_json(out / "manifest.json", manifest)
     print(json.dumps(cert_dict, indent=2, sort_keys=True))
-    if not ok:
+    if cert.verdict != "OPTIMAL":
         raise VerificationFailure("certification failed; see certificate.json")
     return 0
 
@@ -373,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="synthesize, certify, and export a frame")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--out", help="output directory (default $LINEPACK_OUT or ./linepack_n<N>)")
-    b.add_argument("--seed", type=int, help=f"n >= 7 only (default {DEFAULT_SEED})")
-    b.add_argument("--samples", type=int, help=f"n >= 7 only (default {DEFAULT_SAMPLES})")
     b.add_argument("--float-export", action="store_true")
     common(b)
     b.set_defaults(func=cmd_build)

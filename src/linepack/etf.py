@@ -8,7 +8,24 @@ whole matrix carries the single irrational scale 2^((k-2n)/2).  That
 scale is never evaluated; the integer part is stored and every certified
 quantity is squared, hence rational.
 
-The Gram matrix of the frame is computed three independent ways:
+The frame is held in factor form (`FrameFactors`): entry ((gamma, r),
+(x, y)) is P[gamma^-1 x, r] (-1)^tr(gamma^-3 y), with P the int8 stack of
+pi(a, 0) flattened, a table of the images gamma^-1 x and one of the
+signs.  `frame_blocks` synthesizes the frame from it a gamma block at a
+time, and so does `build` for frame.mat.  Its Gram is fixed by q^3
+values: with M = conj(P) P^T, formed by one exact product,
+G[(x, y), (x', y')] = F_x[x', y + y'], and each slab F_x is q fast
+Walsh-Hadamard transforms over the trace form (Fino and Algazi, 1976;
+Lidl and Niederreiter, ch. 2), exact in the narrowest integer type
+that the checked bound (q - 1) max|M| allows, at most int32.  The
+transform's kernel must equal the sign table at the walk's positions
+(`FrameFactors.sign_defect`), so the values are the Gram of the frame
+that is written.  `verify_factors` walks the slabs once, for the Welch
+pattern and, at n <= 5, for the rows of gram.mat: all 2^28 entries at
+n = 7 in about 0.06 s (one thread, 2 vCPU Xeon), holding neither the
+frame nor its Gram.
+
+The Gram matrix of the frame is also computed three independent ways:
 
 * frame route: the Hermitian product frame^H frame, exact, run by
   `exact.exact_gram` as one symmetric product of the stacked [re; im]
@@ -32,28 +49,32 @@ verification, a random block for the sampled mode.  The frame route
 never reads that index.  All three agree entrywise; verification is exact.
 
 A frame certificate walks its Gram once, on and above the diagonal: the
-tiles of frame^H frame (`exact.gram_tiles`), or the chunks of
-`GaussianRationalMatrix.upper_blocks` when the Gram is held.  The Welch
-pattern (`_welch_pattern`) and the route comparison (`_routes_compared`)
-read each block as it passes, the latter with its mirror.  The pattern
-alone proves a frame tight (`verify_frame`), so the Parseval product
-runs only to name a failure.  A Gram alone bounds no rank, so
-`verify_gram` walks the Gram it holds three times: the Hermitian test,
-the projection check (the tiles of G^H G against G's), and the Welch
-walk of `upper_blocks`.  Only `build` and `gram` hold an N x N Gram:
+slabs of a factor form, the tiles of frame^H frame (`exact.gram_tiles`),
+or the chunks of `GaussianRationalMatrix.upper_blocks` when the Gram is
+held.  The Welch pattern (`_welch_pattern`) and the route comparison
+(`_routes_compared`) read each block as it passes, the latter with its
+mirror.  The pattern alone proves a frame tight (`verify_frame`), so the
+Parseval product runs only to name a failure.  A Gram alone bounds no
+rank, so `verify_gram` walks the Gram it holds three times: the
+Hermitian test, the projection check (the tiles of G^H G against G's),
+and the Welch walk of `upper_blocks`.  Only `gram` computes an N x N Gram:
 `verify --n 7 --mode full` certifies all 2^28 entries three ways in
 101 s at 295 MB peak RSS with `--threads 2` on a 2 vCPU Xeon.
-Matrix files are written and read a chunk of rows at a time, through
-the ids of the chunk's distinct tokens (`_distinct`): `_write_rows`
-writes a chunk as one gather of encoded tokens, and `read_matrix_file`
-converts each distinct token of a chunk once and fills the chunk's rows
-of an (re, im) pair in one gather, int8 while every value fits, as in
-the Suzuki frames and Grams, else int64.  The frame Gram
+Matrix files are written by one writer (`_MatrixWriter`), a block of
+rows at a time: a row is cut into segments of isqrt(cols) entries, each
+distinct segment is encoded once, and a row is one join of encoded
+segments; the bytes pass through a hasher as they are written, which
+is how `build` hashes its outputs.  `read_matrix_file` reads a chunk
+of rows at a time through the ids of the chunk's distinct tokens
+(`_distinct`), converts each distinct token once, and fills the chunk's
+rows of an (re, im) pair in one gather, int8 while every value fits, as
+in the Suzuki frames and Grams, else int64.  The frame Gram
 (`_gram_from_blocks`) is held alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -68,7 +89,7 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import INT64_BOUND, check_bound, exact_gram, gram_tiles, max_abs
+from .exact import INT64_BOUND, check_bound, exact_gram, exact_matmul, gram_tiles, max_abs
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
@@ -121,24 +142,162 @@ def frame_dimensions(n: int) -> tuple[int, int]:
     return (1 << (n - 1)) * ((1 << n) - 1), 1 << (2 * n)
 
 
+@dataclass(frozen=True, eq=False)
+class FrameFactors:
+    """The frame in factor form: entry ((gamma, r), (x, y)) is
+    p[images[gamma - 1, x], r] * signs[gamma - 1, y], over the scale
+    2^(log2_scale_sq / 2), gamma ascending.
+
+    p = p_re + i p_im is `RepContext.dense_x0` as int8, row a being
+    pi(a, 0) flattened; images[gamma - 1, x] = gamma^-1 x and
+    signs[gamma - 1, y] = (-1)^tr(gamma^-3 y).  `blocks` synthesizes the
+    frame from it and `gram_values` walks its Gram.
+    """
+
+    p_re: np.ndarray
+    p_im: np.ndarray
+    images: np.ndarray
+    signs: np.ndarray
+    field: FieldContext
+
+    @property
+    def rows(self) -> int:
+        return len(self.images) * self.p_re.shape[1]
+
+    @property
+    def log2_scale_sq(self) -> int:
+        return self.field.k - 2 * self.field.n
+
+    def blocks(self, cols: np.ndarray) -> Iterator[FrameMatrix]:
+        """The frame's rows on the given columns, one int8 block per gamma."""
+        xs, ys = cols >> self.field.n, cols & (self.field.order - 1)
+        p = [np.ascontiguousarray(part.T) for part in (self.p_re, self.p_im)]
+        for images, signs in zip(self.images, self.signs):
+            at, sign = images[xs], signs[ys]
+            re, im = (np.take(part, at, axis=1) for part in p)  # C-ordered, as the writer reads
+            re *= sign
+            im *= sign
+            yield FrameMatrix(re, im, self.log2_scale_sq)
+
+    def gram_values(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(x, re, im) for each x ascending: the q x q slab F[x', z] over
+        2^(-log2_scale_sq), with G[(x, y), (x', y')] = F[x', y + y'].
+
+        With M = conj(p) p^T, one exact product, F[x', z] is the sum over
+        gamma of M(gamma^-1 x, gamma^-1 x') (-1)^tr(gamma^-3 z), which is
+        WHT(C)[u(z)] for C(w) = M(gamma^-1 x, gamma^-1 x') at w = gamma^-3
+        and C(0) = 0 (cubing permutes the nonzero elements for odd n), and
+        u(z) the trace form (`_trace_form`).  Every butterfly value is a
+        signed sum of at most q - 1 values of C, so |F| <= (q - 1) max|M|;
+        entries of modulus at most 1 give max|M| <= 4^k, and the bound
+        (q - 1) 4^k is 130,816 at n = 9, so int32 holds every value
+        exactly.  The bound is checked, not assumed, and the transform runs
+        in the narrowest type it fits: int8 at n <= 5, where the Suzuki M
+        has max|M| = 2^k, and int16 at n = 7 and 9.
+        """
+        f, q = self.field, self.field.order
+        both = np.hstack((self.p_re, self.p_im))
+        cross = exact_matmul(self.p_re, self.p_im.T)
+        m = np.stack((exact_matmul(both, both.T), cross - cross.T))  # conj(p) p^T
+        bound = (q - 1) * max_abs(m)
+        if bound >= 1 << 31:
+            raise OverflowError("factored Gram: (q - 1) max|M| reaches 2**31; refusing to wrap")
+        m = m.astype(next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max))
+        w, u = f.inverse_cube_table[1:], _trace_form(f)
+        c = np.empty((2, q, q), dtype=m.dtype)  # c[:, w, x'] = C(w) for the pair (x, x')
+        for x in range(q):
+            c[:, 0] = 0
+            c[:, w] = m[:, self.images[:, x, None], self.images]
+            _wht(c)
+            yield x, c[0, u].T, c[1, u].T
+
+    def sign_defect(self) -> tuple[int, int] | None:
+        """None when each sign row is the character the walk transforms by,
+        signs[gamma - 1, y] = (-1)^popcount(gamma^-3 & u(y)), read from the
+        Walsh-Hadamard kernel; else the first (gamma - 1, y) that is not.
+        With it, F is the Gram of the frame `blocks` writes: the rows of the
+        kernel are characters and u is linear, so the signs at y and y'
+        multiply to the sign at y + y'."""
+        kernel = np.eye(self.field.order, dtype=np.int8)[None]
+        _wht(kernel)  # kernel[0][t, w] = (-1)^popcount(t & w)
+        want = kernel[0][self.field.inverse_cube_table[1:, None], _trace_form(self.field)]
+        bad = np.argwhere(self.signs != want)
+        return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
+
+    def parseval_defect(self) -> tuple[int, int] | None:
+        """None when frame frame^H = 2^(-log2_scale_sq) I exactly, else the
+        first entry, row-major, of conj(frame frame^H) that differs.
+
+        Row (gamma, r) is column r of p[images[gamma - 1]] (over x) times
+        signs[gamma - 1] (over y), so block (gamma, gamma') of
+        conj(frame frame^H) is conj(A)^T B times signs[gamma - 1] .
+        signs[gamma' - 1], A and B the two gathers of p: only the diagonal
+        blocks and those of a nonzero sign product are formed.
+        """
+        dots = exact_matmul(self.signs, self.signs.T)
+        d, scale = self.p_re.shape[1], 1 << -self.log2_scale_sq
+        for g, at in enumerate(self.images):
+            conj_a = GaussianRationalMatrix(self.p_re[at].T,
+                                            np.negative(self.p_im[at], dtype=np.int64).T)
+            found = []
+            for h in sorted({g, *np.flatnonzero(dots[g]).tolist()}):
+                block = conj_a @ GaussianRationalMatrix(self.p_re[self.images[h]],
+                                                        self.p_im[self.images[h]])
+                s = int(dots[g, h])
+                want = np.eye(d, dtype=np.int64) if g == h else np.zeros((d, d), np.int64)
+                bad = first_mismatch(GaussianRationalMatrix(block.re * s, block.im * s, scale),
+                                     GaussianRationalMatrix(want))
+                if bad is not None:
+                    found.append((g * d + bad[0], h * d + bad[1]))
+            if found:
+                return min(found)
+        return None
+
+
+def frame_factors(group: GroupContext, rep: RepContext) -> FrameFactors:
+    """The factor form of the frame at the group's degree."""
+    f = group.field
+    inv_cube = f.inverse_cube_table[1:]
+    inv = f.mul_table[inv_cube, f.square_table[1:]]  # gamma^-3 gamma^2
+    p_re, p_im = (_int8(stack) for stack in rep.dense_x0)
+    signs = 1 - 2 * f.trace_table[f.mul_table[inv_cube]].astype(np.int8)
+    return FrameFactors(p_re, p_im, f.mul_table[inv], signs, f)
+
+
+def _trace_form(field: FieldContext) -> np.ndarray:
+    """u(z) for every z: bit i is tr(alpha^i z), alpha the class of x in
+    the polynomial basis, so that tr(wz) is the parity of w & u(z).  It is
+    the linear map read at the powers of two, linear whatever the tables."""
+    z = np.arange(field.order)
+    u = np.zeros_like(z)
+    for j in range(field.n):  # u(alpha^j), added into every z with bit j set
+        u ^= ((z >> j) & 1) * sum(field.trace(field.mul(1 << i, 1 << j)) << i
+                                  for i in range(field.n))
+    return u
+
+
+def _wht(a: np.ndarray) -> None:
+    """The Walsh-Hadamard transform along axis 1 of a (2, q, cols) array,
+    in place: out[:, u] = sum_w a[:, w] (-1)^popcount(u & w)."""
+    q, h = a.shape[1], 1
+    while h < q:
+        v = a.reshape(a.shape[0], q // (2 * h), 2, h, a.shape[2])
+        lo, hi = v[:, :, 0], v[:, :, 1]
+        total = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
+        h *= 2
+
+
 def frame_blocks(group: GroupContext, rep: RepContext,
                  cols: np.ndarray) -> Iterator[FrameMatrix]:
     """The frame's rows on the given columns, one 4^k-row int8 block per
-    gamma, ascending.
+    gamma, ascending, read from its factor form (`FrameFactors.blocks`).
 
     Block gamma of column (x, y) is pi(gamma^-1 x, 0), flattened, times
     (-1)^tr(gamma^-3 y): the twisted representation at that element.
     """
-    f = group.field
-    xs, ys = cols >> f.n, cols & (f.order - 1)
-    stack_re, stack_im = (_int8(stack) for stack in rep.dense_x0)
-    for gamma in f.nonzero_elements():
-        ginv = f.inv(gamma)
-        ginv3 = f.inv(f.cube(gamma))
-        signs = 1 - 2 * f.trace_table[f.mul_table[ginv3, ys]].astype(np.int8)
-        images = f.mul_table[ginv, xs]
-        yield FrameMatrix(stack_re[images].T * signs, stack_im[images].T * signs,
-                          f.k - 2 * f.n)
+    return frame_factors(group, rep).blocks(cols)
 
 
 def _int8(stack: np.ndarray) -> np.ndarray:
@@ -149,22 +308,21 @@ def _int8(stack: np.ndarray) -> np.ndarray:
     return narrow
 
 
-# kept apart from synthesize_frame: perfbench/traced.py wraps it by name
-def _synthesize_columns(group: GroupContext, rep: RepContext,
-                        cols: np.ndarray) -> FrameMatrix:
-    m, _ = frame_dimensions(group.field.n)
-    re = np.empty((m, len(cols)), dtype=np.int8)
-    im = np.empty_like(re)
-    for i, block in enumerate(frame_blocks(group, rep, cols)):
-        rows = slice(i * block.rows, (i + 1) * block.rows)
-        re[rows], im[rows] = block.re, block.im
-    return FrameMatrix(re, im, block.log2_scale_sq)
+# the frame's synthesis under the name perfbench/traced.py wraps: `build`
+# draws frame.mat from it, a gamma block at a time
+def _synthesize_columns(factors: FrameFactors, cols: np.ndarray) -> Iterator[FrameMatrix]:
+    return factors.blocks(cols)
 
 
 def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
     """The m x N int8 frame, columns in canonical element order."""
-    cols = np.arange(group.order, dtype=np.int64)
-    return _synthesize_columns(group, rep, cols)
+    factors = frame_factors(group, rep)
+    re = np.empty((factors.rows, group.order), dtype=np.int8)
+    im = np.empty_like(re)
+    d = factors.p_re.shape[1]
+    for i, block in enumerate(_synthesize_columns(factors, np.arange(group.order))):
+        re[i * d:(i + 1) * d], im[i * d:(i + 1) * d] = block.re, block.im
+    return FrameMatrix(re, im, factors.log2_scale_sq)
 
 
 def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
@@ -442,17 +600,63 @@ def verify_frame(frame: FrameMatrix, gram: GaussianRationalMatrix | None = None,
         blocks, den = gram.upper_blocks(), gram.den
     if routes is not None:
         blocks = _routes_compared(blocks, den, np.arange(frame.cols), *routes)
+    return _frame_certificate(blocks, den, frame.rows, frame.cols,
+                              lambda: parseval_defect(frame))
+
+
+def verify_factors(factors: FrameFactors, gram_path=None, hasher=None) -> EtfCertificate:
+    """Certify the frame of a factor form from its q^3 Gram values
+    (`FrameFactors.gram_values`), each standing for the q entries
+    G[(x, y), (x', y')] with y + y' = z, so all N^2 are covered.
+
+    Slab x holds row (x, 0) of the Gram; its columns from (x, 0) on are
+    one block of the Welch pattern's walk, starting on the diagonal, and
+    the slabs' conjugate symmetry (M is Hermitian) covers the rest.  The
+    pattern proves the frame tight as in `verify_frame`, whose rank
+    argument needs only the frame's row count.  The walk reads P and the
+    images; `FrameFactors.sign_defect` ties the sign table to it, and a
+    table it refuses fails the certificate first.  When `gram_path` is
+    given, the slab's q Gram rows are written there from the same walk
+    (`write_gram_file`'s format), `hasher` updated with every byte.
+    """
+    q = factors.field.order
+    num, den = q * q, 1 << -factors.log2_scale_sq
+    pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
+
+    def blocks(write):
+        for x, re, im in factors.gram_values():
+            if write is not None:
+                write(*(part[:, pairs].transpose(1, 0, 2).reshape(q, num) for part in (re, im)))
+            yield (slice(x * q, x * q + 1), slice(x * q, num),
+                   re[x:].reshape(1, -1), im[x:].reshape(1, -1))
+
+    with open(gram_path, "wb") if gram_path is not None else contextlib.nullcontext() as fh:
+        write = None if fh is None else _MatrixWriter(
+            fh, _gram_header(num, num), num, _gram_tokens(den), hasher).rows
+        cert = _frame_certificate(blocks(write), den, factors.rows, num, factors.parseval_defect)
+    if (bad := factors.sign_defect()) is not None:
+        defect = factors.parseval_defect()
+        return _certify_gram((), den, factors.rows, num,
+                             f"sign table differs from the trace form's characters at {list(bad)}",
+                             "frame", {"parsevalDefect": defect and list(defect)})
+    return cert
+
+
+def _frame_certificate(blocks, den: int, m: int, num_vectors: int, defect) -> EtfCertificate:
+    """The certificate of a frame with m rows whose Gram is walked as
+    `blocks` over `den`; defect() gives its Parseval defect, and runs only
+    when the pattern fails, which it then names first, or else the walk's
+    overflow."""
     overflow = None
     try:
-        cert = _certify_gram(blocks, den, frame.rows, frame.cols, None, "frame",
-                             {"parsevalDefect": None})
+        cert = _certify_gram(blocks, den, m, num_vectors, None, "frame", {"parsevalDefect": None})
         if cert.failure is None:
             return cert
     except OverflowError as exc:
         overflow = exc
-    if (defect := parseval_defect(frame)) is not None:
-        return _certify_gram((), den, frame.rows, frame.cols, "parseval identity fails",
-                             "frame", {"parsevalDefect": list(defect)})
+    if (where := defect()) is not None:
+        return _certify_gram((), den, m, num_vectors, "parseval identity fails",
+                             "frame", {"parsevalDefect": list(where)})
     if overflow is not None:
         raise overflow
     return cert
@@ -586,58 +790,133 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.searchsorted(values, a)
 
 
-def _write_rows(fh, real: np.ndarray, imag: np.ndarray, tokens) -> None:
-    """One line per row of space-separated entries, entry (i, j) being the
-    bytes tokens(re_vals, im_vals) gives for the pair (real, imag) at (i, j).
+class _MatrixWriter:
+    """Writes a matrix one block of rows at a time, with `header` first:
+    one line per row of space-separated entries, entry (i, j) being the
+    bytes tokens(re_vals, im_vals) gives for the pair (re, im) at (i, j).
 
-    Each chunk of rows encodes its distinct pairs once, as int64, and is
-    one gather from the fixed-width table of each token and a space, then
-    each token and a newline, which the last column reads; NUL pads drop.
+    A row is cut into segments of isqrt(cols) entries, and a shorter
+    tail when cols is not a multiple; a segment's key is the bytes of its
+    real then imaginary part, and each distinct segment is encoded once
+    (`_encode`), so a row is one join of encoded segments.  The written
+    bytes pass through `hasher.update` too, when a hasher is given.  The
+    encoded segments are dropped whenever they hold more than
+    _CHUNK_ENTRIES * 64 bytes, so a matrix of distinct entries holds one
+    chunk of rows, never its text.
     """
-    step = _chunk_rows(real.shape[1])
-    for start in range(0, len(real), step):
-        re_vals, re_ids = _distinct(real[start:start + step])
-        im_vals, im_ids = _distinct(imag[start:start + step])
-        codes, ids = _distinct(re_ids * len(im_vals) + im_ids)
-        words = tokens(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
-        table = np.array([w + b" " for w in words] + [w + b"\n" for w in words])
-        ids[:, -1] += len(words)
-        fh.write(table[ids].tobytes().replace(b"\0", b""))
+
+    def __init__(self, fh, header: str, cols: int, tokens, hasher=None):
+        self._fh, self._hasher, self._tokens, self._cols = fh, hasher, tokens, cols
+        width = math.isqrt(cols)
+        # (segment width, segments per row): the full segments, then the tail if there is one
+        self._runs = [(width, cols // width)] + ([(cols % width, 1)] if cols % width else [])
+        self._per_row = sum(count for _, count in self._runs)
+        self._write(header.encode())
+        self._clear()
+
+    def _clear(self) -> None:
+        self._ids: dict = {}  # dtype -> {key: index in _segments}
+        self._segments: list[bytes] = []
+        self._held = 0
+
+    def _write(self, data: bytes) -> None:
+        if self._hasher is not None:
+            self._hasher.update(data)
+        self._fh.write(data)
+
+    def rows(self, re: np.ndarray, im: np.ndarray) -> None:
+        step = _chunk_rows(self._cols)
+        for start in range(0, len(re), step):
+            self._chunk(re[start:start + step], im[start:start + step])
+
+    def _chunk(self, re: np.ndarray, im: np.ndarray) -> None:
+        dtype = np.result_type(re, im)
+        ids = self._ids.setdefault(dtype, {})
+        runs, at = [], 0
+        for width, count in self._runs:
+            cut = slice(at, at + width * count)
+            both = np.empty((len(re), count, 2 * width), dtype=dtype)
+            both[..., :width] = re[:, cut].reshape(len(re), count, width)
+            both[..., width:] = im[:, cut].reshape(len(re), count, width)
+            runs.append(both.view(np.dtype((np.void, 2 * width * both.itemsize)))
+                        .reshape(len(re), count).tolist())
+            at = cut.stop
+        keys = list(itertools.chain.from_iterable(
+            runs[0] if len(runs) == 1 else map(list.__add__, *runs)))
+        got = list(map(ids.get, keys))
+        if None in got:
+            new = list(dict.fromkeys(key for key, i in zip(keys, got) if i is None))
+            for key, word in zip(new, self._encode(dtype, new)):
+                ids[key] = len(self._segments)
+                self._segments.append(word)
+                self._held += len(word) + len(key)
+            got = list(map(ids.__getitem__, keys))
+        per_row, segments = self._per_row, self._segments
+        self._write(b"\n".join([b" ".join(map(segments.__getitem__, got[i:i + per_row]))
+                                 for i in range(0, len(got), per_row)]) + b"\n")
+        if self._held > _CHUNK_ENTRIES * 64:
+            self._clear()
+
+    def _encode(self, dtype, keys: list[bytes]) -> list[bytes]:
+        """The bytes of the segments with these keys, in order: the
+        distinct pairs of the segments of each width are encoded once."""
+        words = {}
+        for size in dict.fromkeys(map(len, keys)):
+            group = [key for key in keys if len(key) == size]
+            parts = np.frombuffer(b"".join(group), dtype).reshape(len(group), 2, -1)
+            re_vals, re_ids = _distinct(parts[:, 0])
+            im_vals, im_ids = _distinct(parts[:, 1])
+            codes, ids = _distinct(re_ids * len(im_vals) + im_ids)
+            tokens = self._tokens(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
+            words.update(zip(group, (b" ".join(map(tokens.__getitem__, row))
+                                     for row in ids.tolist())))
+        return [words[key] for key in keys]
 
 
-def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix]) -> None:
-    """Scaled Gaussian-integer matrix: entries `re;im`, scale 2^(num/den).
-
-    `blocks` are the consecutive row blocks of one matrix with `rows` rows
-    in all; each is written as it arrives, so a frame too large to hold in
-    memory can be streamed from `frame_blocks`.
-    """
-    with open(path, "wb") as fh:
-        for i, block in enumerate(blocks):
-            if i == 0:
-                fh.write(f"{_HEADER} rows={rows} cols={block.cols} scale_log2_num="
-                         f"{block.log2_scale_sq} scale_log2_den=2\n".encode())
-            _write_rows(fh, block.re, block.im, lambda re_vals, im_vals: [
-                b"%d;%d" % pair for pair in zip(re_vals.tolist(), im_vals.tolist())])
+def _frame_tokens(re_vals: np.ndarray, im_vals: np.ndarray) -> list[bytes]:
+    return [b"%d;%d" % pair for pair in zip(re_vals.tolist(), im_vals.tolist())]
 
 
-def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
-    """Exact rational matrix: entries `p/q;r/s`, each fraction reduced."""
-    g = gram.canonical()
-    den = g.den
-    if den > _INT64_MAX:
-        # refused before the file is opened, since the reader would reject the file
-        raise OverflowError(f"Gram denominator {den} is beyond int64")
-    rows, cols = g.shape
-
+def _gram_tokens(den: int):
+    """Tokens `p/q;r/s` of values over `den`, each fraction reduced."""
     def reduced(re_vals: np.ndarray, im_vals: np.ndarray) -> list[bytes]:
         gr, gi = np.gcd(re_vals, den), np.gcd(im_vals, den)
         parts = (re_vals // gr, den // gr, im_vals // gi, den // gi)
         return [b"%d/%d;%d/%d" % entry for entry in zip(*(p.tolist() for p in parts))]
+    return reduced
 
+
+def _gram_header(rows: int, cols: int) -> str:
+    return f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n"
+
+
+def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix], hasher=None) -> None:
+    """Scaled Gaussian-integer matrix: entries `re;im`, scale 2^(num/den).
+
+    `blocks` are the consecutive row blocks of one matrix with `rows` rows
+    in all; each is written as it arrives, so a frame too large to hold in
+    memory can be streamed from `frame_blocks`.  `hasher`, if given, is
+    updated with every byte written.
+    """
     with open(path, "wb") as fh:
-        fh.write(f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n".encode())
-        _write_rows(fh, g.re, g.im, reduced)
+        writer = None
+        for block in blocks:
+            if writer is None:
+                writer = _MatrixWriter(fh, f"{_HEADER} rows={rows} cols={block.cols} "
+                                           f"scale_log2_num={block.log2_scale_sq} "
+                                           "scale_log2_den=2\n", block.cols, _frame_tokens, hasher)
+            writer.rows(block.re, block.im)
+
+
+def write_gram_file(path, gram: GaussianRationalMatrix, hasher=None) -> None:
+    """Exact rational matrix: entries `p/q;r/s`, each fraction reduced."""
+    g = gram.canonical()
+    if g.den > _INT64_MAX:
+        # refused before the file is opened, since the reader would reject the file
+        raise OverflowError(f"Gram denominator {g.den} is beyond int64")
+    with open(path, "wb") as fh:
+        _MatrixWriter(fh, _gram_header(*g.shape), g.shape[1], _gram_tokens(g.den),
+                      hasher).rows(g.re, g.im)
 
 
 class MatrixParseError(ValueError):

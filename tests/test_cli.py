@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -241,7 +242,7 @@ def test_verify_full_at_n9_is_usage_error(capsys, monkeypatch):
     ["--in", "IN", "--seed", "1"],
     ["--in", "IN", "--mode", "full"],  # a file is certified in full, whatever the mode says
     ["--in", "IN", "--mode", "sample"],
-    ["build", "--n", "3", "--samples", "5"],  # build samples at n >= 7 only
+    ["build", "--n", "3", "--samples", "5"],  # build certifies in full: it takes neither flag
     ["build", "--n", "3", "--seed", "9"],
     ["build", "--n", "5", "--samples", "5"],
     ["build", "--n", "5", "--seed", "9"],
@@ -251,10 +252,14 @@ def test_sample_flags_outside_sample_mode_are_usage_errors(built_n3, tmp_path, c
     out = tmp_path / "out"
     argv = [str(built_n3 / "frame.mat") if tok == "IN" else tok for tok in flags]
     argv += ["--out", str(out)] if command == "build" else []
-    code, stdout, err = run(capsys, command, *argv)
+    try:
+        code = main([command, *argv])
+    except SystemExit as exc:  # argparse refuses the flags build does not take
+        code = exc.code
+    stdout, err = capsys.readouterr()
     assert code == 2 and stdout == ""
     if command == "build":
-        assert f"{flags[-2]} applies to n >= 7 only" in err
+        assert f"unrecognized arguments: {flags[-2]} {flags[-1]}" in err
         assert not out.exists()
     elif flags[-2] == "--mode":
         assert "--mode applies to --n only" in err
@@ -529,7 +534,8 @@ def test_verify_mutated_matrix_file_is_never_a_crash(built_n3, name, mutations):
 
 @pytest.mark.parametrize("command", ["verify", "build"])
 def test_samples_below_one_is_usage_error(tmp_path, capsys, monkeypatch, command):
-    # build samples at n >= 7 only; the check comes before any context is built
+    # build takes no --samples, which argparse refuses; verify's check comes
+    # before any context is built
     from linepack import cli
 
     def no_contexts(n):
@@ -538,19 +544,24 @@ def test_samples_below_one_is_usage_error(tmp_path, capsys, monkeypatch, command
     monkeypatch.setattr(cli, "_contexts", no_contexts)
     extra = ["--n", "7", "--out", str(tmp_path)] if command == "build" \
         else ["--n", "3", "--mode", "sample"]
-    code, _, err = run(capsys, command, "--samples", "0", *extra)
+    try:
+        code = main([command, "--samples", "0", *extra])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
     assert code == 2
-    assert "--samples must be at least 1" in err
+    assert ("unrecognized arguments: --samples 0" if command == "build"
+            else "--samples must be at least 1") in err
 
 
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, json_errors):
     from linepack import etf
 
-    def broken(frame):
+    def broken(factors, *args):
         raise OverflowError("simulated int64 bound")
 
-    monkeypatch.setattr(etf, "gram_from_frame", broken)
+    monkeypatch.setattr(etf, "verify_factors", broken)
     flags = ["--json-errors"] if json_errors else []
     code, _, err = run(capsys, *flags, "build", "--n", "3", "--out", str(tmp_path))
     assert code == 3
@@ -560,6 +571,49 @@ def test_unexpected_exception_is_exit_3(tmp_path, capsys, monkeypatch, json_erro
         assert "OverflowError: simulated int64 bound" in payload["message"]
     else:
         assert "linepack: internal: OverflowError" in err
+
+
+def test_build_holds_neither_the_frame_nor_the_gram(tmp_path, capsys, monkeypatch):
+    # the factored build certifies and writes from the factor form and its walk
+    from linepack import etf
+
+    def refuse(*args):
+        raise AssertionError("the m x N frame or the N x N Gram was made")
+
+    for name in ("synthesize_frame", "gram_from_frame", "_gram_from_blocks", "gram_tiles"):
+        monkeypatch.setattr(etf, name, refuse)
+    out = tmp_path / "n5"
+    code, stdout, _ = run(capsys, "build", "--n", "5", "--out", str(out))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["coverage"] == {"route": "factored", "entries": 1024 ** 2, "values": 32 ** 3}
+    assert manifest["outputs"] == ["frame.mat", "gram.mat", "certificate.json"]
+    for name, digest in BUILD_N5_SHA256.items():
+        assert manifest["sha256"][name] == digest
+    assert "certificate" not in json.loads(stdout) and "coverage" not in json.loads(stdout)
+
+
+def test_build_with_a_flipped_factor_entry_is_a_violation(tmp_path, capsys, monkeypatch):
+    # a sign flip in P breaks the Welch pattern of the walk and the Parseval identity
+    from linepack import etf
+
+    real = etf.frame_factors
+
+    def flipped(group, rep):
+        factors = real(group, rep)
+        p_re = factors.p_re.copy()
+        at = np.flatnonzero(p_re)[0]
+        p_re.flat[at] = -p_re.flat[at]
+        return dataclasses.replace(factors, p_re=p_re)
+
+    monkeypatch.setattr(etf, "frame_factors", flipped)
+    out = tmp_path / "bad"
+    code, stdout, err = run(capsys, "build", "--n", "3", "--out", str(out))
+    assert code == 1 and "certification failed" in err
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert == json.loads(stdout)
+    assert cert["verdict"] == "NOT_ETF" and cert["parseval"] is False
+    assert cert["crossChecks"]["parsevalDefect"] is not None
 
 
 def test_gram_beyond_the_int64_bound_is_exit_2(tmp_path, capsys):

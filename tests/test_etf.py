@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import random
 import re
@@ -429,6 +432,125 @@ def test_gram_character_row_stays_within_its_memory_budget_n7(group7, table7):
         tracemalloc.stop()
     assert peak < 0.6 * (1 << 20), f"{peak / (1 << 20):.2f} MiB"
     assert row.re.dtype == np.int8 and row == gram_closed_form(group7, first)
+
+
+# ---------------------------------------------------------------------------
+# factored route
+# ---------------------------------------------------------------------------
+
+def _factored_gram(factors, sel) -> GaussianRationalMatrix:
+    """The Gram of the factor form's frame on the columns `sel`, gathered
+    from its q^3 values: entry ((x, y), (x', y')) is F[x][x', y + y']."""
+    n, q = factors.field.n, factors.field.order
+    xs, ys = sel >> n, sel & (q - 1)
+    re = np.empty((len(sel), len(sel)), dtype=np.int64)
+    im = np.empty_like(re)
+    for x, f_re, f_im in factors.gram_values():
+        rows = np.flatnonzero(xs == x)
+        at = (xs[None, :], ys[rows, None] ^ ys[None, :])
+        re[rows], im[rows] = f_re[at], f_im[at]
+    return GaussianRationalMatrix(re, im, 1 << -factors.log2_scale_sq)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_factored_gram_is_the_frame_gram(request, n):
+    # all N^2 entries, real and imaginary parts, against the brute-force product
+    group, rep = (request.getfixturevalue(f"{name}{n}") for name in ("group", "rep"))
+    got = _factored_gram(etf.frame_factors(group, rep), np.arange(group.order))
+    want = gram_from_frame(synthesize_frame(group, rep))
+    assert got == want
+
+
+def test_factored_gram_is_the_frame_gram_on_a_tile_n7(group7, rep7):
+    sel = np.array(sorted(random.Random(7).sample(range(group7.order), 256)), dtype=np.int64)
+    factors = etf.frame_factors(group7, rep7)
+    assert etf._gram_from_blocks(factors.blocks(sel)) == _factored_gram(factors, sel)
+
+
+def test_factored_walk_values_and_bound(group3, rep3, group5, rep5):
+    # 2^15 values: the diagonal (q - 1) 2^k, off it |F|^2 = 4^k, as the Welch
+    # pattern over 2^(2n - k) needs; the bound (q - 1) max|M| = 124 is checked,
+    # so the transform runs in int8
+    factors = etf.frame_factors(group5, rep5)
+    values = [(x, re, im) for x, re, im in factors.gram_values()]
+    assert len(values) == 32 and all(re.dtype == im.dtype == np.int8 for _, re, im in values)
+    for x, re, im in values:
+        sq = re.astype(np.int64) ** 2 + im.astype(np.int64) ** 2
+        assert (re[x, 0], im[x, 0]) == (31 * 4, 0)
+        sq[x, 0] = 16
+        assert (sq == 16).all()
+    # a bound just past int8, 7 * 4 * 3^2 = 252 at n = 3, runs in int16, exactly
+    threes = dataclasses.replace(etf.frame_factors(group3, rep3), p_re=np.full((8, 4), 3, np.int8),
+                                 p_im=np.zeros((8, 4), np.int8))
+    assert next(threes.gram_values())[1].dtype == np.int16
+    frame = FrameMatrix(*(np.concatenate(parts) for parts in zip(
+        *((b.re, b.im) for b in threes.blocks(np.arange(64))))), threes.log2_scale_sq)
+    assert _factored_gram(threes, np.arange(64)) == gram_from_frame(frame)
+    # only at n = 9 can int8 entries reach it: 511 * 2 * 256 * 127^2 > 2^31
+    field9 = FieldContext(9)
+    big = etf.FrameFactors(np.full((512, 256), 127, np.int8), np.full((512, 256), 127, np.int8),
+                           np.zeros((511, 512), np.int32), np.ones((511, 512), np.int8), field9)
+    with pytest.raises(OverflowError, match="2\\*\\*31"):
+        next(big.gram_values())
+
+
+def test_factored_certificate_n7(group7, rep7):
+    # every one of the 2^28 entries, from 2^21 values: the full certificate
+    # build --n 7 writes, pinned by its sha256
+    cert = etf.verify_factors(etf.frame_factors(group7, rep7))
+    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert (cert.verdict, cert.diagonal_value, cert.off_diag_modulus_sq) == (
+        "OPTIMAL", Fraction(127, 256), Fraction(1, 65536))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        "10060dedd10407f0ee77255b7723a9086965f1ce124ed4867f9c89927605d771"
+
+
+def _flip_p(factors):
+    p_re = factors.p_re.copy()
+    at = np.flatnonzero(p_re)[0]
+    p_re.flat[at] = -p_re.flat[at]
+    return dataclasses.replace(factors, p_re=p_re)
+
+
+def _flip_sign(factors):
+    signs = factors.signs.copy()
+    signs[2, 5] = -signs[2, 5]
+    return dataclasses.replace(factors, signs=signs)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("mutant", ["p", "sign", "trace_form"])
+def test_factored_route_catches_each_mutant(monkeypatch, request, n, mutant):
+    # each is NOT_ETF, with the Parseval defect the brute force finds: a
+    # flipped P entry breaks the Welch pattern; a flipped sign, or a
+    # trace-form permutation with two values swapped, leaves the sign table
+    # off the characters the walk transforms by, and the values the walk
+    # gives are then not the frame's Gram
+    group, rep = (request.getfixturevalue(f"{name}{n}") for name in ("group", "rep"))
+    factors = etf.frame_factors(group, rep)
+    if mutant == "p":
+        factors = _flip_p(factors)
+    elif mutant == "sign":
+        factors = _flip_sign(factors)
+    else:
+        u = etf._trace_form(factors.field)
+        u[[1, 2]] = u[[2, 1]]
+        monkeypatch.setattr(etf, "_trace_form", lambda field: u)
+    cert = etf.verify_factors(factors)
+    frame = FrameMatrix(*(np.concatenate(parts) for parts in zip(
+        *((b.re, b.im) for b in factors.blocks(np.arange(group.order))))), factors.log2_scale_sq)
+    defect = parseval_defect(frame)
+    assert factors.parseval_defect() == defect
+    assert cert.verdict == "NOT_ETF"
+    assert cert.cross_checks["parsevalDefect"] == (defect and list(defect))
+    if mutant == "p":
+        assert not cert.parseval and cert.failure == "parseval identity fails"
+    else:
+        assert cert.failure.startswith("sign table differs from the trace form's characters")
+        assert factors.sign_defect() is not None
+    if mutant == "trace_form":
+        assert defect is None  # the frame is the true one; the walk's values are not its Gram
+        assert _factored_gram(factors, np.arange(group.order)) != gram_from_frame(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -1152,6 +1274,70 @@ def test_frame_writer_matches_join_reference(tmp_path_factory, data, rows, cols,
     back = read_matrix_file(path)
     assert back.log2_scale_sq == log2_scale_sq
     assert np.array_equal(back.re, parts[0]) and np.array_equal(back.im, parts[1])
+
+
+def _join_reference(frame: FrameMatrix) -> bytes:
+    lines = [f"LINEPACK-MATRIX v1 rows={frame.rows} cols={frame.cols} "
+             f"scale_log2_num={frame.log2_scale_sq} scale_log2_den=2"]
+    lines += [" ".join(f"{a};{b}" for a, b in zip(re.tolist(), im.tolist()))
+              for re, im in zip(frame.re, frame.im)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("shape, distinct", [((6, 11), False), ((1, 1), False), ((9, 30), True)],
+                         ids=["tail-segment", "one-entry", "all-distinct"])
+def test_frame_writer_matches_join_reference_on_its_segments(tmp_path, monkeypatch, shape,
+                                                             distinct):
+    # 11 columns are three segments of 3 and a tail of 2; rows repeat segments
+    # across chunks, so encoded segments are reused; all-distinct entries
+    # share no segment; each written whole, in one-row chunks, and with the
+    # encoded segments dropped after every chunk
+    rows, cols = shape
+    rng = np.random.default_rng(rows * cols)
+    if distinct:
+        parts = np.arange(2 * rows * cols, dtype=np.int64).reshape(2, rows, cols) - rows * cols
+    else:
+        parts = rng.choice(np.array([-1, 0, 1], dtype=np.int8), (2, 2, cols))[:, rng.integers(
+            0, 2, rows)]
+    frame = FrameMatrix(parts[0], parts[1], -3)
+    want = _join_reference(frame)
+    for chunk_entries in (etf._CHUNK_ENTRIES, 1, 0):
+        monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+        write_frame_file(tmp_path / "f.mat", rows, [frame])
+        assert (tmp_path / "f.mat").read_bytes() == want
+    back = read_matrix_file(tmp_path / "f.mat")
+    assert np.array_equal(back.re, frame.re) and np.array_equal(back.im, frame.im)
+
+
+def test_frame_writer_keeps_segments_of_each_dtype_apart(tmp_path):
+    # at 65 columns a row is eight segments of 8 and a tail of 1: an int8
+    # segment [1, 0, ..., 0] and an int64 tail 1 have the same 16 key bytes,
+    # and each block must still be written as its own entries
+    re8 = np.zeros((1, 65), dtype=np.int8)
+    re8[0, 0] = 1
+    re64 = np.full((1, 65), 7, dtype=np.int64)
+    re64[0, -1] = 1
+    blocks = [FrameMatrix(re8, np.zeros_like(re8), 0), FrameMatrix(re64, np.zeros_like(re64), 0)]
+    write_frame_file(tmp_path / "f.mat", 2, blocks)
+    want = _join_reference(FrameMatrix(np.concatenate([re8, re64]), np.zeros((2, 65), np.int64), 0))
+    assert (tmp_path / "f.mat").read_bytes() == want
+
+
+def test_frame_writer_holds_a_bounded_segment_cache(tmp_path, monkeypatch):
+    # 2^14 distinct entries are 0.5 MB of text and 256 KiB of segment keys; in
+    # one-row chunks of 2^8 entries the writer drops its encoded segments once
+    # they pass 16 KiB, so it holds about one row's worth, not the file
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 1 << 8)
+    parts = np.arange(2 * 64 * 256, dtype=np.int64).reshape(2, 64, 256) << 20
+    frame = FrameMatrix(parts[0], parts[1], 0)
+    tracemalloc.start()
+    try:
+        write_frame_file(tmp_path / "f.mat", 64, [frame])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18, f"{peak / (1 << 20):.2f} MiB"
+    assert (tmp_path / "f.mat").read_bytes() == _join_reference(frame)
 
 
 def test_gram_writer_refuses_a_denominator_beyond_int64(tmp_path):

@@ -62,8 +62,8 @@ def test_traced_build_completes_with_its_spans(tmp_path):
     assert code == 0
     assert {"gf2n.tables", "heis.rep_init", "etf.synth", "etf.certify", "etf.write"} <= names
     # build at n <= 5 reads no character table, so none is built; a certified
-    # frame needs no Parseval product
-    assert not {"bgroup.classes", "chartab.build", "etf.parseval"} & names
+    # frame needs no Parseval product, and the factored walk no frame Gram
+    assert not {"bgroup.classes", "chartab.build", "etf.parseval", "etf.gram_frame"} & names
     # a frame that fails its Welch pattern runs the Parseval check, in its span
     frame = tmp_path / "out" / "frame.mat"
     lines = frame.read_text().splitlines()
