@@ -132,7 +132,9 @@ def cmd_build(args) -> int:
     etf.write_frame_file(out / "frame.mat", m, etf._synthesize_columns(
         factors, np.arange(num_vectors)), hasher("frame.mat"))
     if args.n <= _FULL_BUILD_MAX_N:
-        cert = etf.verify_factors(factors, out / "gram.mat", hasher("gram.mat"))
+        with open(out / "gram.mat", "wb") as fh:
+            cert = etf.verify_factors(factors, etf.gram_writer(
+                fh, num_vectors, num_vectors, 1 << -factors.log2_scale_sq, hasher("gram.mat")).rows)
     else:
         cert = etf.verify_factors(factors)
     if args.float_export:

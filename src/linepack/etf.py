@@ -19,9 +19,10 @@ Walsh-Hadamard transforms over the trace form (Fino and Algazi, 1976;
 Lidl and Niederreiter, ch. 2), exact in the narrowest integer type
 that the checked bound (q - 1) max|M| allows, at most int32.  The
 transform's kernel must equal the sign table at the walk's positions
-(`FrameFactors.sign_defect`), so the values are the Gram of the frame
-that is written.  `verify_factors` walks the slabs once, for the Welch
-pattern and, at n <= 5, for the rows of gram.mat: all 2^28 entries at
+(`FrameFactors.sign_defect`), checked before the walk, so its values
+are the Gram of the frame that is written.  `verify_factors` walks the
+slabs once, for the Welch pattern and, at n <= 5, for the rows of
+gram.mat, which the caller's row sink receives: all 2^28 entries at
 n = 7 in about 0.06 s (one thread, 2 vCPU Xeon), holding neither the
 frame nor its Gram.
 
@@ -64,17 +65,16 @@ Matrix files are written by one writer (`_MatrixWriter`), a block of
 rows at a time: a row is cut into segments of isqrt(cols) entries, each
 distinct segment is encoded once, and a row is one join of encoded
 segments; the bytes pass through a hasher as they are written, which
-is how `build` hashes its outputs.  `read_matrix_file` reads a chunk
-of rows at a time through the ids of the chunk's distinct tokens
-(`_distinct`), converts each distinct token once, and fills the chunk's
-rows of an (re, im) pair in one gather, int8 while every value fits, as
-in the Suzuki frames and Grams, else int64.  The frame Gram
-(`_gram_from_blocks`) is held alike.
+is how `build` hashes frame.mat and gram.mat (`gram_writer`).
+`read_matrix_file` reads a chunk of rows at a time through the ids of
+the chunk's distinct tokens (`_distinct`), converts each distinct token
+once, and fills the chunk's rows of an (re, im) pair in one gather,
+int8 while every value fits, as in the Suzuki frames and Grams, else
+int64.  The frame Gram (`_gram_from_blocks`) is held alike.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -150,8 +150,8 @@ class FrameFactors:
 
     p = p_re + i p_im is `RepContext.dense_x0` as int8, row a being
     pi(a, 0) flattened; images[gamma - 1, x] = gamma^-1 x and
-    signs[gamma - 1, y] = (-1)^tr(gamma^-3 y).  `blocks` synthesizes the
-    frame from it and `gram_values` walks its Gram.
+    signs[gamma - 1, y] = (-1)^tr(gamma^-3 y).  `blocks` and `frame`
+    synthesize the frame from it and `gram_values` walks its Gram.
     """
 
     p_re: np.ndarray
@@ -178,6 +178,15 @@ class FrameFactors:
             re *= sign
             im *= sign
             yield FrameMatrix(re, im, self.log2_scale_sq)
+
+    def frame(self) -> FrameMatrix:
+        """The m x N int8 frame, columns in canonical element order."""
+        num, d = self.field.order ** 2, self.p_re.shape[1]
+        re = np.empty((self.rows, num), dtype=np.int8)
+        im = np.empty_like(re)
+        for i, block in enumerate(self.blocks(np.arange(num))):
+            re[i * d:(i + 1) * d], im[i * d:(i + 1) * d] = block.re, block.im
+        return FrameMatrix(re, im, self.log2_scale_sq)
 
     def gram_values(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(x, re, im) for each x ascending: the q x q slab F[x', z] over
@@ -223,35 +232,6 @@ class FrameFactors:
         want = kernel[0][self.field.inverse_cube_table[1:, None], _trace_form(self.field)]
         bad = np.argwhere(self.signs != want)
         return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
-
-    def parseval_defect(self) -> tuple[int, int] | None:
-        """None when frame frame^H = 2^(-log2_scale_sq) I exactly, else the
-        first entry, row-major, of conj(frame frame^H) that differs.
-
-        Row (gamma, r) is column r of p[images[gamma - 1]] (over x) times
-        signs[gamma - 1] (over y), so block (gamma, gamma') of
-        conj(frame frame^H) is conj(A)^T B times signs[gamma - 1] .
-        signs[gamma' - 1], A and B the two gathers of p: only the diagonal
-        blocks and those of a nonzero sign product are formed.
-        """
-        dots = exact_matmul(self.signs, self.signs.T)
-        d, scale = self.p_re.shape[1], 1 << -self.log2_scale_sq
-        for g, at in enumerate(self.images):
-            conj_a = GaussianRationalMatrix(self.p_re[at].T,
-                                            np.negative(self.p_im[at], dtype=np.int64).T)
-            found = []
-            for h in sorted({g, *np.flatnonzero(dots[g]).tolist()}):
-                block = conj_a @ GaussianRationalMatrix(self.p_re[self.images[h]],
-                                                        self.p_im[self.images[h]])
-                s = int(dots[g, h])
-                want = np.eye(d, dtype=np.int64) if g == h else np.zeros((d, d), np.int64)
-                bad = first_mismatch(GaussianRationalMatrix(block.re * s, block.im * s, scale),
-                                     GaussianRationalMatrix(want))
-                if bad is not None:
-                    found.append((g * d + bad[0], h * d + bad[1]))
-            if found:
-                return min(found)
-        return None
 
 
 def frame_factors(group: GroupContext, rep: RepContext) -> FrameFactors:
@@ -316,13 +296,7 @@ def _synthesize_columns(factors: FrameFactors, cols: np.ndarray) -> Iterator[Fra
 
 def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
     """The m x N int8 frame, columns in canonical element order."""
-    factors = frame_factors(group, rep)
-    re = np.empty((factors.rows, group.order), dtype=np.int8)
-    im = np.empty_like(re)
-    d = factors.p_re.shape[1]
-    for i, block in enumerate(_synthesize_columns(factors, np.arange(group.order))):
-        re[i * d:(i + 1) * d], im[i * d:(i + 1) * d] = block.re, block.im
-    return FrameMatrix(re, im, factors.log2_scale_sq)
+    return frame_factors(group, rep).frame()
 
 
 def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
@@ -604,7 +578,7 @@ def verify_frame(frame: FrameMatrix, gram: GaussianRationalMatrix | None = None,
                               lambda: parseval_defect(frame))
 
 
-def verify_factors(factors: FrameFactors, gram_path=None, hasher=None) -> EtfCertificate:
+def verify_factors(factors: FrameFactors, gram_rows=None) -> EtfCertificate:
     """Certify the frame of a factor form from its q^3 Gram values
     (`FrameFactors.gram_values`), each standing for the q entries
     G[(x, y), (x', y')] with y + y' = z, so all N^2 are covered.
@@ -614,32 +588,37 @@ def verify_factors(factors: FrameFactors, gram_path=None, hasher=None) -> EtfCer
     the slabs' conjugate symmetry (M is Hermitian) covers the rest.  The
     pattern proves the frame tight as in `verify_frame`, whose rank
     argument needs only the frame's row count.  The walk reads P and the
-    images; `FrameFactors.sign_defect` ties the sign table to it, and a
-    table it refuses fails the certificate first.  When `gram_path` is
-    given, the slab's q Gram rows are written there from the same walk
-    (`write_gram_file`'s format), `hasher` updated with every byte.
+    images; it runs only when `FrameFactors.sign_defect` finds the sign
+    table equal to the characters it transforms by, for only then are its
+    values the Gram of the frame.  gram_rows(re, im), when given, receives
+    the frame's Gram rows over 2^(-log2_scale_sq), a slab's q rows at a
+    time from the same walk, or at once from the frame when the sign
+    table is refused.
     """
     q = factors.field.order
     num, den = q * q, 1 << -factors.log2_scale_sq
-    pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
-
-    def blocks(write):
-        for x, re, im in factors.gram_values():
-            if write is not None:
-                write(*(part[:, pairs].transpose(1, 0, 2).reshape(q, num) for part in (re, im)))
-            yield (slice(x * q, x * q + 1), slice(x * q, num),
-                   re[x:].reshape(1, -1), im[x:].reshape(1, -1))
-
-    with open(gram_path, "wb") if gram_path is not None else contextlib.nullcontext() as fh:
-        write = None if fh is None else _MatrixWriter(
-            fh, _gram_header(num, num), num, _gram_tokens(den), hasher).rows
-        cert = _frame_certificate(blocks(write), den, factors.rows, num, factors.parseval_defect)
     if (bad := factors.sign_defect()) is not None:
-        defect = factors.parseval_defect()
+        frame = factors.frame()
+        if gram_rows is not None:
+            gram = gram_from_frame(frame)
+            s = den // gram.den
+            gram_rows(gram.re.astype(np.int64) * s, gram.im.astype(np.int64) * s)
+        defect = parseval_defect(frame)
         return _certify_gram((), den, factors.rows, num,
                              f"sign table differs from the trace form's characters at {list(bad)}",
                              "frame", {"parsevalDefect": defect and list(defect)})
-    return cert
+    pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
+
+    def blocks():
+        for x, re, im in factors.gram_values():
+            if gram_rows is not None:
+                gram_rows(*(part[:, pairs].transpose(1, 0, 2).reshape(q, num)
+                            for part in (re, im)))
+            yield (slice(x * q, x * q + 1), slice(x * q, num),
+                   re[x:].reshape(1, -1), im[x:].reshape(1, -1))
+
+    return _frame_certificate(blocks(), den, factors.rows, num,
+                              lambda: parseval_defect(factors.frame()))
 
 
 def _frame_certificate(blocks, den: int, m: int, num_vectors: int, defect) -> EtfCertificate:
@@ -886,8 +865,12 @@ def _gram_tokens(den: int):
     return reduced
 
 
-def _gram_header(rows: int, cols: int) -> str:
-    return f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 scale_log2_den=1\n"
+def gram_writer(fh, rows: int, cols: int, den: int, hasher=None) -> _MatrixWriter:
+    """A writer of an exact rational matrix over `den` to the binary file
+    `fh`, in `write_gram_file`'s format; `rows` is the count its header
+    states, and `hasher`, if given, is updated with every byte written."""
+    return _MatrixWriter(fh, f"{_HEADER} rows={rows} cols={cols} scale_log2_num=0 "
+                             "scale_log2_den=1\n", cols, _gram_tokens(den), hasher)
 
 
 def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix], hasher=None) -> None:
@@ -908,15 +891,14 @@ def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix], hasher=None
             writer.rows(block.re, block.im)
 
 
-def write_gram_file(path, gram: GaussianRationalMatrix, hasher=None) -> None:
+def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
     """Exact rational matrix: entries `p/q;r/s`, each fraction reduced."""
     g = gram.canonical()
     if g.den > _INT64_MAX:
         # refused before the file is opened, since the reader would reject the file
         raise OverflowError(f"Gram denominator {g.den} is beyond int64")
     with open(path, "wb") as fh:
-        _MatrixWriter(fh, _gram_header(*g.shape), g.shape[1], _gram_tokens(g.den),
-                      hasher).rows(g.re, g.im)
+        gram_writer(fh, *g.shape, g.den).rows(g.re, g.im)
 
 
 class MatrixParseError(ValueError):

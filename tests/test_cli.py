@@ -593,14 +593,21 @@ def test_build_holds_neither_the_frame_nor_the_gram(tmp_path, capsys, monkeypatc
     assert "certificate" not in json.loads(stdout) and "coverage" not in json.loads(stdout)
 
 
-def test_build_with_a_flipped_factor_entry_is_a_violation(tmp_path, capsys, monkeypatch):
-    # a sign flip in P breaks the Welch pattern of the walk and the Parseval identity
+@pytest.mark.parametrize("mutant", ["p", "sign"])
+def test_build_with_a_flipped_factor_entry_is_a_violation(tmp_path, capsys, monkeypatch, mutant):
+    # a sign flip in P breaks the Welch pattern of the walk and the Parseval
+    # identity; a flipped sign table entry is refused before the walk runs.
+    # Either way gram.mat is the Gram of the frame.mat written, as hashed
     from linepack import etf
 
     real = etf.frame_factors
 
     def flipped(group, rep):
         factors = real(group, rep)
+        if mutant == "sign":
+            signs = factors.signs.copy()
+            signs[2, 5] = -signs[2, 5]
+            return dataclasses.replace(factors, signs=signs)
         p_re = factors.p_re.copy()
         at = np.flatnonzero(p_re)[0]
         p_re.flat[at] = -p_re.flat[at]
@@ -612,8 +619,16 @@ def test_build_with_a_flipped_factor_entry_is_a_violation(tmp_path, capsys, monk
     assert code == 1 and "certification failed" in err
     cert = json.loads((out / "certificate.json").read_text())
     assert cert == json.loads(stdout)
-    assert cert["verdict"] == "NOT_ETF" and cert["parseval"] is False
-    assert cert["crossChecks"]["parsevalDefect"] is not None
+    assert cert["verdict"] == "NOT_ETF" and cert["crossChecks"]["parsevalDefect"] is not None
+    if mutant == "p":
+        assert cert["parseval"] is False and cert["failure"] == "parseval identity fails"
+    else:
+        assert cert["failure"] == "sign table differs from the trace form's characters at [2, 5]"
+    frame = etf.read_matrix_file(out / "frame.mat")
+    assert etf.read_matrix_file(out / "gram.mat") == etf.gram_from_frame(frame)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sha256"]["gram.mat"] == \
+        hashlib.sha256((out / "gram.mat").read_bytes()).hexdigest()
 
 
 def test_gram_beyond_the_int64_bound_is_exit_2(tmp_path, capsys):

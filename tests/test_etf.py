@@ -483,9 +483,7 @@ def test_factored_walk_values_and_bound(group3, rep3, group5, rep5):
     threes = dataclasses.replace(etf.frame_factors(group3, rep3), p_re=np.full((8, 4), 3, np.int8),
                                  p_im=np.zeros((8, 4), np.int8))
     assert next(threes.gram_values())[1].dtype == np.int16
-    frame = FrameMatrix(*(np.concatenate(parts) for parts in zip(
-        *((b.re, b.im) for b in threes.blocks(np.arange(64))))), threes.log2_scale_sq)
-    assert _factored_gram(threes, np.arange(64)) == gram_from_frame(frame)
+    assert _factored_gram(threes, np.arange(64)) == gram_from_frame(threes.frame())
     # only at n = 9 can int8 entries reach it: 511 * 2 * 256 * 127^2 > 2^31
     field9 = FieldContext(9)
     big = etf.FrameFactors(np.full((512, 256), 127, np.int8), np.full((512, 256), 127, np.int8),
@@ -537,10 +535,8 @@ def test_factored_route_catches_each_mutant(monkeypatch, request, n, mutant):
         u[[1, 2]] = u[[2, 1]]
         monkeypatch.setattr(etf, "_trace_form", lambda field: u)
     cert = etf.verify_factors(factors)
-    frame = FrameMatrix(*(np.concatenate(parts) for parts in zip(
-        *((b.re, b.im) for b in factors.blocks(np.arange(group.order))))), factors.log2_scale_sq)
+    frame = factors.frame()
     defect = parseval_defect(frame)
-    assert factors.parseval_defect() == defect
     assert cert.verdict == "NOT_ETF"
     assert cert.cross_checks["parsevalDefect"] == (defect and list(defect))
     if mutant == "p":
