@@ -7,8 +7,9 @@ build    synthesize the frame for odd n in factor form, certify all N^2
          the Gram at n <= 5, a certificate, and a run manifest with
          each output's sha256 (exit 0 on OPTIMAL); no sampling, so it
          takes no --samples or --seed
-verify   certify a frame or Gram matrix, either rebuilt from n or parsed
-         from a file; full or sampled mode
+verify   certify a frame or Gram matrix: from n, on build's factored walk,
+         all N^2 entries three ways (full, the default) or a random
+         block of columns (sample); or parsed from a file, in full
 search   enumerate constant-degree parameter candidates as CSV
 chartab  emit the exact character table as JSON
 gram     compute the Gram matrix by one or more routes and cross-compare
@@ -88,16 +89,12 @@ def _refuse(args, only: str, *flags: str) -> None:
 
 
 def _run_plan(args) -> tuple[str, int | None, int | None]:
-    """(mode, samples, seed) of `verify --n`: what --mode names, by default full at n <= 5 and
-    sampled beyond; full runs at n <= 7.  --samples and --seed shape only the sampled check,
-    so any other mode refuses them and returns None for both."""
+    """(mode, samples, seed) of `verify --n`, full by default.  --samples and --seed shape only
+    the sampled check, so any other mode refuses them and returns None for both."""
     _check_build_n(args.n)
-    mode = args.mode or ("full" if args.n <= _FULL_BUILD_MAX_N else "sample")
+    mode = args.mode or "full"
     if mode != "sample":
         _refuse(args, "--mode sample", "--samples", "--seed")
-        if args.n > 7:
-            raise UsageError(f"full verification holds the m x N frame, about 68 GB at n = 9, "
-                             f"so it runs for n <= 7; use --mode sample at n={args.n}")
         return mode, None, None
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
@@ -196,20 +193,21 @@ def _verify_from_n(args) -> int:
     table = chartab.build_character_table(group, rep)
     if mode == "full":
         mismatches: dict = {}
-        cert = etf.verify_frame(etf.synthesize_frame(group, rep), routes=(group, table, mismatches))
-        agree = all(v is None for v in mismatches.values())
+        cert = etf.verify_factors(etf.frame_factors(group, rep), routes=(group, table, mismatches))
+        agree = etf._routes_agree(mismatches)
         print(json.dumps({"threeWay": agree, "entries": group.order ** 2,
                           **cert.to_json_dict()}, indent=2, sort_keys=True))
-        if not agree:
-            raise VerificationFailure(f"gram routes disagree: {mismatches}")
         if cert.verdict != "OPTIMAL":
             raise VerificationFailure(cert.failure or "certification failed")
+        if not agree:
+            raise VerificationFailure(f"gram routes disagree: {mismatches}")
         return 0
     report = etf.three_way_sampled(group, table, rep, min_entries=samples, seed=seed)
-    print(json.dumps({k: v for k, v in report.items() if k != "mismatches"},
+    print(json.dumps({k: v for k, v in report.items() if k not in ("failure", "mismatches")},
                      indent=2, sort_keys=True))
     if not (report["agree"] and report["pattern_ok"]):
-        raise VerificationFailure(f"sampled verification failed: {report['mismatches']}")
+        raise VerificationFailure("sampled verification failed: "
+                                  f"{report['failure'] or report['mismatches']}")
     return 0
 
 
@@ -276,7 +274,7 @@ def cmd_gram(args) -> int:
     _check_build_n(args.n)
     if args.n > _FULL_BUILD_MAX_N:
         raise UsageError(f"full Gram matrices are materialized for n <= {_FULL_BUILD_MAX_N}; "
-                         "use `verify --mode sample` beyond that")
+                         "`verify --n` certifies all N^2 entries without one at every n <= 9")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     known = {"closed-form", "character", "frame"}
     bad = set(methods) - known
@@ -360,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--in", dest="infile",
                    help="matrix file to certify in full; takes no --mode, --samples or --seed")
     v.add_argument("--mode", choices=["full", "sample"],
-                   help="with --n only (default full at n <= 5, sample beyond); full runs at n "
-                        "<= 7 holding the frame and a Gram tile: ~300 MB, ~100 s at --threads 2")
+                   help="with --n only (default full): full certifies all N^2 entries from q^3 "
+                        "values, ~0.5 s at n = 7 and ~12 s, ~100 MB at n = 9")
     v.add_argument("--samples", type=int, help=f"sample mode only (default {DEFAULT_SAMPLES})")
     v.add_argument("--seed", type=int, help=f"sample mode only (default {DEFAULT_SEED})")
     common(v)

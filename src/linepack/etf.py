@@ -11,8 +11,8 @@ quantity is squared, hence rational.
 The frame is held in factor form (`FrameFactors`): entry ((gamma, r),
 (x, y)) is P[gamma^-1 x, r] (-1)^tr(gamma^-3 y), with P the int8 stack of
 pi(a, 0) flattened, a table of the images gamma^-1 x and one of the
-signs.  `frame_blocks` synthesizes the frame from it a gamma block at a
-time, and so does `build` for frame.mat.  Its Gram is fixed by q^3
+signs.  `FrameFactors.blocks` synthesizes the frame from it a gamma
+block at a time, as `build` writes frame.mat.  Its Gram is fixed by q^3
 values: with M = conj(P) P^T, formed by one exact product,
 G[(x, y), (x', y')] = F_x[x', y + y'], and each slab F_x is q fast
 Walsh-Hadamard transforms over the trace form (Fino and Algazi, 1976;
@@ -21,18 +21,19 @@ that the checked bound (q - 1) max|M| allows, at most int32.  The
 transform's kernel must equal the sign table at the walk's positions
 (`FrameFactors.sign_defect`), checked before the walk, so its values
 are the Gram of the frame that is written.  `verify_factors` walks the
-slabs once, for the Welch pattern and, at n <= 5, for the rows of
-gram.mat, which the caller's row sink receives: all 2^28 entries at
-n = 7 in about 0.06 s (one thread, 2 vCPU Xeon), holding neither the
-frame nor its Gram.
+slabs once, for the Welch pattern, for the table routes when the caller
+compares them, and, at n <= 5, for the rows of gram.mat, which the
+caller's row sink receives: all 2^28 entries at n = 7 in about 0.06 s
+(one thread, 2 vCPU Xeon), holding neither the frame nor its Gram.
 
-The Gram matrix of the frame is also computed three independent ways:
+The Gram matrix of the frame is computed three independent ways:
 
-* frame route: the Hermitian product frame^H frame, exact, run by
-  `exact.exact_gram` as one symmetric product of the stacked [re; im]
-  and one cross product re^T im, on float BLAS only where its checked
-  bound proves the result an exact integer, and summed in int16 while
-  a running bound proves every sum fits, else in int64;
+* frame route: the factored walk above; its brute-force reference
+  `gram_from_frame` is frame^H frame, exact, run by `exact.exact_gram`
+  as one symmetric product of the stacked [re; im] and one cross
+  product re^T im, on float BLAS only where its checked bound proves
+  the result an exact integer, and summed in int16 or int64 as a bound
+  proves every sum fits;
 * character route: (1/N) sum over the hyperdifference family of
   degree-weighted character values at inv(g) h, read from the exact
   character table;
@@ -45,9 +46,10 @@ The Gram matrix of the frame is also computed three independent ways:
       i (-1)^tr(w^-3 z) / 2^(n+1)           w != 0.
 
 The two table routes are rows over the group, one value per element,
-gathered at inv(g) h on a selection of columns: every column for full
-verification, a random block for the sampled mode.  The frame route
-never reads that index.  All three agree entrywise; verification is exact.
+gathered at inv(g) h on the walk's blocks: the slab rows (x, 0), which
+fix every entry since (0, y) is central, or a random block of columns
+(`three_way_sampled`, whose walk reads only the slabs of their x's).
+The frame route never reads that index.  All three agree entrywise.
 
 A frame certificate walks its Gram once, on and above the diagonal: the
 slabs of a factor form, the tiles of frame^H frame (`exact.gram_tiles`),
@@ -59,8 +61,9 @@ Parseval product runs only to name a failure.  A Gram alone bounds no
 rank, so `verify_gram` walks the Gram it holds three times: the
 Hermitian test, the projection check (the tiles of G^H G against G's),
 and the Welch walk of `upper_blocks`.  Only `gram` computes an N x N Gram:
-`verify --n 7 --mode full` certifies all 2^28 entries three ways in
-101 s at 295 MB peak RSS with `--threads 2` on a 2 vCPU Xeon.
+`verify --n 7` certifies all 2^28 entries three ways in about 0.5 s at
+36 MB peak RSS, and `verify --n 9` all 2^36 in about 12 s at 95 MB
+(`--threads 1`, 2 vCPU Xeon).
 Matrix files are written by one writer (`_MatrixWriter`), a block of
 rows at a time: a row is cut into segments of isqrt(cols) entries, each
 distinct segment is encoded once, and a row is one join of encoded
@@ -70,7 +73,7 @@ is how `build` hashes frame.mat and gram.mat (`gram_writer`).
 the chunk's distinct tokens (`_distinct`), converts each distinct token
 once, and fills the chunk's rows of an (re, im) pair in one gather,
 int8 while every value fits, as in the Suzuki frames and Grams, else
-int64.  The frame Gram (`_gram_from_blocks`) is held alike.
+int64.  A computed frame Gram is held alike (`_reduced`).
 """
 
 from __future__ import annotations
@@ -98,7 +101,6 @@ __all__ = [
     "EtfCertificate",
     "FrameMatrix",
     "closed_form_entry",
-    "frame_blocks",
     "frame_dimensions",
     "gram_character",
     "gram_closed_form",
@@ -188,9 +190,10 @@ class FrameFactors:
             re[i * d:(i + 1) * d], im[i * d:(i + 1) * d] = block.re, block.im
         return FrameMatrix(re, im, self.log2_scale_sq)
 
-    def gram_values(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(x, re, im) for each x ascending: the q x q slab F[x', z] over
-        2^(-log2_scale_sq), with G[(x, y), (x', y')] = F[x', y + y'].
+    def gram_values(self, xs: np.ndarray | None = None) -> Iterator[tuple]:
+        """(x, re, im) for each x of the ascending `xs`, default every x: the
+        slab F[x', z] over 2^(-log2_scale_sq) on the rows x' of xs, with
+        G[(x, y), (x', y')] = F[x', y + y'].
 
         With M = conj(p) p^T, one exact product, F[x', z] is the sum over
         gamma of M(gamma^-1 x, gamma^-1 x') (-1)^tr(gamma^-3 z), which is
@@ -213,10 +216,12 @@ class FrameFactors:
             raise OverflowError("factored Gram: (q - 1) max|M| reaches 2**31; refusing to wrap")
         m = m.astype(next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max))
         w, u = f.inverse_cube_table[1:], _trace_form(f)
-        c = np.empty((2, q, q), dtype=m.dtype)  # c[:, w, x'] = C(w) for the pair (x, x')
-        for x in range(q):
+        xs = np.arange(q) if xs is None else xs
+        images = self.images if len(xs) == q else self.images[:, xs]
+        c = np.empty((2, q, len(xs)), dtype=m.dtype)  # c[:, w, j] = C(w) for the pair (x, xs[j])
+        for x in xs.tolist():
             c[:, 0] = 0
-            c[:, w] = m[:, self.images[:, x, None], self.images]
+            c[:, w] = m[:, self.images[:, x, None], images]
             _wht(c)
             yield x, c[0, u].T, c[1, u].T
 
@@ -267,17 +272,6 @@ def _wht(a: np.ndarray) -> None:
         np.subtract(lo, hi, out=hi)
         lo[...] = total
         h *= 2
-
-
-def frame_blocks(group: GroupContext, rep: RepContext,
-                 cols: np.ndarray) -> Iterator[FrameMatrix]:
-    """The frame's rows on the given columns, one 4^k-row int8 block per
-    gamma, ascending, read from its factor form (`FrameFactors.blocks`).
-
-    Block gamma of column (x, y) is pi(gamma^-1 x, 0), flattened, times
-    (-1)^tr(gamma^-3 y): the twisted representation at that element.
-    """
-    return frame_factors(group, rep).blocks(cols)
 
 
 def _int8(stack: np.ndarray) -> np.ndarray:
@@ -336,50 +330,39 @@ def _first_tile_mismatch(tiles, pair) -> tuple[int, int] | None:
 
 
 def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
-    """frame^H frame as an exact Gaussian rational matrix, reduced by its
-    gcd, with int8 parts when every entry fits and int64 parts otherwise."""
-    return _gram_from_blocks([frame])
+    """frame^H frame, exact, reduced by its gcd (`_reduced`): `exact_gram`
+    proves each product exact and sums into accumulators that
+    2 max|frame|^2 rows bounds, int16 while that is below 2^15, else
+    int64, which `check_bound` refuses to let wrap."""
+    bound = 2 * max_abs(frame.re, frame.im) ** 2 * frame.rows
+    check_bound(bound, "frame Gram")
+    acc = np.zeros((2, frame.cols, frame.cols), np.int16 if bound < 1 << 15 else np.int64)
+    exact_gram(frame.re, frame.im, (acc[0], acc[1]))
+    return _reduced(acc, 1 << -frame.log2_scale_sq)
 
 
-# rows of one group in `_gram_from_blocks`: a multiple of the 4^k-row gamma
-# block for n = 3 ... 9; beyond that a group is one gamma block
-_GROUP_ROWS = 512
+def _sampled_gram(factors: FrameFactors, sel: np.ndarray) -> GaussianRationalMatrix:
+    """The Gram of the factor form's frame on the ascending columns `sel`,
+    reduced by its gcd (`_reduced`): entry (i, j) is F_x[x_j, y_i + y_j]
+    for x = x_i, read from the walk restricted to the x's of `sel`
+    (`FrameFactors.gram_values`)."""
+    n, q = factors.field.n, factors.field.order
+    xs, ys = sel >> n, sel & (q - 1)
+    ux, at = np.unique(xs, return_inverse=True)  # at[j]: the slab row of x_j
+    acc = None
+    for x, re, im in factors.gram_values(ux):
+        rows = slice(*np.searchsorted(xs, [x, x + 1]))  # the run of sel with this x
+        if acc is None:
+            acc = np.empty((2, len(sel), len(sel)), dtype=re.dtype)
+        z = ys[rows, None] ^ ys
+        acc[0, rows], acc[1, rows] = re[at, z], im[at, z]
+    return _reduced(acc, 1 << -factors.log2_scale_sq)
 
 
-def _gram_from_blocks(blocks: Iterable[FrameMatrix]) -> GaussianRationalMatrix:
-    """frame^H frame of the frame whose consecutive row blocks are `blocks`.
-
-    Blocks are joined into groups of at most _GROUP_ROWS rows; a larger
-    block, such as a whole frame, is a group of its own and is not copied.
-    `exact_gram` adds each group's G^H G to the accumulators, so beyond
-    one group only O(cols^2) memory is alive.  It proves each group's
-    product exact, not the sums across groups; the running bound
-    2 sum max|G|^2 rows does.  It bounds every accumulated entry, so the
-    accumulators are int16 while it is below 2^15 and are widened once to
-    int64 before a group's add would take it there; `check_bound` refuses
-    before an int64 sum wraps.  The accumulators are reduced by their gcd
-    in place, read from `np.gcd.reduce` without a widened copy, and the
-    result is int8 when every reduced entry fits, as `read_matrix_file`
-    holds a Gram file, and int64 otherwise.
-    """
-    blocks = iter(blocks)
-    pending = next(blocks)
-    scale, cols = 1 << -pending.log2_scale_sq, pending.cols
-    acc, bound = None, 0  # acc[0] and acc[1] sum the real and imaginary parts
-    while pending is not None:
-        group, pending = [pending], None
-        for block in blocks:
-            if sum(b.rows for b in group) + block.rows > _GROUP_ROWS:
-                pending = block
-                break
-            group.append(block)
-        g_re = np.concatenate([b.re for b in group]) if len(group) > 1 else group[0].re
-        g_im = np.concatenate([b.im for b in group]) if len(group) > 1 else group[0].im
-        bound += 2 * max_abs(g_re, g_im) ** 2 * len(g_re)
-        check_bound(bound, "frame Gram")
-        dtype = np.int16 if bound < 1 << 15 else np.int64
-        acc = np.zeros((2, cols, cols), dtype) if acc is None else acc.astype(dtype, copy=False)
-        exact_gram(g_re, g_im, (acc[0], acc[1]))
+def _reduced(acc: np.ndarray, scale: int) -> GaussianRationalMatrix:
+    """acc[0] + i acc[1] over `scale`, reduced in place by the gcd of
+    `np.gcd.reduce`, with no widened copy: int8 when every reduced entry
+    fits, as `read_matrix_file` holds a Gram file, else int64."""
     top = max_abs(acc)
     g = math.gcd(scale, int(np.gcd.reduce(acc, axis=None)))
     if top:  # g divides every entry; an all-zero Gram, whose g is the scale, stays
@@ -553,12 +536,9 @@ def _certify_gram(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray]],
     )
 
 
-def verify_frame(frame: FrameMatrix, gram: GaussianRationalMatrix | None = None,
-                 routes: tuple[GroupContext, CharacterTable, dict] | None = None) -> EtfCertificate:
+def verify_frame(frame: FrameMatrix) -> EtfCertificate:
     """Certify a frame by the Welch pattern of G = frame^H frame, read one
-    tile at a time (`exact.gram_tiles`), or from `gram` when the caller
-    holds it; `routes` = (group, table, found) compares G with the table
-    routes on the same walk (`_routes_compared`).
+    tile at a time (`exact.gram_tiles`).
 
     The pattern proves the frame tight: rank G <= m, the row count, and a
     diagonal m/N with every off-diagonal |G_ij|^2 at the Parseval Welch
@@ -568,17 +548,11 @@ def verify_frame(frame: FrameMatrix, gram: GaussianRationalMatrix | None = None,
     runs only when the pattern fails; its failure, or else the walk's
     overflow, is reported first.
     """
-    if gram is None:
-        blocks, den = gram_tiles(frame.re, frame.im), 1 << -frame.log2_scale_sq
-    else:
-        blocks, den = gram.upper_blocks(), gram.den
-    if routes is not None:
-        blocks = _routes_compared(blocks, den, np.arange(frame.cols), *routes)
-    return _frame_certificate(blocks, den, frame.rows, frame.cols,
-                              lambda: parseval_defect(frame))
+    return _frame_certificate(gram_tiles(frame.re, frame.im), 1 << -frame.log2_scale_sq,
+                              frame.rows, frame.cols, lambda: parseval_defect(frame))
 
 
-def verify_factors(factors: FrameFactors, gram_rows=None) -> EtfCertificate:
+def verify_factors(factors: FrameFactors, gram_rows=None, routes=None) -> EtfCertificate:
     """Certify the frame of a factor form from its q^3 Gram values
     (`FrameFactors.gram_values`), each standing for the q entries
     G[(x, y), (x', y')] with y + y' = z, so all N^2 are covered.
@@ -594,6 +568,12 @@ def verify_factors(factors: FrameFactors, gram_rows=None) -> EtfCertificate:
     the frame's Gram rows over 2^(-log2_scale_sq), a slab's q rows at a
     time from the same walk, or at once from the frame when the sign
     table is refused.
+
+    routes = (group, table, found) compares each block and its mirror
+    with the table routes (`_routes_compared`), filling `found` once the
+    walk runs, and so all N^2 entries: (0, y) is central, so a row over
+    the group takes at ((x, y), (x', y')) its value at inv((x, 0))
+    (x', y + y'), as the walk's values do.
     """
     q = factors.field.order
     num, den = q * q, 1 << -factors.log2_scale_sq
@@ -604,8 +584,7 @@ def verify_factors(factors: FrameFactors, gram_rows=None) -> EtfCertificate:
             s = den // gram.den
             gram_rows(gram.re.astype(np.int64) * s, gram.im.astype(np.int64) * s)
         defect = parseval_defect(frame)
-        return _certify_gram((), den, factors.rows, num,
-                             f"sign table differs from the trace form's characters at {list(bad)}",
+        return _certify_gram((), den, factors.rows, num, _sign_failure(bad),
                              "frame", {"parsevalDefect": defect and list(defect)})
     pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
 
@@ -617,8 +596,15 @@ def verify_factors(factors: FrameFactors, gram_rows=None) -> EtfCertificate:
             yield (slice(x * q, x * q + 1), slice(x * q, num),
                    re[x:].reshape(1, -1), im[x:].reshape(1, -1))
 
-    return _frame_certificate(blocks(), den, factors.rows, num,
+    walk = blocks()
+    if routes is not None:
+        walk = _routes_compared(walk, den, np.arange(num), *routes)
+    return _frame_certificate(walk, den, factors.rows, num,
                               lambda: parseval_defect(factors.frame()))
+
+
+def _sign_failure(at: tuple[int, int]) -> str:
+    return f"sign table differs from the trace form's characters at {list(at)}"
 
 
 def _frame_certificate(blocks, den: int, m: int, num_vectors: int, defect) -> EtfCertificate:
@@ -716,11 +702,12 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
                       seed: int = 1) -> dict:
     """Sampled comparison: a random block of columns, all pairs among them.
 
-    The frame route streams the sampled columns' gamma blocks (honest
-    monomial matrices) through `_gram_from_blocks`, in O(ncols^2) memory,
-    and never holds the m x ncols frame; one walk of its `upper_blocks`
-    compares the routes (`_routes_compared`) and checks the Welch pattern,
-    which covers every modulus of a Hermitian Gram.  min_entries >= N^2
+    The frame route gathers the sampled columns' Gram from the factored
+    walk (`_sampled_gram`) once `FrameFactors.sign_defect` passes; one
+    walk of its `upper_blocks` compares the routes (`_routes_compared`)
+    and checks the Welch pattern, which covers every modulus of a
+    Hermitian Gram.  `failure` names the sign defect or the pattern's
+    failure, None if neither.  min_entries >= N^2
     samples every column; min_entries below 1 is a ValueError.
     """
     if min_entries < 1:
@@ -728,20 +715,30 @@ def three_way_sampled(group: GroupContext, table: CharacterTable,
     rng = random.Random(seed)
     ncols = min(group.order, math.isqrt(min_entries - 1) + 1)  # the ceiling square root
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
-    gram = _gram_from_blocks(frame_blocks(group, rep, sel))
+    factors = frame_factors(group, rep)
     m, num = frame_dimensions(group.field.n)
     mismatches: dict = {}
-    pattern_fail = _welch_pattern(
-        _routes_compared(gram.upper_blocks(), gram.den, sel, group, table, mismatches),
-        gram.den, m, num)[0]
+    if (bad := factors.sign_defect()) is not None:
+        failure = _sign_failure(bad)
+    else:
+        gram = _sampled_gram(factors, sel)
+        failure = _welch_pattern(
+            _routes_compared(gram.upper_blocks(), gram.den, sel, group, table, mismatches),
+            gram.den, m, num)[0]
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),
         "seed": seed,
-        "agree": all(v is None for v in mismatches.values()),
-        "pattern_ok": pattern_fail is None,
+        "agree": _routes_agree(mismatches),
+        "pattern_ok": failure is None,
+        "failure": failure,
         "mismatches": mismatches,
     }
+
+
+def _routes_agree(mismatches: dict) -> bool:
+    """Every pair agreed, and was compared: a walk that never ran leaves `mismatches` empty."""
+    return bool(mismatches) and all(v is None for v in mismatches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +875,7 @@ def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix], hasher=None
 
     `blocks` are the consecutive row blocks of one matrix with `rows` rows
     in all; each is written as it arrives, so a frame too large to hold in
-    memory can be streamed from `frame_blocks`.  `hasher`, if given, is
+    memory can be streamed from `FrameFactors.blocks`.  `hasher`, if given, is
     updated with every byte written.
     """
     with open(path, "wb") as fh:

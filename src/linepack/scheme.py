@@ -76,6 +76,8 @@ __all__ = [
 # entries of one chunk of `GaussianRationalMatrix.upper_blocks`: its parts
 # as int64, or its squared moduli and their temporary, take 512 KiB
 _BLOCK_ENTRIES = 1 << 15
+# entries of one `first_mismatch` chunk of a matrix too narrow to fill it with 64 rows
+_COMPARE_ENTRIES = 1 << 14
 
 
 def _int64(a: np.ndarray) -> np.ndarray:
@@ -243,11 +245,12 @@ def first_mismatch(a: GaussianRationalMatrix,
     """The first entry, row-major, where two matrices of one shape differ, or None.
 
     They are compared over the lcm of their denominators, 64 rows at a
-    time: neither is reduced first, an int64 one already at the lcm is
-    read in place, and a rescaled or widened copy never exceeds 64 rows.
+    time, or _COMPARE_ENTRIES entries of a narrower matrix: neither is
+    reduced first, and an int64 one already at the lcm is read in place.
     """
-    for start in range(0, a.shape[0], 64):
-        rows = slice(start, start + 64)
+    step = max(64, _COMPARE_ENTRIES // max(1, a.re[:1].size))
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
         ar, ai, br, bi, _ = GaussianRationalMatrix(a.re[rows], a.im[rows], a.den)._aligned(
             GaussianRationalMatrix(b.re[rows], b.im[rows], b.den))
         bad = np.argwhere((ar != br) | (ai != bi))

@@ -19,12 +19,11 @@ from linepack import (
     gram_projector,
     hyperdiff_check,
     srg_scheme,
-    three_way_sampled,
     verify_gram,
     welch_bound_sq,
 )
 from linepack.cli import main
-from linepack.etf import read_matrix_file
+from linepack.etf import _routes_agree, frame_factors, read_matrix_file, verify_factors
 from linepack.heis import MonomialMatrix, heisenberg_generators
 
 
@@ -68,25 +67,32 @@ def test_criterion_1_build_n3_end_to_end(tmp_path, capsys):
                f"squared moduli = 1/256 = Welch^2, OPTIMAL, {elapsed:.2f}s < 5s")
 
 
+def _three_way_full(group, table, rep):
+    """(entries compared, agree, OPTIMAL) of the full route: all N^2 entries
+    from the factored walk, with both table routes compared on it."""
+    found = {}
+    cert = verify_factors(frame_factors(group, rep), routes=(group, table, found))
+    return group.order ** 2, _routes_agree(found), cert.verdict == "OPTIMAL"
+
+
 def test_criterion_2_three_way_gram_agreement(group3, table3, rep3,
                                               group5, table5, rep5,
                                               group7, table7, rep7, capsys):
     with capsys.disabled():
-        # min_entries = N^2 samples every column: the full Gram, whatever the seed
-        r3 = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2)
+        e3, agree3, _ = _three_way_full(group3, table3, rep3)
         t5 = time.monotonic()
-        r5 = three_way_sampled(group5, table5, rep5, min_entries=1024 ** 2)
-        e5 = time.monotonic() - t5
+        e5, agree5, _ = _three_way_full(group5, table5, rep5)
+        s5 = time.monotonic() - t5
         t7 = time.monotonic()
-        r7 = three_way_sampled(group7, table7, rep7, min_entries=100_000, seed=1)
-        e7 = time.monotonic() - t7
-        ok = r3["agree"] and r3["entries"] == 64 ** 2
-        ok &= r5["agree"] and r5["entries"] == 1024 ** 2 and e5 < 600
-        ok &= r7["agree"] and r7["pattern_ok"] and r7["entries"] >= 100_000 and e7 < 120
+        e7, agree7, optimal7 = _three_way_full(group7, table7, rep7)
+        s7 = time.monotonic() - t7
+        ok = agree3 and e3 == 64 ** 2
+        ok &= agree5 and e5 == 1024 ** 2 and s5 < 600
+        ok &= agree7 and optimal7 and e7 == 16384 ** 2 and s7 < 120
         report(2, bool(ok),
                f"gram routes agree: 4096 entries (n=3), 1048576 entries "
-               f"(n=5, {e5:.1f}s < 600s), {r7['entries']} sampled entries "
-               f"(n=7, {e7:.1f}s < 120s), zero mismatches")
+               f"(n=5, {s5:.1f}s < 600s), {e7} entries "
+               f"(n=7, {s7:.1f}s < 120s), zero mismatches")
 
 
 def test_criterion_3_character_table_suite(table3, table5, capsys):

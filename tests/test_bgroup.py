@@ -204,3 +204,26 @@ def test_inverse_product_index_grid_on_rows_and_cols(group5):
     cols = np.array(rng.sample(range(group5.order), 30))
     full = group5.inverse_product_index_matrix
     assert np.array_equal(group5.inverse_product_index_grid(cols, rows), full[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("n, sampled", [(3, None), (5, None), (7, (64, 256)), (9, (32, 512))],
+                         ids=["n3", "n5", "n7-block", "n9-block"])
+def test_inverse_product_index_grid_moves_y_into_the_column(request, n, sampled):
+    # (0, y) is central, so inv((x, y)) (x', y') = inv((x, 0)) (x', y + y'):
+    # a row over the group, gathered on this grid, is fixed by its rows
+    # (x, 0).  All N^2 pairs at n = 3 and 5, a sampled block at n = 7 and 9
+    from linepack import FieldContext, GroupContext
+
+    group = request.getfixturevalue(f"group{n}") if n < 9 else GroupContext(FieldContext(9))
+    shift, mask = group.field.n, group.field.order - 1
+    if sampled is None:
+        rows = cols = np.arange(group.order)
+    else:
+        rng = np.random.default_rng(n)
+        rows, cols = (np.sort(rng.choice(group.order, size, replace=False)) for size in sampled)
+    got = group.inverse_product_index_grid(cols, rows)
+    x_rows = np.unique(rows >> shift)
+    at_x0 = group.inverse_product_index_grid(np.arange(group.order), x_rows << shift)
+    y_moved = ((cols >> shift) << shift)[None, :] | ((rows & mask)[:, None] ^ (cols & mask))
+    want = at_x0[np.searchsorted(x_rows, rows >> shift)[:, None], y_moved]
+    assert np.array_equal(got, want)

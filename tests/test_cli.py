@@ -194,50 +194,126 @@ def test_verify_sample_by_degree(capsys):
     assert payload["agree"] and payload["pattern_ok"]
 
 
-@pytest.mark.parametrize("rows", [[62], [3, 62]])
+@pytest.mark.parametrize("rows", [[("closedForm", 5)], [("character", 62), ("closedForm", 5)]])
 def test_verify_full_reports_the_whole_matrix_mismatch(capsys, monkeypatch, group3, rep3,
-                                                      table3, flip_route, rows):
-    # 8-wide tiles at n = 3, and a closed form that differs in column 5 of the
-    # given rows: (62, 5) lies below the diagonal, in the mirror of the first
-    # row band's last tile, and (3, 5) in the first tile.  Each pair reports
-    # what the whole matrices give
-    from linepack import etf, exact
+                                                      table3, rows):
+    # each (route, u) makes that table route's row one more at the element u,
+    # so its whole matrix differs wherever inv(g) h = u, first at (0, u).
+    # The full route compares the slab rows (x, 0) and their mirrors, and
+    # each pair reports what the whole matrices give
+    from linepack import etf
     from linepack.scheme import GaussianRationalMatrix
 
-    full_at = group3.inverse_product_index_matrix
-    closed_form = etf.gram_closed_form(group3, full_at)
-    re = closed_form.re.copy()
-    re[rows, 5] += 1
+    def flipped(route, u):
+        def call(group, *args):
+            row = route(group, *args)
+            re = row.re.astype(np.int64)
+            re[u] += 1
+            return GaussianRationalMatrix(re, row.im, row.den)
+        return call
+
+    first, full_at = np.arange(group3.order), group3.inverse_product_index_matrix
+    routes = {"character": lambda group, at: etf.gram_character(group, table3, at),
+              "closedForm": etf.gram_closed_form}
+    for name, u in rows:
+        routes[name] = flipped(routes[name], u)
     want = etf._route_mismatches({
         "frame": etf.gram_from_frame(etf.synthesize_frame(group3, rep3)),
-        "character": etf.gram_character(group3, table3, full_at),
-        "closedForm": GaussianRationalMatrix(re, closed_form.im, closed_form.den)})
-    assert want == {"frame_vs_character": None, "frame_vs_closedForm": (rows[0], 5),
-                    "character_vs_closedForm": (rows[0], 5)}
-    monkeypatch.setattr(exact, "_TILE", 8)
-    flip_route({"closedForm": [(g, 5) for g in rows]})
+        **{name: etf._gathered(route(group3, first), full_at) for name, route in routes.items()}})
+    assert want == {"frame_vs_character": (0, 62) if len(rows) > 1 else None,
+                    "frame_vs_closedForm": (0, 5), "character_vs_closedForm": (0, 5)}
+    for name, u in rows:
+        attr = {"character": "gram_character", "closedForm": "gram_closed_form"}[name]
+        monkeypatch.setattr(etf, attr, flipped(getattr(etf, attr), u))
     code, stdout, err = run(capsys, "verify", "--n", "3", "--mode", "full")
     assert code == 1 and json.loads(stdout)["threeWay"] is False
+    assert json.loads(stdout)["verdict"] == "OPTIMAL"
     assert f"gram routes disagree: {want}" in err
 
 
-def test_verify_full_at_n9_is_usage_error(capsys, monkeypatch):
-    # the m x N frame alone would be about 68 GB; refused before any context is built
+def test_verify_full_at_n9_passes_the_run_plan():
+    # the factored walk holds no frame, so full is the mode at every n <= 9, and the default
+    from linepack import cli
+
+    for flags in (["--mode", "full"], []):
+        args = cli._build_parser().parse_args(["verify", "--n", "9", *flags])
+        assert cli._run_plan(args) == ("full", None, None)
+
+
+def test_verify_beyond_n9_is_usage_error(capsys, monkeypatch):
+    # refused before any context is built
     from linepack import cli
 
     def no_contexts(n):
         raise AssertionError("contexts built before the usage check")
 
     monkeypatch.setattr(cli, "_contexts", no_contexts)
-    code, _, err = run(capsys, "verify", "--n", "9", "--mode", "full")
+    code, _, err = run(capsys, "verify", "--n", "11")
     assert code == 2
-    assert "--mode sample" in err
+    assert "3 <= n <= 9" in err
+
+
+# sha256 of `build --n 7`'s certificate.json: OPTIMAL over all 2^28 entries
+BUILD_N7_CERTIFICATE_SHA256 = "10060dedd10407f0ee77255b7723a9086965f1ce124ed4867f9c89927605d771"
+
+
+def test_verify_n7_certifies_every_entry_three_ways(capsys):
+    # the default mode at n = 7 is the full route: the certificate build
+    # --n 7 writes, with both table routes compared on all N^2 entries
+    code, stdout, _ = run(capsys, "verify", "--n", "7")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload.pop("threeWay") is True and payload.pop("entries") == 16384 ** 2
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == BUILD_N7_CERTIFICATE_SHA256
+
+
+@pytest.mark.parametrize("mode", ["full", "sample"])
+@pytest.mark.parametrize("mutant", ["p", "sign", "trace_form"])
+def test_verify_with_a_mutated_factor_form_is_a_violation(capsys, monkeypatch, field5, mode,
+                                                          mutant):
+    # a flipped P entry breaks the Welch pattern and the route comparison; a
+    # flipped sign, or a trace form with two values swapped, leaves the sign
+    # table off the characters the walk transforms by, which is named
+    from linepack import etf
+
+    real = etf.frame_factors
+
+    def flipped(group, rep):
+        factors = real(group, rep)
+        if mutant == "sign":
+            signs = factors.signs.copy()
+            signs[2, 5] = -signs[2, 5]
+            return dataclasses.replace(factors, signs=signs)
+        p_re = factors.p_re.copy()
+        at = np.flatnonzero(p_re)[0]
+        p_re.flat[at] = -p_re.flat[at]
+        return dataclasses.replace(factors, p_re=p_re)
+
+    if mutant == "trace_form":
+        u = etf._trace_form(field5)
+        u[[1, 2]] = u[[2, 1]]
+        monkeypatch.setattr(etf, "_trace_form", lambda field: u)
+    else:
+        monkeypatch.setattr(etf, "frame_factors", flipped)
+    code, stdout, err = run(capsys, "verify", "--n", "5", "--mode", mode)
+    payload = json.loads(stdout)
+    assert code == 1
+    if mode == "full":
+        assert payload["verdict"] == "NOT_ETF" and payload["threeWay"] is False
+    else:
+        assert payload["pattern_ok"] is False and payload["agree"] is False
+    if mutant == "p":
+        assert ("parseval identity fails" if mode == "full" else "off-diagonal modulus") in err
+    else:
+        at = "[2, 5]" if mutant == "sign" else "["
+        assert f"sign table differs from the trace form's characters at {at}" in err
 
 
 @pytest.mark.parametrize("flags", [
     ["--n", "3", "--mode", "full", "--samples", "5"],
     ["--n", "3", "--mode", "full", "--seed", "9"],
-    ["--n", "3", "--seed", "9"],  # full is the default mode at n <= 5
+    ["--n", "3", "--seed", "9"],  # full is the default mode
     ["--in", "IN", "--samples", "5"],
     ["--in", "IN", "--seed", "1"],
     ["--in", "IN", "--mode", "full"],  # a file is certified in full, whatever the mode says
@@ -580,7 +656,7 @@ def test_build_holds_neither_the_frame_nor_the_gram(tmp_path, capsys, monkeypatc
     def refuse(*args):
         raise AssertionError("the m x N frame or the N x N Gram was made")
 
-    for name in ("synthesize_frame", "gram_from_frame", "_gram_from_blocks", "gram_tiles"):
+    for name in ("synthesize_frame", "gram_from_frame", "_sampled_gram", "gram_tiles"):
         monkeypatch.setattr(etf, name, refuse)
     out = tmp_path / "n5"
     code, stdout, _ = run(capsys, "build", "--n", "5", "--out", str(out))
@@ -774,6 +850,19 @@ def test_gram_single_method_writes_file(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "OK (4096 entries)" == stdout.strip()
+
+
+def test_gram_beyond_n5_points_to_verify(capsys, monkeypatch):
+    # no N x N Gram is made at n = 7, and `verify --n` needs none
+    from linepack import cli
+
+    def no_contexts(n):
+        raise AssertionError("contexts built before the usage check")
+
+    monkeypatch.setattr(cli, "_contexts", no_contexts)
+    code, _, err = run(capsys, "gram", "--n", "7")
+    assert code == 2
+    assert "`verify --n` certifies all N^2 entries without one at every n <= 9" in err
 
 
 def test_gram_unknown_method(capsys):

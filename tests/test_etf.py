@@ -21,7 +21,6 @@ from linepack.etf import (
     _welch_pattern,
     closed_form_entry,
     first_mismatch,
-    frame_blocks,
     frame_dimensions,
     gram_character,
     gram_closed_form,
@@ -168,13 +167,13 @@ def test_three_way_detects_an_element_in_the_sibling_coset():
     assert report["agree"] is False
 
 
-@pytest.mark.parametrize("n, group_rows", [(3, 8), (5, 48)])
-def test_streamed_frame_gram_crosses_groups(monkeypatch, request, n, group_rows):
-    # 28 rows at n = 3 are 3 groups of 8 and a 4-row tail; 496 at n = 5 are
-    # 10 groups of 48 and a 16-row tail
+@pytest.mark.parametrize("n", [3, 5])
+def test_sampled_gram_is_the_frame_gram_on_its_columns(request, n):
+    # the walk restricted to the sampled x's, gathered at (x_j, y_i + y_j),
+    # against the brute-force product of the frame's sampled columns, and
+    # held alike: reduced by its gcd, int8
     group, rep, table = (request.getfixturevalue(f"{name}{n}")
                          for name in ("group", "rep", "table"))
-    monkeypatch.setattr(etf, "_GROUP_ROWS", group_rows)
     report = three_way_sampled(group, table, rep, min_entries=group.order ** 2)
     assert report["agree"] and report["pattern_ok"]
     assert report["columns"] == group.order
@@ -182,20 +181,20 @@ def test_streamed_frame_gram_crosses_groups(monkeypatch, request, n, group_rows)
     whole = synthesize_frame(group, rep)
     want = gram_from_frame(FrameMatrix(whole.re[:, sel], whole.im[:, sel],
                                        whole.log2_scale_sq))
-    assert etf._gram_from_blocks(frame_blocks(group, rep, sel)) == want
+    got = etf._sampled_gram(etf.frame_factors(group, rep), sel)
+    assert got == want and got.den == want.den
+    assert got.re.dtype == got.im.dtype == np.int8
 
 
-def test_streamed_frame_gram_refuses_to_wrap(monkeypatch):
-    # each one-row group's products are legal (bound 2^60) and so is one
-    # group's sum (re = 2^60 + 2^60); the running bound of two groups is
-    # 2^62, refused there, before any sum could wrap at 2^63
-    monkeypatch.setattr(etf, "_GROUP_ROWS", 1)
+def test_streamed_frame_gram_refuses_to_wrap():
+    # one row's products are legal (bound 2^60) and so is their sum
+    # (re = 2^60 + 2^60); the bound 2 max|frame|^2 rows of two rows is 2^62,
+    # refused before any sum could wrap at 2^63
     v = np.array([[1 << 30]], dtype=np.int64)
-    block = FrameMatrix(v, v, 0)
     assert exact_matmul(v.T, v)[0, 0] == 1 << 60
-    assert etf._gram_from_blocks([block]).re[0, 0] == 1 << 61
+    assert gram_from_frame(FrameMatrix(v, v, 0)).re[0, 0] == 1 << 61
     with pytest.raises(OverflowError):
-        etf._gram_from_blocks([block] * 2)
+        gram_from_frame(FrameMatrix(np.vstack([v, v]), np.vstack([v, v]), 0))
 
 
 def _object_gram(blocks) -> GaussianRationalMatrix:
@@ -208,13 +207,11 @@ def _object_gram(blocks) -> GaussianRationalMatrix:
 
 
 def test_streamed_frame_gram_widens_before_the_bound_leaves_int16(monkeypatch):
-    # each one-row group adds 2 * 100^2 = 20000 to the running bound: the
-    # first group's sums fit int16, and the second add would wrap it, since
-    # each diagonal entry of two rows of +-99 or +-100 reaches 4 * 99^2 > 2^15
-    monkeypatch.setattr(etf, "_GROUP_ROWS", 1)
+    # each row adds 2 * 100^2 = 20000 to the bound: one row's sums fit
+    # int16, and two rows' would wrap it, since each diagonal entry of two
+    # rows of +-99 or +-100 reaches 4 * 99^2 > 2^15
     rng = np.random.default_rng(22)
     parts = rng.choice(np.array([-100, -99, 99, 100], dtype=np.int8), (2, 5, 6))
-    blocks = [FrameMatrix(parts[0, r:r + 1], parts[1, r:r + 1], 0) for r in range(5)]
     accumulated = []
     real_add = etf.exact_gram
 
@@ -225,10 +222,11 @@ def test_streamed_frame_gram_widens_before_the_bound_leaves_int16(monkeypatch):
     monkeypatch.setattr(etf, "exact_gram", add)
     for rows in (1, 2, 5):
         accumulated.clear()
-        got = etf._gram_from_blocks(blocks[:rows])
-        want = _object_gram(blocks[:rows])
+        frame = FrameMatrix(parts[0, :rows], parts[1, :rows], 0)
+        got = gram_from_frame(frame)
+        want = _object_gram([frame])
         assert want.max_abs() >= (1 << 15 if rows > 1 else 128)
-        assert accumulated == [np.int16] + [np.int64] * (rows - 1)
+        assert accumulated == [np.int16 if rows == 1 else np.int64]
         assert got.re.dtype == got.im.dtype == np.int64 and got == want
 
 
@@ -239,7 +237,7 @@ def test_frame_gram_is_int8_only_when_every_reduced_entry_fits():
     for row, dtype, den in [([[12, 1]], np.int64, 16), ([[8, 4]], np.int8, 1),
                             ([[0, 0]], np.int8, 1)]:
         block = FrameMatrix(np.array(row, dtype=np.int8), np.zeros((1, 2), np.int8), -4)
-        got = etf._gram_from_blocks([block])
+        got = gram_from_frame(block)
         assert got.re.dtype == got.im.dtype == dtype
         assert got == _object_gram([block]) and got.den == den
 
@@ -256,22 +254,21 @@ def test_frame_gram_is_held_as_its_file_reads(tmp_path, request, n):
 
 
 def test_frame_blocks_refuse_entries_beyond_int8(monkeypatch, group3, rep3):
-    # the blocks are int8 copies of the representation stack; an entry that
-    # would wrap must raise, not give a wrong Gram
+    # the factor form holds int8 copies of the representation stack; an
+    # entry that would wrap must raise, not give a wrong Gram
     re, im = rep3.dense_x0
     bad = re.copy()
     bad[0, 0] = 200
     monkeypatch.setattr(rep3, "dense_x0", (bad, im))
-    cols = np.arange(group3.order, dtype=np.int64)
     with pytest.raises(OverflowError, match="int8"):
-        etf._gram_from_blocks(frame_blocks(group3, rep3, cols))
+        etf.frame_factors(group3, rep3)
     with pytest.raises(OverflowError, match="int8"):
         synthesize_frame(group3, rep3)
 
 
 def test_frame_blocks_are_int8(group3, rep3):
     cols = np.arange(group3.order, dtype=np.int64)
-    block = next(frame_blocks(group3, rep3, cols))
+    block = next(etf.frame_factors(group3, rep3).blocks(cols))
     assert block.re.dtype == block.im.dtype == np.int8
     frame = synthesize_frame(group3, rep3)
     assert frame.re.dtype == frame.im.dtype == np.int8
@@ -279,11 +276,12 @@ def test_frame_blocks_are_int8(group3, rep3):
 
 def test_sampled_frame_route_streams_n7(monkeypatch, group7, table7, rep7):
     # the m x ncols frame of the sample is 41 MB of int64 at n = 7; the
-    # streamed route holds one 512-row group and one product at a time
+    # route synthesizes none of it and holds one slab of the walk at a time
     def refuse(*args):
-        raise AssertionError("the sampled columns' frame was synthesized whole")
+        raise AssertionError("the sampled columns' frame was synthesized")
 
-    monkeypatch.setattr(etf, "_synthesize_columns", refuse)
+    for name in ("blocks", "frame"):
+        monkeypatch.setattr(etf.FrameFactors, name, refuse)
     tracemalloc.start()
     try:
         report = three_way_sampled(group7, table7, rep7, min_entries=100_000, seed=1)
@@ -352,25 +350,44 @@ def test_sampled_routes_report_the_whole_selection_mismatch(monkeypatch, group3,
 
 
 @pytest.mark.parametrize("flips, want", [
-    # two character flips, the lower one met first, in the mirror of tile
-    # (0, 5); the closed form's in the last tile
-    ({"character": [(700, 100), (100, 900)], "closedForm": [(1000, 1020)]},
-     {"frame_vs_character": (100, 900), "frame_vs_closedForm": (1000, 1020),
-      "character_vs_closedForm": (100, 900)}),
-    ({"character": [(1000, 1020)], "closedForm": [(700, 100)]},
-     {"frame_vs_character": (1000, 1020), "frame_vs_closedForm": (700, 100),
-      "character_vs_closedForm": (700, 100)}),
-], ids=["character-mirror", "closed-form-mirror"])
-def test_tile_walk_reports_the_whole_matrix_route_mismatch_n5(monkeypatch, group5, table5,
-                                                              rep5, flip_route, flips, want):
-    # 128-wide tiles at n = 5: one-entry flips in the last tile and below the
-    # diagonal, each the whole matrix's first mismatch of its pairs; the
-    # frame certificate is unaffected
-    monkeypatch.setattr(exact, "_TILE", 128)
-    frame = synthesize_frame(group5, rep5)
-    flip_route(flips)
+    ({"character": 700, "closedForm": 100},
+     {"frame_vs_character": (0, 700), "frame_vs_closedForm": (0, 100),
+      "character_vs_closedForm": (0, 100)}),
+    ({"closedForm": 1020},
+     {"frame_vs_character": None, "frame_vs_closedForm": (0, 1020),
+      "character_vs_closedForm": (0, 1020)}),
+], ids=["character-row", "closed-form-row"])
+def test_factored_walk_reports_the_whole_matrix_route_mismatch_n5(monkeypatch, group5, table5,
+                                                                  rep5, flips, want):
+    # a table route's row one more at an element u differs wherever
+    # inv(g) h = u, first at (0, u); the walk of the slab rows (x, 0) and
+    # their mirrors reports what the whole matrices give, and the frame
+    # certificate is unaffected
+    def flipped(name, route):
+        def call(group, *args):
+            row = route(group, *args)
+            re = row.re.astype(np.int64)
+            re[flips[name]] += 1
+            return GaussianRationalMatrix(re, row.im, row.den)
+        return call
+
+    full_at = group5.inverse_product_index_matrix
+    whole = {"frame": gram_from_frame(synthesize_frame(group5, rep5)),
+             "character": gram_character(group5, table5, np.arange(group5.order)),
+             "closedForm": gram_closed_form(group5, np.arange(group5.order))}
+    for name, u in flips.items():
+        row = whole[name]
+        re = row.re.astype(np.int64)
+        re[u] += 1
+        whole[name] = GaussianRationalMatrix(re, row.im, row.den)
+    for name in ("character", "closedForm"):
+        whole[name] = etf._gathered(whole[name], full_at)
+    assert etf._route_mismatches(whole) == want
+    for name, attr in (("character", "gram_character"), ("closedForm", "gram_closed_form")):
+        if name in flips:
+            monkeypatch.setattr(etf, attr, flipped(name, getattr(etf, attr)))
     found = {}
-    cert = verify_frame(frame, routes=(group5, table5, found))
+    cert = etf.verify_factors(etf.frame_factors(group5, rep5), routes=(group5, table5, found))
     assert found == want and cert.verdict == "OPTIMAL"
 
 
@@ -392,15 +409,15 @@ def test_block_walk_reports_the_whole_selection_route_mismatch_n5(monkeypatch, g
 def test_sampled_pattern_reads_the_frame_gram(monkeypatch, group3, table3, rep3):
     # one off-diagonal modulus of the frame route changed; the table routes
     # alone would pass the pattern check
-    gram_from_blocks = etf._gram_from_blocks
+    sampled_gram = etf._sampled_gram
 
-    def tampered(blocks):
-        gram = gram_from_blocks(blocks)
+    def tampered(factors, sel):
+        gram = sampled_gram(factors, sel)
         re = gram.re.copy()
         re[2, 7] += 1
         return GaussianRationalMatrix(re, gram.im, gram.den)
 
-    monkeypatch.setattr(etf, "_gram_from_blocks", tampered)
+    monkeypatch.setattr(etf, "_sampled_gram", tampered)
     report = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2)
     assert report["pattern_ok"] is False
     assert report["mismatches"]["frame_vs_closedForm"] == (2, 7)
@@ -438,33 +455,26 @@ def test_gram_character_row_stays_within_its_memory_budget_n7(group7, table7):
 # factored route
 # ---------------------------------------------------------------------------
 
-def _factored_gram(factors, sel) -> GaussianRationalMatrix:
-    """The Gram of the factor form's frame on the columns `sel`, gathered
-    from its q^3 values: entry ((x, y), (x', y')) is F[x][x', y + y']."""
-    n, q = factors.field.n, factors.field.order
-    xs, ys = sel >> n, sel & (q - 1)
-    re = np.empty((len(sel), len(sel)), dtype=np.int64)
-    im = np.empty_like(re)
-    for x, f_re, f_im in factors.gram_values():
-        rows = np.flatnonzero(xs == x)
-        at = (xs[None, :], ys[rows, None] ^ ys[None, :])
-        re[rows], im[rows] = f_re[at], f_im[at]
-    return GaussianRationalMatrix(re, im, 1 << -factors.log2_scale_sq)
-
-
 @pytest.mark.parametrize("n", [3, 5])
 def test_factored_gram_is_the_frame_gram(request, n):
     # all N^2 entries, real and imaginary parts, against the brute-force product
     group, rep = (request.getfixturevalue(f"{name}{n}") for name in ("group", "rep"))
-    got = _factored_gram(etf.frame_factors(group, rep), np.arange(group.order))
+    got = etf._sampled_gram(etf.frame_factors(group, rep), np.arange(group.order))
     want = gram_from_frame(synthesize_frame(group, rep))
     assert got == want
 
 
 def test_factored_gram_is_the_frame_gram_on_a_tile_n7(group7, rep7):
+    # the walk restricted to the x's of 256 columns, gathered there, against
+    # the gram_tiles product of the frame's blocks on them
     sel = np.array(sorted(random.Random(7).sample(range(group7.order), 256)), dtype=np.int64)
     factors = etf.frame_factors(group7, rep7)
-    assert etf._gram_from_blocks(factors.blocks(sel)) == _factored_gram(factors, sel)
+    blocks = list(factors.blocks(sel))
+    acc = np.zeros((2, len(sel), len(sel)), dtype=np.int64)
+    exact_gram(np.concatenate([b.re for b in blocks]), np.concatenate([b.im for b in blocks]),
+               (acc[0], acc[1]))
+    want = GaussianRationalMatrix(acc[0], acc[1], 1 << -factors.log2_scale_sq)
+    assert etf._sampled_gram(factors, sel) == want
 
 
 def test_factored_walk_values_and_bound(group3, rep3, group5, rep5):
@@ -483,7 +493,7 @@ def test_factored_walk_values_and_bound(group3, rep3, group5, rep5):
     threes = dataclasses.replace(etf.frame_factors(group3, rep3), p_re=np.full((8, 4), 3, np.int8),
                                  p_im=np.zeros((8, 4), np.int8))
     assert next(threes.gram_values())[1].dtype == np.int16
-    assert _factored_gram(threes, np.arange(64)) == gram_from_frame(threes.frame())
+    assert etf._sampled_gram(threes, np.arange(64)) == gram_from_frame(threes.frame())
     # only at n = 9 can int8 entries reach it: 511 * 2 * 256 * 127^2 > 2^31
     field9 = FieldContext(9)
     big = etf.FrameFactors(np.full((512, 256), 127, np.int8), np.full((512, 256), 127, np.int8),
@@ -546,7 +556,7 @@ def test_factored_route_catches_each_mutant(monkeypatch, request, n, mutant):
         assert factors.sign_defect() is not None
     if mutant == "trace_form":
         assert defect is None  # the frame is the true one; the walk's values are not its Gram
-        assert _factored_gram(factors, np.arange(group.order)) != gram_from_frame(frame)
+        assert etf._sampled_gram(factors, np.arange(group.order)) != gram_from_frame(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +688,15 @@ def test_welch_walk_does_not_depend_on_the_blocks(monkeypatch, group3, rep3, wal
 
 
 def test_frame_welch_walk_reads_small_tiles(monkeypatch, group3, rep3):
-    # the frame's own Gram tiles, two columns wide, and the held Gram in
-    # one-row chunks give the certificate of the unpatched walks
+    # the frame's own Gram tiles, two columns wide, give the certificate of
+    # the unpatched walk
     frames = [synthesize_frame(group3, rep3),
               FrameMatrix(np.array([[1, 0, 1, 0], [0, 1, 0, 1]]), np.zeros((2, 4), int), -1)]
-    grams = [gram_from_frame(frame) for frame in frames]
     wants = [verify_frame(frame) for frame in frames]
     assert [w.failure for w in wants] == [None, "off-diagonal modulus is not constant"]
     monkeypatch.setattr(exact, "_TILE", 2)
-    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 1)
-    for frame, gram, want in zip(frames, grams, wants):
-        assert verify_frame(frame) == want == verify_frame(frame, gram=gram)
+    for frame, want in zip(frames, wants):
+        assert verify_frame(frame) == want
 
 
 def test_one_column_tiles_still_read_the_off_diagonal(monkeypatch):
@@ -734,7 +742,7 @@ def test_verify_gram_checks_hermitian_before_the_folded_square(monkeypatch, grou
 
 
 def test_hermitian_defect_is_the_first_mismatch_with_the_conjugate_transpose(group5, rep5):
-    # row 100 is in the second chunk of 64 rows; a flip below the diagonal is
+    # row 100 is past the first chunk of rows; a flip below the diagonal is
     # reported at its mirror above it, which comes first row-major
     gram = gram_from_frame(synthesize_frame(group5, rep5))
     assert gram.hermitian_defect() is None
@@ -945,8 +953,9 @@ def test_first_mismatch_is_the_row_major_fraction_scan(pair):
     assert a != tall and tall != a
 
 
-def test_first_mismatch_crosses_row_chunks():
-    # 64 rows are compared at a time; the row index must count the rows before
+def test_first_mismatch_crosses_row_chunks(monkeypatch):
+    # 64 rows of 5 entries are compared at a time; the row index must count the rows before
+    monkeypatch.setattr(scheme, "_COMPARE_ENTRIES", 64 * 5)
     rng = np.random.default_rng(3)
     re, im = rng.integers(-9, 10, (150, 5)), rng.integers(-9, 10, (150, 5))
     a = GaussianRationalMatrix(re, im, 6)
@@ -991,7 +1000,8 @@ def test_frame_file_roundtrip(tmp_path, group3, rep3):
     assert np.array_equal(back.re, frame.re) and np.array_equal(back.im, frame.im)
     # streaming one block per gamma writes the same bytes as the whole frame
     cols = np.arange(group3.order, dtype=np.int64)
-    write_frame_file(tmp_path / "frame2.mat", frame.rows, frame_blocks(group3, rep3, cols))
+    write_frame_file(tmp_path / "frame2.mat", frame.rows,
+                     etf.frame_factors(group3, rep3).blocks(cols))
     assert (tmp_path / "frame.mat").read_bytes() == (tmp_path / "frame2.mat").read_bytes()
 
 

@@ -146,9 +146,8 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         "gram_from_frame": lambda: etf.gram_from_frame(frame),
         "parseval_defect": lambda: etf.parseval_defect(frame),
         "verify_gram": lambda: etf.verify_gram(gram),
-        # the Welch pattern reads the frame's Gram tiles, or the Gram the caller holds
+        # the Welch pattern reads the frame's Gram tiles
         "verify_frame": lambda: etf.verify_frame(frame),
-        "verify_frame(gram=)": lambda: etf.verify_frame(frame, gram=gram),
         "GaussianRationalMatrix.__matmul__": lambda: scheme.GaussianRationalMatrix(
             frame.re, frame.im) @ scheme.GaussianRationalMatrix(frame.re.T, -frame.im.T),
         "CharacterTable.verify": table3.verify,
@@ -165,7 +164,6 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         "verify_gram": {"gram_tiles": 1},
         # the Welch pattern alone, which proves the frame tight: no Parseval product
         "verify_frame": {"gram_tiles": 1},
-        "verify_frame(gram=)": {},
         "GaussianRationalMatrix.__matmul__": {"exact_matmul": 4},
         # one for the rows, each class scaled by the square root of its size, one for the columns
         "CharacterTable.verify": {"gram_tiles": 2},

@@ -72,3 +72,14 @@ def test_traced_build_completes_with_its_spans(tmp_path):
     code, names = _traced(tmp_path, "verify", "--in", str(frame))
     assert code == 1
     assert {"etf.read", "etf.certify", "etf.parseval"} <= names
+
+
+def test_traced_sample_run_completes_with_its_spans(tmp_path):
+    # the benchmark's sampled workload: the table routes and the comparison
+    # run in their spans, and the frame route is the factored walk, no frame Gram
+    code, names = _traced(tmp_path, "verify", "--n", "7", "--mode", "sample",
+                          "--samples", "100000", "--seed", "1")
+    assert code == 0
+    assert {"chartab.build", "etf.gram_character", "etf.gram_closed_form", "etf.compare",
+            "etf.certify"} <= names
+    assert "etf.gram_frame" not in names
