@@ -57,10 +57,16 @@ or the chunks of `GaussianRationalMatrix.upper_blocks` when the Gram is
 held.  The Welch pattern (`_welch_pattern`) and the route comparison
 (`_routes_compared`) read each block as it passes, the latter with its
 mirror.  The pattern alone proves a frame tight (`verify_frame`), so the
-Parseval product runs only to name a failure.  A Gram alone bounds no
-rank, so `verify_gram` walks the Gram it holds three times: the
-Hermitian test, the projection check (the tiles of G^H G against G's),
-and the Welch walk of `upper_blocks`.  Only `gram` computes an N x N Gram:
+Parseval product runs only to name a failure, and a factor form names it
+from d x d blocks (`FrameFactors.parseval_defect`).  A Gram alone bounds
+no rank, so `verify_gram` checks G^2 = G after the Hermitian test.  A
+Gram that commutes with the centre {(0, y)}, checked on every entry, is
+the direct sum of q blocks, one per Walsh character of the centre (Vale
+and Waldron, 2005), read from one transform of its rows (x, 0); each
+block is squared as the tiles of its Hermitian product, and the Welch
+walk reads those rows only.  Any other Gram is the one block of itself,
+squared tile by tile, and walked by `upper_blocks`.  Only `gram`
+computes an N x N Gram:
 `verify --n 7` certifies all 2^28 entries three ways in about 0.5 s at
 36 MB peak RSS, and `verify --n 9` all 2^36 in about 12 s at 95 MB
 (`--threads 1`, 2 vCPU Xeon).
@@ -69,11 +75,12 @@ rows at a time: a row is cut into segments of isqrt(cols) entries, each
 distinct segment is encoded once, and a row is one join of encoded
 segments; the bytes pass through a hasher as they are written, which
 is how `build` hashes frame.mat and gram.mat (`gram_writer`).
-`read_matrix_file` reads a chunk of rows at a time through the ids of
-the chunk's distinct tokens (`_distinct`), converts each distinct token
-once, and fills the chunk's rows of an (re, im) pair in one gather,
-int8 while every value fits, as in the Suzuki frames and Grams, else
-int64.  A computed frame Gram is held alike (`_reduced`).
+`read_matrix_file` is its mirror: it cuts a chunk of rows into the same
+segments (`_segment_runs`), keys each by its text, converts each
+distinct segment once, and fills the chunk's rows of an (re, im) pair
+by one gather of segment ids, int8 while every value fits, as in the
+Suzuki frames and Grams, else int64.  A computed frame Gram is held
+alike (`_reduced`).
 """
 
 from __future__ import annotations
@@ -224,6 +231,42 @@ class FrameFactors:
             c[:, w] = m[:, self.images[:, x, None], images]
             _wht(c)
             yield x, c[0, u].T, c[1, u].T
+
+    def parseval_defect(self) -> tuple[int, int] | None:
+        """`parseval_defect` of the frame, read from the factors: entry
+        ((g, r), (h, r')) of frame frame^H is S[g, h] (A_g^T conj(A_h))[r, r'],
+        S = signs signs^T and A_g = p[images[g]].  Row band g reads only the
+        blocks where S[g, h] != 0: the diagonal alone for distinct sign
+        characters.  The diagonal block is (n_g p)^T conj(p), n_g(a) the count
+        of x with images[g, x] = a, one d x d product while the images rows
+        are permutations.  Terms stay below 2 q^2 max|p|^2 < 2^37 at n <= 9."""
+        scale, d = 1 << -self.log2_scale_sq, self.p_re.shape[1]
+        s = exact_matmul(self.signs, self.signs.T)
+        p = np.hstack((self.p_re, self.p_im)).astype(np.int64)  # rows a: (re, im) of p[a]
+        diagonal = {}  # A_g^T conj(A_g) by the counts n_g
+
+        def product(a, b):  # a^T conj(b) as (re, im), for rows (re, im) of p
+            both = np.vstack((b[:, :d], b[:, d:]))
+            return (exact_matmul(np.vstack((a[:, :d], a[:, d:])).T, both),
+                    exact_matmul(np.vstack((a[:, d:], -a[:, :d])).T, both))
+
+        for g, row in enumerate(s):
+            found = []
+            for h in np.flatnonzero(row).tolist():
+                if g != h:
+                    re, im = product(p[self.images[g]], p[self.images[h]])
+                else:
+                    n_g = np.bincount(self.images[g], minlength=len(p))
+                    if (key := n_g.tobytes()) not in diagonal:
+                        diagonal[key] = product(p * n_g[:, None], p)
+                    re, im = diagonal[key]
+                defect = first_mismatch(GaussianRationalMatrix(row[h] * re, row[h] * im, scale),
+                                        GaussianRationalMatrix(np.eye(d, dtype=np.int64) * (g == h)))
+                if defect is not None:
+                    found.append((g * d + defect[0], h * d + defect[1]))
+            if found:
+                return min(found)
+        return None
 
     def sign_defect(self) -> tuple[int, int] | None:
         """None when each sign row is the character the walk transforms by,
@@ -567,7 +610,8 @@ def verify_factors(factors: FrameFactors, gram_rows=None, routes=None) -> EtfCer
     values the Gram of the frame.  gram_rows(re, im), when given, receives
     the frame's Gram rows over 2^(-log2_scale_sq), a slab's q rows at a
     time from the same walk, or at once from the frame when the sign
-    table is refused.
+    table is refused, the one case that builds the frame.  A failure's
+    Parseval defect is read from the factors (`FrameFactors.parseval_defect`).
 
     routes = (group, table, found) compares each block and its mirror
     with the table routes (`_routes_compared`), filling `found` once the
@@ -578,12 +622,11 @@ def verify_factors(factors: FrameFactors, gram_rows=None, routes=None) -> EtfCer
     q = factors.field.order
     num, den = q * q, 1 << -factors.log2_scale_sq
     if (bad := factors.sign_defect()) is not None:
-        frame = factors.frame()
         if gram_rows is not None:
-            gram = gram_from_frame(frame)
+            gram = gram_from_frame(factors.frame())
             s = den // gram.den
             gram_rows(gram.re.astype(np.int64) * s, gram.im.astype(np.int64) * s)
-        defect = parseval_defect(frame)
+        defect = factors.parseval_defect()
         return _certify_gram((), den, factors.rows, num, _sign_failure(bad),
                              "frame", {"parsevalDefect": defect and list(defect)})
     pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
@@ -599,8 +642,7 @@ def verify_factors(factors: FrameFactors, gram_rows=None, routes=None) -> EtfCer
     walk = blocks()
     if routes is not None:
         walk = _routes_compared(walk, den, np.arange(num), *routes)
-    return _frame_certificate(walk, den, factors.rows, num,
-                              lambda: parseval_defect(factors.frame()))
+    return _frame_certificate(walk, den, factors.rows, num, factors.parseval_defect)
 
 
 def _sign_failure(at: tuple[int, int]) -> str:
@@ -629,28 +671,73 @@ def _frame_certificate(blocks, den: int, m: int, num_vectors: int, defect) -> Et
 
 def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertificate:
     """Exact certification of an N x N Gram matrix claimed to be a projection;
-    projectionDefect is the first entry that fails the named check."""
+    projectionDefect is the first entry that fails the named check.  G^2 = G
+    is checked on the Walsh blocks of the centre G commutes with
+    (`_centre_order`); with one of order c > 1, the Welch walk reads the
+    rows (x, 0) from the diagonal on, which hold every entry or its
+    conjugate."""
     if gram.shape[0] != gram.shape[1]:
         raise ValueError("gram matrix must be square")
+    num = gram.shape[0]
     tr_re, tr_im = gram.trace()
     integral = tr_im == 0 and tr_re.denominator == 1
-
-    def square_and_gram(rows, cols, t_re, t_im):
-        # gram^H gram, which is gram @ gram once gram is known to be Hermitian
-        return (GaussianRationalMatrix(t_re, t_im, gram.den * gram.den),
-                GaussianRationalMatrix(gram.re[rows, cols], gram.im[rows, cols], gram.den))
-
-    failure = None
+    failure, c = None, 1
     if (defect := gram.hermitian_defect()) is not None:
         failure = "Gram matrix is not Hermitian"
-    elif (defect := _first_tile_mismatch(gram_tiles(gram.re, gram.im),
-                                         square_and_gram)) is not None:
+    elif (defect := _projection_defect(gram, c := _centre_order(gram))) is not None:
         failure = "Gram matrix is not a projection"
     elif not integral:
         failure = "Gram trace is not an integer"
     cross = {"projectionDefect": None if defect is None else list(defect)}
-    return _certify_gram(gram.upper_blocks(), gram.den, int(tr_re) if integral else 0,
-                         gram.shape[0], failure, method, cross)
+    walk = gram.upper_blocks() if c == 1 else (
+        (slice(x, x + 1), slice(x, num), gram.re[x:x + 1, x:], gram.im[x:x + 1, x:])
+        for x in range(0, num, c))
+    return _certify_gram(walk, gram.den, int(tr_re) if integral else 0, num, failure, method,
+                         cross)
+
+
+def _centre_order(gram: GaussianRationalMatrix) -> int:
+    """q when the N x N Gram, N = q^2 = 4^n indexed x q + y, has
+    G[(x, y), (x', y')] = G[(x, 0), (x', y + y')] on every entry, checked
+    one x-slab at a time, and its Walsh blocks' products stay below 2^62;
+    else 1."""
+    num = gram.shape[0]
+    q = math.isqrt(num)
+    if q < 2 or q * q != num or q & (q - 1) or (q * gram.max_abs()) ** 2 * q >= INT64_BOUND:
+        return 1
+    pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
+    for x in range(0, num, q):
+        for part in (gram.re, gram.im):
+            slab = part[x:x + q]
+            if not np.array_equal(slab, slab[0].reshape(q, q)[:, pairs].transpose(1, 0, 2)
+                                  .reshape(q, num)):
+                return 1
+    return q
+
+
+def _projection_defect(gram: GaussianRationalMatrix, c: int) -> tuple[int, int] | None:
+    """None when the Hermitian G is a projection, else the first entry,
+    row-major, of G^2 != G.  G commutes with a centre of order c
+    (`_centre_order`), so it is the direct sum of the Hermitian blocks
+    D_w[x, x'] = sum_z G[(x, 0), (x', z)] (-1)^popcount(w & z), one per
+    Walsh character w, from one `_wht` of the rows (x, 0), and G^2 = G
+    exactly when every D_w^2 = D_w, walked as the tiles of D_w^H D_w.  With
+    c = 1 the block is G; a failing block re-runs that walk to name the
+    entry."""
+    b = gram.shape[0] // c
+    d = [part[::c].reshape(b, b, c).transpose(2, 0, 1) for part in (gram.re, gram.im)]
+    if c > 1:
+        d = np.array(d, dtype=np.int64)  # |D_w| <= c max|G| < 2^62, as _centre_order checks
+        _wht(d.reshape(2, c, b * b))
+    for re, im in zip(*d):
+        def square_and_block(rows, cols, t_re, t_im, re=re, im=im):
+            # D^H D, which is D @ D as D is Hermitian
+            return (GaussianRationalMatrix(t_re, t_im, gram.den * gram.den),
+                    GaussianRationalMatrix(re[rows, cols], im[rows, cols], gram.den))
+
+        if (defect := _first_tile_mismatch(gram_tiles(re, im), square_and_block)) is not None:
+            return defect if c == 1 else _projection_defect(gram, 1)
+    return None
 
 
 def verify_etf(obj) -> EtfCertificate:
@@ -766,6 +853,13 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.searchsorted(values, a)
 
 
+def _segment_runs(cols: int) -> list[tuple[int, int]]:
+    """(segment width, segments per row) of a row of `cols` entries: runs of
+    isqrt(cols) entries, then the shorter tail if there is one."""
+    width = math.isqrt(cols)
+    return [(width, cols // width)] + ([(cols % width, 1)] if cols % width else [])
+
+
 class _MatrixWriter:
     """Writes a matrix one block of rows at a time, with `header` first:
     one line per row of space-separated entries, entry (i, j) being the
@@ -783,9 +877,7 @@ class _MatrixWriter:
 
     def __init__(self, fh, header: str, cols: int, tokens, hasher=None):
         self._fh, self._hasher, self._tokens, self._cols = fh, hasher, tokens, cols
-        width = math.isqrt(cols)
-        # (segment width, segments per row): the full segments, then the tail if there is one
-        self._runs = [(width, cols // width)] + ([(cols % width, 1)] if cols % width else [])
+        self._runs = _segment_runs(cols)
         self._per_row = sum(count for _, count in self._runs)
         self._write(header.encode())
         self._clear()
@@ -954,17 +1046,23 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
     at a time into the result, into nothing unless the body `fits` the matrix.
 
     Each line must be exactly `cols` entries of the one grammar that the
-    first entry names; a chunk ends before a line that is not.  Only its
-    distinct tokens (`_distinct_tokens`) are matched and converted, in
-    groups of the tokens each row uses first, so the earliest faulty row
-    is reported, into a table of (re, im) rows that the chunk is gathered
-    from.  Gram values are held over the running common denominator
-    (`_over_running_denominator`).  The range of the values read bounds
-    each rescale against int64.  The result is allocated as int8 and
-    widened once to int64, before the first value beyond int8 is written.
-    The row count is reported before any other fault.
+    first entry names; a chunk ends before a line that is not.  Lines are
+    cut as `_MatrixWriter` cuts them, at separators one `flatnonzero` over
+    the chunk's bytes finds, and each segment is keyed by its text.  Only
+    segments not yet held are matched and converted, in groups of those
+    each row uses first, so the earliest faulty row is reported, into a
+    table the chunk is gathered from by segment id; it is dropped past
+    _CHUNK_ENTRIES * 64 bytes, as the writer's is.  Gram values are held
+    over the running common denominator (`_over_running_denominator`), the
+    range of the values read bounding each rescale against int64.  The
+    table and the result are int8, widened once to int64 before the first
+    value beyond int8 is written.  The row count is reported first.
     """
     found, fault, step = 0, None, _chunk_rows(cols)
+    (width, count), *tail = _segment_runs(cols)
+    full, per_row = width * count, count + len(tail)
+    # the index in its row of the entry that ends each segment
+    ends = np.array([*range(width - 1, full, width), *[cols - 1] * len(tail)])
     try:
         for r in range(0, rows, step):
             chunk = list(itertools.islice(lines, min(step, rows - r)))
@@ -979,27 +1077,62 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
                 except (MemoryError, ValueError) as exc:  # a pipe's header alone sized it
                     raise MatrixParseError(f"no memory for {rows}x{cols} entries: {exc}") from exc
                 den, lo, hi = 1, 0, 0  # lo and hi: the least and greatest value read, over den
-            sizes = [ln.count(" ") + 1 for ln in chunk]  # entries per line
-            good = next((i for i, size in enumerate(sizes) if size != cols), len(chunk))
+                ids, table, held = {}, np.zeros((2, 0, width), np.int8), 0
+            text = " ".join([*chunk, ""])  # every entry ends in a space
+            line_ends = np.cumsum([len(ln) + 1 for ln in chunk]) - 1
+            del chunk  # before the chunk's bytes are scanned
+            cuts = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(" "))
+            sizes = np.diff(np.searchsorted(cuts, line_ends, "right"), prepend=0).tolist()
+            good = next((i for i, size in enumerate(sizes) if size != cols), len(sizes))
             if good:
-                tokens, ids, first = _distinct_tokens(chunk[:good])
-                table, was = np.zeros((2, len(tokens)), np.int64), den
-                bounds = np.flatnonzero(np.diff(first // cols)) + 1  # where a new row starts
-                for a, b in itertools.pairwise([0, *bounds.tolist(), len(tokens)]):
-                    values = _token_ints(tokens[a:b], r + int(first[a]) // cols, rational)
-                    if rational:
-                        values, grow = _over_running_denominator(values, den, max(-lo, hi))
-                        den, lo, hi, table = den * grow, lo * grow, hi * grow, table * grow
-                    lo, hi = min(lo, int(values.min())), max(hi, int(values.max()))
-                    table[:, a:b] = values.T
+                cuts = cuts[(np.arange(good)[:, None] * cols + ends).ravel()].tolist()
+                keys = [text[a + 1:b] for a, b in zip([-1, *cuts], cuts)]
+                got, was = list(map(ids.get, keys)), den
+                if None in got:
+                    new = {}  # each key not held, at its first position
+                    for pos, (key, i) in enumerate(zip(keys, got)):
+                        if i is None:
+                            new.setdefault(key, pos)
+                    texts, at = list(new), np.fromiter(new.values(), np.int64, len(new))
+                    rows_of = at // per_row
+                    bounds = np.flatnonzero(np.diff(rows_of)) + 1  # where a new row starts
+                    for a, b in itertools.pairwise([0, *bounds.tolist(), len(texts)]):
+                        values, grow = _token_ints(texts[a:b], r + int(rows_of[a]), rational), 1
+                        if rational:
+                            values, grow = _over_running_denominator(values, den, max(-lo, hi))
+                        den, lo = den * grow, min(lo * grow, int(values.min()))
+                        hi = max(hi * grow, int(values.max()))
+                        if table.dtype == np.int8 and not -128 <= lo <= hi <= 127:
+                            table = table.astype(np.int64)  # before a held value leaves int8
+                        if grow > 1:
+                            table[:, :len(ids)] *= np.int64(grow)
+                        if len(ids) + b - a > table.shape[1]:  # at least doubled
+                            table = np.concatenate((table, np.zeros(
+                                (2, table.shape[1] + b - a, width), table.dtype)), axis=1)
+                        # entry j of the group's segment s goes to table row len(ids) + s, column j
+                        w = np.where(at[a:b] % per_row < count, width, cols - full)
+                        first = np.cumsum(w) - w
+                        dest = np.repeat((len(ids) + np.arange(b - a)) * width - first, w)
+                        table.reshape(2, -1)[:, dest + np.arange(len(values))] = values.T
+                        ids.update(zip(texts[a:b], range(len(ids), len(ids) + b - a)))
+                        held += sum(map(len, texts[a:b])) + 16 * int(w.sum())
+                    got = list(map(ids.__getitem__, keys))
+                seg = np.array(got).reshape(good, per_row)
                 if out is not None:
-                    if out.dtype == np.int8 and not -128 <= lo <= hi <= 127:
+                    if out.dtype != table.dtype:
                         out = out.astype(np.int64)  # once: the rows filled so far, unscaled
                     if den > was:
                         # an int64 factor: int8 rows in range may meet one beyond int8, as -1 * 128
                         out[:, :r] *= np.int64(den // was)
-                    out[:, r:r + good] = np.take(table.astype(out.dtype), ids.reshape(good, -1), 1)
-            if good < len(chunk):
+                    for part, dest in zip(table, out[:, r:r + good]):
+                        np.take(part, seg[:, :count], axis=0, mode="clip",
+                                out=dest[:, :full].reshape(good, count, width))
+                        if tail:
+                            np.take(part[:, :cols - full], seg[:, count], axis=0, mode="clip",
+                                    out=dest[:, full:])
+                if held > _CHUNK_ENTRIES * 64:
+                    ids, held = {}, 0
+            if good < len(sizes):
                 raise MatrixParseError(f"row {r + good} has {sizes[good]} entries, expected {cols}")
     except MatrixParseError as exc:
         fault = exc
@@ -1013,39 +1146,6 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
     if rational:
         return GaussianRationalMatrix(out[0], out[1], den)
     return FrameMatrix(out[0], out[1], log2_scale_sq)
-
-
-# words of a token's key: more than the 83 bytes of the grammar's longest entry and
-# its space, so two tokens with one key are equal or both fail the grammar
-_KEY_WORDS = 11
-_LOW_BYTES = np.array([(1 << 8 * i) - 1 for i in range(8)] + [-1], dtype=np.int64)  # 0 ... 8 bytes
-
-
-def _distinct_tokens(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The distinct space-separated tokens of `lines` in order of first use,
-    the index of each entry among them, row-major, and each one's first
-    entry.  A token's key is the 8-byte words from its start, masked to it
-    and the space that ends it, and `_distinct` numbers it a word at a time."""
-    data = " ".join(["", *lines, "\0" * 8 * _KEY_WORDS]).encode("ascii")
-    cuts = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(" ")).astype(np.int32)
-    starts, spans = cuts[:-1] + 1, np.diff(cuts)  # each token's first byte, and its length + 1
-    del cuts  # before the keys are made
-    words = np.ndarray((len(data) - 7,), "<i8", data, 0, (1,))  # one at each byte
-    ids = None
-    for at in range(0, min(int(spans.max()), 8 * _KEY_WORDS), 8):
-        values, piece = _distinct(words[starts + at] & _LOW_BYTES[np.clip(spans - at, 0, 8)])
-        if ids is not None:  # the pair (ids, piece) as one code, numbered again
-            values, piece = _distinct(ids * len(values) + piece)
-        ids = piece
-        if len(values) == ids.size:  # every entry is a token of its own: no word splits more
-            break
-    first = np.full(len(values), ids.size, dtype=np.int32)  # each token's first entry
-    np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int32))
-    by_use = np.argsort(first)
-    ids, first = np.argsort(by_use)[ids], first[by_use]  # tokens numbered by first use
-    text = data.decode("ascii")  # a str is sliced faster than bytes are sliced and decoded
-    return [text[s:s + n - 1]
-            for s, n in zip(starts[first].tolist(), spans[first].tolist())], ids, first
 
 
 def _frame_log2_scale_sq(snum: int, sden: int) -> int:
@@ -1064,9 +1164,9 @@ def _frame_log2_scale_sq(snum: int, sden: int) -> int:
 
 
 def _token_ints(tokens: list[str], r: int, rational: bool) -> np.ndarray:
-    """One int64 row per distinct token of row r: its integers (a, b) or
-    (p, q, r, s).  A value whose magnitude reaches 2^63 is a parse error,
-    so negation never wraps."""
+    """One int64 row per entry of the space-separated `tokens` of row r:
+    its integers (a, b) or (p, q, r, s).  A value whose magnitude reaches
+    2^63 is a parse error, so negation never wraps."""
     text = " ".join(tokens)
     if not _TOKENS[rational].fullmatch(text):
         raise MatrixParseError(f"bad entry in row {r}: entries are integers "
@@ -1077,7 +1177,7 @@ def _token_ints(tokens: list[str], r: int, rational: bool) -> np.ndarray:
         raise MatrixParseError(f"entry in row {r} is beyond int64") from exc
     if (ints == -_INT64_MAX - 1).any():
         raise MatrixParseError("entry magnitude 2**63 is beyond int64")
-    return ints.reshape(len(tokens), -1)
+    return ints.reshape(-1, 4 if rational else 2)
 
 
 def _over_running_denominator(fractions: np.ndarray, den: int,

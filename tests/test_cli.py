@@ -310,6 +310,41 @@ def test_verify_with_a_mutated_factor_form_is_a_violation(capsys, monkeypatch, f
         assert f"sign table differs from the trace form's characters at {at}" in err
 
 
+@pytest.mark.parametrize("mutant", ["p", "sign"])
+def test_verify_n7_with_a_mutated_factor_form_names_its_defect_without_the_frame(
+        capsys, monkeypatch, mutant):
+    # the m x N frame is never built: the Parseval defect of a flipped P entry,
+    # or of a flipped sign, is read from the factors
+    from linepack import etf
+
+    real = etf.frame_factors
+
+    def flipped(group, rep):
+        factors = real(group, rep)
+        if mutant == "sign":
+            signs = factors.signs.copy()
+            signs[2, 5] = -signs[2, 5]
+            return dataclasses.replace(factors, signs=signs)
+        p_re = factors.p_re.copy()
+        at = np.flatnonzero(p_re)[0]
+        p_re.flat[at] = -p_re.flat[at]
+        return dataclasses.replace(factors, p_re=p_re)
+
+    def refuse(*args):
+        raise AssertionError("the whole frame was built")
+
+    monkeypatch.setattr(etf, "frame_factors", flipped)
+    monkeypatch.setattr(etf.FrameFactors, "frame", refuse)
+    monkeypatch.setattr(etf, "parseval_defect", refuse)
+    code, stdout, err = run(capsys, "verify", "--n", "7")
+    payload = json.loads(stdout)
+    assert code == 1 and payload["verdict"] == "NOT_ETF"
+    assert payload["crossChecks"]["parsevalDefect"] is not None
+    failure = "parseval identity fails" if mutant == "p" else \
+        "sign table differs from the trace form's characters at [2, 5]"
+    assert payload["failure"] == failure and failure in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--n", "3", "--mode", "full", "--samples", "5"],
     ["--n", "3", "--mode", "full", "--seed", "9"],

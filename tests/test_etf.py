@@ -559,6 +559,26 @@ def test_factored_route_catches_each_mutant(monkeypatch, request, n, mutant):
         assert etf._sampled_gram(factors, np.arange(group.order)) != gram_from_frame(frame)
 
 
+def test_factored_parseval_defect_is_the_frames(group3, rep3):
+    # read from the factors, with no m x N frame: equal to the brute force on
+    # the true frame and on mutants whose frame frame^H is not block-diagonal
+    # (random signs, a repeated sign row) or whose blocks differ (a gamma^-1 x
+    # table that is not a permutation); n = 5 has the flips in the test above
+    factors = etf.frame_factors(group3, rep3)
+    rng = np.random.default_rng(3)
+    signs, repeated, images = factors.signs.copy(), factors.signs.copy(), factors.images.copy()
+    signs[1:] = rng.choice(np.array([-1, 1], dtype=np.int8), size=signs[1:].shape)
+    repeated[4] = repeated[1]
+    images[3, 2] = images[3, 5]
+    mutants = [factors, _flip_p(factors), _flip_sign(factors),
+               dataclasses.replace(factors, signs=signs),
+               dataclasses.replace(factors, signs=repeated),
+               dataclasses.replace(factors, images=images)]
+    found = [m.parseval_defect() for m in mutants]
+    assert found == [parseval_defect(m.frame()) for m in mutants]
+    assert found[0] is None and None not in found[1:]
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -821,6 +841,90 @@ def test_tiled_checks_report_the_whole_matrix_defect(monkeypatch, group3, rep3):
         tampered = FrameMatrix(re, frame.im, frame.log2_scale_sq)
         defect = parseval_defect(tampered)
         assert defect is not None and defect == parent_parseval(tampered)
+
+
+def _orbit_flipped(gram, q, x, y, x2, y2):
+    """gram with the orbit of entry ((x, y), (x2, y2)) under the central
+    translations y -> y + t, and the mirror of that orbit, negated: it stays
+    Hermitian and commutes with the translations still."""
+    t = np.arange(q)
+    rows, cols = x * q + (y ^ t), x2 * q + (y2 ^ t)
+    mask = np.zeros(gram.shape, dtype=bool)
+    mask[rows, cols] = mask[cols, rows] = True
+    re, im = gram.re.copy(), gram.im.copy()
+    re[mask], im[mask] = -re[mask], -im[mask]
+    return GaussianRationalMatrix(re, im, gram.den)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_walsh_block_check_reports_the_whole_matrix_defect(monkeypatch, request, n):
+    # a flipped orbit leaves the Gram invariant, so its Walsh blocks are
+    # squared (q columns wide); one fails, and the whole-Gram walk (N wide)
+    # names the entry the whole-matrix comparison names
+    group, rep = (request.getfixturevalue(f"{name}{n}") for name in ("group", "rep"))
+    gram = gram_from_frame(synthesize_frame(group, rep))
+    q = group.field.order
+    widths, tiles = [], etf.gram_tiles
+    monkeypatch.setattr(etf, "gram_tiles", lambda re, im: (widths.append(re.shape[1]),
+                                                           tiles(re, im))[1])
+    rng = np.random.default_rng(n)
+    for x, y, x2, y2 in [(0, 0, 0, 0), (q - 1, 3, 0, 5), (2, 1, 2, 6),
+                         *rng.integers(0, q, size=(3 if n == 3 else 0, 4)).tolist()]:
+        tampered = _orbit_flipped(gram, q, x, y, x2, y2)
+        assert tampered.hermitian_defect() is None and etf._centre_order(tampered) == q
+        widths.clear()
+        cert = verify_gram(tampered)
+        failure, defect = _parent_defects(tampered)
+        assert failure == "Gram matrix is not a projection"
+        assert (cert.failure, cert.cross_checks["projectionDefect"]) == (failure, list(defect))
+        assert set(widths[:-1]) == {q} and widths[-1] == q * q
+
+
+def test_verify_gram_squares_only_the_walsh_blocks_n5(monkeypatch, group5, rep5):
+    # the n = 5 Gram certifies with no product wider than its 32 x 32 blocks,
+    # and its certificate is the one the whole-Gram product gives
+    gram = gram_from_frame(synthesize_frame(group5, rep5))
+    with monkeypatch.context() as patch:
+        patch.setattr(etf, "_centre_order", lambda gram: 1)
+        whole = verify_gram(gram).to_json_dict()
+    tiles = etf.gram_tiles
+
+    def narrow(re, im):
+        assert re.shape[1] <= 32, f"a product {re.shape[1]} columns wide"
+        return tiles(re, im)
+
+    monkeypatch.setattr(etf, "gram_tiles", narrow)
+    cert = verify_gram(gram)
+    assert cert.verdict == "OPTIMAL" and cert.to_json_dict() == whole
+
+
+def test_gram_certificates_do_not_depend_on_the_centre(monkeypatch, group3, rep3):
+    # a 4^n Gram that does not commute with the translations, sizes that are
+    # not 4^n, and the srg idempotent, which does: each certificate is the one
+    # the whole-Gram product gives, byte for byte
+    from linepack.scheme import gram_projector, srg_scheme
+    gram = gram_from_frame(synthesize_frame(group3, rep3))
+    order = np.random.default_rng(3).permutation(64)
+    re = gram.re.copy()
+    re[3, 7] += 2
+    re[7, 3] += 2
+    cases = {"permuted": (GaussianRationalMatrix(gram.re[order][:, order],
+                                                 gram.im[order][:, order], gram.den), 1),
+             "pair flipped": (GaussianRationalMatrix(re, gram.im, gram.den), 1),
+             "mercedes": (_mercedes(), 1),
+             # invariant and a projection, its diagonal 1 on slab x = 0 only
+             "one slab": (GaussianRationalMatrix(np.diag(np.arange(64) < 8).astype(np.int64)), 8)}
+    for params, q in [((16, 6, 2, 2), 4), ((9, 4, 1, 2), 1)]:
+        desc, report = srg_scheme(*params)
+        cases[params] = gram_projector(desc, report.d_subset), q
+    for name, (case, q) in cases.items():
+        assert etf._centre_order(case) == q, name
+        got = json.dumps(verify_gram(case).to_json_dict(), sort_keys=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(etf, "_centre_order", lambda gram: 1)
+            assert json.dumps(verify_gram(case).to_json_dict(), sort_keys=True) == got, name
+    assert verify_gram(cases["permuted"][0]).verdict == "OPTIMAL"
+    assert verify_gram(cases["one slab"][0]).failure == "diagonal is not constant"
 
 
 @pytest.mark.parametrize("name, budget_mib", [
@@ -1198,6 +1302,75 @@ def test_reader_rescale_beyond_int64_is_a_parse_error(tmp_path, monkeypatch, chu
         read_matrix_file(path)
 
 
+@pytest.mark.parametrize("cols", [1, 2, 5, 11, 17])
+def test_reader_cuts_rows_as_the_writer_does(tmp_path, monkeypatch, cols):
+    # widths that are not perfect squares end each row in a shorter tail
+    # segment (11 = 3 x 3 + 2); repeated and new segments read back exactly
+    # at every chunking
+    rng = np.random.default_rng(cols)
+    re = rng.integers(-2, 3, size=(9, cols))
+    im = rng.integers(-1, 2, size=(9, cols))
+    re[3], im[3] = re[1], im[1]  # a repeated row: every segment held already
+    im[5] = 300  # beyond int8: the rows read so far and the table widen once
+    path = tmp_path / "m.mat"
+    write_frame_file(path, 9, [FrameMatrix(re, im, -2)])
+    assert etf._segment_runs(11) == [(3, 3), (2, 1)]
+    for chunk_entries in (etf._CHUNK_ENTRIES, 1, cols, 2 * cols + 1):
+        monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+        got = read_matrix_file(path)
+        assert got.re.dtype == np.int64 and got.log2_scale_sq == -2
+        assert got.re.tolist() == re.tolist() and got.im.tolist() == im.tolist()
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 4, 8])  # one chunk, a row each, two rows each
+def test_reader_matches_a_segment_first_used_after_a_held_repeat(tmp_path, monkeypatch,
+                                                                 chunk_entries):
+    # row 1 repeats row 0's held segment, then brings a new one with a bad entry
+    if chunk_entries is not None:
+        monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+    head = "LINEPACK-MATRIX v1 rows=3 cols=4 scale_log2_num=-2 scale_log2_den=2\n"
+    path = tmp_path / "m.mat"
+    path.write_text(head + "1;0 0;1 1;0 0;1\n1;0 0;1 1;0 x;1\n0;0 0;0 0;0 0;0\n")
+    with pytest.raises(MatrixParseError, match="^bad entry in row 1: "):
+        read_matrix_file(path)
+    path.write_text(head + "1;0 0;1 1;0 0;1\n1;0 0;1 1;0 0;-1\n1;0 0;1 1;0 0;-1\n")
+    got = read_matrix_file(path)
+    assert got.im.tolist() == [[0, 1, 0, 1], [0, 1, 0, -1], [0, 1, 0, -1]]
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 4])
+def test_reader_rescales_held_segments_as_the_denominator_grows(tmp_path, monkeypatch,
+                                                                chunk_entries):
+    # the segment of row 0, over 2, is held when row 1 brings thirds: the
+    # held values and the rows already read are rescaled to sixths, and
+    # row 2, which only repeats held segments, is read over sixths too
+    if chunk_entries is not None:
+        monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
+    a, b, c = "1/2;0/1 -1/2;1/2", "1/3;0/1 0/1;-2/3", "5/1;0/1 1/1;0/1"
+    rows = [f"{a} {a}", f"{a} {b}", f"{b} {a}", f"{c} {a}"]
+    head = "LINEPACK-MATRIX v1 rows=4 cols=4 scale_log2_num=0 scale_log2_den=1\n"
+    path = tmp_path / "g.mat"
+    path.write_text(head + "\n".join(rows) + "\n")
+    got = read_matrix_file(path)
+    want = [[(Fraction(p), Fraction(q)) for p, q in (e.split(";") for e in row.split())]
+            for row in rows]
+    assert got.den == 6 and got.re.dtype == np.int8
+    assert got.re.tolist() == [[int(p * 6) for p, _ in row] for row in want]
+    assert got.im.tolist() == [[int(q * 6) for _, q in row] for row in want]
+
+
+def test_reader_reads_a_gram_of_distinct_entries(tmp_path):
+    # 1024 x 1024 entries that never repeat: every segment is new, and the
+    # held segments are dropped as they pass the cap
+    num = 1024
+    values = np.arange(num * num, dtype=np.int64).reshape(num, num) - num * num // 2
+    gram = GaussianRationalMatrix(values, values % 7 - 3, 5)
+    write_gram_file(tmp_path / "g.mat", gram)
+    got = read_matrix_file(tmp_path / "g.mat")
+    assert got.re.dtype == np.int64 and got.den == gram.canonical().den
+    assert got == gram
+
+
 _fractions = st.tuples(st.integers(-10 ** 15, 10 ** 15), st.integers(-60, 60).filter(bool))
 
 
@@ -1344,6 +1517,23 @@ def test_frame_writer_holds_a_bounded_segment_cache(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 18, f"{peak / (1 << 20):.2f} MiB"
     assert (tmp_path / "f.mat").read_bytes() == _join_reference(frame)
+
+
+def test_reader_holds_a_bounded_segment_table(tmp_path, monkeypatch):
+    # the reader drops its held segments past 16 KiB as the writer does: it
+    # holds the 256 KiB result and about one row's segments, not 1.8 MiB of
+    # every segment's text and values
+    monkeypatch.setattr(etf, "_CHUNK_ENTRIES", 1 << 8)
+    parts = np.arange(2 * 64 * 256, dtype=np.int64).reshape(2, 64, 256) << 20
+    write_frame_file(tmp_path / "f.mat", 64, [FrameMatrix(parts[0], parts[1], 0)])
+    tracemalloc.start()
+    try:
+        back = read_matrix_file(tmp_path / "f.mat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19, f"{peak / (1 << 20):.2f} MiB"
+    assert np.array_equal(back.re, parts[0]) and np.array_equal(back.im, parts[1])
 
 
 def test_gram_writer_refuses_a_denominator_beyond_int64(tmp_path):

@@ -161,7 +161,8 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
     assert counts == {
         "gram_from_frame": {"exact_gram": 1, "gram_tiles": 1},
         "parseval_defect": {"gram_tiles": 1},
-        "verify_gram": {"gram_tiles": 1},
+        # one square per Walsh block: the n = 3 Gram commutes with its centre of order 8
+        "verify_gram": {"gram_tiles": 8},
         # the Welch pattern alone, which proves the frame tight: no Parseval product
         "verify_frame": {"gram_tiles": 1},
         "GaussianRationalMatrix.__matmul__": {"exact_matmul": 4},

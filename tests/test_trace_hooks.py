@@ -9,6 +9,7 @@ itself must also complete and record its spans.
 """
 
 import functools
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import linepack.cli  # binds `linepack` with every submodule loaded, as traced.py does
+from test_cli import VERIFY_GRAM_N5_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
@@ -47,13 +49,19 @@ def test_every_traced_attribute_is_a_kind_the_tracer_wraps():
     assert not wrong, wrong
 
 
-def _traced(tmp_path, *argv) -> tuple[int, set]:
-    """The exit code and the span names of one traced run."""
+def _traced_run(tmp_path, *argv) -> tuple[subprocess.CompletedProcess, set]:
+    """One traced run and its span names."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(TRACED), str(spans), "--", *argv],
                           env=env, capture_output=True, timeout=120)
-    return done.returncode, {span[2] for span in json.loads(spans.read_text())["spans"]}
+    return done, {span[2] for span in json.loads(spans.read_text())["spans"]}
+
+
+def _traced(tmp_path, *argv) -> tuple[int, set]:
+    """The exit code and the span names of one traced run."""
+    done, names = _traced_run(tmp_path, *argv)
+    return done.returncode, names
 
 
 def test_traced_build_completes_with_its_spans(tmp_path):
@@ -83,3 +91,18 @@ def test_traced_sample_run_completes_with_its_spans(tmp_path):
     assert {"chartab.build", "etf.gram_character", "etf.gram_closed_form", "etf.compare",
             "etf.certify"} <= names
     assert "etf.gram_frame" not in names
+
+
+def test_traced_gram_file_run_completes_with_its_spans(tmp_path):
+    # the benchmark's Gram-file workload, verify --in on a fresh n = 5 gram.mat:
+    # the read, the certificate and its comparisons run in their spans, and
+    # the output is the pinned one
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "linepack.cli", "build", "--n", "5", "--out", str(out)],
+                   env=env, capture_output=True, timeout=120, check=True)
+    done, names = _traced_run(tmp_path, "verify", "--in", str(out / "gram.mat"),
+                              "--threads", "1")
+    assert done.returncode == 0
+    assert {"etf.read", "etf.certify", "etf.compare"} <= names
+    assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_GRAM_N5_SHA256
