@@ -81,9 +81,6 @@ class GroupContext:
     # canonical enumeration
     # ------------------------------------------------------------------
 
-    def index(self, g: Element) -> int:
-        return (g[0] << self.field.n) | g[1]
-
     def elements(self):
         q = self.field.order
         for x in range(q):

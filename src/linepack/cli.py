@@ -126,8 +126,8 @@ def cmd_build(args) -> int:
         sha256[name] = hashlib.sha256()
         return sha256[name]
 
-    etf.write_frame_file(out / "frame.mat", m, etf._synthesize_columns(
-        factors, np.arange(num_vectors)), hasher("frame.mat"))
+    etf.write_frame_file(out / "frame.mat", m, etf._synthesize_columns(factors),
+                         hasher("frame.mat"))
     if args.n <= _FULL_BUILD_MAX_N:
         with open(out / "gram.mat", "wb") as fh:
             cert = etf.verify_factors(factors, etf.gram_writer(

@@ -15,12 +15,13 @@ signs.  `FrameFactors.blocks` synthesizes the frame from it a gamma
 block at a time, as `build` writes frame.mat.  Its Gram is fixed by q^3
 values: with M = conj(P) P^T, formed by one exact product,
 G[(x, y), (x', y')] = F_x[x', y + y'], and each slab F_x is q fast
-Walsh-Hadamard transforms over the trace form (Fino and Algazi, 1976;
-Lidl and Niederreiter, ch. 2), exact in the narrowest integer type
-that the checked bound (q - 1) max|M| allows, at most int32.  The
-transform's kernel must equal the sign table at the walk's positions
-(`FrameFactors.sign_defect`), checked before the walk, so its values
-are the Gram of the frame that is written.  `verify_factors` walks the
+Walsh-Hadamard transforms (Fino and Algazi, 1976) of M placed at the
+sign rows' characters of the centre, exact in the narrowest integer
+type that the checked bound (q - 1) max|M| allows, at most int32.  The
+rows must be the q - 1 nontrivial characters, each once
+(`FrameFactors.sign_defect`, checked before the walk, which reads
+nothing else), so the values are the Gram of the frame that is written.
+`verify_factors` walks the
 slabs once, for the Welch pattern, for the table routes when the caller
 compares them, and, at n <= 5, for the rows of gram.mat, which the
 caller's row sink receives: all 2^28 entries at n = 7 in about 0.06 s
@@ -68,7 +69,7 @@ walk reads those rows only.  Any other Gram is the one block of itself,
 squared tile by tile, and walked by `upper_blocks`.  Only `gram`
 computes an N x N Gram:
 `verify --n 7` certifies all 2^28 entries three ways in about 0.5 s at
-36 MB peak RSS, and `verify --n 9` all 2^36 in about 12 s at 95 MB
+36 MB peak RSS, and `verify --n 9` all 2^36 in about 12 s at 92 MB
 (`--threads 1`, 2 vCPU Xeon).
 Matrix files are written by one writer (`_MatrixWriter`), a block of
 rows at a time: a row is cut into segments of isqrt(cols) entries, each
@@ -160,7 +161,8 @@ class FrameFactors:
     p = p_re + i p_im is `RepContext.dense_x0` as int8, row a being
     pi(a, 0) flattened; images[gamma - 1, x] = gamma^-1 x and
     signs[gamma - 1, y] = (-1)^tr(gamma^-3 y).  `blocks` and `frame`
-    synthesize the frame from it and `gram_values` walks its Gram.
+    synthesize the frame from it and `gram_values` walks its Gram; of the
+    field they read only n, k and the order.
     """
 
     p_re: np.ndarray
@@ -177,12 +179,12 @@ class FrameFactors:
     def log2_scale_sq(self) -> int:
         return self.field.k - 2 * self.field.n
 
-    def blocks(self, cols: np.ndarray) -> Iterator[FrameMatrix]:
-        """The frame's rows on the given columns, one int8 block per gamma."""
-        xs, ys = cols >> self.field.n, cols & (self.field.order - 1)
+    def blocks(self) -> Iterator[FrameMatrix]:
+        """The frame's rows, one int8 block per gamma, columns in element order."""
+        q = self.field.order
         p = [np.ascontiguousarray(part.T) for part in (self.p_re, self.p_im)]
         for images, signs in zip(self.images, self.signs):
-            at, sign = images[xs], signs[ys]
+            at, sign = np.repeat(images, q), np.tile(signs, q)
             re, im = (np.take(part, at, axis=1) for part in p)  # C-ordered, as the writer reads
             re *= sign
             im *= sign
@@ -193,7 +195,7 @@ class FrameFactors:
         num, d = self.field.order ** 2, self.p_re.shape[1]
         re = np.empty((self.rows, num), dtype=np.int8)
         im = np.empty_like(re)
-        for i, block in enumerate(self.blocks(np.arange(num))):
+        for i, block in enumerate(self.blocks()):
             re[i * d:(i + 1) * d], im[i * d:(i + 1) * d] = block.re, block.im
         return FrameMatrix(re, im, self.log2_scale_sq)
 
@@ -203,18 +205,18 @@ class FrameFactors:
         G[(x, y), (x', y')] = F[x', y + y'].
 
         With M = conj(p) p^T, one exact product, F[x', z] is the sum over
-        gamma of M(gamma^-1 x, gamma^-1 x') (-1)^tr(gamma^-3 z), which is
-        WHT(C)[u(z)] for C(w) = M(gamma^-1 x, gamma^-1 x') at w = gamma^-3
-        and C(0) = 0 (cubing permutes the nonzero elements for odd n), and
-        u(z) the trace form (`_trace_form`).  Every butterfly value is a
-        signed sum of at most q - 1 values of C, so |F| <= (q - 1) max|M|;
-        entries of modulus at most 1 give max|M| <= 4^k, and the bound
+        gamma of M(gamma^-1 x, gamma^-1 x') (-1)^popcount(w_gamma & z), for
+        the sign rows' distinct characters w_gamma (`_characters`,
+        `sign_defect`), so WHT(C)[z] for C(w_gamma) = M(gamma^-1 x,
+        gamma^-1 x') and C(0) = 0.  Every butterfly value is a signed sum of
+        at most q - 1 values of C, so |F| <= (q - 1) max|M|; entries of
+        modulus at most 1 give max|M| <= 4^k, and the bound
         (q - 1) 4^k is 130,816 at n = 9, so int32 holds every value
         exactly.  The bound is checked, not assumed, and the transform runs
         in the narrowest type it fits: int8 at n <= 5, where the Suzuki M
         has max|M| = 2^k, and int16 at n = 7 and 9.
         """
-        f, q = self.field, self.field.order
+        q = self.field.order
         both = np.hstack((self.p_re, self.p_im))
         cross = exact_matmul(self.p_re, self.p_im.T)
         m = np.stack((exact_matmul(both, both.T), cross - cross.T))  # conj(p) p^T
@@ -222,15 +224,14 @@ class FrameFactors:
         if bound >= 1 << 31:
             raise OverflowError("factored Gram: (q - 1) max|M| reaches 2**31; refusing to wrap")
         m = m.astype(next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max))
-        w, u = f.inverse_cube_table[1:], _trace_form(f)
+        w = self._characters()
         xs = np.arange(q) if xs is None else xs
         images = self.images if len(xs) == q else self.images[:, xs]
-        c = np.empty((2, q, len(xs)), dtype=m.dtype)  # c[:, w, j] = C(w) for the pair (x, xs[j])
         for x in xs.tolist():
-            c[:, 0] = 0
+            c = np.zeros((2, q, len(xs)), m.dtype)  # c[:, w, j] = C(w) for the pair (x, xs[j])
             c[:, w] = m[:, self.images[:, x, None], images]
             _wht(c)
-            yield x, c[0, u].T, c[1, u].T
+            yield x, c[0].T, c[1].T
 
     def parseval_defect(self) -> tuple[int, int] | None:
         """`parseval_defect` of the frame, read from the factors: entry
@@ -268,18 +269,32 @@ class FrameFactors:
                 return min(found)
         return None
 
+    def _characters(self) -> np.ndarray:
+        """Each sign row's w, read at y = 2^i: bit i is set where the sign is
+        negative, so a row that is a character is (-1)^popcount(w & y)."""
+        bits = np.arange(self.field.n)
+        return ((self.signs[:, 1 << bits] < 0) << bits).sum(axis=1)
+
     def sign_defect(self) -> tuple[int, int] | None:
-        """None when each sign row is the character the walk transforms by,
-        signs[gamma - 1, y] = (-1)^popcount(gamma^-3 & u(y)), read from the
-        Walsh-Hadamard kernel; else the first (gamma - 1, y) that is not.
-        With it, F is the Gram of the frame `blocks` writes: the rows of the
-        kernel are characters and u is linear, so the signs at y and y'
-        multiply to the sign at y + y'."""
-        kernel = np.eye(self.field.order, dtype=np.int8)[None]
-        _wht(kernel)  # kernel[0][t, w] = (-1)^popcount(t & w)
-        want = kernel[0][self.field.inverse_cube_table[1:, None], _trace_form(self.field)]
-        bad = np.argwhere(self.signs != want)
-        return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
+        """None when the sign rows are the q - 1 nontrivial characters of the
+        centre, each once: each row is the Walsh-Hadamard kernel's row at its
+        `_characters` w, and a presence array meets no w twice, nor 0.  Else
+        the first (gamma - 1, y) where a row is not its character, or
+        (gamma - 1, 0) for a row whose w is 0 or an earlier row's.  Then each
+        gamma's term of the walk has its own w, so F is the frame's Gram."""
+        q = self.field.order
+        kernel = np.eye(q, dtype=np.int8)[None]
+        _wht(kernel)  # kernel[0][w, y] = (-1)^popcount(w & y)
+        w = self._characters()
+        bad = np.argwhere(self.signs != kernel[0][w])
+        found = [(int(bad[0, 0]), int(bad[0, 1]))] if len(bad) else []
+        seen = [True] + [False] * (q - 1)  # the trivial character is no row's
+        for g, at in enumerate(w.tolist()):
+            if seen[at]:
+                found.append((g, 0))
+                break
+            seen[at] = True
+        return min(found, default=None)
 
 
 def frame_factors(group: GroupContext, rep: RepContext) -> FrameFactors:
@@ -290,18 +305,6 @@ def frame_factors(group: GroupContext, rep: RepContext) -> FrameFactors:
     p_re, p_im = (_int8(stack) for stack in rep.dense_x0)
     signs = 1 - 2 * f.trace_table[f.mul_table[inv_cube]].astype(np.int8)
     return FrameFactors(p_re, p_im, f.mul_table[inv], signs, f)
-
-
-def _trace_form(field: FieldContext) -> np.ndarray:
-    """u(z) for every z: bit i is tr(alpha^i z), alpha the class of x in
-    the polynomial basis, so that tr(wz) is the parity of w & u(z).  It is
-    the linear map read at the powers of two, linear whatever the tables."""
-    z = np.arange(field.order)
-    u = np.zeros_like(z)
-    for j in range(field.n):  # u(alpha^j), added into every z with bit j set
-        u ^= ((z >> j) & 1) * sum(field.trace(field.mul(1 << i, 1 << j)) << i
-                                  for i in range(field.n))
-    return u
 
 
 def _wht(a: np.ndarray) -> None:
@@ -327,8 +330,8 @@ def _int8(stack: np.ndarray) -> np.ndarray:
 
 # the frame's synthesis under the name perfbench/traced.py wraps: `build`
 # draws frame.mat from it, a gamma block at a time
-def _synthesize_columns(factors: FrameFactors, cols: np.ndarray) -> Iterator[FrameMatrix]:
-    return factors.blocks(cols)
+def _synthesize_columns(factors: FrameFactors) -> Iterator[FrameMatrix]:
+    return factors.blocks()
 
 
 def synthesize_frame(group: GroupContext, rep: RepContext) -> FrameMatrix:
@@ -595,22 +598,24 @@ def verify_frame(frame: FrameMatrix) -> EtfCertificate:
                               frame.rows, frame.cols, lambda: parseval_defect(frame))
 
 
-def verify_factors(factors: FrameFactors, gram_rows=None, routes=None) -> EtfCertificate:
+def verify_factors(factors: FrameFactors, gram_rows=None, routes=None,
+                   cols: np.ndarray | None = None) -> EtfCertificate:
     """Certify the frame of a factor form from its q^3 Gram values
     (`FrameFactors.gram_values`), each standing for the q entries
-    G[(x, y), (x', y')] with y + y' = z, so all N^2 are covered.
+    G[(x, y), (x', y')] with y + y' = z, so all N^2 are covered; given the
+    ascending columns `cols`, only their Gram (`_sampled_gram`), walked by
+    its `upper_blocks` over its own denominator.
 
     Slab x holds row (x, 0) of the Gram; its columns from (x, 0) on are
     one block of the Welch pattern's walk, starting on the diagonal, and
     the slabs' conjugate symmetry (M is Hermitian) covers the rest.  The
     pattern proves the frame tight as in `verify_frame`, whose rank
-    argument needs only the frame's row count.  The walk reads P and the
-    images; it runs only when `FrameFactors.sign_defect` finds the sign
-    table equal to the characters it transforms by, for only then are its
-    values the Gram of the frame.  gram_rows(re, im), when given, receives
-    the frame's Gram rows over 2^(-log2_scale_sq), a slab's q rows at a
-    time from the same walk, or at once from the frame when the sign
-    table is refused, the one case that builds the frame.  A failure's
+    argument needs only the frame's row count.  The walk runs only when
+    `FrameFactors.sign_defect` passes, for only then are its values the
+    Gram of the frame.  gram_rows(re, im), when given, receives the frame's
+    Gram rows over 2^(-log2_scale_sq), a slab's q rows at a time from the
+    walk of all columns (`_slab_rows`), or at once from the frame when the
+    sign table is refused, the one case that builds the frame.  A failure's
     Parseval defect is read from the factors (`FrameFactors.parseval_defect`).
 
     routes = (group, table, found) compares each block and its mirror
@@ -627,26 +632,32 @@ def verify_factors(factors: FrameFactors, gram_rows=None, routes=None) -> EtfCer
             s = den // gram.den
             gram_rows(gram.re.astype(np.int64) * s, gram.im.astype(np.int64) * s)
         defect = factors.parseval_defect()
-        return _certify_gram((), den, factors.rows, num, _sign_failure(bad),
-                             "frame", {"parsevalDefect": defect and list(defect)})
-    pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
+        failure = f"sign rows are not the centre's distinct nontrivial characters at {list(bad)}"
+        return _certify_gram((), den, factors.rows, num, failure, "frame",
+                             {"parsevalDefect": defect and list(defect)})
 
     def blocks():
         for x, re, im in factors.gram_values():
             if gram_rows is not None:
-                gram_rows(*(part[:, pairs].transpose(1, 0, 2).reshape(q, num)
-                            for part in (re, im)))
+                gram_rows(_slab_rows(re), _slab_rows(im))
             yield (slice(x * q, x * q + 1), slice(x * q, num),
                    re[x:].reshape(1, -1), im[x:].reshape(1, -1))
 
-    walk = blocks()
+    if cols is None:
+        walk, cols = blocks(), np.arange(num)
+    else:
+        gram = _sampled_gram(factors, cols)
+        walk, den = gram.upper_blocks(), gram.den
     if routes is not None:
-        walk = _routes_compared(walk, den, np.arange(num), *routes)
+        walk = _routes_compared(walk, den, cols, *routes)
     return _frame_certificate(walk, den, factors.rows, num, factors.parseval_defect)
 
 
-def _sign_failure(at: tuple[int, int]) -> str:
-    return f"sign table differs from the trace form's characters at {list(at)}"
+def _slab_rows(first: np.ndarray) -> np.ndarray:
+    """The q Gram rows (x, y) of slab x, from its row (x, 0) held as the
+    q x q array F[x', z]: row y is F[x', y + y'] at column x' q + y'."""
+    q = first.shape[1]
+    return first[:, np.arange(q)[:, None] ^ np.arange(q)].transpose(1, 0, 2).reshape(q, -1)
 
 
 def _frame_certificate(blocks, den: int, m: int, num_vectors: int, defect) -> EtfCertificate:
@@ -705,12 +716,10 @@ def _centre_order(gram: GaussianRationalMatrix) -> int:
     q = math.isqrt(num)
     if q < 2 or q * q != num or q & (q - 1) or (q * gram.max_abs()) ** 2 * q >= INT64_BOUND:
         return 1
-    pairs = np.arange(q)[:, None] ^ np.arange(q)  # y + y' for the slab's rows y and columns y'
     for x in range(0, num, q):
         for part in (gram.re, gram.im):
             slab = part[x:x + q]
-            if not np.array_equal(slab, slab[0].reshape(q, q)[:, pairs].transpose(1, 0, 2)
-                                  .reshape(q, num)):
+            if not np.array_equal(slab, _slab_rows(slab[0].reshape(q, q))):
                 return 1
     return q
 
@@ -784,41 +793,28 @@ def _routes_compared(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray
         yield block
 
 
-def three_way_sampled(group: GroupContext, table: CharacterTable,
-                      rep: RepContext, min_entries: int = 100_000,
-                      seed: int = 1) -> dict:
-    """Sampled comparison: a random block of columns, all pairs among them.
-
-    The frame route gathers the sampled columns' Gram from the factored
-    walk (`_sampled_gram`) once `FrameFactors.sign_defect` passes; one
-    walk of its `upper_blocks` compares the routes (`_routes_compared`)
-    and checks the Welch pattern, which covers every modulus of a
-    Hermitian Gram.  `failure` names the sign defect or the pattern's
-    failure, None if neither.  min_entries >= N^2
-    samples every column; min_entries below 1 is a ValueError.
+def three_way_sampled(group: GroupContext, table: CharacterTable, rep: RepContext,
+                      min_entries: int, seed: int) -> dict:
+    """Sampled comparison: a random block of columns, all pairs among them,
+    certified by `verify_factors` on those columns, which compares the
+    routes on the walk that checks the Welch pattern.  `failure` is the
+    certificate's, None if it is OPTIMAL.  min_entries >= N^2 samples every
+    column; min_entries below 1 is a ValueError.
     """
     if min_entries < 1:
         raise ValueError(f"need min_entries >= 1, got {min_entries}")
     rng = random.Random(seed)
     ncols = min(group.order, math.isqrt(min_entries - 1) + 1)  # the ceiling square root
     sel = np.array(sorted(rng.sample(range(group.order), ncols)), dtype=np.int64)
-    factors = frame_factors(group, rep)
-    m, num = frame_dimensions(group.field.n)
     mismatches: dict = {}
-    if (bad := factors.sign_defect()) is not None:
-        failure = _sign_failure(bad)
-    else:
-        gram = _sampled_gram(factors, sel)
-        failure = _welch_pattern(
-            _routes_compared(gram.upper_blocks(), gram.den, sel, group, table, mismatches),
-            gram.den, m, num)[0]
+    cert = verify_factors(frame_factors(group, rep), routes=(group, table, mismatches), cols=sel)
     return {
         "entries": int(ncols) ** 2,
         "columns": int(ncols),
         "seed": seed,
         "agree": _routes_agree(mismatches),
-        "pattern_ok": failure is None,
-        "failure": failure,
+        "pattern_ok": cert.failure is None,
+        "failure": cert.failure,
         "mismatches": mismatches,
     }
 
@@ -1058,11 +1054,9 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
     table and the result are int8, widened once to int64 before the first
     value beyond int8 is written.  The row count is reported first.
     """
-    found, fault, step = 0, None, _chunk_rows(cols)
+    found, fault, step, ends = 0, None, _chunk_rows(cols), None
     (width, count), *tail = _segment_runs(cols)
     full, per_row = width * count, count + len(tail)
-    # the index in its row of the entry that ends each segment
-    ends = np.array([*range(width - 1, full, width), *[cols - 1] * len(tail)])
     try:
         for r in range(0, rows, step):
             chunk = list(itertools.islice(lines, min(step, rows - r)))
@@ -1085,6 +1079,9 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
             sizes = np.diff(np.searchsorted(cuts, line_ends, "right"), prepend=0).tolist()
             good = next((i for i, size in enumerate(sizes) if size != cols), len(sizes))
             if good:
+                if ends is None:  # only now: a header alone may state any cols
+                    # the index in its row of the entry that ends each segment
+                    ends = np.array([*range(width - 1, full, width), *[cols - 1] * len(tail)])
                 cuts = cuts[(np.arange(good)[:, None] * cols + ends).ravel()].tolist()
                 keys = [text[a + 1:b] for a, b in zip([-1, *cuts], cuts)]
                 got, was = list(map(ids.get, keys)), den

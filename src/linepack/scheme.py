@@ -150,10 +150,6 @@ class GaussianRationalMatrix:
             return NotImplemented
         return self.shape == other.shape and first_mismatch(self, other) is None
 
-    def entry(self, i: int, j: int) -> tuple[Fraction, Fraction]:
-        return (Fraction(int(self.re[i, j]), self.den),
-                Fraction(int(self.im[i, j]), self.den))
-
     def trace(self) -> tuple[Fraction, Fraction]:
         return (Fraction(int(self.re.trace()), self.den),
                 Fraction(int(self.im.trace()), self.den))

@@ -269,45 +269,44 @@ def test_verify_n7_certifies_every_entry_three_ways(capsys):
 
 
 @pytest.mark.parametrize("mode", ["full", "sample"])
-@pytest.mark.parametrize("mutant", ["p", "sign", "trace_form"])
-def test_verify_with_a_mutated_factor_form_is_a_violation(capsys, monkeypatch, field5, mode,
-                                                          mutant):
+@pytest.mark.parametrize("mutant", ["p", "sign", "swap"])
+def test_verify_with_a_mutated_factor_form_is_a_violation(capsys, monkeypatch, mode, mutant):
     # a flipped P entry breaks the Welch pattern and the route comparison; a
-    # flipped sign, or a trace form with two values swapped, leaves the sign
-    # table off the characters the walk transforms by, which is named
+    # flipped sign leaves a sign row off the centre's characters, which is
+    # named; sign rows 0 and 1 swapped are still distinct characters, so the
+    # walk certifies that frame, which the table routes do not describe
     from linepack import etf
 
     real = etf.frame_factors
 
     def flipped(group, rep):
         factors = real(group, rep)
+        signs = factors.signs.copy()
         if mutant == "sign":
-            signs = factors.signs.copy()
             signs[2, 5] = -signs[2, 5]
             return dataclasses.replace(factors, signs=signs)
+        if mutant == "swap":
+            return dataclasses.replace(factors, signs=signs[[1, 0, *range(2, len(signs))]])
         p_re = factors.p_re.copy()
         at = np.flatnonzero(p_re)[0]
         p_re.flat[at] = -p_re.flat[at]
         return dataclasses.replace(factors, p_re=p_re)
 
-    if mutant == "trace_form":
-        u = etf._trace_form(field5)
-        u[[1, 2]] = u[[2, 1]]
-        monkeypatch.setattr(etf, "_trace_form", lambda field: u)
-    else:
-        monkeypatch.setattr(etf, "frame_factors", flipped)
+    monkeypatch.setattr(etf, "frame_factors", flipped)
     code, stdout, err = run(capsys, "verify", "--n", "5", "--mode", mode)
     payload = json.loads(stdout)
     assert code == 1
     if mode == "full":
-        assert payload["verdict"] == "NOT_ETF" and payload["threeWay"] is False
+        assert payload["verdict"] == ("OPTIMAL" if mutant == "swap" else "NOT_ETF")
+        assert payload["threeWay"] is False
     else:
-        assert payload["pattern_ok"] is False and payload["agree"] is False
+        assert payload["pattern_ok"] is (mutant == "swap") and payload["agree"] is False
     if mutant == "p":
-        assert ("parseval identity fails" if mode == "full" else "off-diagonal modulus") in err
+        assert "parseval identity fails" in err
+    elif mutant == "sign":
+        assert "sign rows are not the centre's distinct nontrivial characters at [2, 5]" in err
     else:
-        at = "[2, 5]" if mutant == "sign" else "["
-        assert f"sign table differs from the trace form's characters at {at}" in err
+        assert ("gram routes disagree" if mode == "full" else "sampled verification failed") in err
 
 
 @pytest.mark.parametrize("mutant", ["p", "sign"])
@@ -341,7 +340,7 @@ def test_verify_n7_with_a_mutated_factor_form_names_its_defect_without_the_frame
     assert code == 1 and payload["verdict"] == "NOT_ETF"
     assert payload["crossChecks"]["parsevalDefect"] is not None
     failure = "parseval identity fails" if mutant == "p" else \
-        "sign table differs from the trace form's characters at [2, 5]"
+        "sign rows are not the centre's distinct nontrivial characters at [2, 5]"
     assert payload["failure"] == failure and failure in err
 
 
@@ -643,6 +642,18 @@ def test_verify_mutated_matrix_file_is_never_a_crash(built_n3, name, mutations):
     assert main(["verify", "--in", str(path)]) in (0, 1, 2)
 
 
+def test_verify_header_with_a_huge_cols_is_a_parse_error(built_n3, capsys):
+    # a header may state any cols: the reader allocates per-row tables only
+    # once a row of that many entries is read, so this is a parse error, not
+    # a MemoryError's exit 3
+    path = built_n3.parent / "huge-cols-frame.mat"
+    path.write_bytes(_mutate((built_n3 / "frame.mat").read_bytes(),
+                             ("header", "cols", "1214059845793625344")))
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("linepack: parse") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "build"])
 def test_samples_below_one_is_usage_error(tmp_path, capsys, monkeypatch, command):
     # build takes no --samples, which argparse refuses; verify's check comes
@@ -734,7 +745,8 @@ def test_build_with_a_flipped_factor_entry_is_a_violation(tmp_path, capsys, monk
     if mutant == "p":
         assert cert["parseval"] is False and cert["failure"] == "parseval identity fails"
     else:
-        assert cert["failure"] == "sign table differs from the trace form's characters at [2, 5]"
+        assert cert["failure"] == \
+            "sign rows are not the centre's distinct nontrivial characters at [2, 5]"
     frame = etf.read_matrix_file(out / "frame.mat")
     assert etf.read_matrix_file(out / "gram.mat") == etf.gram_from_frame(frame)
     manifest = json.loads((out / "manifest.json").read_text())

@@ -13,10 +13,11 @@ module-level class other than a dunder, must be read in `src/linepack`
 outside its own body, so that a helper a merge leaves behind for the
 tests alone is caught.
 
-The checks match names, not bindings, so each is a lower bound on the
-dead code, not a proof that none is left: a method whose name is also
-used for something else (a local variable `scale`, a numpy `.conjugate`)
-counts as called.
+A method counts as called only where its name is read as an attribute
+(`obj.name`); a module-level function counts as a bare name too.  The
+checks match names, not bindings, so each is a lower bound on the dead
+code, not a proof that none is left: a method whose name is also an
+attribute of something else (a numpy `.conjugate`) counts as called.
 """
 
 import ast
@@ -71,24 +72,33 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def test_every_public_name_has_a_caller_in_src():
-    uses = []  # (name, file, line)
-    defs = []  # (qualified name, file, first line, last line)
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.append((node.id, path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, path, node.lineno))
-        defs += [(name, path, node.lineno, node.end_lineno) for name, node in _definitions(tree)]
+def _uses(trees):
+    """(name, file, line, read as an attribute) of every name read in `trees`."""
+    return [(node.id, path, node.lineno, False) if isinstance(node, ast.Name)
+            else (node.attr, path, node.lineno, True)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
 
-    uncalled = set()
-    for name, path, first, last in defs:
-        short = name.rsplit(".", 1)[-1]
-        if not any(u == short and not (p == path and first <= line <= last)
-                   for u, p, line in uses):
-            uncalled.add(name)
+
+def _uncalled(defs, uses):
+    """The qualified names of `defs` read nowhere outside their own body: a
+    method (`Class.name`) only as an attribute, a function either way."""
+    return {name for name, path, first, last in defs
+            if not any(u == name.rsplit(".", 1)[-1] and (attr or "." not in name)
+                       and not (p == path and first <= line <= last)
+                       for u, p, line, attr in uses)}
+
+
+def _trees():
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_public_name_has_a_caller_in_src():
+    trees = _trees()
+    defs = [(name, path, node.lineno, node.end_lineno)
+            for path, tree in trees.items() for name, node in _definitions(tree)]
+    uncalled = _uncalled(defs, _uses(trees))
     assert uncalled - ALLOWED.keys() == set(), "public names no code in src/ calls"
     assert ALLOWED.keys() - uncalled == set(), "allowlisted names that now have a caller"
 
@@ -106,15 +116,8 @@ def _private_definitions(tree):
 
 
 def test_every_private_helper_has_a_caller_in_src():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
-    uses = [(node.id if isinstance(node, ast.Name) else node.attr, path, node.lineno)
-            for path, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+    trees = _trees()
     defs = [(name, path, node.lineno, node.end_lineno)
             for path, tree in trees.items() for name, node in _private_definitions(tree)]
     assert defs, "no private helpers found"
-    uncalled = {name for name, path, first, last in defs
-                if not any(u == name.rsplit(".", 1)[-1] and not (p == path and first <= line <= last)
-                           for u, p, line in uses)}
-    assert uncalled == set(), "private helpers no code in src/ calls"
+    assert _uncalled(defs, _uses(trees)) == set(), "private helpers no code in src/ calls"
