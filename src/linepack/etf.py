@@ -68,8 +68,8 @@ block is squared as the tiles of its Hermitian product, and the Welch
 walk reads those rows only.  Any other Gram is the one block of itself,
 squared tile by tile, and walked by `upper_blocks`.  Only `gram`
 computes an N x N Gram:
-`verify --n 7` certifies all 2^28 entries three ways in about 0.5 s at
-36 MB peak RSS, and `verify --n 9` all 2^36 in about 12 s at 92 MB
+`verify --n 7` certifies all 2^28 entries three ways in about 0.33 s at
+36 MB peak RSS, and `verify --n 9` all 2^36 in about 9.6 s at 92 MB
 (`--threads 1`, 2 vCPU Xeon).
 Matrix files are written by one writer (`_MatrixWriter`), a block of
 rows at a time: a row is cut into segments of isqrt(cols) entries, each

@@ -1,15 +1,13 @@
 """Association-scheme layer: adjacency algebra, idempotents, Krein data.
 
-A commutative scheme on N points is held as a relation-index matrix R
-(the (g, h) entry names the relation l of the pair, the adjacency matrix
-A_l is where R equals l) and its c x c second eigenmatrix Q, with
-primitive idempotents E_j = (1/N) sum_l Q[l, j] A_l (Bannai and Ito,
-*Algebraic Combinatorics I*, 1984, section II.3).  All else is read from
-those two: the valencies k_l from row 0 of R, the ranks m_j = Q[0, j],
-the dual of E_j as the column conj(Q[:, j]), E_j as column j gathered at
-R, and the Krein parameters
-q_ijk = sum_l k_l Q_li Q_lj conj(Q_lk) / (N m_k) as one exact product of
-the c^2 x c table k_l Q_li Q_lj by conj(Q), with no N x N matrix.
+A commutative scheme on N points is held as its c x c second
+eigenmatrix Q, with primitive idempotents E_j = (1/N) sum_l Q[l, j] A_l
+(Bannai and Ito, *Algebraic Combinatorics I*, 1984, section II.3), its
+valencies k_l, and a builder of the relation index R (R[g, h] names the
+relation l of the pair, A_l is where R equals l), run on R's first read.
+The ranks are m_j = Q[0, j], E_j is column j of Q gathered at R, and
+the Krein parameters q_ijk = sum_l k_l Q_li Q_lj conj(Q_lk) / (N m_k)
+are one exact product of the c^2 x c table k_l Q_li Q_lj by conj(Q).
 
 Matrices are dense Gaussian rationals stored as a pair of int8 or int64
 numpy arrays over a single positive denominator, which keeps every
@@ -41,17 +39,17 @@ Two constructions are provided:
 
 A subset D of idempotent indices is a hyperdifference set when the sum
 G_D of its idempotents has off-diagonal entries of constant modulus;
-G_D is then the Gram matrix of an equiangular tight frame.  The check
-reads that definition from G_D = (1/N) sum_l s_l A_l, s_l = sum_{j in D}
-Q[l, j], over the relations l >= 1, and the equivalent flatness of the
-Krein sums b_k = sum_{i,j in D} q_{i, dual(j)}^k for k >= 1, and insists
-the two answers agree.
+G_D is then the Gram matrix of an equiangular tight frame.  G_D and both
+criteria are read from one column sum s_l = sum_{j in D} Q[l, j]: G_D is
+s gathered at R over N Q.den, the definition asks |s_l| flat over l >= 1,
+and the equivalent Krein sums b_k = sum_{i,j in D} q_{i, dual(j)}^k, flat
+for k >= 1, are one product of the vector k o |s|^2 by Q.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -164,26 +162,13 @@ class GaussianRationalMatrix:
         return GaussianRationalMatrix(re, im, self.den * other.den)
 
     def _rescaled(self, den: int) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) over `den`, a multiple of self.den, as int64; int64 parts
-        themselves at den."""
-        re, im = _int64(self.re), _int64(self.im)
+        """(re, im) over `den`, a multiple of self.den: the parts themselves
+        at den, else as int64."""
         s = den // self.den
         if s == 1:
-            return re, im
+            return self.re, self.im
         check_bound(self.max_abs() * s, "rescale to a common denominator")
-        return re * s, im * s
-
-    def _aligned(self, other: "GaussianRationalMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        den = math.lcm(self.den, other.den)
-        return (*self._rescaled(den), *other._rescaled(den), den)
-
-    def __add__(self, other: "GaussianRationalMatrix") -> "GaussianRationalMatrix":
-        ar, ai, br, bi, den = self._aligned(other)
-        return GaussianRationalMatrix(ar + br, ai + bi, den)
-
-    def __sub__(self, other: "GaussianRationalMatrix") -> "GaussianRationalMatrix":
-        ar, ai, br, bi, den = self._aligned(other)
-        return GaussianRationalMatrix(ar - br, ai - bi, den)
+        return _int64(self.re) * s, _int64(self.im) * s
 
     # -- predicates -------------------------------------------------------
 
@@ -242,29 +227,33 @@ def first_mismatch(a: GaussianRationalMatrix,
 
     They are compared over the lcm of their denominators, 64 rows at a
     time, or _COMPARE_ENTRIES entries of a narrower matrix: neither is
-    reduced first, and an int64 one already at the lcm is read in place.
+    reduced first, and one already at the lcm is read in place, int8 parts
+    too, since a comparison does no arithmetic that could wrap.
     """
     step = max(64, _COMPARE_ENTRIES // max(1, a.re[:1].size))
+    den = math.lcm(a.den, b.den)
     for start in range(0, a.shape[0], step):
         rows = slice(start, start + step)
-        ar, ai, br, bi, _ = GaussianRationalMatrix(a.re[rows], a.im[rows], a.den)._aligned(
-            GaussianRationalMatrix(b.re[rows], b.im[rows], b.den))
-        bad = np.argwhere((ar != br) | (ai != bi))
-        if len(bad):
-            return start + int(bad[0][0]), int(bad[0][1])
+        ar, ai = GaussianRationalMatrix(a.re[rows], a.im[rows], a.den)._rescaled(den)
+        br, bi = GaussianRationalMatrix(b.re[rows], b.im[rows], b.den)._rescaled(den)
+        bad = (ar != br) | (ai != bi)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            return start + int(row), int(col)
     return None
 
 
 @dataclass
 class SchemeDescriptor:
-    """A commutative association scheme: `relation_index[g, h]` names the
-    relation l of the pair, and `eigenmatrix` is the c x c matrix Q with
-    E_j = (1/size) sum_l Q[l, j] A_l; all else is read from these two."""
+    """A commutative association scheme: Q, with E_j = (1/size) sum_l Q[l, j] A_l,
+    the valencies k_l, and `build_relation_index`, run on the first read of
+    `relation_index`, whose (g, h) entry names the relation l of the pair."""
 
     size: int
-    relation_index: np.ndarray
+    valencies: tuple[int, ...]
     eigenmatrix: GaussianRationalMatrix
     kind: str
+    build_relation_index: Callable[[], np.ndarray] = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -272,9 +261,9 @@ class SchemeDescriptor:
         return self.eigenmatrix.shape[0]
 
     @cached_property
-    def valencies(self) -> tuple[int, ...]:
-        """k_l, the number of points in relation l to point 0."""
-        return tuple(np.bincount(self.relation_index[0], minlength=self.class_count).tolist())
+    def relation_index(self) -> np.ndarray:
+        """The size x size relation index, built on first read."""
+        return self.build_relation_index()
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -284,16 +273,6 @@ class SchemeDescriptor:
         if q.im[0].any() or (re % q.den).any():
             raise AssertionError("idempotent ranks are not integers")
         return tuple((re // q.den).tolist())
-
-    @cached_property
-    def duality(self) -> tuple[int, ...]:
-        """For each E_j, the index of its conjugate: the column conj(Q[:, j]) of Q."""
-        re, im = _int64(self.eigenmatrix.re), _int64(self.eigenmatrix.im)
-        match = (re[:, :, None] == re[:, None]).all(axis=0) \
-            & (im[:, :, None] == -im[:, None]).all(axis=0)
-        if (match.sum(axis=1) != 1).any():
-            raise AssertionError("conjugate idempotent is not unique")
-        return tuple(match.argmax(axis=1).tolist())
 
     def adjacency(self, i: int) -> np.ndarray:
         return (self.relation_index == i).astype(np.int64)
@@ -335,7 +314,7 @@ class SchemeDescriptor:
                 expanded = sum(int(p[i, j, k]) * adj[k] for k in range(d1))
                 if not np.array_equal(prod, expanded):
                     raise AssertionError("(A4) product is not constant on relations")
-        # the valencies, read from row 0, are the row sums of the adjacency matrices
+        # the valencies are the row sums of the adjacency matrices
         if any((a.sum(axis=1) != k).any() for a, k in zip(adj, self.valencies)):
             raise AssertionError("valency is not constant across rows")
         return {"intersection_numbers": p, "transpose_of": transpose_of}
@@ -411,22 +390,30 @@ def group_scheme(group: GroupContext, table: CharacterTable) -> SchemeDescriptor
     degrees = np.array(table.degrees, dtype=np.int64)[:, None]  # widens the int8 table
     return SchemeDescriptor(
         size=group.order,
-        relation_index=group.class_of_element[group.inverse_product_index_matrix],
+        valencies=tuple(group.class_sizes()),
         eigenmatrix=GaussianRationalMatrix((degrees * re).T, (degrees * im).T),
         kind="group",
+        build_relation_index=lambda: group.class_of_element[group.inverse_product_index_matrix],
         meta={"order": group.order, "modulus": group.field.modulus},
     )
 
 
-def gram_projector(scheme: SchemeDescriptor, d_subset) -> GaussianRationalMatrix:
-    """Sum of the idempotents indexed by a nonempty subset."""
+def _column_sum(scheme: SchemeDescriptor, d_subset) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(D, re, im) of s_l = sum_{j in D} Q[l, j] over Q.den, in int64, for a nonempty D."""
     d_subset = tuple(d_subset)
     if not d_subset:
         raise ValueError("empty index set")
-    total = scheme.idempotent(d_subset[0])
-    for j in d_subset[1:]:
-        total = total + scheme.idempotent(j)
-    return total
+    q = scheme.eigenmatrix
+    check_bound(q.max_abs() * len(d_subset), "projector values")
+    return d_subset, *(a[:, list(d_subset)].sum(axis=1, dtype=np.int64) for a in (q.re, q.im))
+
+
+def gram_projector(scheme: SchemeDescriptor, d_subset) -> GaussianRationalMatrix:
+    """G_D, the sum of the idempotents indexed by a nonempty subset D: the
+    column sum s of Q over D gathered at the relation index, over Q.den * size."""
+    _, s_re, s_im = _column_sum(scheme, d_subset)
+    rel = scheme.relation_index
+    return GaussianRationalMatrix(s_re[rel], s_im[rel], scheme.eigenmatrix.den * scheme.size)
 
 
 @dataclass(frozen=True)
@@ -441,31 +428,32 @@ class HyperdiffReport:
 
 
 def hyperdiff_check(scheme: SchemeDescriptor, d_subset) -> HyperdiffReport:
-    """Evaluate both hyperdifference criteria and insist they agree.
+    """Evaluate both hyperdifference criteria on s_l = sum_{j in D} Q[l, j]
+    and insist they agree; neither builds an N x N matrix.
 
-    (a) all off-diagonal squared moduli of the Gram projector, s_l / (n Q.den)
-        on relation l >= 1 with s_l = sum_{j in D} Q[l, j], are equal;
-    (b) the Krein sums b_1, ..., b_d are all equal.
-    Neither builds an N x N matrix.
+    (a) the off-diagonal squared moduli |s_l|^2 / (n Q.den)^2 of the Gram
+        projector on relations l >= 1 are all equal;
+    (b) the Krein sums b_1, ..., b_d are all equal.  Q[l, dual(j)] = conj(Q[l, j]), so
+        b_k = sum_{i,j in D} q_{i, dual(j)}^k = sum_l k_l |s_l|^2 conj(Q_lk) / (n m_k Q.den^3),
+        one product of the vector k o |s|^2 by Q, whose imaginary part must vanish.
+    The two agree by construction whenever Q is invertible, so the check
+    tests Q, not the family; the independent evidence is the Krein condition
+    (`SchemeDescriptor.krein`) and the orthogonality of the character table.
     """
-    d_subset = tuple(d_subset)
-    if not d_subset:
-        raise ValueError("empty index set")
+    d_subset, s_re, s_im = _column_sum(scheme, d_subset)
     q, n = scheme.eigenmatrix, scheme.size
     m = sum(scheme.ranks[j] for j in d_subset)
 
-    check_bound(q.max_abs() * len(d_subset), "projector values")
-    s_re, s_im = (_int64(a[1:, list(d_subset)]).sum(axis=1).tolist() for a in (q.re, q.im))
-    off = [x * x + y * y for x, y in zip(s_re, s_im)]
-    flat = len(set(off)) <= 1
+    check_bound(2 * max(scheme.valencies) * max_abs(s_re, s_im) ** 2, "Krein sums")
+    sq = s_re * s_re + s_im * s_im
+    flat = len(set(sq[1:].tolist())) <= 1
 
-    # b_k = sum over i, j in D of q_{i, dual(j)}^k
-    krein = scheme.krein
-    b = tuple(sum((krein[i][scheme.duality[j]][k] for i in d_subset for j in d_subset),
-                  start=Fraction(0))
-              for k in range(scheme.class_count))
-    tail = b[1:]
-    flat_krein = all(v == tail[0] for v in tail) if tail else True
+    weighted = np.array(scheme.valencies, dtype=np.int64) * sq
+    re, im = (exact_matmul(weighted[None], part)[0] for part in (q.re, q.im))
+    if im.any():
+        raise AssertionError("Krein sum came out non-real")
+    b = tuple(Fraction(v, n * mk * q.den ** 3) for v, mk in zip(re.tolist(), scheme.ranks))
+    flat_krein = len(set(b[1:])) <= 1
     if flat != flat_krein:
         raise AssertionError(
             "hyperdifference criteria disagree: "
@@ -475,10 +463,10 @@ def hyperdiff_check(scheme: SchemeDescriptor, d_subset) -> HyperdiffReport:
         return HyperdiffReport(d_subset, False, m, b, None, None, None)
     c1 = Fraction(m * (n - m), n * (n - 1))
     c2 = Fraction(m * (m - 1), n * (n - 1))
-    off_sq = Fraction(off[0], (n * q.den) ** 2)
+    off_sq = Fraction(int(sq[1]), (n * q.den) ** 2)
     if off_sq != c1 / n:
         raise AssertionError("off-diagonal modulus disagrees with the derived constant")
-    if tail and tail[0] != n * c2:
+    if b[1:] and b[1] != n * c2:
         raise AssertionError("Krein sums disagree with the derived constant")
     return HyperdiffReport(d_subset, True, m, b, c1, c2, off_sq)
 
@@ -563,12 +551,14 @@ def srg_scheme(v: int, k: int, lam: int, mu: int,
     else:
         d_pick = (1,)
 
+    rel = 2 - a - 2 * imat  # 0 on the diagonal, 1 on edges, 2 elsewhere
     desc = SchemeDescriptor(
         size=v,
-        relation_index=2 - a - 2 * imat,  # 0 on the diagonal, 1 on edges, 2 elsewhere
+        valencies=tuple(np.bincount(rel[0], minlength=3).tolist()),
         eigenmatrix=GaussianRationalMatrix(
             np.array([[int(x * den) for x in row] for row in q], dtype=np.int64), None, den),
         kind="srg",
+        build_relation_index=lambda: rel,
         meta={"parameters": [v, k, lam, mu], "eig_plus": eig_plus,
               "eig_minus": eig_minus, "criterion": criterion},
     )

@@ -17,6 +17,7 @@ import numpy as np
 from linepack import (
     enumerate_tuples,
     gram_projector,
+    group_scheme,
     hyperdiff_check,
     srg_scheme,
     verify_gram,
@@ -115,7 +116,7 @@ def test_criterion_3_character_table_suite(table3, table5, capsys):
                "nonidentity elements (n=3) and 16 (n=5)")
 
 
-def test_criterion_4_scheme_axioms_and_krein(scheme3, table3, capsys):
+def test_criterion_4_scheme_axioms_and_krein(scheme3, table3, table5, table7, capsys):
     with capsys.disabled():
         scheme3.verify_axioms()        # (A1)-(A5), exact
         scheme3.verify_idempotents()   # idempotent, orthogonal, sum to I
@@ -124,9 +125,16 @@ def test_criterion_4_scheme_axioms_and_krein(scheme3, table3, capsys):
         ok = rep.is_hyperdifference
         ok &= all(b == 12 for b in rep.b[1:])
         ok &= Fraction(28 * 27, 63) == 12
+        # the larger group schemes, from Q alone: no N x N relation index
+        for table, flat_b in ((table5, 240), (table7, 4032)):
+            rep = hyperdiff_check(group_scheme(table.group, table), table.d_set)
+            ok &= rep.is_hyperdifference and set(rep.b[1:]) == {flat_b}
+            ok &= Fraction(rep.m * (rep.m - 1), table.group.order - 1) == flat_b
+        ok &= Fraction(496 * 495, 1023) == 240 and Fraction(8128 * 8127, 16383) == 4032
         report(4, bool(ok),
                "scheme axioms (A1)-(A5) exact, idempotents orthogonal and "
-               "complete, all Krein parameters >= 0, b_k = 12 = 28*27/63 on "
+               "complete, all Krein parameters >= 0, b_k = 12 = 28*27/63 (n=3), "
+               "240 = 496*495/1023 (n=5) and 4032 = 8128*8127/16383 (n=7) on "
                "every nonidentity class")
 
 

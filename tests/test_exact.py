@@ -152,6 +152,8 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
             frame.re, frame.im) @ scheme.GaussianRationalMatrix(frame.re.T, -frame.im.T),
         "CharacterTable.verify": table3.verify,
         "krein": lambda: scheme.group_scheme(group3, table3).krein,
+        "hyperdiff_check": lambda: scheme.hyperdiff_check(scheme.group_scheme(group3, table3),
+                                                          table3.d_set),
     }
     counts = {}
     for name, call in sites.items():
@@ -170,6 +172,8 @@ def test_every_product_goes_through_the_kernel(monkeypatch, group3, rep3, table3
         "CharacterTable.verify": {"gram_tiles": 2},
         # one Gaussian product of the c^2 x c pair table by conj(Q)
         "krein": {"exact_matmul": 4},
+        # one product of the vector k o |s|^2 by Q, one per part of Q
+        "hyperdiff_check": {"exact_matmul": 2},
     }
 
 

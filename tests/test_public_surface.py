@@ -53,6 +53,8 @@ ALLOWED = {
     "CharacterTable.d_set_sum": "test_chartab, criterion 3: the flat D-sums that make the "
                                 "character-sum Gram an ETF",
     "SchemeDescriptor.verify_axioms": "test_scheme, criterion 4: the scheme axioms (A1)-(A5)",
+    "SchemeDescriptor.krein": "test_scheme, criterion 4: the Krein condition q_ijk >= 0 and "
+                              "the trace oracle",
     "SchemeDescriptor.verify_idempotents": "test_scheme, criterion 4: the primitive idempotents "
                                            "are orthogonal, complete and of the recorded ranks",
     "closed_form_entry": "test_etf: scalar oracle for the vectorized closed-form Gram route",

@@ -65,13 +65,11 @@ def test_matmul_matches_fraction_oracle():
                 assert _entry(prod, i, j) == oracle[i][j]
 
 
-def test_add_sub_and_equality_across_denominators():
+def test_equality_across_denominators():
     a = GaussianRationalMatrix(np.array([[2, 4], [6, 8]]), None, 4)
     b = GaussianRationalMatrix(np.array([[1, 2], [3, 4]]), None, 2)
-    assert a == b
-    assert (a - b).max_abs() == 0
-    c = a + b
-    assert _entry(c, 0, 0) == (Fraction(1), Fraction(0))
+    assert a == b and first_mismatch(a, b) is None
+    assert first_mismatch(a, GaussianRationalMatrix(np.array([[1, 2], [3, 5]]), None, 2)) == (1, 1)
     assert a.canonical().den == 2
 
 
@@ -93,11 +91,12 @@ _BIG = GaussianRationalMatrix(np.array([[1 << 32]]))
 
 @pytest.mark.parametrize("site", [
     lambda: _BIG.abs_sq_int(),
-    lambda: _BIG + GaussianRationalMatrix(np.array([[1]]), None, 1 << 31),
+    lambda: _BIG == GaussianRationalMatrix(np.array([[1]]), None, 1 << 31),
     lambda: _BIG @ GaussianRationalMatrix(np.array([[1 << 61]])),
 ], ids=["abs_sq_int", "aligned", "matmul"])
 def test_int64_products_refuse_to_wrap(site):
-    # each of these used to wrap silently; (2^32)^2 became 0
+    # each of these used to wrap silently; (2^32)^2 became 0, and so did
+    # 2^32 over the common denominator 2^31
     with pytest.raises(OverflowError):
         site()
 
@@ -179,8 +178,6 @@ _METHODS = {
     "trace": lambda a, b: a.trace(),
     "matmul": lambda a, b: a @ b,
     "rescaled": lambda a, b: [a._rescaled(a.den), a._rescaled(3 * a.den)],
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
     "hermitian_defect": lambda a, b: a.hermitian_defect(),
     "abs_sq_int": lambda a, b: a.abs_sq_int(),
     "gram_tiles": lambda a, b: list(gram_tiles(a.re, a.im)),
@@ -258,7 +255,7 @@ def _leading_block(x):
     """An integer 64 x 64 matrix that is x on its leading block and 0 elsewhere."""
     out = np.zeros((64, 64), dtype=np.int64)
     out[:len(x), :len(x)] = x
-    return GaussianRationalMatrix(out)
+    return out
 
 
 _V, _W = np.array([1, -1, 0, 0]), np.array([0, 0, 1, -1])
@@ -277,7 +274,8 @@ def test_verify_idempotents_rejects_a_shifted_pair(scheme3, x, message):
     # E_1 + X and E_2 - X still sum, with the rest, to the identity
     def shifted(j):
         e = scheme3.idempotent(j)
-        return {1: e + x, 2: e - x}.get(j, e)
+        step = {1: 1, 2: -1}.get(j, 0) * e.den * x
+        return GaussianRationalMatrix(e.re + step, e.im, e.den)
 
     shifted_scheme = dataclasses.replace(scheme3)
     shifted_scheme.idempotent = shifted
@@ -425,11 +423,13 @@ def test_petersen_scheme_passes_its_checks():
 def test_krein_condition_rejects_srg_28_9_0_4():
     # feasible parameters with no graph: eigenvalues 1 and -5 of multiplicities
     # 21 and 6, so Q = [[1, 21, 6], [1, 7/3, -10/3], [1, -7/3, 4/3]], and q_22^2 < 0;
-    # krein reads only the valencies (row 0 of the relation index) and Q
-    row0 = np.array([0] + [1] * 9 + [2] * 18)
-    circulant = row0[(np.arange(28) - np.arange(28)[:, None]) % 28]
+    # krein reads only the valencies and Q, never the relation index
     q = GaussianRationalMatrix(np.array([[3, 63, 18], [3, 7, -10], [3, -7, 4]]), None, 3)
-    desc = scheme.SchemeDescriptor(28, circulant, q, "srg")
+
+    def no_index():
+        raise AssertionError("the relation index was read")
+
+    desc = scheme.SchemeDescriptor(28, (1, 9, 18), q, "srg", no_index)
     assert desc.valencies == (1, 9, 18) and desc.ranks == (1, 21, 6)
     with pytest.raises(AssertionError, match=r"q\[2\]\[2\]\[2\] = -4/9 < 0"):
         desc.krein
@@ -481,6 +481,90 @@ def test_hyperdiff_trivial_and_negative_cases(scheme3, table3):
     assert everything.is_hyperdifference  # flat zeros; degenerate for ETF use
 
 
+def _krein_triple_sum(desc, d_subset, table=None):
+    """b_k = sum_{i,j in D} q_{i, dual(j)}^k from the Krein tensor: dual(j) is
+    the row of the character table conjugate to row j, or j itself for a
+    scheme whose Q is real."""
+    if table is None:
+        assert not desc.eigenmatrix.im.any()
+        dual = list(range(desc.class_count))
+    else:
+        re, im = (a.astype(np.int64) for a in table.value_arrays)
+        dual = [int(np.flatnonzero((re == re[j]).all(axis=1) & (im == -im[j]).all(axis=1))[0])
+                for j in range(len(re))]
+    krein = desc.krein
+    return tuple(sum((krein[i][dual[j]][k] for i in d_subset for j in d_subset),
+                     start=Fraction(0))
+                 for k in range(desc.class_count))
+
+
+_GROUP_SUBSETS = {
+    "D": lambda t: t.d_set,
+    "trivial": lambda t: (0,),
+    "one-character": lambda t: t.d_set[:1],
+    "every-class": lambda t: tuple(range(len(t.characters))),
+    "D-less-one": lambda t: t.d_set[1:],
+    "D-plus-trivial": lambda t: (0,) + t.d_set,
+}
+
+
+@pytest.mark.parametrize("n, subset", [(3, name) for name in _GROUP_SUBSETS] + [(5, "D")])
+def test_hyperdiff_b_is_the_krein_triple_sum_group(request, n, subset):
+    table = request.getfixturevalue(f"table{n}")
+    desc = scheme.group_scheme(table.group, table)
+    d = _GROUP_SUBSETS[subset](table)
+    b = hyperdiff_check(desc, d).b
+    assert all(type(x) is Fraction for x in b)
+    assert b == _krein_triple_sum(desc, d, table)
+
+
+@pytest.mark.parametrize("name", ["srg-16-6-2-2", "srg-9-4-1-2", "srg-10-3-0-1"])
+@pytest.mark.parametrize("d", [(1,), (2,), (0, 2)])
+def test_hyperdiff_b_is_the_krein_triple_sum_srg(request, name, d):
+    desc = _scheme_named(request, name)
+    assert hyperdiff_check(desc, d).b == _krein_triple_sum(desc, d)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_hyperdiff_rejects_d_less_one_and_d_plus_trivial(request, n):
+    table = request.getfixturevalue(f"table{n}")
+    desc = scheme.group_scheme(table.group, table)
+    assert hyperdiff_check(desc, table.d_set).is_hyperdifference
+    for d in (table.d_set[1:], (0,) + table.d_set):
+        report = hyperdiff_check(desc, d)
+        assert not report.is_hyperdifference and report.c1 is None
+
+
+@pytest.mark.parametrize("part, at, message", [
+    ("im", (1, 0), "Krein sum came out non-real"),
+    ("re", (2, 1), "hyperdifference criteria disagree"),
+], ids=["non-real", "disagree"])
+def test_hyperdiff_refuses_a_changed_eigenmatrix(scheme3, table3, part, at, message):
+    # one entry of a column of Q outside D: s and criterion (a) are unchanged, b is not
+    q = scheme3.eigenmatrix
+    parts = {"re": q.re.copy(), "im": q.im.copy()}
+    parts[part][at] += 1
+    mutant = dataclasses.replace(scheme3, eigenmatrix=GaussianRationalMatrix(
+        parts["re"], parts["im"], q.den))
+    with pytest.raises(AssertionError, match=message):
+        hyperdiff_check(mutant, table3.d_set)
+
+
+def test_hyperdiff_n7_stays_within_its_memory_budget(table7):
+    # Q and the class sizes only: the 2^14 x 2^14 relation index, 2^28
+    # entries, is built on its first read, which neither makes
+    tracemalloc.start()
+    try:
+        desc = scheme.group_scheme(table7.group, table7)
+        report = hyperdiff_check(desc, table7.d_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert "relation_index" not in vars(desc)
+    assert report.is_hyperdifference and set(report.b[1:]) == {4032}
+
+
 # ---------------------------------------------------------------------------
 # strongly regular graphs
 # ---------------------------------------------------------------------------
@@ -508,12 +592,9 @@ def test_srg_16_6_2_2():
 def test_srg_idempotent_matches_eigenprojector_oracle():
     # E_1 must equal the Lagrange projector (A - 6I)(A + 2I) / ((2-6)(2+2))
     desc, _ = srg_scheme(16, 6, 2, 2)
-    a = GaussianRationalMatrix(lattice_graph_adjacency(4))
-    six_i = GaussianRationalMatrix(6 * np.eye(16, dtype=np.int64))
-    two_i = GaussianRationalMatrix(2 * np.eye(16, dtype=np.int64))
-    numer = (a - six_i) @ (a + two_i)
-    oracle = GaussianRationalMatrix(-numer.re, -numer.im, 16 * numer.den)
-    assert desc.idempotent(1) == oracle
+    a = lattice_graph_adjacency(4)
+    i = np.eye(16, dtype=np.int64)
+    assert desc.idempotent(1) == GaussianRationalMatrix(-(a - 6 * i) @ (a + 2 * i), None, 16)
 
 
 def test_srg_complement_subset_is_also_flat():
