@@ -18,8 +18,8 @@ the "-" family consists of its complex conjugates.
 The table's values live only in two int8 arrays (re, im) of shape
 characters x classes, built by whole-table gathers over the field's
 lookup tables; a `Character` labels one row.  Every value is 0, +/-1,
-+/-2^k or +/-i 2^k with 2^k <= 16, widened to int64 wherever it is
-computed with.  Classes are read through
++/-2^k or +/-i 2^k with 2^k <= 16, widened to int64 wherever values
+are summed.  Classes are read through
 `GroupContext.class_of_element` alone, so no tuple partition is built.
 During construction the "+" block is compared, in one whole-table
 comparison, with the traces of the monomial representation: the traces
@@ -28,10 +28,12 @@ of the q images pi(x, 0), gathered at gamma^-1 x and signed by
 
 All values are Gaussian integers; the JSON export writes each one as
 (re + i im) 2^log2 with re, im not both even.
-Every computation in this module is exact.  The orthogonality products
-reach floating point only through `exact.gram_tiles`, whose checked
-bound proves each result an exact integer; each tile is checked and
-dropped as it comes, so no characters x characters product is held.
+Every computation in this module is exact.  `CharacterTable.verify`
+makes one orthogonality product, the column relations, which for a
+square table imply the row relations.  It reaches floating point only
+through `exact.gram_tiles`, whose checked bound proves each result an
+exact integer; each tile is checked and dropped as it comes, so no
+classes x classes product is held.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .bgroup import GroupContext
-from .exact import gram_tiles, max_abs
+from .exact import gram_tiles
 from .heis import RepContext
 
 __all__ = [
@@ -117,7 +119,8 @@ def _check_rep_traces(group: GroupContext, rep: RepContext, x_cls: np.ndarray,
     monomial images pi(x, 0) are gathered at gamma^-1 x and signed.
     """
     field = group.field
-    traces = np.array([rep.rep((x, 0)).trace() for x in field.elements()], dtype=np.int64)
+    # int8 holds |trace| <= 2^k <= 16, and numpy refuses a trace beyond it rather than wrap
+    traces = np.array([rep.rep((x, 0)).trace() for x in field.elements()], dtype=np.int8)
     ginv = np.array([field.inv(g) for g in field.nonzero_elements()], dtype=np.int64)
     at = field.mul_table[ginv[:, None], x_cls]
     sign = _signs(field, field.cube_table[ginv], y_cls)
@@ -165,29 +168,27 @@ class CharacterTable:
         return tuple(ch.degree for ch in self.characters)
 
     def verify(self) -> None:
-        """Exact structural checks: square table, degree sum, orthogonality."""
+        """Exact checks that prove the table; one orthogonality product suffices.
+
+        With X the square characters x classes table and W the diagonal of
+        class sizes, each a positive divisor of |G|, column orthogonality
+        X^H X = |G| W^-1 makes X invertible with inverse W X^H / |G|, so
+        X W X^H = |G| I: row orthogonality (Isaacs, Character Theory of
+        Finite Groups, 1976, ch. 2).
+        """
         nchar, ncls = len(self.characters), len(self.class_sizes)
         if nchar != ncls:
             raise AssertionError(f"table is not square: {nchar} characters, {ncls} classes")
         order = self.group.order
+        w = self.class_sizes
+        if (w <= 0).any() or (order % w).any():
+            raise AssertionError("class sizes are not all positive divisors of the group order")
         if sum(d * d for d in self.degrees) != order:
             raise AssertionError("squared degrees do not sum to the group order")
         re, im = self.value_arrays
-        w = self.class_sizes
-        # first orthogonality: sum_g chi(g) conj(chi'(g)) = |G| delta, the conjugate of the
-        # Hermitian Gram of the table's transpose, each class scaled by sqrt(|class|):
-        # an integer for the sizes 1 and 4^k, and any other size fails
-        root = np.rint(np.sqrt(w)).astype(np.int64)
-        dtype = np.int16 if max_abs(re, im) * max_abs(root) < 1 << 15 else np.int64
-        if (root * root != w).any() or not _is_diagonal(
-                np.multiply(re.T, root[:, None], dtype=dtype),
-                np.multiply(im.T, root[:, None], dtype=dtype), np.full(nchar, order)):
-            raise AssertionError("row orthogonality fails")
-        # second orthogonality: sum_chi chi(g) conj(chi(h)) = |G|/|class| delta,
-        # the conjugate of the table's Hermitian Gram
+        # sum_chi conj(chi(g)) chi(h) = |G|/|class| delta: the table's Hermitian Gram
         if not _is_diagonal(re, im, order // w):
             raise AssertionError("column orthogonality fails")
-        # degree column at the identity class
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():
             raise AssertionError("identity-class column disagrees with the degrees")
 

@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="matrix file to certify in full; takes no --mode, --samples or --seed")
     v.add_argument("--mode", choices=["full", "sample"],
                    help="with --n only (default full): full certifies all N^2 entries from q^3 "
-                        "values, ~0.33 s at n = 7 and ~9.6 s, ~92 MB at n = 9")
+                        "values; sample compares a random block of at least --samples entries")
     v.add_argument("--samples", type=int, help=f"sample mode only (default {DEFAULT_SAMPLES})")
     v.add_argument("--seed", type=int, help=f"sample mode only (default {DEFAULT_SEED})")
     common(v)

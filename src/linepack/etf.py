@@ -24,8 +24,7 @@ nothing else), so the values are the Gram of the frame that is written.
 `verify_factors` walks the
 slabs once, for the Welch pattern, for the table routes when the caller
 compares them, and, at n <= 5, for the rows of gram.mat, which the
-caller's row sink receives: all 2^28 entries at n = 7 in about 0.06 s
-(one thread, 2 vCPU Xeon), holding neither the frame nor its Gram.
+caller's row sink receives, holding neither the frame nor its Gram.
 
 The Gram matrix of the frame is computed three independent ways:
 
@@ -67,10 +66,7 @@ and Waldron, 2005), read from one transform of its rows (x, 0); each
 block is squared as the tiles of its Hermitian product, and the Welch
 walk reads those rows only.  Any other Gram is the one block of itself,
 squared tile by tile, and walked by `upper_blocks`.  Only `gram`
-computes an N x N Gram:
-`verify --n 7` certifies all 2^28 entries three ways in about 0.33 s at
-36 MB peak RSS, and `verify --n 9` all 2^36 in about 9.6 s at 92 MB
-(`--threads 1`, 2 vCPU Xeon).
+computes an N x N Gram.
 Matrix files are written by one writer (`_MatrixWriter`), a block of
 rows at a time: a row is cut into segments of isqrt(cols) entries, each
 distinct segment is encoded once, and a row is one join of encoded

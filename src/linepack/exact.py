@@ -1,7 +1,7 @@
 """Exact int64 matrix products on floating-point BLAS, and the checked bound.
 
 numpy never sends an integer matmul to BLAS, so the certified products
-G = Phi^H Phi, Phi Phi^H, G^2 and the character orthogonality sums used
+G = Phi^H Phi, Phi Phi^H, G^2 and the character orthogonality sum used
 to run in numpy's scalar int64 loop.  One kernel runs them on float BLAS
 when a bound proves the float result is the exact integer: with
 bound = max|a| * max|b| * K, every product and every partial sum of a

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -197,6 +198,20 @@ def test_table_census_n9():
     assert table.value_arrays[0].shape == (1534, 1534)
 
 
+def test_table_build_n9_traced_peak_budget():
+    # the representation traces are gathered as int8 and the table is proved
+    # by one product: about 12 MiB traced at n = 9, from fresh contexts
+    group = GroupContext(FieldContext(9))
+    rep = RepContext(group)
+    tracemalloc.start()
+    try:
+        build_character_table(group, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 << 20
+
+
 def test_product_path_builds_no_class_partition(monkeypatch):
     # the tuple partition is the brute-force oracle only: building, exporting
     # and sizing the classes read `class_of_element` alone
@@ -227,9 +242,8 @@ def test_verify_detects_broken_value(table3):
 
 @pytest.mark.parametrize("corrupt", ["re", "im", "row"])
 def test_verify_checks_the_last_row_block(table7, corrupt):
-    # n = 7 has 382 characters, so the orthogonality checks run in two row
-    # blocks; a doubled row stays orthogonal to every other row and is seen
-    # only on the diagonal, inside the last block
+    # n = 7 has 382 characters, so the column check sums them in two chunks
+    # of rows; a corrupted last row is read only in the last chunk
     re, im = (a.copy() for a in table7.value_arrays)
     assert len(re) == 382
     if corrupt == "row":
@@ -238,7 +252,7 @@ def test_verify_checks_the_last_row_block(table7, corrupt):
     else:
         (re if corrupt == "re" else im)[-1, 1] += 1
     broken = replace(table7, value_arrays=(re, im))
-    with pytest.raises(AssertionError, match="row orthogonality fails"):
+    with pytest.raises(AssertionError, match="column orthogonality fails"):
         broken.verify()
 
 
@@ -254,16 +268,88 @@ def test_orthogonality_check_reads_the_imaginary_part(monkeypatch):
     assert not chartab._is_diagonal(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 1]))
 
 
-def test_row_orthogonality_refuses_a_class_size_that_is_not_a_square(table3):
-    # the row check scales each class by the square root of its size; a size
-    # of 3 has none, and fails the check rather than raise anything else
+def _with_class_sizes(table, sizes):
+    broken = replace(table)
+    broken.__dict__["class_sizes"] = sizes  # where the cached property keeps its value
+    return broken
+
+
+def test_verify_refuses_a_class_size_that_does_not_divide_the_order(table3, monkeypatch):
+    # |G| / |class| is read as order // size, so every size must divide the
+    # order; sizes 3 and 5 are refused before any product runs
+    def no_product(*args):
+        raise AssertionError("an orthogonality product ran")
+
+    monkeypatch.setattr(chartab, "gram_tiles", no_product)
     sizes = table3.class_sizes.copy()
     assert sizes[8] == sizes[9] == 4
     sizes[8:10] = 3, 5  # still summing to the order
-    broken = replace(table3)
-    broken.__dict__["class_sizes"] = sizes  # where the cached property keeps its value
-    with pytest.raises(AssertionError, match="row orthogonality fails"):
-        broken.verify()
+    with pytest.raises(AssertionError, match="positive divisors of the group order"):
+        _with_class_sizes(table3, sizes).verify()
+
+
+def _old_checks_pass(table):
+    """Whether the table passes both orthogonality relations and the identity
+    column, as the two-product check did: rows X W X^H = |G| I and columns
+    W X^H X = |G| I, for X = re + i im and W the class sizes.  Every entry
+    and partial sum is an integer below 2^53, so float64 is exact."""
+    re, im = (a.astype(np.float64) for a in table.value_arrays)
+    w = table.class_sizes.astype(np.float64)
+    order = table.group.order * np.eye(len(w))
+    rows_re = (re * w) @ re.T + (im * w) @ im.T
+    rows_im = (im * w) @ re.T - (re * w) @ im.T
+    cols_re = w[:, None] * (re.T @ re + im.T @ im)
+    cols_im = re.T @ im - im.T @ re
+    return bool((rows_re == order).all() and not rows_im.any()
+                and (cols_re == order).all() and not cols_im.any()
+                and (re[:, 0] == table.degrees).all() and not im[:, 0].any())
+
+
+def _corrupted(table, corrupt):
+    re, im = (a.copy() for a in table.value_arrays)
+    sizes = table.class_sizes.copy()
+    q = table.group.field.order
+    s = sizes[-1]  # a noncentral class; classes 0 .. q - 1 are the centre's
+    if corrupt in ("re+1", "im+1"):
+        (re if corrupt == "re+1" else im)[-1, 1] += 1
+    elif corrupt == "doubled row":
+        re[-1] *= 2
+        im[-1] *= 2
+    elif corrupt == "flipped sign":
+        re[3, 1] = -re[3, 1]
+    elif corrupt.startswith("columns swapped"):
+        a, b = (1, 2) if corrupt.endswith("same size") else (1, -1)
+        re[:, [a, b]], im[:, [a, b]] = re[:, [b, a]], im[:, [b, a]]
+    elif corrupt == "row conjugated":
+        im[q] = -im[q]  # nl+[1] becomes a second nl-[1]
+    elif corrupt == "sizes dividing":
+        sizes[-3:] = 2 * s, s // 2, s // 2
+    elif corrupt == "sizes not dividing":
+        sizes[-2:] = s - 1, s + 1
+    assert sizes.sum() == table.group.order
+    return _with_class_sizes(replace(table, value_arrays=(re, im)), sizes)
+
+
+CORRUPTIONS = ["intact", "re+1", "im+1", "doubled row", "flipped sign",
+               "columns swapped, same size", "columns swapped", "row conjugated",
+               "sizes dividing", "sizes not dividing"]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("table_name", ["table3", "table5", "table7"])
+def test_column_check_refuses_exactly_what_both_relations_refuse(table_name, corrupt, request):
+    # for a square table whose class sizes divide |G|, column orthogonality
+    # implies row orthogonality, so the one product refuses a corrupted table
+    # exactly when the two relations together do.  Swapping two columns of
+    # the same class size relabels the classes and leaves a true table
+    table = _corrupted(request.getfixturevalue(table_name), corrupt)
+    passes = _old_checks_pass(table)
+    assert passes is (corrupt in ("intact", "columns swapped, same size"))
+    if passes:
+        table.verify()
+    else:
+        with pytest.raises(AssertionError):
+            table.verify()
 
 
 def test_identity_column_sums_to_order(table3):

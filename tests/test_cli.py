@@ -253,6 +253,23 @@ def test_verify_beyond_n9_is_usage_error(capsys, monkeypatch):
     assert "3 <= n <= 9" in err
 
 
+# sha256 of the `verify --n` stdout, full at n = 3 and 5 and the sampled
+# n = 7 check; any change to the certificate or the sampled report shows here
+VERIFY_N_SHA256 = {
+    ("--n", "3"): "30722f24bd255aabf8d56841a60477312b0f183db4627e2ee49992fcf790de8c",
+    ("--n", "5"): "8d74dd469b265f21540de4da872e79ccbe2a64cef8d26bf0def3c08af4de8de5",
+    ("--n", "7", "--mode", "sample", "--samples", "100000", "--seed", "1"):
+        "b923d42e7275813278276e01c15ddc82dda14573e084edfbda7c15f3a2ffee2c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_N_SHA256), ids=" ".join)
+def test_verify_n_stdout_pinned(capsys, argv):
+    code, stdout, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == VERIFY_N_SHA256[argv]
+
+
 # sha256 of `build --n 7`'s certificate.json: OPTIMAL over all 2^28 entries
 BUILD_N7_CERTIFICATE_SHA256 = "10060dedd10407f0ee77255b7723a9086965f1ce124ed4867f9c89927605d771"
 
