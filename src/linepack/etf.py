@@ -68,13 +68,14 @@ walk reads those rows only.  Any other Gram is the one block of itself,
 squared tile by tile, and walked by `upper_blocks`.  Only `gram`
 computes an N x N Gram.
 Matrix files are written by one writer (`_MatrixWriter`), a block of
-rows at a time: a row is cut into segments of isqrt(cols) entries, each
-distinct segment is encoded once, and a row is one join of encoded
-segments; the bytes pass through a hasher as they are written, which
-is how `build` hashes frame.mat and gram.mat (`gram_writer`).
-`read_matrix_file` is its mirror: it cuts a chunk of rows into the same
-segments (`_segment_runs`), keys each by its text, converts each
-distinct segment once, and fills the chunk's rows of an (re, im) pair
+rows at a time: a row is cut into segments of one width, isqrt(cols)
+entries when cols is a square, as every file the program writes has,
+else the whole row (`_segment_width`); each distinct segment is encoded
+once, and a row is one join of encoded segments; the bytes pass through
+a hasher as they are written, which is how `build` hashes frame.mat and
+gram.mat (`gram_writer`).  `read_matrix_file` is its mirror: it cuts a
+chunk of rows into the same segments, keys each by its text, converts
+each distinct segment once, and fills the chunk's rows of an (re, im) pair
 by one gather of segment ids, int8 while every value fits, as in the
 Suzuki frames and Grams, else int64.  A computed frame Gram is held
 alike (`_reduced`).
@@ -845,11 +846,12 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.searchsorted(values, a)
 
 
-def _segment_runs(cols: int) -> list[tuple[int, int]]:
-    """(segment width, segments per row) of a row of `cols` entries: runs of
-    isqrt(cols) entries, then the shorter tail if there is one."""
+def _segment_width(cols: int) -> int:
+    """Entries per segment of a row of `cols` entries: isqrt(cols) when cols
+    is a perfect square, as every file this program writes has, else cols,
+    a row being then one segment."""
     width = math.isqrt(cols)
-    return [(width, cols // width)] + ([(cols % width, 1)] if cols % width else [])
+    return width if width * width == cols else cols
 
 
 class _MatrixWriter:
@@ -857,20 +859,19 @@ class _MatrixWriter:
     one line per row of space-separated entries, entry (i, j) being the
     bytes tokens(re_vals, im_vals) gives for the pair (re, im) at (i, j).
 
-    A row is cut into segments of isqrt(cols) entries, and a shorter
-    tail when cols is not a multiple; a segment's key is the bytes of its
-    real then imaginary part, and each distinct segment is encoded once
-    (`_encode`), so a row is one join of encoded segments.  The written
-    bytes pass through `hasher.update` too, when a hasher is given.  The
-    encoded segments are dropped whenever they hold more than
-    _CHUNK_ENTRIES * 64 bytes, so a matrix of distinct entries holds one
-    chunk of rows, never its text.
+    A row is cut into segments of one width (`_segment_width`); a
+    segment's key is the bytes of its real then imaginary part, and each
+    distinct segment is encoded once (`_encode`), so a row is one join of
+    encoded segments.  The written bytes pass through `hasher.update` too,
+    when a hasher is given.  The encoded segments are dropped whenever
+    they hold more than _CHUNK_ENTRIES * 64 bytes, so a matrix of distinct
+    entries holds one chunk of rows, never its text.
     """
 
     def __init__(self, fh, header: str, cols: int, tokens, hasher=None):
         self._fh, self._hasher, self._tokens, self._cols = fh, hasher, tokens, cols
-        self._runs = _segment_runs(cols)
-        self._per_row = sum(count for _, count in self._runs)
+        self._width = _segment_width(cols)
+        self._per_row = cols // self._width
         self._write(header.encode())
         self._clear()
 
@@ -892,17 +893,11 @@ class _MatrixWriter:
     def _chunk(self, re: np.ndarray, im: np.ndarray) -> None:
         dtype = np.result_type(re, im)
         ids = self._ids.setdefault(dtype, {})
-        runs, at = [], 0
-        for width, count in self._runs:
-            cut = slice(at, at + width * count)
-            both = np.empty((len(re), count, 2 * width), dtype=dtype)
-            both[..., :width] = re[:, cut].reshape(len(re), count, width)
-            both[..., width:] = im[:, cut].reshape(len(re), count, width)
-            runs.append(both.view(np.dtype((np.void, 2 * width * both.itemsize)))
-                        .reshape(len(re), count).tolist())
-            at = cut.stop
-        keys = list(itertools.chain.from_iterable(
-            runs[0] if len(runs) == 1 else map(list.__add__, *runs)))
+        rows, width = len(re), self._width
+        both = np.empty((rows, self._per_row, 2 * width), dtype=dtype)
+        both[..., :width] = re.reshape(rows, -1, width)
+        both[..., width:] = im.reshape(rows, -1, width)
+        keys = both.view(np.dtype((np.void, 2 * width * both.itemsize))).ravel().tolist()
         got = list(map(ids.get, keys))
         if None in got:
             new = list(dict.fromkeys(key for key, i in zip(keys, got) if i is None))
@@ -919,18 +914,13 @@ class _MatrixWriter:
 
     def _encode(self, dtype, keys: list[bytes]) -> list[bytes]:
         """The bytes of the segments with these keys, in order: the
-        distinct pairs of the segments of each width are encoded once."""
-        words = {}
-        for size in dict.fromkeys(map(len, keys)):
-            group = [key for key in keys if len(key) == size]
-            parts = np.frombuffer(b"".join(group), dtype).reshape(len(group), 2, -1)
-            re_vals, re_ids = _distinct(parts[:, 0])
-            im_vals, im_ids = _distinct(parts[:, 1])
-            codes, ids = _distinct(re_ids * len(im_vals) + im_ids)
-            tokens = self._tokens(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
-            words.update(zip(group, (b" ".join(map(tokens.__getitem__, row))
-                                     for row in ids.tolist())))
-        return [words[key] for key in keys]
+        distinct pairs of the segments are encoded once."""
+        parts = np.frombuffer(b"".join(keys), dtype).reshape(len(keys), 2, -1)
+        re_vals, re_ids = _distinct(parts[:, 0])
+        im_vals, im_ids = _distinct(parts[:, 1])
+        codes, ids = _distinct(re_ids * len(im_vals) + im_ids)
+        tokens = self._tokens(re_vals[codes // len(im_vals)], im_vals[codes % len(im_vals)])
+        return [b" ".join(map(tokens.__getitem__, row)) for row in ids.tolist()]
 
 
 def _frame_tokens(re_vals: np.ndarray, im_vals: np.ndarray) -> list[bytes]:
@@ -954,6 +944,12 @@ def gram_writer(fh, rows: int, cols: int, den: int, hasher=None) -> _MatrixWrite
                              "scale_log2_den=1\n", cols, _gram_tokens(den), hasher)
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    """Refuses, before any file is opened, a shape that the reader refuses."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"need positive rows and cols, got {rows}x{cols}")
+
+
 def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix], hasher=None) -> None:
     """Scaled Gaussian-integer matrix: entries `re;im`, scale 2^(num/den).
 
@@ -962,18 +958,21 @@ def write_frame_file(path, rows: int, blocks: Iterable[FrameMatrix], hasher=None
     memory can be streamed from `FrameFactors.blocks`.  `hasher`, if given, is
     updated with every byte written.
     """
+    blocks = iter(blocks)
+    block = next(blocks, None)
+    _check_shape(rows, 0 if block is None else block.cols)
     with open(path, "wb") as fh:
-        writer = None
-        for block in blocks:
-            if writer is None:
-                writer = _MatrixWriter(fh, f"{_HEADER} rows={rows} cols={block.cols} "
-                                           f"scale_log2_num={block.log2_scale_sq} "
-                                           "scale_log2_den=2\n", block.cols, _frame_tokens, hasher)
+        writer = _MatrixWriter(fh, f"{_HEADER} rows={rows} cols={block.cols} "
+                                   f"scale_log2_num={block.log2_scale_sq} "
+                                   "scale_log2_den=2\n", block.cols, _frame_tokens, hasher)
+        while block is not None:  # keeps no block past its turn, as a for loop would
             writer.rows(block.re, block.im)
+            block = next(blocks, None)
 
 
 def write_gram_file(path, gram: GaussianRationalMatrix) -> None:
     """Exact rational matrix: entries `p/q;r/s`, each fraction reduced."""
+    _check_shape(*gram.shape)
     g = gram.canonical()
     if g.den > _INT64_MAX:
         # refused before the file is opened, since the reader would reject the file
@@ -1039,8 +1038,9 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
 
     Each line must be exactly `cols` entries of the one grammar that the
     first entry names; a chunk ends before a line that is not.  Lines are
-    cut as `_MatrixWriter` cuts them, at separators one `flatnonzero` over
-    the chunk's bytes finds, and each segment is keyed by its text.  Only
+    cut as `_MatrixWriter` cuts them, into segments of the one width
+    `_segment_width` gives, at separators one `flatnonzero` over the
+    chunk's bytes finds, and each segment is keyed by its text.  Only
     segments not yet held are matched and converted, in groups of those
     each row uses first, so the earliest faulty row is reported, into a
     table the chunk is gathered from by segment id; it is dropped past
@@ -1051,8 +1051,8 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
     value beyond int8 is written.  The row count is reported first.
     """
     found, fault, step, ends = 0, None, _chunk_rows(cols), None
-    (width, count), *tail = _segment_runs(cols)
-    full, per_row = width * count, count + len(tail)
+    width = _segment_width(cols)
+    per_row = cols // width
     try:
         for r in range(0, rows, step):
             chunk = list(itertools.islice(lines, min(step, rows - r)))
@@ -1067,7 +1067,7 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
                 except (MemoryError, ValueError) as exc:  # a pipe's header alone sized it
                     raise MatrixParseError(f"no memory for {rows}x{cols} entries: {exc}") from exc
                 den, lo, hi = 1, 0, 0  # lo and hi: the least and greatest value read, over den
-                ids, table, held = {}, np.zeros((2, 0, width), np.int8), 0
+                ids, held = {}, 0
             text = " ".join([*chunk, ""])  # every entry ends in a space
             line_ends = np.cumsum([len(ln) + 1 for ln in chunk]) - 1
             del chunk  # before the chunk's bytes are scanned
@@ -1077,7 +1077,8 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
             if good:
                 if ends is None:  # only now: a header alone may state any cols
                     # the index in its row of the entry that ends each segment
-                    ends = np.array([*range(width - 1, full, width), *[cols - 1] * len(tail)])
+                    ends = np.arange(width - 1, cols, width)
+                    table = np.zeros((2, 0, width), np.int8)
                 cuts = cuts[(np.arange(good)[:, None] * cols + ends).ravel()].tolist()
                 keys = [text[a + 1:b] for a, b in zip([-1, *cuts], cuts)]
                 got, was = list(map(ids.get, keys)), den
@@ -1102,13 +1103,9 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
                         if len(ids) + b - a > table.shape[1]:  # at least doubled
                             table = np.concatenate((table, np.zeros(
                                 (2, table.shape[1] + b - a, width), table.dtype)), axis=1)
-                        # entry j of the group's segment s goes to table row len(ids) + s, column j
-                        w = np.where(at[a:b] % per_row < count, width, cols - full)
-                        first = np.cumsum(w) - w
-                        dest = np.repeat((len(ids) + np.arange(b - a)) * width - first, w)
-                        table.reshape(2, -1)[:, dest + np.arange(len(values))] = values.T
+                        table[:, len(ids):len(ids) + b - a] = values.T.reshape(2, b - a, width)
                         ids.update(zip(texts[a:b], range(len(ids), len(ids) + b - a)))
-                        held += sum(map(len, texts[a:b])) + 16 * int(w.sum())
+                        held += sum(map(len, texts[a:b])) + 16 * width * (b - a)
                     got = list(map(ids.__getitem__, keys))
                 seg = np.array(got).reshape(good, per_row)
                 if out is not None:
@@ -1118,11 +1115,8 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
                         # an int64 factor: int8 rows in range may meet one beyond int8, as -1 * 128
                         out[:, :r] *= np.int64(den // was)
                     for part, dest in zip(table, out[:, r:r + good]):
-                        np.take(part, seg[:, :count], axis=0, mode="clip",
-                                out=dest[:, :full].reshape(good, count, width))
-                        if tail:
-                            np.take(part[:, :cols - full], seg[:, count], axis=0, mode="clip",
-                                    out=dest[:, full:])
+                        np.take(part, seg, axis=0, mode="clip",
+                                out=dest.reshape(good, per_row, width))
                 if held > _CHUNK_ENTRIES * 64:
                     ids, held = {}, 0
             if good < len(sizes):

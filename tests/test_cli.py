@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linepack import etf
 from linepack.cli import main
 
 
@@ -125,6 +126,9 @@ def test_build_n5(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "--in", str(out / "gram.mat"))
     assert code == 0
     assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == VERIFY_GRAM_N5_SHA256
+    code, stdout, _ = run(capsys, "verify", "--in", str(out / "frame.mat"))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == VERIFY_FRAME_SHA256[5]
 
 
 # sha256 of the `build --n 5` content files and of `verify --in gram.mat` stdout,
@@ -135,6 +139,11 @@ BUILD_N5_SHA256 = {
     "certificate.json": "805750fcc79ae86bdbf97a18caa5b2ff3dcc4c1d41212a1e0fe2ff1504cea36a",
 }
 VERIFY_GRAM_N5_SHA256 = "912e7c9e4b6cdb2293405fbff58c9091057bbc3641fb1166137cc5fb814c432c"
+# sha256 of `verify --in frame.mat` stdout at n = 3 and 5: the certificate.json build writes
+VERIFY_FRAME_SHA256 = {
+    3: "07ec02d9e5f77b309e4a9312c3f0f53d2a53ab108acc724fb30cfff7aafce8ea",
+    5: "805750fcc79ae86bdbf97a18caa5b2ff3dcc4c1d41212a1e0fe2ff1504cea36a",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +407,7 @@ def test_verify_frame_file(built_n3, capsys):
     code, stdout, _ = run(capsys, "verify", "--in", str(built_n3 / "frame.mat"))
     assert code == 0
     assert json.loads(stdout)["verdict"] == "OPTIMAL"
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == VERIFY_FRAME_SHA256[3]
 
 
 def test_verify_gram_file(built_n3, capsys):
@@ -914,6 +924,35 @@ def test_gram_single_method_writes_file(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "OK (4096 entries)" == stdout.strip()
+
+
+@pytest.mark.parametrize("method", ["closed-form", "frame"])
+def test_gram_out_writes_the_build_gram_file(tmp_path, capsys, method):
+    out = tmp_path / "g.mat"
+    assert run(capsys, "gram", "--n", "3", "--method", method, "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_N3_SHA256["gram.mat"]
+
+
+def _header_cols(path) -> int:
+    with open(path, encoding="ascii") as fh:
+        return int(dict(tok.split("=") for tok in fh.readline().split()[2:])["cols"])
+
+
+def test_every_written_matrix_has_a_square_column_count(built_n3, tmp_path, capsys):
+    # the matrix codec cuts a row of a square width into isqrt(cols) segments;
+    # a row of any other width would be one segment
+    paths = [built_n3 / "frame.mat", built_n3 / "gram.mat", tmp_path / "g.mat"]
+    assert run(capsys, "gram", "--n", "3", "--method", "closed-form", "--out", str(paths[2]))[0] == 0
+    for params in SRG_SHA256:
+        out = tmp_path / "-".join(map(str, params))
+        flags = [a for flag, x in zip(("--v", "--k", "--lambda", "--mu"), params)
+                 for a in (flag, str(x))]
+        assert run(capsys, "srg", *flags, "--out", str(out))[0] == SRG_SHA256[params][0]
+        paths.append(out / "srg_gram.mat")
+    assert [_header_cols(path) for path in paths] == [64, 64, 64, 16, 9]
+    for path in paths:
+        cols = _header_cols(path)
+        assert etf._segment_width(cols) ** 2 == cols, path.name
 
 
 def test_gram_beyond_n5_points_to_verify(capsys, monkeypatch):

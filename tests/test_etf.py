@@ -1327,11 +1327,11 @@ def test_reader_rescale_beyond_int64_is_a_parse_error(tmp_path, monkeypatch, chu
         read_matrix_file(path)
 
 
-@pytest.mark.parametrize("cols", [1, 2, 5, 11, 17])
+@pytest.mark.parametrize("cols", [1, 2, 5, 11, 12, 16, 17])
 def test_reader_cuts_rows_as_the_writer_does(tmp_path, monkeypatch, cols):
-    # widths that are not perfect squares end each row in a shorter tail
-    # segment (11 = 3 x 3 + 2); repeated and new segments read back exactly
-    # at every chunking
+    # a square width is cut into isqrt(cols) segments of isqrt(cols) entries
+    # (16 = 4 x 4), any other width is one segment a row; repeated and new
+    # segments read back exactly at every chunking
     rng = np.random.default_rng(cols)
     re = rng.integers(-2, 3, size=(9, cols))
     im = rng.integers(-1, 2, size=(9, cols))
@@ -1339,7 +1339,8 @@ def test_reader_cuts_rows_as_the_writer_does(tmp_path, monkeypatch, cols):
     im[5] = 300  # beyond int8: the rows read so far and the table widen once
     path = tmp_path / "m.mat"
     write_frame_file(path, 9, [FrameMatrix(re, im, -2)])
-    assert etf._segment_runs(11) == [(3, 3), (2, 1)]
+    assert [etf._segment_width(4 ** n) for n in range(3, 10)] == [2 ** n for n in range(3, 10)]
+    assert [etf._segment_width(c) for c in (9, 16, 11, 12, 65)] == [3, 4, 11, 12, 65]
     for chunk_entries in (etf._CHUNK_ENTRIES, 1, cols, 2 * cols + 1):
         monkeypatch.setattr(etf, "_CHUNK_ENTRIES", chunk_entries)
         got = read_matrix_file(path)
@@ -1489,11 +1490,11 @@ def _join_reference(frame: FrameMatrix) -> bytes:
 
 
 @pytest.mark.parametrize("shape, distinct", [((6, 11), False), ((1, 1), False), ((9, 30), True)],
-                         ids=["tail-segment", "one-entry", "all-distinct"])
+                         ids=["one-segment-rows", "one-entry", "all-distinct"])
 def test_frame_writer_matches_join_reference_on_its_segments(tmp_path, monkeypatch, shape,
                                                              distinct):
-    # 11 columns are three segments of 3 and a tail of 2; rows repeat segments
-    # across chunks, so encoded segments are reused; all-distinct entries
+    # 11 columns are not a square, so a row is one segment of 11; rows repeat
+    # segments across chunks, so encoded segments are reused; all-distinct entries
     # share no segment; each written whole, in one-row chunks, and with the
     # encoded segments dropped after every chunk
     rows, cols = shape
@@ -1513,10 +1514,25 @@ def test_frame_writer_matches_join_reference_on_its_segments(tmp_path, monkeypat
     assert np.array_equal(back.re, frame.re) and np.array_equal(back.im, frame.im)
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: write_gram_file(path, GaussianRationalMatrix(
+        np.zeros((0, 0), np.int64), np.zeros((0, 0), np.int64), 1)),
+    lambda path: write_frame_file(path, 2, [FrameMatrix(
+        np.zeros((2, 0), np.int8), np.zeros((2, 0), np.int8), 0)]),
+    lambda path: write_frame_file(path, 0, []),
+], ids=["gram-0x0", "frame-2x0", "frame-no-block"])
+def test_writers_refuse_an_empty_matrix_before_opening_the_file(tmp_path, write):
+    # the reader refuses rows < 1 or cols < 1, so no such file is written
+    path = tmp_path / "m.mat"
+    with pytest.raises(ValueError, match="need positive rows and cols"):
+        write(path)
+    assert not path.exists()
+
+
 def test_frame_writer_keeps_segments_of_each_dtype_apart(tmp_path):
-    # at 65 columns a row is eight segments of 8 and a tail of 1: an int8
-    # segment [1, 0, ..., 0] and an int64 tail 1 have the same 16 key bytes,
-    # and each block must still be written as its own entries
+    # at 65 columns a row is one segment of 65 entries; an int8 block and an
+    # int64 block in one file keep their own encoded segments, and each block
+    # must be written as its own entries
     re8 = np.zeros((1, 65), dtype=np.int8)
     re8[0, 0] = 1
     re64 = np.full((1, 65), 7, dtype=np.int64)
