@@ -33,18 +33,19 @@ makes one orthogonality product, the column relations, which for a
 square table imply the row relations.  It reaches floating point only
 through `exact.gram_tiles`, whose checked bound proves each result an
 exact integer; each tile is checked and dropped as it comes, so no
-classes x classes product is held.
+classes x classes product is held; a failure names its first pair of
+classes (`exact.first_block_mismatch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .bgroup import GroupContext
-from .exact import gram_tiles
+from .exact import first_block_mismatch, gram_tiles
 from .heis import RepContext
 
 __all__ = [
@@ -81,16 +82,13 @@ def _strip_pow2(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return re >> log2, im >> log2, log2
 
 
-def _is_diagonal(re: np.ndarray, im: np.ndarray, diagonal: np.ndarray) -> bool:
-    """Whether (re + i im)^H (re + i im) is the real matrix diag(diagonal),
-    read one `gram_tiles` tile at a time; each tile is checked and dropped."""
-    for rows, cols, t_re, t_im in gram_tiles(re, im):
-        if rows == cols:
-            at = np.arange(len(t_re))
-            t_re[at, at] -= diagonal[rows]  # all zero exactly when the real part matches
-        if t_re.any() or t_im.any():
-            return False
-    return True
+def _diagonal_miss(diagonal: np.ndarray, rows, cols, t_re, t_im) -> tuple[int, int] | None:
+    """A `gram_tiles` tile's first miss against the real diag(diagonal); edits the tile."""
+    if rows == cols:
+        at = np.arange(len(t_re))
+        t_re[at, at] -= diagonal[rows]  # all zero exactly when the real part matches
+    bad = np.argwhere((t_re != 0) | (t_im != 0))
+    return tuple(bad[0]) if len(bad) else None
 
 
 def _representatives(group: GroupContext) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +185,8 @@ class CharacterTable:
             raise AssertionError("squared degrees do not sum to the group order")
         re, im = self.value_arrays
         # sum_chi conj(chi(g)) chi(h) = |G|/|class| delta: the table's Hermitian Gram
-        if not _is_diagonal(re, im, order // w):
-            raise AssertionError("column orthogonality fails")
+        if (miss := first_block_mismatch(gram_tiles(re, im), partial(_diagonal_miss, order // w))):
+            raise AssertionError(f"column orthogonality fails at classes {miss}")
         if not np.array_equal(re[:, 0], np.array(self.degrees)) or im[:, 0].any():
             raise AssertionError("identity-class column disagrees with the degrees")
 

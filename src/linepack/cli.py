@@ -136,7 +136,7 @@ def cmd_build(args) -> int:
         cert = etf.verify_factors(factors)
     if args.float_export:
         buf = io.BytesIO()
-        np.save(buf, etf.synthesize_frame(group, rep).to_complex())
+        np.save(buf, factors.frame().to_complex())
         hasher("frame_float.npy").update(buf.getbuffer())
         (out / "frame_float.npy").write_bytes(buf.getbuffer())
     cert_dict = cert.to_json_dict()

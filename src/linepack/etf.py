@@ -58,15 +58,16 @@ held.  The Welch pattern (`_welch_pattern`) and the route comparison
 (`_routes_compared`) read each block as it passes, the latter with its
 mirror.  The pattern alone proves a frame tight (`verify_frame`), so the
 Parseval product runs only to name a failure, and a factor form names it
-from d x d blocks (`FrameFactors.parseval_defect`).  A Gram alone bounds
-no rank, so `verify_gram` checks G^2 = G after the Hermitian test.  A
-Gram that commutes with the centre {(0, y)}, checked on every entry, is
-the direct sum of q blocks, one per Walsh character of the centre (Vale
-and Waldron, 2005), read from one transform of its rows (x, 0); each
-block is squared as the tiles of its Hermitian product, and the Welch
-walk reads those rows only.  Any other Gram is the one block of itself,
-squared tile by tile, and walked by `upper_blocks`.  Only `gram`
-computes an N x N Gram.
+from d x d blocks (`FrameFactors.parseval_defect`); either, and G^2 = G,
+names its first miss by `exact.first_block_mismatch`.  A Gram alone
+bounds no rank, so `verify_gram` checks G^2 = G after the Hermitian
+test.  A Gram that commutes with the centre {(0, y)}, checked on every
+entry, is the direct sum of q blocks, one per Walsh character of the
+centre (Vale and Waldron, 2005), read from one transform of its rows
+(x, 0); each block is squared as the tiles of its Hermitian product,
+and the Welch walk reads those rows only.  Any other Gram is the one
+block of itself, squared tile by tile, and walked by `upper_blocks`.
+Only `gram` computes an N x N Gram.
 Matrix files are written by one writer (`_MatrixWriter`), a block of
 rows at a time: a row is cut into segments of one width, isqrt(cols)
 entries when cols is a square, as every file the program writes has,
@@ -89,7 +90,7 @@ import os
 import random
 import re
 import stat
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,23 +98,30 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import INT64_BOUND, check_bound, exact_gram, exact_matmul, gram_tiles, max_abs
+from .exact import (INT64_BOUND, check_bound, exact_gram, exact_matmul, first_block_mismatch,
+                    gram_tiles, max_abs)
 from .gf2n import FieldContext
 from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
 
 __all__ = [
     "EtfCertificate",
+    "FrameFactors",
     "FrameMatrix",
+    "MatrixParseError",
     "closed_form_entry",
     "frame_dimensions",
+    "frame_factors",
     "gram_character",
     "gram_closed_form",
     "gram_from_frame",
+    "gram_writer",
+    "parseval_defect",
     "read_matrix_file",
     "synthesize_frame",
     "three_way_sampled",
     "verify_etf",
+    "verify_factors",
     "verify_frame",
     "verify_gram",
     "welch_bound_sq",
@@ -238,7 +246,7 @@ class FrameFactors:
         characters.  The diagonal block is (n_g p)^T conj(p), n_g(a) the count
         of x with images[g, x] = a, one d x d product while the images rows
         are permutations.  Terms stay below 2 q^2 max|p|^2 < 2^37 at n <= 9."""
-        scale, d = 1 << -self.log2_scale_sq, self.p_re.shape[1]
+        d = self.p_re.shape[1]
         s = exact_matmul(self.signs, self.signs.T)
         p = np.hstack((self.p_re, self.p_im)).astype(np.int64)  # rows a: (re, im) of p[a]
         diagonal = {}  # A_g^T conj(A_g) by the counts n_g
@@ -248,23 +256,19 @@ class FrameFactors:
             return (exact_matmul(np.vstack((a[:, :d], a[:, d:])).T, both),
                     exact_matmul(np.vstack((a[:, d:], -a[:, :d])).T, both))
 
-        for g, row in enumerate(s):
-            found = []
-            for h in np.flatnonzero(row).tolist():
-                if g != h:
-                    re, im = product(p[self.images[g]], p[self.images[h]])
-                else:
-                    n_g = np.bincount(self.images[g], minlength=len(p))
-                    if (key := n_g.tobytes()) not in diagonal:
-                        diagonal[key] = product(p * n_g[:, None], p)
-                    re, im = diagonal[key]
-                defect = first_mismatch(GaussianRationalMatrix(row[h] * re, row[h] * im, scale),
-                                        GaussianRationalMatrix(np.eye(d, dtype=np.int64) * (g == h)))
-                if defect is not None:
-                    found.append((g * d + defect[0], h * d + defect[1]))
-            if found:
-                return min(found)
-        return None
+        def blocks():
+            for g, row in enumerate(s):
+                for h in np.flatnonzero(row).tolist():
+                    if g != h:
+                        re, im = product(p[self.images[g]], p[self.images[h]])
+                    else:
+                        n_g = np.bincount(self.images[g], minlength=len(p))
+                        if (key := n_g.tobytes()) not in diagonal:
+                            diagonal[key] = product(p * n_g[:, None], p)
+                        re, im = diagonal[key]
+                    yield slice(g * d, g * d + d), slice(h * d, h * d + d), row[h] * re, row[h] * im
+
+        return first_block_mismatch(blocks(), _identity_mismatch(self.log2_scale_sq))
 
     def _characters(self) -> np.ndarray:
         """Each sign row's w, read at y = 2^i: bit i is set where the sign is
@@ -340,36 +344,15 @@ def parseval_defect(frame: FrameMatrix) -> tuple[int, int] | None:
     """None when frame frame^H equals 2^(-log2_scale_sq) I exactly, else its
     first bad entry, row-major: each tile of conj(frame frame^H), the
     transposed frame's Hermitian product, is compared with the identity's."""
-    scale = 1 << -frame.log2_scale_sq
-
-    def pair(rows, cols, t_re, t_im):
-        eye = np.eye(*t_re.shape, rows.start - cols.start, dtype=np.int64)
-        return GaussianRationalMatrix(t_re, t_im, scale), GaussianRationalMatrix(eye)
-
-    return _first_tile_mismatch(gram_tiles(frame.re.T, frame.im.T), pair)
+    return first_block_mismatch(gram_tiles(frame.re.T, frame.im.T),
+                                _identity_mismatch(frame.log2_scale_sq))
 
 
-def _first_tile_mismatch(tiles, pair) -> tuple[int, int] | None:
-    """The first entry, row-major, where a Hermitian product differs from a
-    Hermitian matrix, or None.
-
-    `tiles` are the product's tiles (rows, cols, t_re, t_im) on and above
-    the diagonal in row-band order (`exact.gram_tiles`), and
-    pair(rows, cols, t_re, t_im) gives the two matrices compared on a
-    tile.  The difference is Hermitian, so its first nonzero (i, j) has
-    j >= i, else (j, i) would come first; it lies in an upper tile of the
-    row band of i, and is the least mismatch over that band's tiles.
-    """
-    band, found = None, []
-    for rows, cols, t_re, t_im in tiles:
-        if rows != band and found:
-            break
-        band = rows
-        defect = first_mismatch(*pair(rows, cols, t_re, t_im))
-        del t_re, t_im  # dropped before the next tile is made
-        if defect is not None:
-            found.append((rows.start + defect[0], cols.start + defect[1]))
-    return min(found, default=None)
+def _identity_mismatch(log2_scale_sq: int) -> Callable:
+    """The comparison of a block of frame frame^H over 2^(-log2_scale_sq) with I's."""
+    return lambda rows, cols, re, im: first_mismatch(
+        GaussianRationalMatrix(re, im, 1 << -log2_scale_sq),
+        GaussianRationalMatrix(np.eye(*re.shape, rows.start - cols.start, dtype=np.int64)))
 
 
 def gram_from_frame(frame: FrameMatrix) -> GaussianRationalMatrix:
@@ -694,8 +677,6 @@ def verify_gram(gram: GaussianRationalMatrix, method: str = "gram") -> EtfCertif
         failure = "Gram matrix is not Hermitian"
     elif (defect := _projection_defect(gram, c := _centre_order(gram))) is not None:
         failure = "Gram matrix is not a projection"
-    elif not integral:
-        failure = "Gram trace is not an integer"
     cross = {"projectionDefect": None if defect is None else list(defect)}
     walk = gram.upper_blocks() if c == 1 else (
         (slice(x, x + 1), slice(x, num), gram.re[x:x + 1, x:], gram.im[x:x + 1, x:])
@@ -738,10 +719,10 @@ def _projection_defect(gram: GaussianRationalMatrix, c: int) -> tuple[int, int] 
     for re, im in zip(*d):
         def square_and_block(rows, cols, t_re, t_im, re=re, im=im):
             # D^H D, which is D @ D as D is Hermitian
-            return (GaussianRationalMatrix(t_re, t_im, gram.den * gram.den),
-                    GaussianRationalMatrix(re[rows, cols], im[rows, cols], gram.den))
+            return first_mismatch(GaussianRationalMatrix(t_re, t_im, gram.den * gram.den),
+                                  GaussianRationalMatrix(re[rows, cols], im[rows, cols], gram.den))
 
-        if (defect := _first_tile_mismatch(gram_tiles(re, im), square_and_block)) is not None:
+        if (defect := first_block_mismatch(gram_tiles(re, im), square_and_block)) is not None:
             return defect if c == 1 else _projection_defect(gram, 1)
     return None
 
@@ -1022,6 +1003,8 @@ def read_matrix_file(path):
                 raise MatrixParseError(f"malformed header: {exc}") from exc
             if rows < 1 or cols < 1:
                 raise MatrixParseError(f"need positive rows and cols, got {rows}x{cols}")
+            if scale[1] not in (1, 2):
+                raise MatrixParseError(f"scale_log2_den must be 1 or 2, got {scale[1]}")
             # the body size, or one byte over it when the header ends in \r\n
             st = os.fstat(fh.fileno())
             fits = not stat.S_ISREG(st.st_mode) or st.st_size - len(line) >= 4 * rows * cols - 1
@@ -1061,6 +1044,8 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
             found += len(chunk)
             if r == 0:
                 rational = "/" in chunk[0].split(" ", 1)[0]
+                if rational and scale[0]:
+                    raise MatrixParseError(f"a Gram file's scale_log2_num is 0, not {scale[0]}")
                 log2_scale_sq = None if rational else _frame_log2_scale_sq(*scale)
                 try:
                     out = np.empty((2, rows, cols), dtype=np.int8) if fits else None
@@ -1137,8 +1122,6 @@ def _read_rows(lines: Iterator[str], rows: int, cols: int, scale: tuple[int, int
 
 def _frame_log2_scale_sq(snum: int, sden: int) -> int:
     """A frame's squared scale exponent from its header's scale_log2_num and _den."""
-    if sden not in (1, 2):
-        raise MatrixParseError("unsupported scale denominator")
     if snum > 0:
         # certification needs the inverse squared scale as an integer power of two
         raise MatrixParseError("frame scale_log2_num must not be positive")

@@ -25,7 +25,9 @@ re and im together, below 2^24 or 2^53 for the float tiers; every tile
 is accumulated over all K in that tier.
 `exact_gram`, which adds the whole N x N product into an integer pair
 whose type the caller picks from its bound, is its add-and-mirror
-consumer.
+consumer.  `first_block_mismatch` is the one first-miss walk: every
+check that names its failing entry (Parseval, G^2 = G, Hermitian
+symmetry, column orthogonality) reads its blocks through it.
 
 Every int64 computation in the package keeps each product term below
 2^62 (`INT64_BOUND`), so the sum or difference of two such terms, as in
@@ -37,13 +39,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["INT64_BOUND", "blas_threads", "check_bound", "exact_gram", "exact_matmul",
-           "gram_tiles", "max_abs"]
+           "first_block_mismatch", "gram_tiles", "max_abs"]
 
 INT64_BOUND = 1 << 62
 
@@ -158,6 +160,28 @@ def gram_tiles(re: np.ndarray,
             sym = sym.astype(np.int64, copy=False)  # each float tile freed as it is converted
             x = x.astype(np.int64, copy=False)
             yield ta, tb, sym, x
+
+
+def first_block_mismatch(blocks: Iterable, mismatch: Callable) -> tuple[int, int] | None:
+    """The first entry, row-major, where a matrix walked as `blocks` misses, or None.
+
+    `blocks` are (rows, cols, re, im) in row-band order, as from `gram_tiles`;
+    mismatch(rows, cols, re, im) gives a block's first miss in its own
+    coordinates, or None; each block is dropped before the next is made.  The
+    least miss of the first band with one is the first when a band holds each
+    entry of its rows that can miss first: whole rows, or those on and above
+    the diagonal of a (skew-)Hermitian difference, whose first nonzero (i, j)
+    has j >= i, else (j, i) would come first."""
+    band, found = None, []
+    for rows, cols, re, im in blocks:
+        if rows != band and found:
+            break
+        band = rows
+        miss = mismatch(rows, cols, re, im)
+        del re, im
+        if miss is not None:
+            found.append((rows.start + int(miss[0]), cols.start + int(miss[1])))
+    return min(found, default=None)
 
 
 def exact_gram(re: np.ndarray, im: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:

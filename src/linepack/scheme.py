@@ -58,12 +58,13 @@ import numpy as np
 
 from .bgroup import GroupContext
 from .chartab import CharacterTable
-from .exact import check_bound, exact_matmul, max_abs
+from .exact import check_bound, exact_matmul, first_block_mismatch, max_abs
 
 __all__ = [
     "GaussianRationalMatrix",
     "HyperdiffReport",
     "SchemeDescriptor",
+    "first_mismatch",
     "gram_projector",
     "group_scheme",
     "hyperdiff_check",
@@ -193,21 +194,14 @@ class GaussianRationalMatrix:
 
     def hermitian_defect(self) -> tuple[int, int] | None:
         """The first entry, row-major, where a square matrix differs from its
-        conjugate transpose, or None.
+        conjugate transpose, or None; ValueError if it is not square.  The
+        difference is skew-Hermitian, so the chunks of `upper_blocks` hold its
+        first miss, each compared with its columns, and no transpose is made."""
+        def mismatch(rows, right, re, im):
+            return first_mismatch(GaussianRationalMatrix(re, im, self.den), GaussianRationalMatrix(
+                self.re[right, rows].T, -_int64(self.im[right, rows]).T, self.den))
 
-        The difference is skew-Hermitian, so its first nonzero (i, j) has
-        j >= i; each chunk of `upper_blocks` is compared with the matching
-        columns, and no transposed copy is made.  A matrix that is not
-        square is a ValueError.
-        """
-        for rows, right, re, im in self.upper_blocks():
-            defect = first_mismatch(
-                GaussianRationalMatrix(re, im, self.den),
-                GaussianRationalMatrix(self.re[right, rows].T, -_int64(self.im[right, rows]).T,
-                                       self.den))
-            if defect is not None:
-                return rows.start + defect[0], right.start + defect[1]
-        return None
+        return first_block_mismatch(self.upper_blocks(), mismatch)
 
     def abs_sq_int(self) -> tuple[np.ndarray, int]:
         """Entrywise squared moduli as (int64 matrix, denominator den^2).

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -262,10 +263,54 @@ def test_orthogonality_check_reads_the_imaginary_part(monkeypatch):
     # that entry in an off-diagonal tile, and the diagonal is read per tile
     monkeypatch.setattr(exact, "_TILE", 1)
     re, im = np.array([[1, 0]]), np.array([[0, 1]])
-    assert not chartab._is_diagonal(re, im, np.array([1, 1]))
+    assert _diagonal_miss(re, im, np.array([1, 1])) == (0, 1)
     scaled = np.diag([1, 2])  # rows scaled by the square roots of the weights 1 and 4
-    assert chartab._is_diagonal(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 4]))
-    assert not chartab._is_diagonal(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 1]))
+    assert _diagonal_miss(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 4])) is None
+    assert _diagonal_miss(scaled, np.zeros((2, 2), dtype=np.int64), np.array([1, 1])) == (1, 1)
+
+
+def _diagonal_miss(re, im, diagonal):
+    """The first entry where (re + i im)^H (re + i im) misses the real
+    diag(diagonal), as `CharacterTable.verify` walks it."""
+    return exact.first_block_mismatch(exact.gram_tiles(re, im),
+                                      partial(chartab._diagonal_miss, diagonal))
+
+
+def _first_column_miss(table):
+    """The first entry, row-major, of X^H X - |G| W^-1 that is not zero, for
+    X = re + i im and W the class sizes, or None.  Every entry and partial
+    sum is an integer below 2^53, so float64 is exact."""
+    re, im = (a.astype(np.float64) for a in table.value_arrays)
+    want = np.diag(table.group.order // table.class_sizes)
+    bad = np.argwhere((re.T @ re + im.T @ im != want) | (re.T @ im - im.T @ re != 0))
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
+def test_verify_refuses_a_table_that_is_not_square(table3):
+    re, im = (a[:-1] for a in table3.value_arrays)
+    broken = replace(table3, characters=table3.characters[:-1], value_arrays=(re, im))
+    with pytest.raises(AssertionError, match="table is not square: 21 characters, 22 classes"):
+        broken.verify()
+
+
+def test_verify_refuses_degrees_whose_squares_miss_the_order(table3):
+    characters = list(table3.characters)
+    characters[1] = replace(characters[1], degree=2)
+    with pytest.raises(AssertionError, match="squared degrees do not sum to the group order"):
+        replace(table3, characters=tuple(characters)).verify()
+
+
+@pytest.mark.parametrize("unit", [-1, 1j])
+def test_verify_refuses_an_identity_column_that_is_not_the_degrees(table3, unit):
+    # a row times a unit leaves X^H X as it is, so only the identity column
+    # tells this table from the true one
+    re, im = (a.copy() for a in table3.value_arrays)
+    row = re[1] + 1j * im[1]
+    re[1], im[1] = (unit * row).real, (unit * row).imag
+    broken = replace(table3, value_arrays=(re, im))
+    assert _first_column_miss(broken) is None
+    with pytest.raises(AssertionError, match="identity-class column disagrees with the degrees"):
+        broken.verify()
 
 
 def _with_class_sizes(table, sizes):
@@ -326,13 +371,20 @@ def _corrupted(table, corrupt):
         sizes[-3:] = 2 * s, s // 2, s // 2
     elif corrupt == "sizes not dividing":
         sizes[-2:] = s - 1, s + 1
+    elif corrupt == "degree-1 rows traded":
+        # +1 and -1 in the last column of two rows of degree 1 keep it
+        # orthogonal to the degrees; its first miss, (q, last), lies in a
+        # later tile of its row band than the size misses from (q + 1, q + 1)
+        re[1, -1] += 1
+        re[2, -1] -= 1
+        sizes[q + 1:q + 4] = s // 2, s // 2, 2 * s
     assert sizes.sum() == table.group.order
     return _with_class_sizes(replace(table, value_arrays=(re, im)), sizes)
 
 
 CORRUPTIONS = ["intact", "re+1", "im+1", "doubled row", "flipped sign",
                "columns swapped, same size", "columns swapped", "row conjugated",
-               "sizes dividing", "sizes not dividing"]
+               "sizes dividing", "sizes not dividing", "degree-1 rows traded"]
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS)
@@ -350,6 +402,19 @@ def test_column_check_refuses_exactly_what_both_relations_refuse(table_name, cor
     else:
         with pytest.raises(AssertionError):
             table.verify()
+
+
+@pytest.mark.parametrize("corrupt", [c for c in CORRUPTIONS if c not in (
+    "intact", "columns swapped, same size", "sizes not dividing")])
+@pytest.mark.parametrize("table_name", ["table3", "table7"])
+def test_column_check_names_its_first_failing_pair_of_classes(table_name, corrupt, request):
+    # n = 7 has 382 classes, so its product is walked as two column bands
+    broken = _corrupted(request.getfixturevalue(table_name), corrupt)
+    miss = _first_column_miss(broken)
+    assert miss is not None
+    with pytest.raises(AssertionError) as info:
+        broken.verify()
+    assert str(info.value) == f"column orthogonality fails at classes {miss}"
 
 
 def test_identity_column_sums_to_order(table3):

@@ -71,11 +71,18 @@ def test_build_determinism_across_threads(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# sha256 of the n = 3 `build --float-export` frame_float.npy
+FRAME_FLOAT_N3_SHA256 = "7ff6abb3fbb800b6474334af708b4a536c62df41b862ced081423501b2b51197"
+
+
 def test_build_float_export(tmp_path, capsys):
     out = tmp_path / "f"
     code, _, _ = run(capsys, "build", "--n", "3", "--out", str(out), "--float-export")
     assert code == 0
     assert (out / "frame_float.npy").exists()
+    digest = hashlib.sha256((out / "frame_float.npy").read_bytes()).hexdigest()
+    assert digest == FRAME_FLOAT_N3_SHA256
+    assert json.loads((out / "manifest.json").read_text())["sha256"]["frame_float.npy"] == digest
 
 
 def test_build_float_export_beyond_n5_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -810,6 +817,40 @@ def test_frame_beyond_the_int64_bound_is_exit_2(built_n3, tmp_path, capsys, json
         assert json.loads(err)["error"]["type"] == "parse"
 
 
+@pytest.mark.parametrize("name, field, value", [
+    ("gram.mat", "scale_log2_num", "-6"),
+    ("gram.mat", "scale_log2_den", "7"),
+    ("frame.mat", "scale_log2_den", "3"),
+])
+def test_a_scale_the_certificate_would_not_cover_is_a_parse_error(built_n3, capsys, name,
+                                                                   field, value):
+    # a Gram file states scale 2^0, and a frame's scale_log2_den is 1 or 2;
+    # anything else would certify a matrix other than the one the file states
+    path = built_n3.parent / f"scaled-{field}-{name}"
+    path.write_bytes(_mutate((built_n3 / name).read_bytes(), ("header", field, value)))
+    code, stdout, err = run(capsys, "verify", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("linepack: parse") and "Traceback" not in err
+
+
+def test_gram_file_stating_scale_2_to_0_over_2_reads_as_written(built_n3, capsys):
+    path = built_n3.parent / "half-den-gram.mat"
+    path.write_bytes(_mutate((built_n3 / "gram.mat").read_bytes(),
+                             ("header", "scale_log2_den", "2")))
+    got = run(capsys, "verify", "--in", str(path))
+    assert got[0] == 0 and got == run(capsys, "verify", "--in", str(built_n3 / "gram.mat"))
+
+
+def test_frame_whose_walk_overflows_and_whose_parseval_check_passes_is_exit_2(tmp_path, capsys):
+    # a true 1 x 2 ETF whose squared Gram entries 2^80 exceed 2^62: the
+    # Parseval check finds nothing, so the walk's overflow is re-raised
+    path = tmp_path / "big.mat"
+    path.write_text(_HEAD.format(1, 2, -41, 2) + "1048576;0 1048576;0\n")
+    code, stdout, err = run(capsys, "verify", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert "entries too large to certify: abs_sq_int" in err and "Traceback" not in err
+
+
 def test_threads_below_one_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "build", "--n", "3", "--out", str(tmp_path), "--threads", "0")
     assert code == 2
@@ -966,6 +1007,33 @@ def test_gram_beyond_n5_points_to_verify(capsys, monkeypatch):
     code, _, err = run(capsys, "gram", "--n", "7")
     assert code == 2
     assert "`verify --n` certifies all N^2 entries without one at every n <= 9" in err
+
+
+def test_gram_routes_that_disagree_name_the_entry_and_exit_1(capsys, monkeypatch):
+    closed_form = etf.gram_closed_form
+
+    def tampered(group, at):
+        gram = closed_form(group, at)
+        gram.im[3, 5] += 1
+        return gram
+
+    monkeypatch.setattr(etf, "gram_closed_form", tampered)
+    code, stdout, err = run(capsys, "gram", "--n", "3", "--method", "closed-form,frame")
+    assert code == 1
+    assert stdout == "DISAGREE (closed-form vs frame) at entry (3, 5)\n"
+    assert "gram routes disagree" in err
+
+
+def test_chartab_beyond_n7_is_usage_error(capsys, monkeypatch):
+    from linepack import cli
+
+    def no_contexts(n):
+        raise AssertionError("contexts built before the usage check")
+
+    monkeypatch.setattr(cli, "_contexts", no_contexts)
+    code, stdout, err = run(capsys, "chartab", "--n", "9")
+    assert (code, stdout) == (2, "")
+    assert "character tables are emitted for n <= 7" in err
 
 
 def test_gram_unknown_method(capsys):

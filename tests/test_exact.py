@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -350,3 +351,69 @@ def test_gram_tiles_check_at_the_first_tile():
         next(tiles)
     with pytest.raises(OverflowError):
         next(gram_tiles(np.array([[1 << 31]]), np.array([[1 << 31]])))
+
+
+# ---------------------------------------------------------------------------
+# first_block_mismatch, the one first-miss walk
+# ---------------------------------------------------------------------------
+
+def _nonzero_miss(rows, cols, re, im):
+    """A block's first nonzero entry, row-major, in block coordinates."""
+    bad = np.argwhere((re != 0) | (im != 0))
+    return tuple(bad[0]) if len(bad) else None
+
+
+def _walk(re, im, tile, upper):
+    """re + i im as tiles of edge `tile` in row-band order: those on and above
+    the diagonal when `upper`, else every tile of a band, right to left."""
+    n = len(re)
+    bands = [slice(c, min(c + tile, n)) for c in range(0, n, tile)]
+    for a, rows in enumerate(bands):
+        for cols in (bands[a:] if upper else bands[::-1]):
+            yield rows, cols, re[rows, cols], im[rows, cols]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), tile=st.integers(1, 5),
+       hermitian=st.booleans())
+def test_first_block_mismatch_is_the_row_major_first_miss(data, n, tile, hermitian):
+    # sparse misses: a Hermitian or skew-Hermitian difference walked on and
+    # above its diagonal, or any difference walked as whole rows of tiles
+    entries = hnp.arrays(np.int64, (n, n), elements=st.sampled_from([0, 0, 0, 0, 1, -2]))
+    re, im = data.draw(entries), data.draw(entries)
+    if hermitian:
+        sign = data.draw(st.sampled_from([1, -1]))
+        re, im = np.triu(re) + sign * np.triu(re, 1).T, np.triu(im, 1) - sign * np.triu(im, 1).T
+        if sign == -1:  # skew-Hermitian: an imaginary diagonal
+            re, im = re - np.diag(np.diag(re)), im + np.diag(np.diag(re))
+    bad = np.argwhere((re != 0) | (im != 0))
+    want = tuple(bad[0].tolist()) if len(bad) else None
+    got = exact.first_block_mismatch(_walk(re, im, tile, upper=hermitian), _nonzero_miss)
+    assert got == want
+    assert got is None or all(type(i) is int for i in got)
+
+
+def test_first_block_mismatch_drops_each_block_and_stops_after_its_band():
+    # 2 x 2 tiles of a 6 x 6 walk on and above the diagonal; band 1 misses
+    # in its second tile, so the walk makes band 2's first tile, sees the
+    # band end, and stops.  No block outlives its turn
+    made, asked = [], []
+
+    def blocks():
+        for a in range(3):
+            for b in range(a, 3):
+                assert all(ref() is None for ref in made), "a block outlived its turn"
+                pair = [np.zeros((2, 2), dtype=np.int64) for _ in range(2)]
+                pair[1][1, 0] = (a, b) in ((1, 2), (2, 2))
+                made.extend(weakref.ref(part) for part in pair)
+                yield (slice(2 * a, 2 * a + 2), slice(2 * b, 2 * b + 2), *pair)
+                del pair
+
+    def mismatch(rows, cols, re, im):
+        asked.append((rows.start, cols.start))
+        return _nonzero_miss(rows, cols, re, im)
+
+    assert exact.first_block_mismatch(blocks(), mismatch) == (3, 4)
+    assert asked == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4)]
+    assert len(made) == 2 * 6
+    assert exact.first_block_mismatch(iter(()), mismatch) is None

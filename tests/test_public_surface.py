@@ -123,3 +123,31 @@ def test_every_private_helper_has_a_caller_in_src():
             for path, tree in trees.items() for name, node in _private_definitions(tree)]
     assert defs, "no private helpers found"
     assert _uncalled(defs, _uses(trees)) == set(), "private helpers no code in src/ calls"
+
+
+def _exported(tree):
+    """The names a module's `__all__` lists, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_each_module_exports_exactly_its_public_functions_and_classes():
+    # `__all__` lists every public module-level function and class, once, and
+    # besides them only public module-level constants; the package re-exports
+    # from its modules, and the command-line module is an entry point
+    for path, tree in _trees().items():
+        if path.stem in ("__init__", "cli"):
+            continue
+        exported = _exported(tree)
+        assert exported is not None, f"{path.name} has no __all__"
+        assert len(exported) == len(set(exported)), f"{path.name} lists a name twice"
+        public = {node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                     for t in node.targets
+                     if isinstance(t, ast.Name) and not t.id.startswith("_")}
+        assert set(exported) - constants == public, path.name
