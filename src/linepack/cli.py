@@ -35,13 +35,12 @@ import json
 import os
 import sys
 import time
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import bgroup, chartab, etf, exact, gf2n, heis, scheme, search
+from . import etf, exact, scheme
 
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 100_000
@@ -70,6 +69,8 @@ def _write_json(path: Path, payload: dict, hasher=None) -> None:
 def _contexts(n: int):
     """(field, group, rep) at n; a command that reads the character table
     builds it from group and rep."""
+    from . import bgroup, gf2n, heis
+
     field = gf2n.FieldContext(n)
     group = bgroup.GroupContext(field)
     return field, group, heis.RepContext(group)
@@ -188,6 +189,8 @@ def _verify_from_file(args) -> int:
 
 
 def _verify_from_n(args) -> int:
+    from . import chartab
+
     mode, samples, seed = _run_plan(args)
     _, group, rep = _contexts(args.n)
     table = chartab.build_character_table(group, rep)
@@ -226,12 +229,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    from . import search
+
     try:
         tuples = search.enumerate_tuples(args.max_order,
                                          nonabelian_orders_only=args.nonabelian_orders_only)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.suzuki_filters:
+        from . import chartab
         _, group, rep = _contexts(3)
         table = chartab.build_character_table(group, rep)
         sizes = group.class_sizes()
@@ -256,6 +262,8 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_chartab(args) -> int:
+    from . import chartab
+
     _check_build_n(args.n)
     if args.n > 7:
         raise UsageError("character tables are emitted for n <= 7")
@@ -271,6 +279,8 @@ def cmd_chartab(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from . import chartab
+
     _check_build_n(args.n)
     if args.n > _FULL_BUILD_MAX_N:
         raise UsageError(f"full Gram matrices are materialized for n <= {_FULL_BUILD_MAX_N}; "
@@ -431,6 +441,8 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:
         # last resort: exit 1 claims a mathematical violation, so a crash must not use it
+        import traceback
+
         _emit_error("internal", f"{type(exc).__name__}: {exc}", args.json_errors,
                     traceback=traceback.format_exc())
         return 3

@@ -56,7 +56,7 @@ slabs of a factor form, the tiles of frame^H frame (`exact.gram_tiles`),
 or the chunks of `GaussianRationalMatrix.upper_blocks` when the Gram is
 held.  The Welch pattern (`_welch_pattern`) and the route comparison
 (`_routes_compared`) read each block as it passes, the latter with its
-mirror.  The pattern alone proves a frame tight (`verify_frame`), so the
+mirror when a table row is not Hermitian.  The pattern alone proves a frame tight (`verify_frame`), so the
 Parseval product runs only to name a failure, and a factor form names it
 from d x d blocks (`FrameFactors.parseval_defect`); either, and G^2 = G,
 names its first miss by `exact.first_block_mismatch`.  A Gram alone
@@ -93,16 +93,19 @@ import stat
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bgroup import GroupContext
-from .chartab import CharacterTable
 from .exact import (INT64_BOUND, check_bound, exact_gram, exact_matmul, first_block_mismatch,
                     gram_tiles, max_abs)
-from .gf2n import FieldContext
-from .heis import RepContext
 from .scheme import GaussianRationalMatrix, first_mismatch
+
+if TYPE_CHECKING:
+    from .bgroup import GroupContext
+    from .chartab import CharacterTable
+    from .gf2n import FieldContext
+    from .heis import RepContext
 
 __all__ = [
     "EtfCertificate",
@@ -598,8 +601,8 @@ def verify_factors(factors: FrameFactors, gram_rows=None, routes=None,
     sign table is refused, the one case that builds the frame.  A failure's
     Parseval defect is read from the factors (`FrameFactors.parseval_defect`).
 
-    routes = (group, table, found) compares each block and its mirror
-    with the table routes (`_routes_compared`), filling `found` once the
+    routes = (group, table, found) compares each block, with its mirror
+    where needed, with the table routes (`_routes_compared`), filling `found` once the
     walk runs, and so all N^2 entries: (0, y) is central, so a row over
     the group takes at ((x, y), (x', y')) its value at inv((x, 0))
     (x', y + y'), as the walk's values do.
@@ -749,17 +752,28 @@ def _routes_compared(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray
                      sel: np.ndarray, group: GroupContext, table: CharacterTable,
                      found: dict) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
     """Yield `blocks`, the frame Gram of the columns `sel` over `den`, each
-    once it and its mirror (the conjugate transpose) are compared with the
-    table routes gathered from rows built once.  `found` gets each pair's
-    first mismatch, row-major over the selection, or None."""
+    once it is compared with the table routes gathered from rows built
+    once.  `found` gets each pair's first mismatch, row-major over the
+    selection, or None.  A row with T[inv(u)] = conj T[u] gathers a
+    Hermitian matrix, as the walk's values are, so when both rows do, each
+    first mismatch lies in a block; else each block's mirror (its conjugate
+    transpose) is compared too.  Equal rows gather only the closed form."""
     first = np.arange(group.order)  # the Gram row at g = e, as inv(e) h = h
     rows_of = {"character": gram_character(group, table, first),
                "closedForm": gram_closed_form(group, first)}
+    inv = group.inverse_product_index_grid(first[:1], first)[:, 0]
+    mirrored = not all(np.array_equal(t.re[inv], t.re)
+                       and np.array_equal(t.im[inv], np.negative(t.im, dtype=np.int64))
+                       for t in rows_of.values())
+    if same := _gathered(rows_of["character"], first[None]) == \
+            _gathered(rows_of["closedForm"], first[None]):
+        del rows_of["character"]
     found.update(dict.fromkeys(("frame_vs_character", "frame_vs_closedForm",
                                 "character_vs_closedForm")))
     for block in blocks:
         rows, cols, re, im = block
-        mirror = [(cols, rows, re.T, np.negative(im, dtype=np.int64).T)] if rows != cols else []
+        mirror = [(cols, rows, re.T, np.negative(im, dtype=np.int64).T)] \
+            if mirrored and rows != cols else []
         for r, c, part_re, part_im in [block, *mirror]:
             at = group.inverse_product_index_grid(sel[c], sel[r])
             routes = {"frame": GaussianRationalMatrix(part_re, part_im, den),
@@ -768,6 +782,8 @@ def _routes_compared(blocks: Iterable[tuple[slice, slice, np.ndarray, np.ndarray
                 if bad is not None:
                     bad = (r.start + bad[0], c.start + bad[1])
                     found[pair] = min(bad, found[pair] or bad)
+        if same:
+            found["frame_vs_character"] = found["frame_vs_closedForm"]
         yield block
 
 

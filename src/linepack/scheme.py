@@ -53,12 +53,15 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bgroup import GroupContext
-from .chartab import CharacterTable
 from .exact import check_bound, exact_matmul, first_block_mismatch, max_abs
+
+if TYPE_CHECKING:
+    from .bgroup import GroupContext
+    from .chartab import CharacterTable
 
 __all__ = [
     "GaussianRationalMatrix",

@@ -24,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .chartab import CharacterTable
+if TYPE_CHECKING:
+    from .chartab import CharacterTable
 
 __all__ = [
     "SearchTuple",

@@ -86,31 +86,21 @@ def scheme3(group3, table3):
 
 
 @pytest.fixture
-def flip_route(monkeypatch):
-    """flip(flips): make the route walk (`etf._routes_compared`) see each table
-    route named in `flips` one more, in its real part, at the Gram entries
-    (g, h) of element indices listed for it, on every group.
+def flip_rows(monkeypatch):
+    """flip(rows): for each (route, u) in `rows`, make that table route's Gram
+    row, as `etf._routes_compared` builds it, one more in its real part at
+    the element u only, not at inv(u), so the row is no longer Hermitian and
+    its whole matrix differs wherever inv(g) h = u."""
+    def flipped(route, u):
+        def call(group, *args):
+            row = route(group, *args)
+            re = row.re.astype(np.int64)
+            re[u] += 1
+            return GaussianRationalMatrix(re, row.im, row.den)
+        return call
 
-    The walk gathers a route on the index grid of one block or mirror and
-    then compares the routes there; the grid's rows and columns locate the
-    entries."""
-    grid, compare, where = GroupContext.inverse_product_index_grid, etf._route_mismatches, {}
-
-    def recording(self, cols, rows=None):
-        where.update(cols=cols, rows=cols if rows is None else rows)
-        return grid(self, cols, rows)
-
-    def flipped(routes, flips):
-        routes = dict(routes)
-        for name, entries in flips.items():
-            route = routes[name]
-            re = route.re.astype(np.int64)
-            for g, h in entries:
-                re[np.ix_(where["rows"] == g, where["cols"] == h)] += 1
-            routes[name] = GaussianRationalMatrix(re, route.im, route.den)
-        return compare(routes)
-
-    def flip(flips):
-        monkeypatch.setattr(GroupContext, "inverse_product_index_grid", recording)
-        monkeypatch.setattr(etf, "_route_mismatches", lambda routes: flipped(routes, flips))
+    def flip(rows):
+        for name, u in rows:
+            attr = {"character": "gram_character", "closedForm": "gram_closed_form"}[name]
+            monkeypatch.setattr(etf, attr, flipped(getattr(etf, attr), u))
     return flip

@@ -325,30 +325,33 @@ def test_three_way_sampled_columns_are_the_ceiling_square_root(group5, table5, r
     assert report["columns"] == columns and report["agree"] and report["pattern_ok"]
 
 
-@pytest.mark.parametrize("rows", [[37], [3, 37]])
+def _selection_routes(group, table, rep, sel) -> dict:
+    """The three routes' whole matrices on the columns `sel`, the table
+    routes gathered from the rows `etf._routes_compared` builds."""
+    first, at = np.arange(group.order), group.inverse_product_index_grid(sel)
+    whole = synthesize_frame(group, rep)
+    return {"frame": gram_from_frame(FrameMatrix(whole.re[:, sel], whole.im[:, sel],
+                                                 whole.log2_scale_sq)),
+            "character": etf._gathered(etf.gram_character(group, table, first), at),
+            "closedForm": etf._gathered(etf.gram_closed_form(group, first), at)}
+
+
+@pytest.mark.parametrize("rows", [[("closedForm", 22)], [("closedForm", 22), ("character", 31)]])
 def test_sampled_routes_report_the_whole_selection_mismatch(monkeypatch, group3, table3,
-                                                            rep3, flip_route, rows):
-    # upper_blocks chunks of at most 8 x 40 entries on a 40-column selection
-    # at n = 3, and a closed form that differs in column 5 of the given rows:
-    # (37, 5) lies below the diagonal, seen only in a chunk's mirror.  Each
+                                                            rep3, flip_rows, rows):
+    # upper_blocks chunks of at most 8 x 24 entries on the 24 columns of seed
+    # 24 at n = 3, and table rows one more at one element u, so not
+    # Hermitian: each flip's first mismatch, (9, 3) or (9, 7), lies below the
+    # diagonal and left of its chunk, seen only in a chunk's mirror.  Each
     # pair reports what the whole-selection matrices give
-    sel = np.array(sorted(random.Random(4).sample(range(64), 40)), dtype=np.int64)
-    whole_at = group3.inverse_product_index_grid(sel)
-    closed_form = gram_closed_form(group3, whole_at)
-    re = closed_form.re.copy()
-    re[rows, 5] += 1
-    whole = synthesize_frame(group3, rep3)
-    want = etf._route_mismatches({
-        "frame": gram_from_frame(FrameMatrix(whole.re[:, sel], whole.im[:, sel],
-                                             whole.log2_scale_sq)),
-        "character": gram_character(group3, table3, whole_at),
-        "closedForm": GaussianRationalMatrix(re, closed_form.im, closed_form.den)})
-    assert want == {"frame_vs_character": None, "frame_vs_closedForm": (rows[0], 5),
-                    "character_vs_closedForm": (rows[0], 5)}
-    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 8 * 40)
-    flip_route({"closedForm": [(sel[g], sel[5]) for g in rows]})
-    report = three_way_sampled(group3, table3, rep3, min_entries=40 ** 2, seed=4)
-    assert report["columns"] == 40 and report["mismatches"] == want
+    flip_rows(rows)
+    sel = np.array(sorted(random.Random(24).sample(range(64), 24)), dtype=np.int64)
+    want = etf._route_mismatches(_selection_routes(group3, table3, rep3, sel))
+    assert want == {"frame_vs_character": (9, 7) if len(rows) > 1 else None,
+                    "frame_vs_closedForm": (9, 3), "character_vs_closedForm": (9, 3)}
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 8 * 24)
+    report = three_way_sampled(group3, table3, rep3, min_entries=24 ** 2, seed=24)
+    assert report["columns"] == 24 and report["mismatches"] == want
 
 
 @pytest.mark.parametrize("flips, want", [
@@ -394,18 +397,50 @@ def test_factored_walk_reports_the_whole_matrix_route_mismatch_n5(monkeypatch, g
 
 
 def test_block_walk_reports_the_whole_selection_route_mismatch_n5(monkeypatch, group5, table5,
-                                                                  rep5, flip_route):
-    # 150 sampled columns at n = 5 in chunks of at most 1500 entries: a
-    # character flip in the last chunk and a closed-form flip below the
-    # diagonal, at selection positions
+                                                                  rep5, flip_rows):
+    # 150 sampled columns at n = 5 in chunks of at most 1500 entries, the
+    # fifth on rows 43-56: a character row flip first differs at (47, 45)
+    # in that chunk, and a closed-form row flip at (49, 8), in its mirror,
+    # at selection positions
     monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 1500)
+    flip_rows([("character", 243), ("closedForm", 423)])
     sel = np.array(sorted(random.Random(3).sample(range(1024), 150)), dtype=np.int64)
-    flip_route({"character": [(sel[149], sel[148])], "closedForm": [(sel[120], sel[7])]})
+    want = {"frame_vs_character": (47, 45), "frame_vs_closedForm": (49, 8),
+            "character_vs_closedForm": (47, 45)}
+    assert etf._route_mismatches(_selection_routes(group5, table5, rep5, sel)) == want
     report = three_way_sampled(group5, table5, rep5, min_entries=150 ** 2, seed=3)
     assert report["columns"] == 150 and report["pattern_ok"]
-    assert report["mismatches"] == {"frame_vs_character": (149, 148),
-                                    "frame_vs_closedForm": (120, 7),
-                                    "character_vs_closedForm": (120, 7)}
+    assert report["mismatches"] == want
+
+
+@pytest.mark.parametrize("cols, blocks", [
+    (None, [(1, 64 - 8 * x) for x in range(8)]),
+    (np.array([1, 5, 8, 13, 21, 34, 55]), [(2, 7), (2, 5), (3, 3)]),
+], ids=["full", "sampled"])
+def test_equal_hermitian_rows_gather_one_grid_per_block_and_no_mirror(monkeypatch, group3,
+                                                                     table3, rep3, cols, blocks):
+    # the two table rows are equal and Hermitian, so after one grid of
+    # inverses each block of the walk, the slab rows (x, 0) from the
+    # diagonal on or chunks of at most 14 sampled entries, is compared on
+    # its own (rows, cols) grid with the closed form alone, and no mirror
+    grids, compared = [], []
+    grid, compare = GroupContext.inverse_product_index_grid, etf._route_mismatches
+
+    def recording(self, c, r=None):
+        grids.append((len(c if r is None else r), len(c)))
+        return grid(self, c, r)
+
+    monkeypatch.setattr(GroupContext, "inverse_product_index_grid", recording)
+    monkeypatch.setattr(etf, "_route_mismatches",
+                        lambda routes: compared.append(sorted(routes)) or compare(routes))
+    monkeypatch.setattr(scheme, "_BLOCK_ENTRIES", 14)
+    found = {}
+    cert = etf.verify_factors(etf.frame_factors(group3, rep3), routes=(group3, table3, found),
+                              cols=cols)
+    assert cert.verdict == "OPTIMAL" and found == dict.fromkeys(
+        ("frame_vs_character", "frame_vs_closedForm", "character_vs_closedForm"))
+    assert grids == [(64, 1), *blocks]
+    assert compared == [["closedForm", "frame"]] * len(blocks)
 
 
 def test_sampled_pattern_reads_the_frame_gram(monkeypatch, group3, table3, rep3):
@@ -423,6 +458,24 @@ def test_sampled_pattern_reads_the_frame_gram(monkeypatch, group3, table3, rep3)
     report = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2, seed=1)
     assert report["pattern_ok"] is False
     assert report["mismatches"]["frame_vs_closedForm"] == (2, 7)
+
+
+def test_equal_rows_report_a_frame_mismatch_for_both_table_routes(monkeypatch, group3,
+                                                                   table3, rep3):
+    # the closed form alone is gathered, and its pair's first mismatch is the
+    # character's too; the table routes agree
+    sampled_gram = etf._sampled_gram
+
+    def tampered(factors, sel):
+        gram = sampled_gram(factors, sel)
+        im = gram.im.copy()
+        im[9, 4] += 1
+        return GaussianRationalMatrix(gram.re, im, gram.den)
+
+    monkeypatch.setattr(etf, "_sampled_gram", tampered)
+    report = three_way_sampled(group3, table3, rep3, min_entries=64 ** 2, seed=1)
+    assert report["mismatches"] == {"frame_vs_character": (9, 4), "frame_vs_closedForm": (9, 4),
+                                    "character_vs_closedForm": None}
 
 
 def test_sampled_grid_matches_full_gram_n3(group3, table3):

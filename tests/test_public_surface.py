@@ -9,7 +9,7 @@ otherwise dead weight.
 
 Private helpers are held to the same rule, with no exceptions: every
 private module-level function, and every private method of a
-module-level class other than a dunder, must be read in `src/linepack`
+module-level class, other than a dunder, must be read in `src/linepack`
 outside its own body, so that a helper a merge leaves behind for the
 tests alone is caught.
 
@@ -105,15 +105,22 @@ def test_every_public_name_has_a_caller_in_src():
     assert ALLOWED.keys() - uncalled == set(), "allowlisted names that now have a caller"
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _private_definitions(tree):
-    """(qualified name, node) of each private module-level def and non-dunder class method."""
+    """(qualified name, node) of each private non-dunder module-level def and
+    class method; a dunder, such as a module's PEP 562 `__getattr__`, is
+    called by Python itself."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                and not _is_dunder(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name.startswith("_") \
-                        and not (item.name.startswith("__") and item.name.endswith("__")):
+                        and not _is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 

@@ -18,7 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import linepack.cli  # binds `linepack` with every submodule loaded, as traced.py does
+import linepack.cli  # binds `linepack`, whose submodules load on first use, as in traced.py
 from test_cli import VERIFY_GRAM_N5_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
